@@ -52,11 +52,9 @@ from .steady import (
     window_two,
 )
 from .numerics import (
-    Bracket,
     SweepSeries,
     algebraic_oracle_three,
     algebraic_oracle_two,
-    find_root,
     maximize,
     pump_grid,
     sweep,

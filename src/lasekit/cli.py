@@ -23,12 +23,14 @@ overrides the number of significant digits.  Exit codes: 0 success
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, TextIO
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import partial
+from typing import Callable, Mapping, TextIO
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .dynamics import (
 )
 from .numerics import SweepSeries, sweep
 from .params import (
-    BlochState2,
     BlochState3,
     DimensionlessSchemeA,
     DimensionlessSchemeB,
@@ -62,55 +63,84 @@ from . import steady as st
 __all__ = ["main", "ConfigError", "emit_sweep_csv", "parse_sweep_csv",
            "emit_timeseries_csv", "parse_timeseries_csv"]
 
-_MODELS = ("two-level", "three-a", "three-b")
-_PARAMETERIZATIONS = ("physical", "dimensionless")
 
-_PHYS_REQUIRED = {
-    "two-level": ("n_atoms", "coupling_g", "cavity_kappa", "gamma_decay"),
-    "three-a": ("n_atoms", "coupling_g", "cavity_kappa", "gamma_21", "gamma_02", "gamma_10"),
-    "three-b": ("n_atoms", "coupling_g", "cavity_kappa", "gamma_21", "gamma_02", "gamma_10"),
+@dataclass(frozen=True)
+class _Model:
+    """What the CLI needs of one model.
+
+    The relative pump is the physical rate ``pump_rate`` over the rate
+    ``reference_rate``.  ``optional`` names a physical rate without a
+    class default that a config may leave out: the two-level pump rate
+    (then ``--pump`` sets it), the three-level dephasing rate (then 0).
+    ``window`` and ``optimum`` are None where the photon number saturates
+    in the pump instead of closing a window; ``scheme`` is None for the
+    two-level model.
+    """
+
+    physical: type
+    dimensionless: type
+    reduce: Callable
+    evaluate: Callable[..., SteadyResult]
+    threshold: Callable
+    window: Callable | None
+    optimum: Callable | None
+    pump_rate: str
+    reference_rate: str
+    optional: str
+    scheme: PumpScheme | None = None
+
+    @property
+    def three_level(self) -> bool:
+        return self.scheme is not None
+
+
+_MODELS = {
+    "two-level": _Model(
+        PhysicalTwoLevel, DimensionlessTwoLevel, reduce_two, st.n_two_level,
+        st.threshold_two, st.window_two, st.optimum_two,
+        pump_rate="pump_Gamma", reference_rate="gamma_decay", optional="pump_Gamma",
+    ),
+    "three-a": _Model(
+        PhysicalThreeLevel, DimensionlessSchemeA, reduce_three, st.n_scheme_a,
+        st.threshold_scheme_a, None, None,
+        pump_rate="gamma_21", reference_rate="gamma_02", optional="gamma_ph",
+        scheme=PumpScheme.A,
+    ),
+    "three-b": _Model(
+        PhysicalThreeLevel, DimensionlessSchemeB, reduce_three, st.n_scheme_b,
+        st.threshold_scheme_b, st.window_scheme_b, st.optimum_scheme_b,
+        pump_rate="gamma_02", reference_rate="gamma_21", optional="gamma_ph",
+        scheme=PumpScheme.B,
+    ),
 }
-_PHYS_OPTIONAL = {
-    "two-level": ("gamma_ph", "pump_Gamma"),
-    "three-a": ("gamma_ph",),
-    "three-b": ("gamma_ph",),
-}
-_DIMLESS_REQUIRED = {
-    "two-level": ("photon_scale", "saturation"),
-    "three-a": ("photon_scale", "saturation", "decay_ratio"),
-    "three-b": ("photon_scale", "saturation", "decay_ratio"),
-}
-_DIMLESS_OPTIONAL = {
-    "two-level": ("dephasing",),
-    "three-a": ("dephasing",),
-    "three-b": ("dephasing",),
-}
-_INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step", "t_max", "steady_tol")
-_INITIAL_KEYS = ("rho11", "rho22", "y", "x")
+_PARAMETERIZATIONS = ("physical", "dimensionless")
 
 
 class ConfigError(Exception):
     """Invalid run configuration; message lists the offending keys."""
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip float text, or LASEKIT_PRECISION significant digits."""
+def _float_format() -> Callable[[float], str]:
+    """Shortest round-trip float text, or LASEKIT_PRECISION significant
+    digits; read once per emitted document."""
     prec = os.environ.get("LASEKIT_PRECISION")
-    if prec:
-        try:
-            return format(float(x), f".{int(prec)}g")
-        except ValueError as e:
-            raise ConfigError(f"LASEKIT_PRECISION: {e}") from e
-    return repr(float(x))
+    if not prec:
+        return lambda x: repr(float(x))
+    try:
+        spec = f".{int(prec)}g"
+        format(0.0, spec)
+    except ValueError as e:
+        raise ConfigError(f"LASEKIT_PRECISION: {e}") from e
+    return lambda x: format(float(x), spec)
 
 
-def _meta_text(v: object) -> str:
+def _meta_text(v: object, fmt: Callable[[float], str]) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return _fmt(v)
+        return fmt(v)
     return str(v)
 
 
@@ -150,13 +180,14 @@ def _print_report(report: dict, fmt: str, fh: TextIO) -> None:
         json.dump(_jsonable(report), fh, indent=2)
         fh.write("\n")
         return
+    ffmt = _float_format()
     for key, value in report.items():
         if isinstance(value, dict):
             fh.write(f"{key}:\n")
             for k2, v2 in value.items():
-                fh.write(f"  {k2}: {_meta_text(_jsonable(v2))}\n")
+                fh.write(f"  {k2}: {_meta_text(_jsonable(v2), ffmt)}\n")
         else:
-            fh.write(f"{key}: {_meta_text(_jsonable(value))}\n")
+            fh.write(f"{key}: {_meta_text(_jsonable(value), ffmt)}\n")
 
 
 # --------------------------------------------------------------------------
@@ -190,13 +221,33 @@ def load_config(path: str) -> RunConfig:
     return parse_config(doc)
 
 
+def _number_section(doc: dict, name: str, cls: type, errors: list[str]) -> dict[str, float] | None:
+    """The numbers of an optional config section whose keys are fields of ``cls``."""
+    keys = [f.name for f in fields(cls)]
+    raw = doc.get(name)
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        errors.append(f"{name}: must be an object")
+        return None
+    section: dict[str, float] = {}
+    for key, value in raw.items():
+        if key not in keys:
+            errors.append(f"{name}.{key}: unknown key")
+            continue
+        v = _check_number(errors, f"{name}.{key}", value)
+        if v is not None:
+            section[key] = v
+    return section
+
+
 def parse_config(doc: object) -> RunConfig:
     errors: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
     model = doc.get("model")
-    if model not in _MODELS:
+    if not isinstance(model, str) or model not in _MODELS:
         errors.append(f"model: must be one of {list(_MODELS)}, got {model!r}")
     parameterization = doc.get("parameterization")
     if parameterization not in _PARAMETERIZATIONS:
@@ -214,8 +265,12 @@ def parse_config(doc: object) -> RunConfig:
     if not isinstance(raw_params, dict):
         raise ConfigError("params: must be an object")
 
-    required = (_PHYS_REQUIRED if parameterization == "physical" else _DIMLESS_REQUIRED)[model]
-    optional = (_PHYS_OPTIONAL if parameterization == "physical" else _DIMLESS_OPTIONAL)[model]
+    spec = _MODELS[model]
+    cls = spec.physical if parameterization == "physical" else spec.dimensionless
+    # every field but the pump scheme, which comes from the model table
+    keys = [f for f in fields(cls) if f.name != "scheme"]
+    names = [f.name for f in keys]
+    required = [f.name for f in keys if f.default is MISSING and f.name != spec.optional]
     params: dict[str, float] = {}
     for key in required:
         if key not in raw_params:
@@ -227,7 +282,7 @@ def parse_config(doc: object) -> RunConfig:
     for key in raw_params:
         if key in required:
             continue
-        if key not in optional:
+        if key not in names:
             errors.append(f"params.{key}: unknown key for {parameterization} {model}")
             continue
         v = _check_number(errors, f"params.{key}", raw_params[key])
@@ -235,39 +290,14 @@ def parse_config(doc: object) -> RunConfig:
             params[key] = v
 
     integ = IntegratorConfig()
-    raw_integ = doc.get("integrator")
-    if raw_integ is not None:
-        if not isinstance(raw_integ, dict):
-            errors.append("integrator: must be an object")
-        else:
-            kwargs = {}
-            for key, value in raw_integ.items():
-                if key not in _INTEGRATOR_KEYS:
-                    errors.append(f"integrator.{key}: unknown key")
-                    continue
-                v = _check_number(errors, f"integrator.{key}", value)
-                if v is not None:
-                    kwargs[key] = v
-            if not errors:
-                try:
-                    integ = IntegratorConfig(**kwargs)
-                except ValueError as e:
-                    errors.append(f"integrator: {e}")
+    kwargs = _number_section(doc, "integrator", IntegratorConfig, errors)
+    if kwargs is not None and not errors:
+        try:
+            integ = IntegratorConfig(**kwargs)
+        except ValueError as e:
+            errors.append(f"integrator: {e}")
 
-    initial = None
-    raw_initial = doc.get("initial")
-    if raw_initial is not None:
-        if not isinstance(raw_initial, dict):
-            errors.append("initial: must be an object")
-        else:
-            initial = {}
-            for key, value in raw_initial.items():
-                if key not in _INITIAL_KEYS:
-                    errors.append(f"initial.{key}: unknown key")
-                    continue
-                v = _check_number(errors, f"initial.{key}", value)
-                if v is not None:
-                    initial[key] = v
+    initial = _number_section(doc, "initial", BlochState3, errors)
 
     if errors:
         raise ConfigError("; ".join(errors))
@@ -278,29 +308,15 @@ def parse_config(doc: object) -> RunConfig:
 # model assembly
 # --------------------------------------------------------------------------
 
-def _scheme(model: str) -> PumpScheme:
-    return PumpScheme.A if model == "three-a" else PumpScheme.B
-
-
 def _dimensionless(cfg: RunConfig):
     """Reduced parameters for the configured model (pump kept separate)."""
-    p = cfg.params
+    spec = _MODELS[cfg.model]
     try:
         if cfg.parameterization == "dimensionless":
-            if cfg.model == "two-level":
-                return DimensionlessTwoLevel(
-                    p["photon_scale"], p["saturation"], p.get("dephasing", 0.0)
-                )
-            cls = DimensionlessSchemeA if cfg.model == "three-a" else DimensionlessSchemeB
-            return cls(
-                p["photon_scale"], p["saturation"], p["decay_ratio"],
-                p.get("dephasing", 0.0),
-            )
-        if cfg.model == "two-level":
-            d, _ = reduce_two(_physical(cfg, pump=0.0))
-            return d
-        d, _ = reduce_three(_physical(cfg, pump=None))
-        return d
+            return spec.dimensionless(**cfg.params)
+        # a pump rate the config may leave out does not enter the reduction
+        pump = 0.0 if spec.optional == spec.pump_rate else None
+        return spec.reduce(_physical(cfg, pump))[0]
     except ValueError as e:
         raise ConfigError(f"params: {e}") from e
 
@@ -308,63 +324,26 @@ def _dimensionless(cfg: RunConfig):
 def _physical(cfg: RunConfig, pump: float | None):
     """Physical rate set; ``pump`` (relative) overrides the configured
     pump rate when given."""
-    p = cfg.params
     if cfg.parameterization != "physical":
         raise ConfigError(
             "this operation needs the physical parameterization "
             "(dimensionless parameters do not fix every rate)"
         )
-    try:
-        if cfg.model == "two-level":
-            gamma = p["gamma_decay"]
-            if pump is not None:
-                big_gamma = pump * gamma
-            elif "pump_Gamma" in p:
-                big_gamma = p["pump_Gamma"]
-            else:
-                raise ConfigError(
-                    "params.pump_Gamma: required (or pass --pump) for this command"
-                )
-            return PhysicalTwoLevel(
-                n_atoms=p["n_atoms"],
-                coupling_g=p["coupling_g"],
-                cavity_kappa=p["cavity_kappa"],
-                gamma_decay=gamma,
-                pump_Gamma=big_gamma,
-                gamma_ph=p.get("gamma_ph", 0.0),
-            )
-        g21, g02 = p["gamma_21"], p["gamma_02"]
-        if pump is not None:
-            if cfg.model == "three-a":
-                g21 = pump * g02
-            else:
-                g02 = pump * g21
-        return PhysicalThreeLevel(
-            n_atoms=p["n_atoms"],
-            coupling_g=p["coupling_g"],
-            cavity_kappa=p["cavity_kappa"],
-            gamma_21=g21,
-            gamma_02=g02,
-            gamma_10=p["gamma_10"],
-            gamma_ph=p.get("gamma_ph", 0.0),
-            scheme=_scheme(cfg.model),
+    spec = _MODELS[cfg.model]
+    rates: dict[str, object] = dict(cfg.params)
+    if pump is not None:
+        rates[spec.pump_rate] = pump * cfg.params[spec.reference_rate]
+    elif spec.pump_rate not in rates:
+        raise ConfigError(
+            f"params.{spec.pump_rate}: required (or pass --pump) for this command"
         )
+    rates.setdefault(spec.optional, 0.0)
+    if spec.three_level:
+        rates["scheme"] = spec.scheme
+    try:
+        return spec.physical(**rates)
     except ValueError as e:
         raise ConfigError(f"params: {e}") from e
-
-
-def _configured_pump(cfg: RunConfig) -> float | None:
-    """Relative pump implied by the configured rates, if any."""
-    p = cfg.params
-    if cfg.parameterization != "physical":
-        return None
-    if cfg.model == "two-level":
-        if "pump_Gamma" in p:
-            return p["pump_Gamma"] / p["gamma_decay"]
-        return None
-    if cfg.model == "three-a":
-        return p["gamma_21"] / p["gamma_02"] if p["gamma_02"] > 0 else None
-    return p["gamma_02"] / p["gamma_21"] if p["gamma_21"] > 0 else None
 
 
 def _resolve_pump(cfg: RunConfig, arg_pump: float | None) -> float:
@@ -372,19 +351,16 @@ def _resolve_pump(cfg: RunConfig, arg_pump: float | None) -> float:
         if arg_pump < 0:
             raise ConfigError(f"--pump: must be >= 0, got {arg_pump}")
         return arg_pump
-    pump = _configured_pump(cfg)
-    if pump is None:
-        raise ConfigError("--pump: required (the config does not fix a pump rate)")
-    return pump
+    # the relative pump implied by the configured rates, if any
+    spec = _MODELS[cfg.model]
+    p = cfg.params
+    if cfg.parameterization == "physical" and spec.pump_rate in p and p[spec.reference_rate] > 0:
+        return p[spec.pump_rate] / p[spec.reference_rate]
+    raise ConfigError("--pump: required (the config does not fix a pump rate)")
 
 
 def _evaluator(cfg: RunConfig) -> Callable[[float], SteadyResult]:
-    d = _dimensionless(cfg)
-    if cfg.model == "two-level":
-        return lambda pump: st.n_two_level(d, pump)
-    if cfg.model == "three-a":
-        return lambda pump: st.n_scheme_a(d, pump)
-    return lambda pump: st.n_scheme_b(d, pump)
+    return partial(_MODELS[cfg.model].evaluate, _dimensionless(cfg))
 
 
 # --------------------------------------------------------------------------
@@ -392,13 +368,14 @@ def _evaluator(cfg: RunConfig) -> Callable[[float], SteadyResult]:
 # --------------------------------------------------------------------------
 
 def emit_sweep_csv(series: SweepSeries, fh: TextIO) -> None:
+    fmt = _float_format()
     for key, value in series.metadata.items():
-        fh.write(f"# {key}={_meta_text(value)}\n")
+        fh.write(f"# {key}={_meta_text(value, fmt)}\n")
     fh.write("pump,photon_number,regime\n")
     for pump, n, regime in zip(
         series.pump_values, series.photon_numbers, series.regimes
     ):
-        fh.write(f"{_fmt(pump)},{_fmt(n)},{regime.value}\n")
+        fh.write(f"{fmt(pump)},{fmt(n)},{regime.value}\n")
 
 
 def parse_sweep_csv(fh: TextIO) -> SweepSeries:
@@ -434,21 +411,28 @@ def parse_sweep_csv(fh: TextIO) -> SweepSeries:
     )
 
 
+def _settle_footer(series: TimeSeries) -> dict[str, object]:
+    """How the run ended: the ``# settle:`` CSV footer, the JSON ``settle`` object."""
+    return {
+        "converged": series.steady,
+        "t": float(series.times[-1]),
+        "photon_number": float(series.photon_numbers[-1]),
+        "derivative_norm": float(series.derivative_norm),
+    }
+
+
 def emit_timeseries_csv(
     series: TimeSeries, fh: TextIO, metadata: dict[str, object] | None = None
 ) -> None:
+    fmt = _float_format()
     for key, value in (metadata or {}).items():
-        fh.write(f"# {key}={_meta_text(value)}\n")
+        fh.write(f"# {key}={_meta_text(value, fmt)}\n")
     fh.write("t," + ",".join(series.state_labels) + ",n\n")
     for t, row, n in zip(series.times, series.states, series.photon_numbers):
-        cells = [_fmt(t)] + [_fmt(v) for v in row] + [_fmt(n)]
+        cells = [fmt(t)] + [fmt(v) for v in row] + [fmt(n)]
         fh.write(",".join(cells) + "\n")
-    fh.write(
-        f"# settle: converged={_meta_text(series.steady)}"
-        f" t={_fmt(series.times[-1])}"
-        f" photon_number={_fmt(series.photon_numbers[-1])}"
-        f" derivative_norm={_fmt(series.derivative_norm)}\n"
-    )
+    footer = _settle_footer(series).items()
+    fh.write("# settle: " + " ".join(f"{k}={_meta_text(v, fmt)}" for k, v in footer) + "\n")
 
 
 def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
@@ -495,10 +479,16 @@ def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
     return series, metadata
 
 
+def _emit_json(fh: TextIO, metadata: Mapping[str, object], columns: dict, **extra: object) -> None:
+    """One JSON document: the metadata, one array per column, then ``extra``."""
+    json.dump({"metadata": _jsonable(dict(metadata)), **columns, **_jsonable(extra)}, fh, indent=2)
+    fh.write("\n")
+
+
 def _open_out(path: str | None):
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 # --------------------------------------------------------------------------
@@ -506,88 +496,65 @@ def _open_out(path: str | None):
 # --------------------------------------------------------------------------
 
 def _window_dict(w: st.LasingWindow | None) -> dict | None:
-    if w is None:
-        return None
-    return {"lower": w.lower, "upper": w.upper, "exact": w.exact}
+    return None if w is None else asdict(w)
 
 
 def _extremum_dict(e: st.ExtremumReport | None) -> dict | None:
     if e is None:
         return None
-    out = {
-        "pump_estimate": e.pump_estimate,
-        "pump_exact": e.pump_exact,
-        "photon_at_exact": e.photon_at_exact,
-        "discrepancy": e.discrepancy,
-    }
-    if e.photon_max_estimate is not None:
-        out["photon_max_estimate"] = e.photon_max_estimate
-        out["photon_max_rel_err"] = e.photon_max_rel_err
+    out = asdict(e)
+    if e.photon_max_estimate is None:
+        # the peak estimate exists for the two-level model only
+        del out["photon_max_estimate"], out["photon_max_rel_err"]
     return out
 
 
 def _steady_report(cfg: RunConfig, pump: float) -> dict:
+    spec = _MODELS[cfg.model]
+    physical = cfg.parameterization == "physical"
     report: dict[str, object] = {
         "model": cfg.model,
         "parameterization": cfg.parameterization,
         "pump": pump,
     }
-    if cfg.parameterization == "physical" and cfg.model != "two-level":
+    if physical and spec.three_level:
         p = _physical(cfg, pump)
         res = st.n_three_physical(p)
         gpar, inv = gamma_parallel_and_inversion(p)
     else:
-        res = _evaluator(cfg)(pump)
-        if cfg.model == "two-level":
-            gpar = inv = None
-            if cfg.parameterization == "physical":
-                # report the coherence decay in physical units
-                res = SteadyResult(
-                    photon_number=res.photon_number,
-                    regime=res.regime,
-                    populations=res.populations,
-                    gamma_perp=gamma_perp_two(_physical(cfg, pump)),
-                    raw_bracket=res.raw_bracket,
-                )
-        elif cfg.model == "three-a":
-            d = _dimensionless(cfg)
-            gpar, inv = _gamma_parallel_inversion_rates(pump, 1.0, d.decay_ratio)
-        else:
-            d = _dimensionless(cfg)
-            gpar, inv = _gamma_parallel_inversion_rates(1.0, pump, d.decay_ratio)
+        d = _dimensionless(cfg)
+        res = spec.evaluate(d, pump)
+        if physical:
+            # report the coherence decay in physical units
+            res = replace(res, gamma_perp=gamma_perp_two(_physical(cfg, pump)))
+        elif spec.three_level:
+            # rates in units of the reference rate
+            rates = {spec.pump_rate: pump, spec.reference_rate: 1.0}
+            gpar, inv = _gamma_parallel_inversion_rates(
+                rates["gamma_21"], rates["gamma_02"], d.decay_ratio
+            )
     report["photon_number"] = res.photon_number
     report["regime"] = res.regime
     report["raw_bracket"] = res.raw_bracket
     report["gamma_perp"] = res.gamma_perp
-    pops = {"rho00": res.populations[0], "rho11": res.populations[1]}
-    if len(res.populations) > 2:
-        pops["rho22"] = res.populations[2]
-    report["populations"] = pops
-    if cfg.model != "two-level":
+    report["populations"] = dict(zip(("rho00", "rho11", "rho22"), res.populations))
+    if spec.three_level:
         report["gamma_parallel"] = gpar
         report["equilibrium_inversion"] = inv
     return report
 
 
 def _region_report(cfg: RunConfig) -> dict:
+    spec = _MODELS[cfg.model]
     d = _dimensionless(cfg)
+    thr = spec.threshold(d)
     report: dict[str, object] = {
         "model": cfg.model,
         "parameterization": cfg.parameterization,
+        "threshold": thr,
     }
-    if cfg.model == "two-level":
-        thr = st.threshold_two(d)
-        win = st.window_two(d)
-        report["threshold"] = thr
-        report["lasing_possible"] = win.exact is not None
-        report["window"] = _window_dict(win.exact)
-        report["window_asymptotic"] = _window_dict(win.asymptotic)
-        report["pump_restriction"] = _window_dict(win.necessary)
-        report["window_upper_rel_err"] = win.upper_rel_err
-        report["optimum"] = _extremum_dict(st.optimum_two(d))
-    elif cfg.model == "three-a":
-        thr = st.threshold_scheme_a(d)
-        report["threshold"] = thr
+    if spec.window is None:
+        # the photon number saturates in the pump: no upper edge, no optimum
         report["lasing_possible"] = thr is not None
         report["saturation_limit"] = st.saturation_limit_scheme_a(d)
         if cfg.parameterization == "physical":
@@ -597,15 +564,15 @@ def _region_report(cfg: RunConfig) -> dict:
                 dep = st.depletion_ratio_window(p)
                 report["depletion_ratio_window"] = _window_dict(dep.exact)
                 report["depletion_ratio_window_asymptotic"] = _window_dict(dep.asymptotic)
-    else:
-        thr = st.threshold_scheme_b(d)
-        win = st.window_scheme_b(d)
-        report["threshold"] = thr
-        report["lasing_possible"] = win.exact is not None
-        report["window"] = _window_dict(win.exact)
-        report["window_asymptotic"] = _window_dict(win.asymptotic)
-        report["window_upper_rel_err"] = win.upper_rel_err
-        report["optimum"] = _extremum_dict(st.optimum_scheme_b(d))
+        return report
+    win = spec.window(d)
+    report["lasing_possible"] = win.exact is not None
+    report["window"] = _window_dict(win.exact)
+    report["window_asymptotic"] = _window_dict(win.asymptotic)
+    if not spec.three_level:
+        report["pump_restriction"] = _window_dict(win.necessary)
+    report["window_upper_rel_err"] = win.upper_rel_err
+    report["optimum"] = _extremum_dict(spec.optimum(d))
     return report
 
 
@@ -616,29 +583,25 @@ def _region_report(cfg: RunConfig) -> dict:
 def _cmd_steady(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     pump = _resolve_pump(cfg, args.pump)
-    report = _steady_report(cfg, pump)
-    _print_report(report, "json" if args.format == "json" else "text", sys.stdout)
+    _print_report(_steady_report(cfg, pump), args.format, sys.stdout)
     return 0
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    report = _region_report(cfg)
-    _print_report(report, "json" if args.format == "json" else "text", sys.stdout)
+    _print_report(_region_report(cfg), args.format, sys.stdout)
     return 0
 
 
-def _sweep_metadata(cfg: RunConfig, lo: float, hi: float, points: int, scale: str) -> dict:
+def _metadata(cfg: RunConfig, **extra: object) -> dict[str, object]:
+    """Metadata of an emitted document: the configuration, then ``extra``."""
     meta: dict[str, object] = {
         "model": cfg.model,
         "parameterization": cfg.parameterization,
     }
     for key in sorted(cfg.params):
         meta[key] = cfg.params[key]
-    meta["pump_min"] = lo
-    meta["pump_max"] = hi
-    meta["points"] = points
-    meta["scale"] = scale
+    meta.update(extra)
     return meta
 
 
@@ -652,77 +615,56 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             (args.pump_min, args.pump_max),
             args.points,
             args.scale,
-            metadata=_sweep_metadata(cfg, args.pump_min, args.pump_max, args.points, args.scale),
+            metadata=_metadata(cfg, pump_min=args.pump_min, pump_max=args.pump_max,
+                               points=args.points, scale=args.scale),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         if args.format == "json":
-            doc = {
-                "metadata": _jsonable(dict(series.metadata)),
-                "pump": [float(v) for v in series.pump_values],
-                "photon_number": [float(v) for v in series.photon_numbers],
+            _emit_json(fh, series.metadata, {
+                "pump": series.pump_values.tolist(),
+                "photon_number": series.photon_numbers.tolist(),
                 "regime": [r.value for r in series.regimes],
-            }
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            })
         else:
             emit_sweep_csv(series, fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    pump = args.pump if args.pump is None else float(args.pump)
-    p = _physical(cfg, pump)
+    p = _physical(cfg, args.pump)
 
     integ = cfg.integrator
     if args.t_max is not None:
-        integ = IntegratorConfig(
-            rel_tol=integ.rel_tol,
-            abs_tol=integ.abs_tol,
-            max_step=integ.max_step,
-            t_max=args.t_max,
-            steady_tol=integ.steady_tol,
-        )
+        integ = replace(integ, t_max=args.t_max)
 
     init = initial_state(p, seed_field=args.seed_field)
     if cfg.initial:
-        fields = {
-            "rho11": init.rho11,
-            "y": init.y,
-            "x": init.x,
-        }
-        if isinstance(init, BlochState3):
-            fields["rho22"] = init.rho22
-        for key, value in cfg.initial.items():
-            if key == "rho22" and not isinstance(init, BlochState3):
-                raise ConfigError("initial.rho22: not a two-level state component")
-            fields[key] = value
+        foreign = sorted(cfg.initial.keys() - {f.name for f in fields(init)})
+        if foreign:
+            raise ConfigError(f"initial.{foreign[0]}: not a two-level state component")
         try:
-            init = (BlochState3 if isinstance(init, BlochState3) else BlochState2)(**fields)
+            init = replace(init, **cfg.initial)
         except ValueError as e:
             raise ConfigError(f"initial: {e}") from e
 
     series = integrate(p, initial=init, config=integ, stop_at_steady=True)
 
-    meta: dict[str, object] = {"model": cfg.model, "parameterization": "physical"}
-    for key in sorted(cfg.params):
-        meta[key] = cfg.params[key]
-    if pump is not None:
-        meta["pump"] = pump
+    meta = _metadata(cfg)
+    if args.pump is not None:
+        meta["pump"] = args.pump
     meta["seed_field"] = args.seed_field
 
-    fh, close = _open_out(args.out)
-    try:
-        emit_timeseries_csv(series, fh, metadata=meta)
-    finally:
-        if close:
-            fh.close()
+    with _open_out(args.out) as fh:
+        if args.format == "json":
+            columns = {"t": series.times.tolist()}
+            columns.update(zip(series.state_labels, series.states.T.tolist()))
+            columns["n"] = series.photon_numbers.tolist()
+            _emit_json(fh, meta, columns, settle=_settle_footer(series))
+        else:
+            emit_timeseries_csv(series, fh, metadata=meta)
     return 0
 
 
@@ -757,6 +699,7 @@ def figure_series(preset: str) -> list[SweepSeries]:
     to 1e2, which covers both the linear rise and the saturation plateau.
     """
     spec = _FIGURE_PRESETS[preset]
+    model = _MODELS[spec["model"]]
     out = []
     for index, value in enumerate(spec["curves"]):
         params = dict(spec["params"])
@@ -769,21 +712,14 @@ def figure_series(preset: str) -> list[SweepSeries]:
             }
         )
         d = _dimensionless(cfg)
-        if spec["model"] == "two-level":
-            thr = st.threshold_two(d)
-            win = st.window_two(d).exact
-        elif spec["model"] == "three-a":
-            thr = st.threshold_scheme_a(d)
-            win = None
-        else:
-            thr = st.threshold_scheme_b(d)
-            win = st.window_scheme_b(d).exact
+        thr = model.threshold(d)
+        win = model.window(d).exact if model.window else None
         lo = max(1e-2, 0.5 * (thr or 0.0))
         if win is not None and math.isfinite(win.upper):
             hi = 1.2 * win.upper
         else:
             hi = 1e2
-        meta = _sweep_metadata(cfg, lo, hi, _FIGURE_POINTS, "log")
+        meta = _metadata(cfg, pump_min=lo, pump_max=hi, points=_FIGURE_POINTS, scale="log")
         meta = {"preset": preset, "curve": index + 1, **meta}
         out.append(
             sweep(_evaluator(cfg), (lo, hi), _FIGURE_POINTS, "log", metadata=meta)
@@ -813,26 +749,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(sp: argparse.ArgumentParser, fmt_default: str) -> None:
+    def add_common(sp: argparse.ArgumentParser, formats: tuple[str, str]) -> None:
         sp.add_argument("--config", required=True, help="JSON model configuration")
         sp.add_argument(
             "--format",
-            choices=("text", "csv", "json"),
-            default=fmt_default,
-            help=f"output format (default: {fmt_default})",
+            choices=formats,
+            default=formats[0],
+            help=f"output format (default: {formats[0]})",
         )
 
     sp = sub.add_parser("steady", help="evaluate one steady state")
-    add_common(sp, "text")
+    add_common(sp, ("text", "json"))
     sp.add_argument("--pump", type=float, default=None, help="relative pump rate")
     sp.set_defaults(func=_cmd_steady)
 
     sp = sub.add_parser("region", help="threshold, lasing window and optimum report")
-    add_common(sp, "text")
+    add_common(sp, ("text", "json"))
     sp.set_defaults(func=_cmd_region)
 
     sp = sub.add_parser("sweep", help="photon number vs pump sweep (CSV)")
-    add_common(sp, "csv")
+    add_common(sp, ("csv", "json"))
     sp.add_argument("--pump-min", type=float, default=None)
     sp.add_argument("--pump-max", type=float, default=None)
     sp.add_argument("--points", type=int, default=200)
@@ -841,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("dynamics", help="time-domain trajectory (CSV)")
-    add_common(sp, "csv")
+    add_common(sp, ("csv", "json"))
     sp.add_argument("--pump", type=float, default=None, help="relative pump override")
     sp.add_argument("--t-max", type=float, default=None)
     sp.add_argument("--seed-field", type=float, default=1e-3)
@@ -864,16 +800,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except StiffnessError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

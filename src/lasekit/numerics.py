@@ -1,5 +1,5 @@
-"""Scalar root bracketing, golden-section maximization, pump sweeps, and
-the linear-algebra steady-state oracle.
+"""Golden-section maximization, pump sweeps, and the linear-algebra
+steady-state oracle.
 
 The oracle here solves the fixed-point equations directly (inversion
 pinning + population balance) without ever evaluating the closed-form
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .params import (
     PhysicalThreeLevel,
@@ -26,9 +25,7 @@ from .params import (
 )
 
 __all__ = [
-    "Bracket",
     "SweepSeries",
-    "find_root",
     "maximize",
     "algebraic_oracle_two",
     "algebraic_oracle_three",
@@ -37,48 +34,6 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """An interval [lo, hi] whose endpoint values enclose a sign change."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.f_lo * self.f_hi > 0.0:
-            raise ValueError(
-                f"not a bracket: f({self.lo}) = {self.f_lo} and "
-                f"f({self.hi}) = {self.f_hi} have the same sign"
-            )
-
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        return cls(lo, hi, f(lo), f(hi))
-
-
-def find_root(f: Callable[[float], float], bracket: Bracket, tol: float | None = None) -> float:
-    """Root of ``f`` inside ``bracket``.
-
-    Brent's method: inverse-quadratic/secant acceleration with a
-    guaranteed bisection fallback, so the enclosing interval shrinks at
-    worst by half per iteration and the result always lies inside the
-    initial bracket.  ``tol`` is absolute on the argument; the default
-    1e-10*max(1, |hi|) keeps the stopping rule scale-aware for roots
-    anywhere between O(1) thresholds and O(1e6) window edges.
-    """
-    if tol is None:
-        tol = 1e-10 * max(1.0, abs(bracket.hi))
-    if bracket.f_lo == 0.0:
-        return bracket.lo
-    if bracket.f_hi == 0.0:
-        return bracket.hi
-    return float(brentq(f, bracket.lo, bracket.hi, xtol=tol))
 
 
 def maximize(

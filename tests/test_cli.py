@@ -126,6 +126,31 @@ def test_steady_two_level_physical_pump_resolution(tmp_path, capsys):
     assert doc["gamma_perp"] == 2.0
 
 
+def test_steady_zero_reference_rate_needs_explicit_pump(tmp_path, capsys):
+    cfg = {
+        "model": "two-level",
+        "parameterization": "physical",
+        "params": {"n_atoms": 4000, "coupling_g": 0.1, "cavity_kappa": 1,
+                   "gamma_decay": 0, "pump_Gamma": 2},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert main(["steady", "--config", path]) == 2
+    assert "error: --pump: required" in capsys.readouterr().err
+    assert main(["steady", "--config", path, "--pump", "2"]) == 2
+    assert "error: params: gamma_decay must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("steady", "csv"), ("region", "csv"), ("sweep", "text"), ("dynamics", "text"),
+])
+def test_unsupported_format_rejected(tmp_path, capsys, command, fmt):
+    path = write_cfg(tmp_path, CFG_3B_PHYS)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path, "--format", fmt])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_region_two_level(tmp_path, capsys):
     path = write_cfg(tmp_path, CFG_2L_DIMLESS)
     assert main(["region", "--config", path, "--format", "json"]) == 0
@@ -296,6 +321,27 @@ def test_dynamics_initial_override_and_seed(tmp_path, capsys):
     assert series.states[0, 1] == 0.3
     assert series.states[0, 3] == 0.01
     assert meta["seed_field"] == 0.01
+
+
+def test_dynamics_json_matches_csv(tmp_path, capsys):
+    path = write_cfg(tmp_path, CFG_3B_PHYS)
+    argv = ["dynamics", "--config", path, "--pump", "2.5", "--t-max", "2"]
+    assert main(argv) == 0
+    series, meta = parse_timeseries_csv(io.StringIO(capsys.readouterr().out))
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["metadata", "t", "rho11", "rho22", "y", "x", "n", "settle"]
+    assert doc["metadata"] == meta
+    assert doc["t"] == series.times.tolist()
+    for i, label in enumerate(series.state_labels):
+        assert doc[label] == series.states[:, i].tolist()
+    assert doc["n"] == [x * x for x in doc["x"]]
+    assert doc["settle"] == {
+        "converged": series.steady,
+        "t": series.times[-1],
+        "photon_number": doc["n"][-1],
+        "derivative_norm": series.derivative_norm,
+    }
 
 
 def test_timeseries_roundtrip(tmp_path, capsys):

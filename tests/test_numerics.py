@@ -5,7 +5,6 @@ import pytest
 
 from conftest import random_three_level
 from lasekit import (
-    Bracket,
     DimensionlessSchemeB,
     DimensionlessTwoLevel,
     PhysicalThreeLevel,
@@ -14,7 +13,6 @@ from lasekit import (
     Regime,
     algebraic_oracle_three,
     algebraic_oracle_two,
-    find_root,
     maximize,
     n_scheme_b,
     n_three_physical,
@@ -28,48 +26,6 @@ from lasekit import (
 
 FIG2 = DimensionlessTwoLevel(photon_scale=1e3, saturation=1e-6, dephasing=1e5)
 FIG4B = DimensionlessSchemeB(photon_scale=1e5, saturation=0.01, decay_ratio=0.0, dephasing=0.1)
-
-
-def test_bracket_rejects_same_sign():
-    with pytest.raises(ValueError):
-        Bracket(0.0, 1.0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        Bracket(1.0, 0.0, -1.0, 1.0)
-
-
-def test_find_root_identity_function():
-    b = Bracket.from_function(lambda x: x, -1.0, 1.0)
-    assert find_root(lambda x: x, b) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_find_root_two_level_threshold():
-    f = lambda p: raw_bracket_two(FIG2, p)
-    root = find_root(f, Bracket.from_function(f, 1.0, 10.0))
-    # quadratic-formula value for the same coefficients
-    s, delta = 1e-6, 1e5
-    b = 1.0 - s * (2.0 + delta)
-    c = 1.0 + s * (1.0 + delta)
-    expected = 2.0 * c / (b + math.sqrt(b * b - 4.0 * s * c))
-    assert root == pytest.approx(expected, abs=1e-6)
-    assert 1.0 <= root <= 10.0
-
-
-def test_find_root_scheme_b_upper_edge():
-    f = lambda p: raw_bracket_scheme_b(FIG4B, p)
-    root = find_root(f, Bracket.from_function(f, 50.0, 150.0))
-    assert root == pytest.approx(99.9, rel=1e-9)
-
-
-def test_find_root_stays_inside_bracket_and_halves():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return math.tanh(3.0 * (x - 0.7))
-
-    root = find_root(f, Bracket.from_function(f, -2.0, 2.0), tol=1e-12)
-    assert root == pytest.approx(0.7, abs=1e-10)
-    assert all(-2.0 <= x <= 2.0 for x in calls)
 
 
 def test_maximize_scheme_b_window():

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import assert_identity, random_three_level
 from lasekit import (
-    Bracket,
     DimensionlessSchemeA,
     DimensionlessSchemeB,
     DimensionlessTwoLevel,
@@ -13,7 +13,6 @@ from lasekit import (
     PumpScheme,
     Regime,
     depletion_ratio_window,
-    find_root,
     n_min_atoms,
     n_scheme_a,
     n_scheme_b,
@@ -69,11 +68,7 @@ def test_n_two_level_below_threshold():
 
 def test_threshold_two_matches_bracketing_root_finder():
     thr = threshold_two(FIG2)
-    oracle = find_root(
-        lambda p: raw_bracket_two(FIG2, p), Bracket.from_function(
-            lambda p: raw_bracket_two(FIG2, p), 1.0, 10.0
-        ),
-    )
+    oracle = brentq(lambda p: raw_bracket_two(FIG2, p), 1.0, 10.0, xtol=1e-9)
     assert thr == pytest.approx(oracle, rel=1e-9)
     assert thr == pytest.approx(1.22223, abs=5e-6)
 
@@ -265,10 +260,7 @@ def test_threshold_scheme_a_zero_leak():
 
 def test_threshold_scheme_a_against_root_finder():
     thr = threshold_scheme_a(FIG4A)
-    oracle = find_root(
-        lambda p: raw_bracket_scheme_a(FIG4A, p),
-        Bracket.from_function(lambda p: raw_bracket_scheme_a(FIG4A, p), 1e-6, 1.0),
-    )
+    oracle = brentq(lambda p: raw_bracket_scheme_a(FIG4A, p), 1e-6, 1.0, xtol=1e-10)
     assert thr == pytest.approx(oracle, rel=1e-8)
     # direct evaluation of the closed form
     assert thr == pytest.approx(0.01 * 0.2 * 1.01 / (0.99 - 0.2 * 1.01 * 1.01), rel=1e-12)
