@@ -180,14 +180,14 @@ def _print_report(report: dict, fmt: str, fh: TextIO) -> None:
         json.dump(_jsonable(report), fh, indent=2)
         fh.write("\n")
         return
-    ffmt = _float_format()
+    float_text = _float_format()
     for key, value in report.items():
         if isinstance(value, dict):
             fh.write(f"{key}:\n")
             for k2, v2 in value.items():
-                fh.write(f"  {k2}: {_meta_text(_jsonable(v2), ffmt)}\n")
+                fh.write(f"  {k2}: {_meta_text(_jsonable(v2), float_text)}\n")
         else:
-            fh.write(f"{key}: {_meta_text(_jsonable(value), ffmt)}\n")
+            fh.write(f"{key}: {_meta_text(_jsonable(value), float_text)}\n")
 
 
 # --------------------------------------------------------------------------
@@ -537,7 +537,10 @@ def _steady_report(cfg: RunConfig, pump: float) -> dict:
     report["regime"] = res.regime
     report["raw_bracket"] = res.raw_bracket
     report["gamma_perp"] = res.gamma_perp
-    report["populations"] = dict(zip(("rho00", "rho11", "rho22"), res.populations))
+    pops = {"rho00": res.populations[0], "rho11": res.populations[1]}
+    if len(res.populations) > 2:
+        pops["rho22"] = res.populations[2]
+    report["populations"] = pops
     if spec.three_level:
         report["gamma_parallel"] = gpar
         report["equilibrium_inversion"] = inv
@@ -672,20 +675,17 @@ _FIGURE_PRESETS: dict[str, dict] = {
     "fig2": {
         "model": "two-level",
         "params": {"photon_scale": 1e3, "dephasing": 1e5},
-        "vary": "saturation",
-        "curves": (7e-7, 1e-6, 1.33e-6),
+        "saturations": (7e-7, 1e-6, 1.33e-6),
     },
     "fig4a": {
         "model": "three-a",
         "params": {"photon_scale": 1e6, "decay_ratio": 0.01, "dephasing": 0.0},
-        "vary": "saturation",
-        "curves": (0.0, 0.2, 0.5),
+        "saturations": (0.0, 0.2, 0.5),
     },
     "fig4b": {
         "model": "three-b",
         "params": {"photon_scale": 1e5, "decay_ratio": 0.0, "dephasing": 0.1},
-        "vary": "saturation",
-        "curves": (0.1, 0.02, 0.01),
+        "saturations": (0.1, 0.02, 0.01),
     },
 }
 _FIGURE_POINTS = 400
@@ -701,9 +701,9 @@ def figure_series(preset: str) -> list[SweepSeries]:
     spec = _FIGURE_PRESETS[preset]
     model = _MODELS[spec["model"]]
     out = []
-    for index, value in enumerate(spec["curves"]):
+    for index, saturation in enumerate(spec["saturations"]):
         params = dict(spec["params"])
-        params[spec["vary"]] = value
+        params["saturation"] = saturation
         cfg = parse_config(
             {
                 "model": spec["model"],
