@@ -55,7 +55,6 @@ from .numerics import (
     SweepSeries,
     algebraic_oracle_three,
     algebraic_oracle_two,
-    maximize,
     pump_grid,
     sweep,
 )

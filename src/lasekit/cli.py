@@ -52,6 +52,7 @@ from .params import (
     PumpScheme,
     Regime,
     SteadyResult,
+    _check_rate,
     _gamma_parallel_inversion_rates,
     gamma_parallel_and_inversion,
     gamma_perp_two,
@@ -288,6 +289,13 @@ def parse_config(doc: object) -> RunConfig:
         v = _check_number(errors, f"params.{key}", raw_params[key])
         if v is not None:
             params[key] = v
+    if parameterization == "physical" and spec.pump_rate in params:
+        # --pump replaces this rate and the two-level reduction ignores it,
+        # so no later step would see a bad configured value
+        try:
+            _check_rate(spec.pump_rate, params[spec.pump_rate])
+        except ValueError as e:
+            errors.append(f"params: {e}")
 
     integ = IntegratorConfig()
     kwargs = _number_section(doc, "integrator", IntegratorConfig, errors)

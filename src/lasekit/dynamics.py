@@ -22,9 +22,8 @@ The integrator is an explicit adaptive Dormand-Prince 5(4) embedded pair
 with first-same-as-last reuse; the derivative of every accepted state
 comes for free, which is what the scaled derivative-norm steady-state
 detector runs on.  The loop runs on scalar float locals with its stages
-unrolled over the components, so plain Python is the baseline and needs
-nothing beyond numpy; numba is optional and, when installed, compiles the
-same functions.
+unrolled over the components, which keeps plain Python free of
+per-element numpy indexing.
 """
 
 from __future__ import annotations
@@ -34,18 +33,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a speedup, not a requirement
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 from .params import (
     BlochState2,
@@ -175,7 +162,6 @@ class StiffnessError(RuntimeError):
 _SQ_MAX = math.sqrt(sys.float_info.max)
 
 
-@njit(cache=True)
 def _rhs(model, par, s0, s1, s2, s3):
     """Right-hand side on scalar components, returned as a 4-tuple.
 
@@ -204,18 +190,15 @@ def _rhs(model, par, s0, s1, s2, s3):
     )
 
 
-@njit(cache=True)
 def _norm(s0, s1, s2, s3):
     return math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
 
 
-@njit(cache=True)
 def _sq(q):
     """q ** 2, or inf where the square overflows."""
     return math.inf if abs(q) > _SQ_MAX else q ** 2
 
 
-@njit(cache=True)
 def _dp45_loop(
     model,
     par,
@@ -233,8 +216,7 @@ def _dp45_loop(
 
     ``par`` and ``y0`` are float tuples (see :func:`_rhs`); ``n`` is the
     number of live components.  The stages are unrolled over scalar
-    locals, which keeps the plain-Python path free of per-element numpy
-    indexing and the loop in a form numba compiles.
+    locals.
 
     Returns (status, t, y, f_norm, times[:m], states[:m]).  status:
     0 = derivative norm reached steady_tol scale, 1 = t_max reached,
@@ -657,12 +639,19 @@ def settle(
     The independent cross-check for every closed-form photon number: no
     steady-state algebra enters, only the equations of motion.  When
     t_max is exhausted first, the result carries ``converged = False``
-    and the last state instead of raising.
+    and the last state instead of raising.  A run that ends outside the
+    physical state space, which loose tolerances allow, raises ValueError.
     """
     model, status, t, y, fnorm, _, _ = _run(
         p, initial, config, record=False, stop_at_steady=True
     )
-    state = _state_object(model, y)
+    try:
+        state = _state_object(model, y)
+    except ValueError as e:
+        raise ValueError(
+            f"the run ended outside the physical state space at t = {t!r} ({e}); "
+            "tighten rel_tol/abs_tol"
+        ) from None
     return SettleResult(
         photon_number=state.photon_number,
         state=state,

@@ -1,5 +1,4 @@
-"""Golden-section maximization, pump sweeps, and the linear-algebra
-steady-state oracle.
+"""Pump sweeps and the linear-algebra steady-state oracle.
 
 The oracle here solves the fixed-point equations directly (inversion
 pinning + population balance) without ever evaluating the closed-form
@@ -9,7 +8,6 @@ and the time-domain integrator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -26,61 +24,11 @@ from .params import (
 
 __all__ = [
     "SweepSeries",
-    "maximize",
     "algebraic_oracle_two",
     "algebraic_oracle_three",
     "pump_grid",
     "sweep",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def maximize(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float | None = None,
-    grid: int = 1000,
-) -> tuple[float, float]:
-    """Maximize ``f`` on [lo, hi]; returns (argmax, max).
-
-    A dense grid pre-scan (default 1000 points) locates the best cell and
-    guards against non-unimodal or near-flat profiles; golden-section then
-    refines inside that cell.  The returned value is never below any
-    scanned grid value.
-    """
-    if not lo < hi:
-        raise ValueError(f"maximize needs lo < hi, got [{lo}, {hi}]")
-    if tol is None:
-        tol = 1e-10 * max(1.0, abs(hi))
-
-    xs = np.linspace(lo, hi, grid)
-    vals = np.array([f(x) for x in xs])
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, grid - 1)])
-
-    # golden-section refinement of the winning cell
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    xm = 0.5 * (a + b)
-    vm = f(xm)
-    if vm >= best_v:
-        return xm, vm
-    return best_x, best_v
 
 
 def algebraic_oracle_two(p: PhysicalTwoLevel) -> float:

@@ -11,7 +11,9 @@ bracket that is polynomial in the relative pump P:
 
 The quadratic cases get both the exact roots/extrema and the coarse
 closed forms that hold for small saturation, so the quality of those
-approximations is always measurable instead of assumed.
+approximations is always measurable instead of assumed.  The exact
+quantities are closed forms too: window edges are the numerator's roots
+and optimum pumps the bracket's stationary points.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import maximize
 from .params import (
     DimensionlessSchemeA,
     DimensionlessSchemeB,
@@ -101,12 +102,12 @@ class ExtremumReport:
     """Location of the pump maximizing the photon number.
 
     ``pump_estimate`` is the simplified stationary-point formula,
-    ``pump_exact`` the numerically maximized pump, and ``discrepancy``
-    their relative gap |estimate - exact| / exact.  For the two-level
-    model the bracket is exactly quadratic so the two coincide; for
-    scheme B the estimate drops the (P + 2) denominator and can be off
-    by a large factor.  ``photon_max_estimate`` (two-level only) is the
-    coarse peak value photon_scale/(4*saturation).
+    ``pump_exact`` the closed-form stationary point of the exact bracket,
+    and ``discrepancy`` their relative gap |estimate - exact| / exact.
+    For the two-level model the bracket is exactly quadratic so the two
+    coincide (discrepancy 0); for scheme B the estimate drops the (P + 2)
+    denominator and can be off by a large factor.  ``photon_max_estimate``
+    (two-level only) is the coarse peak value photon_scale/(4*saturation).
     """
 
     pump_estimate: float
@@ -155,6 +156,34 @@ def _classify(raw: float, pump: float, divide: float) -> Regime:
     if divide > 0.0 and pump > divide:
         return Regime.ABOVE_UPPER_BOUND
     return Regime.BELOW_THRESHOLD
+
+
+def _threshold(coeffs: tuple[float, float, float]) -> float | None:
+    """Smaller root of the quadratic bracket numerator ``coeffs``; None
+    when both roots are complex or at negative pump."""
+    roots = _quadratic_roots(*coeffs)
+    if roots is None or roots[1] <= 0.0:
+        return None
+    return roots[0]
+
+
+def _window(
+    coeffs: tuple[float, float, float], asym_upper: float, nec_upper: float | None = None
+) -> WindowReport:
+    """Exact window between the roots of the bracket numerator ``coeffs``,
+    next to the coarse windows (1, asym_upper) and (1, nec_upper)."""
+    roots = _quadratic_roots(*coeffs)
+    exact = None
+    if roots is not None and roots[0] < roots[1] and roots[1] > 0.0:
+        exact = LasingWindow(roots[0], roots[1], exact=True)
+    asymptotic, necessary = (
+        LasingWindow(1.0, u, exact=False) if u is not None and u > 1.0 else None
+        for u in (asym_upper, nec_upper)
+    )
+    rel_err = None
+    if exact and asymptotic and math.isfinite(exact.upper) and math.isfinite(asymptotic.upper):
+        rel_err = abs(asymptotic.upper - exact.upper) / exact.upper
+    return WindowReport(exact, asymptotic, necessary, rel_err)
 
 
 # --------------------------------------------------------------------------
@@ -215,10 +244,7 @@ def threshold_two(d: DimensionlessTwoLevel) -> float | None:
     pump >= 0; the roots always share a sign because their product is
     (1 + s*(1+delta))/s > 0).
     """
-    roots = _quadratic_roots(*_coeffs_two(d))
-    if roots is None or roots[1] <= 0.0:
-        return None
-    return roots[0]
+    return _threshold(_coeffs_two(d))
 
 
 def window_two(d: DimensionlessTwoLevel) -> WindowReport:
@@ -229,51 +255,32 @@ def window_two(d: DimensionlessTwoLevel) -> WindowReport:
     (1, 1/s - dephasing - 1) merely keeps the coherence decay below the
     cooperativity bound and is strictly wider than the true window.
     """
-    roots = _quadratic_roots(*_coeffs_two(d))
-    exact = None
-    if roots is not None and roots[0] < roots[1] and roots[1] > 0.0:
-        exact = LasingWindow(roots[0], roots[1], exact=True)
-
     s, delta = d.saturation, d.dephasing
-    asym_upper = math.inf if s == 0.0 else 1.0 / s - delta - 3.0
-    asymptotic = LasingWindow(1.0, asym_upper, exact=False) if asym_upper > 1.0 else None
-
-    nec_upper = math.inf if s == 0.0 else 1.0 / s - delta - 1.0
-    necessary = LasingWindow(1.0, nec_upper, exact=False) if nec_upper > 1.0 else None
-
-    rel_err = None
-    if (
-        exact is not None
-        and asymptotic is not None
-        and math.isfinite(exact.upper)
-        and math.isfinite(asymptotic.upper)
-    ):
-        rel_err = abs(asymptotic.upper - exact.upper) / exact.upper
-    return WindowReport(exact, asymptotic, necessary, rel_err)
+    edge = math.inf if s == 0.0 else 1.0 / s - delta
+    return _window(_coeffs_two(d), edge - 3.0, edge - 1.0)
 
 
 def optimum_two(d: DimensionlessTwoLevel) -> ExtremumReport | None:
     """Pump maximizing the two-level photon number.
 
-    The closed-form vertex 1/(2s) - 1 - dephasing/2 is exact here (the
-    bracket is a true parabola); golden-section over the window confirms
-    it.  Also reports the coarse peak value photon_scale/(4s), which is
-    accurate to O(s) when the small-signal gain is large.  None when no
-    window exists or in the lossless limit (no interior maximum).
+    The bracket is a true parabola, so its closed-form vertex
+    1/(2s) - 1 - dephasing/2 is the exact optimum and the estimate
+    coincides with it.  Also reports the coarse peak value
+    photon_scale/(4s), which is accurate to O(s) when the small-signal
+    gain is large.  None when no window exists or in the lossless limit
+    (no interior maximum).
     """
     win = window_two(d).exact
     if win is None or not math.isfinite(win.upper) or d.saturation == 0.0:
         return None
-    s, delta = d.saturation, d.dephasing
-    pump_est = 0.5 / s - 1.0 - 0.5 * delta
-    p_exact, raw_max = maximize(lambda p: raw_bracket_two(d, p), win.lower, win.upper)
-    n_exact = d.photon_scale * raw_max
-    n_est = d.photon_scale / (4.0 * s)
+    pump = _vertex_two(d)
+    n_exact = d.photon_scale * raw_bracket_two(d, pump)
+    n_est = d.photon_scale / (4.0 * d.saturation)
     return ExtremumReport(
-        pump_estimate=pump_est,
-        pump_exact=p_exact,
+        pump_estimate=pump,
+        pump_exact=pump,
         photon_at_exact=n_exact,
-        discrepancy=abs(pump_est - p_exact) / p_exact,
+        discrepancy=0.0,
         photon_max_estimate=n_est,
         photon_max_rel_err=abs(n_exact - n_est) / n_exact if n_exact > 0.0 else None,
     )
@@ -465,10 +472,7 @@ def _populations_scheme_b(
 def threshold_scheme_b(d: DimensionlessSchemeB) -> float | None:
     """Smaller root of the scheme-B bracket numerator; None if no
     physical window (complex roots, or both roots at negative pump)."""
-    roots = _quadratic_roots(*_coeffs_scheme_b(d))
-    if roots is None or roots[1] <= 0.0:
-        return None
-    return roots[0]
+    return _threshold(_coeffs_scheme_b(d))
 
 
 def window_scheme_b(d: DimensionlessSchemeB) -> WindowReport:
@@ -476,45 +480,35 @@ def window_scheme_b(d: DimensionlessSchemeB) -> WindowReport:
     (1, 1/s - dephasing).  With eps = 0 the numerator factorizes as
     P * [1 - s*(P + dephasing)] and the exact upper edge coincides with
     the closed form."""
-    roots = _quadratic_roots(*_coeffs_scheme_b(d))
-    exact = None
-    if roots is not None and roots[0] < roots[1] and roots[1] > 0.0:
-        exact = LasingWindow(roots[0], roots[1], exact=True)
-
     s, delta = d.saturation, d.dephasing
-    asym_upper = math.inf if s == 0.0 else 1.0 / s - delta
-    asymptotic = LasingWindow(1.0, asym_upper, exact=False) if asym_upper > 1.0 else None
-
-    rel_err = None
-    if (
-        exact is not None
-        and asymptotic is not None
-        and math.isfinite(exact.upper)
-        and math.isfinite(asymptotic.upper)
-    ):
-        rel_err = abs(asymptotic.upper - exact.upper) / exact.upper
-    return WindowReport(exact, asymptotic, None, rel_err)
+    edge = math.inf if s == 0.0 else 1.0 / s - delta
+    return _window(_coeffs_scheme_b(d), edge)
 
 
 def optimum_scheme_b(d: DimensionlessSchemeB) -> ExtremumReport | None:
     """Pump maximizing the scheme-B photon number.
 
-    The simplified stationary point 1/(2s) - dephasing/2 - eps ignores the
-    (P + 2) denominator and can overshoot the true maximizer severely;
-    both are reported, with golden-section over the exact window providing
-    the true one.  None without a finite window.
+    The exact optimum is the stationary point of (a*P**2 + b*P + c)/(P + 2),
+    the root P* = -2 + sqrt(4 + x) of a*P**2 + 4*a*P + (2*b - c) = 0 with
+    x = -(2*b - c)/a, evaluated as x/(2 + sqrt(4 + x)) to avoid the
+    cancellation at small x.  The simplified stationary point
+    1/(2s) - dephasing/2 - eps ignores the (P + 2) denominator and can
+    overshoot P* severely; both are reported.  None without a finite
+    window.
     """
     win = window_scheme_b(d).exact
     if win is None or not math.isfinite(win.upper):
         return None
     s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
     pump_est = 0.5 / s - 0.5 * delta - eps
-    p_exact, raw_max = maximize(lambda p: raw_bracket_scheme_b(d, p), win.lower, win.upper)
+    a, b, c = _coeffs_scheme_b(d)
+    x = -(2.0 * b - c) / a
+    pump = x / (2.0 + math.sqrt(4.0 + x))
     return ExtremumReport(
         pump_estimate=pump_est,
-        pump_exact=p_exact,
-        photon_at_exact=d.photon_scale * raw_max,
-        discrepancy=abs(pump_est - p_exact) / p_exact,
+        pump_exact=pump,
+        photon_at_exact=d.photon_scale * raw_bracket_scheme_b(d, pump),
+        discrepancy=abs(pump_est - pump) / pump,
     )
 
 

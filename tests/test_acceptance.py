@@ -195,7 +195,7 @@ def test_criterion_05_two_level_extremum_and_peak():
     ok = vertex_rel < 1e-6 and peak_rel < 0.01
     _report(
         5, "two-level extremum and peak value", ok,
-        f"(vertex vs golden-section rel {vertex_rel:.2e}, peak vs "
+        f"(estimate vs closed-form vertex rel {vertex_rel:.2e}, peak vs "
         f"photon_scale/(4s) rel {peak_rel:.2e})",
     )
 

@@ -140,6 +140,28 @@ def test_steady_zero_reference_rate_needs_explicit_pump(tmp_path, capsys):
     assert "error: params: gamma_decay must be > 0" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("cfg", [
+    {"model": "two-level", "parameterization": "physical",
+     "params": {"n_atoms": 4000, "coupling_g": 0.1, "cavity_kappa": 1,
+                "gamma_decay": 1, "pump_Gamma": -1}},
+    {**CFG_3A_PHYS, "params": {**CFG_3A_PHYS["params"], "gamma_21": -1}},
+], ids=["two-level", "three-a"])
+@pytest.mark.parametrize("argv", [
+    ["region"],
+    ["sweep", "--pump-min", "0.1", "--pump-max", "5", "--points", "3"],
+    ["steady", "--pump", "3.5"],
+    ["dynamics", "--pump", "2", "--t-max", "1"],
+], ids=["region", "sweep", "steady", "dynamics"])
+def test_negative_configured_pump_rate_rejected(tmp_path, capsys, cfg, argv):
+    # --pump overrides the configured rate, but a bad one is still an error
+    path = write_cfg(tmp_path, cfg)
+    assert main([argv[0], "--config", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: params: " in captured.err
+    assert "must be >= 0, got -1.0" in captured.err
+
 @pytest.mark.parametrize("command, fmt", [
     ("steady", "csv"), ("region", "csv"), ("sweep", "text"), ("dynamics", "text"),
 ])

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -13,48 +11,16 @@ from lasekit import (
     Regime,
     algebraic_oracle_three,
     algebraic_oracle_two,
-    maximize,
     n_scheme_b,
     n_three_physical,
     n_two_level,
     pump_grid,
-    raw_bracket_scheme_b,
-    raw_bracket_two,
     reduce_two,
     sweep,
 )
 
 FIG2 = DimensionlessTwoLevel(photon_scale=1e3, saturation=1e-6, dephasing=1e5)
 FIG4B = DimensionlessSchemeB(photon_scale=1e5, saturation=0.01, decay_ratio=0.0, dephasing=0.1)
-
-
-def test_maximize_scheme_b_window():
-    argmax, val = maximize(lambda p: raw_bracket_scheme_b(FIG4B, p), 0.0, 99.9)
-    assert argmax == pytest.approx(-2.0 + math.sqrt(203.8), rel=2e-7)
-    assert val == pytest.approx(raw_bracket_scheme_b(FIG4B, argmax))
-
-
-def test_maximize_two_level_vertex():
-    argmax, _ = maximize(lambda p: raw_bracket_two(FIG2, p), 1.23, 899996.0)
-    assert argmax == pytest.approx(449999.0, rel=2e-7)
-
-
-def test_maximize_constant_function():
-    argmax, val = maximize(lambda p: 2.5, 0.0, 1.0)
-    assert val == 2.5
-    assert 0.0 <= argmax <= 1.0
-
-
-def test_maximize_beats_grid_on_multimodal():
-    f = lambda x: math.sin(5.0 * x) + 0.5 * math.sin(17.0 * x)
-    xs = np.linspace(0.0, 3.0, 1000)
-    argmax, val = maximize(f, 0.0, 3.0)
-    assert val >= max(f(float(x)) for x in xs)
-
-
-def test_maximize_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        maximize(lambda x: x, 1.0, 1.0)
 
 
 def test_algebraic_oracle_three_fixed_example():

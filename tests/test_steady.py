@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import assert_identity, random_three_level
+from conftest import assert_identity, log_uniform, random_three_level
 from lasekit import (
     DimensionlessSchemeA,
     DimensionlessSchemeB,
@@ -401,6 +401,51 @@ def test_optimum_scheme_b_small_saturation_scaling():
 def test_optimum_scheme_b_requires_window():
     d = DimensionlessSchemeB(photon_scale=1.0, saturation=20.0, decay_ratio=0.5)
     assert optimum_scheme_b(d) is None
+
+
+def test_optimum_scheme_b_closed_form():
+    rep = optimum_scheme_b(FIG4B)
+    assert rep.pump_exact == pytest.approx(-2.0 + math.sqrt(203.8), rel=1e-14)
+    assert rep.photon_at_exact == FIG4B.photon_scale * raw_bracket_scheme_b(FIG4B, rep.pump_exact)
+
+
+def test_optimum_two_vertex_is_exact():
+    rep = optimum_two(FIG2)
+    assert rep.discrepancy == 0.0
+    assert rep.pump_exact == rep.pump_estimate == 449999.0
+
+
+def test_closed_form_optima_on_random_draws():
+    # wherever a finite window exists, the closed-form optimum lies
+    # strictly inside it and no nearby pump gives a larger bracket
+    rng = np.random.default_rng(47)
+
+    def zero_or(lo: float, hi: float) -> float:
+        return 0.0 if rng.random() < 0.1 else float(log_uniform(rng, lo, hi))
+
+    checked = {"two-level": 0, "scheme B": 0}
+    for _ in range(20000):
+        s = float(log_uniform(rng, 1e-8, 1.0))
+        eps, delta = zero_or(1e-4, 10.0), zero_or(1e-3, 1e2)
+        for name, d, window, optimum, bracket in (
+            ("two-level", DimensionlessTwoLevel(1.0, s, delta),
+             window_two, optimum_two, raw_bracket_two),
+            ("scheme B", DimensionlessSchemeB(1.0, s, eps, delta),
+             window_scheme_b, optimum_scheme_b, raw_bracket_scheme_b),
+        ):
+            w = window(d).exact
+            rep = optimum(d)
+            if w is None or not math.isfinite(w.upper):
+                assert rep is None
+                continue
+            checked[name] += 1
+            pump = rep.pump_exact
+            assert w.lower < pump < w.upper, (name, d, w, pump)
+            peak = bracket(d, pump)
+            assert rep.photon_at_exact == peak
+            for near in (pump * (1.0 - 1e-6), pump * (1.0 + 1e-6)):
+                assert bracket(d, near) <= peak, (name, d, pump, near)
+    assert min(checked.values()) > 10000, checked
 
 
 # --------------------------------------------------------------------------
