@@ -69,6 +69,8 @@ from .dynamics import (
     fixed_point_state,
     initial_state,
     integrate,
+    jacobian_three,
+    jacobian_two,
     settle,
 )
 

@@ -24,6 +24,15 @@ comes for free, which is what the scaled derivative-norm steady-state
 detector runs on.  The loop runs on scalar float locals with its stages
 unrolled over the components, which keeps plain Python free of
 per-element numpy indexing.
+
+:func:`settle` does not creep all the way down to the cutoff.  Once the
+flow has brought the derivative norm within 1e4 of it, Newton's method on
+the analytic Jacobian finishes the solve.  The root is taken only when it
+meets the cutoff, lies within 1e-3*(||y|| + 1) of the trajectory state,
+is a physical state and is linearly stable (every eigenvalue of the
+Jacobian has a negative real part).  Every steady exit of :func:`settle`
+passes the same stability test, so it never reports an unstable fixed
+point as settled.  :func:`integrate` runs the plain stepper only.
 """
 
 from __future__ import annotations
@@ -54,6 +63,8 @@ __all__ = [
     "StiffnessError",
     "derivs_two",
     "derivs_three",
+    "jacobian_two",
+    "jacobian_three",
     "initial_state",
     "fixed_point_state",
     "default_t_max",
@@ -126,8 +137,10 @@ class TimeSeries:
 class SettleResult:
     """Outcome of integrating toward a fixed point.
 
-    ``converged`` is False when t_max ran out before the derivative norm
-    dropped below the cutoff; the final state is reported either way.
+    ``converged`` is True when the derivative norm met the cutoff *and* the
+    Jacobian there is Hurwitz, i.e. the fixed point is linearly stable.  It
+    is False when t_max ran out first, which is also how a run near an
+    unstable fixed point ends; the final state is reported either way.
     """
 
     photon_number: float
@@ -190,6 +203,67 @@ def _rhs(model, par, s0, s1, s2, s3):
     )
 
 
+def _jacobian(model, par, s0, s1, s2, s3):
+    """Jacobian of :func:`_rhs` over the live components: 3x3 for the
+    two-level model, 4x4 for the three-level one."""
+    if model == 2:
+        n_at, g, kappa, gamma, pump, gperp, _ = par
+        rho11, yq, xq = s0, s1, s2
+        return np.array((
+            (-gamma - pump, -2.0 * g * xq, -2.0 * g * yq),
+            (2.0 * g * xq, -gperp, g * (2.0 * rho11 - 1.0)),
+            (0.0, n_at * g, -kappa),
+        ))
+    n_at, g, kappa, g21, g02, g10, gperp = par
+    rho11, rho22, yq, xq = s0, s1, s2, s3
+    return np.array((
+        (-g10, g21, -2.0 * g * xq, -2.0 * g * yq),
+        (-g02, -g02 - g21, 0.0, 0.0),
+        (2.0 * g * xq, g * xq, -gperp, g * (2.0 * rho11 + rho22 - 1.0)),
+        (0.0, 0.0, n_at * g, -kappa),
+    ))
+
+
+def _hurwitz(model, par, s0, s1, s2, s3):
+    """True when every eigenvalue of the Jacobian has a negative real part."""
+    eigs = np.linalg.eigvals(_jacobian(model, par, s0, s1, s2, s3))
+    return bool(eigs.real.max() < 0.0)
+
+
+def _polish(model, par, n, u, steady_tol):
+    """Newton's method on f(y) = 0, started at the trajectory state ``u``.
+
+    Returns (root, ||f(root)||) with the root as a 4-tuple, or None unless
+    the root meets the steady cutoff within 8 iterations, lies within
+    1e-3*(||u|| + 1) of ``u``, is a physical state and is linearly stable.
+    """
+    v = u
+    f = _rhs(model, par, *v)
+    for _ in range(8):
+        try:
+            step = np.linalg.solve(_jacobian(model, par, *v), f[:n])
+        except np.linalg.LinAlgError:
+            return None
+        v = tuple(float(a - b) for a, b in zip(v, step)) + v[n:]
+        f = _rhs(model, par, *v)
+        fnorm = _norm(*f)
+        if not math.isfinite(fnorm):
+            return None
+        if fnorm < steady_tol * (_norm(*v) + 1.0):
+            break
+    else:
+        return None
+    if _norm(*(a - b for a, b in zip(v, u))) > 1e-3 * (_norm(*u) + 1.0):
+        return None
+    try:
+        _state_object(model, v)
+    except ValueError:
+        return None
+    if not _hurwitz(model, par, *v):
+        return None
+    return v, fnorm
+
+
 def _norm(s0, s1, s2, s3):
     return math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
 
@@ -221,7 +295,15 @@ def _dp45_loop(
     Returns (status, t, y, f_norm, times[:m], states[:m]).  status:
     0 = derivative norm reached steady_tol scale, 1 = t_max reached,
     2 = step-size underflow.
+
+    On the settle path (``stop_at_steady`` without ``record``) a steady
+    exit also needs a Hurwitz Jacobian, and :func:`_polish` finishes the
+    solve once the derivative norm is within 1e4 of the cutoff.  One
+    polish and one stability test are spent per approach: both re-arm
+    only after the norm rises above 1e5 times the cutoff again.
     """
+    polish = stop_at_steady and not record
+    polish_armed = check_armed = True
     t = 0.0
     u0, u1, u2, u3 = y0
     k1_0, k1_1, k1_2, k1_3 = _rhs(model, par, u0, u1, u2, u3)
@@ -240,10 +322,12 @@ def _dp45_loop(
         count = 1
 
     if stop_at_steady and fnorm < steady_tol * (_norm(u0, u1, u2, u3) + 1.0):
-        return (
-            _STEADY, t, np.array((u0, u1, u2, u3))[:n], fnorm,
-            ts[:count].copy(), ys[:count, :n].copy(),
-        )
+        if not polish or _hurwitz(model, par, u0, u1, u2, u3):
+            return (
+                _STEADY, t, np.array((u0, u1, u2, u3))[:n], fnorm,
+                ts[:count].copy(), ys[:count, :n].copy(),
+            )
+        check_armed = False
 
     # initial step: the usual two-phase heuristic on scaled magnitudes
     sc0 = atol + rtol * abs(u0)
@@ -423,9 +507,23 @@ def _dp45_loop(
             fnorm = _norm(k1_0, k1_1, k1_2, k1_3)
             if stop_at_steady:
                 target = steady_tol * (_norm(u0, u1, u2, u3) + 1.0)
+                if polish:
+                    if fnorm > 1e5 * target:
+                        polish_armed = check_armed = True
+                    elif fnorm < 1e4 * target and polish_armed:
+                        polish_armed = False
+                        root = _polish(model, par, n, (u0, u1, u2, u3), steady_tol)
+                        if root is not None:
+                            (u0, u1, u2, u3), fnorm = root
+                            status = _STEADY
+                            break
                 if fnorm < target:
-                    status = _STEADY
-                    break
+                    if not polish or (
+                        check_armed and _hurwitz(model, par, u0, u1, u2, u3)
+                    ):
+                        status = _STEADY
+                        break
+                    check_armed = False
                 if fnorm < 1e4 * target and tighten > tighten_min:
                     tighten = max(0.25 * tighten, tighten_min)
                 elif fnorm > 1e5 * target and tighten < 1.0:
@@ -499,6 +597,20 @@ def _state_object(
     )
 
 
+def _physical_state(
+    model: int, t: float, y: np.ndarray
+) -> BlochState2 | BlochState3:
+    """The end state of a run; ValueError naming the tolerances when it is
+    non-finite or outside the physical state space."""
+    try:
+        return _state_object(model, y)
+    except ValueError as e:
+        raise ValueError(
+            f"the run ended outside the physical state space at t = {t!r} ({e}); "
+            "tighten rel_tol/abs_tol"
+        ) from None
+
+
 def derivs_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
     """Time derivative (d rho11, d y, d x) of the reduced two-level system."""
     _, par = _pack(p)
@@ -510,6 +622,19 @@ def derivs_three(state: BlochState3, p: PhysicalThreeLevel) -> np.ndarray:
     three-level system."""
     _, par = _pack(p)
     return np.array(_rhs(3, par, *_state_tuple(p, state)))
+
+
+def jacobian_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
+    """Jacobian of :func:`derivs_two` over (rho11, y, x) at ``state``."""
+    _, par = _pack(p)
+    return _jacobian(2, par, *_state_tuple(p, state))
+
+
+def jacobian_three(state: BlochState3, p: PhysicalThreeLevel) -> np.ndarray:
+    """Jacobian of :func:`derivs_three` over (rho11, rho22, y, x) at
+    ``state``."""
+    _, par = _pack(p)
+    return _jacobian(3, par, *_state_tuple(p, state))
 
 
 def initial_state(
@@ -598,6 +723,9 @@ def _run(
         stop_at_steady,
     )
     if status == _UNDERFLOW:
+        # a state that ran off to nonsense first points at loose
+        # tolerances, not at stiffness
+        _physical_state(model, t, y)
         raise StiffnessError(t, y)
     return model, status, t, y, fnorm, ts, ys
 
@@ -613,7 +741,8 @@ def integrate(
     Runs to ``config.t_max`` (resolved per :func:`default_t_max` when
     None), or until the fixed-point criterion fires if
     ``stop_at_steady`` is set.  Raises :class:`StiffnessError` on step
-    underflow.
+    underflow, or ValueError when the state ran off to a non-finite or
+    unphysical value before the step underflowed.
     """
     model, status, _, _, fnorm, ts, ys = _run(
         p, initial, config, record=True, stop_at_steady=stop_at_steady
@@ -634,24 +763,25 @@ def settle(
     initial: BlochState2 | BlochState3 | None = None,
     config: IntegratorConfig = IntegratorConfig(),
 ) -> SettleResult:
-    """Integrate until the scaled derivative norm marks a fixed point.
+    """Integrate until the scaled derivative norm marks a stable fixed point.
 
     The independent cross-check for every closed-form photon number: no
-    steady-state algebra enters, only the equations of motion.  When
-    t_max is exhausted first, the result carries ``converged = False``
-    and the last state instead of raising.  A run that ends outside the
-    physical state space, which loose tolerances allow, raises ValueError.
+    steady-state algebra enters, only the equations of motion and their
+    Jacobian.  Once the flow has brought the derivative norm within 1e4 of
+    the cutoff, Newton's method on the analytic Jacobian finishes the
+    solve; its root is taken only when it meets the cutoff, lies within
+    1e-3*(||y|| + 1) of the trajectory state, is physical and is linearly
+    stable, and otherwise the integration goes on.  A state that meets the
+    cutoff at an unstable fixed point (a Hopf-unstable lasing point, or the
+    empty cavity above threshold) does not end the run.  When t_max is
+    exhausted first, the result carries ``converged = False`` and the last
+    state instead of raising.  A run that ends outside the physical state
+    space, which loose tolerances allow, raises ValueError.
     """
     model, status, t, y, fnorm, _, _ = _run(
         p, initial, config, record=False, stop_at_steady=True
     )
-    try:
-        state = _state_object(model, y)
-    except ValueError as e:
-        raise ValueError(
-            f"the run ended outside the physical state space at t = {t!r} ({e}); "
-            "tighten rel_tol/abs_tol"
-        ) from None
+    state = _physical_state(model, t, y)
     return SettleResult(
         photon_number=state.photon_number,
         state=state,

@@ -1,5 +1,5 @@
-"""Shared helpers: randomized rate draws, fixed-point Jacobians and the
-dynamical-stability filter used by the integrator-oracle tests.
+"""Shared helpers: randomized rate draws and the dynamical-stability
+filter (on the library's Jacobians) used by the integrator-oracle tests.
 
 Strongly pumped bad-cavity parameter sets can make the lasing fixed point
 Hopf-unstable (sustained pulsations); the closed forms still describe that
@@ -23,6 +23,8 @@ from lasekit import (
     gamma_parallel_and_inversion,
     gamma_perp_three,
     gamma_perp_two,
+    jacobian_three,
+    jacobian_two,
     n_three_physical,
     n_two_level,
     reduce_two,
@@ -39,40 +41,6 @@ def assert_identity(a: float, b: float, scale: float, tol: float = 1e-12) -> Non
     when the compared value itself is cancellation-dominated (the identity
     still holds, but no finite-precision evaluation can beat eps*scale)."""
     assert abs(a - b) <= tol * max(abs(a), abs(b), 1e-2 * scale), (a, b, scale)
-
-
-def jacobian_two(p: PhysicalTwoLevel, v: np.ndarray) -> np.ndarray:
-    """d(rhs)/d(state) for the reduced two-level system at state v."""
-    rho11, y, x = v
-    g, kappa, n_at = p.coupling_g, p.cavity_kappa, p.n_atoms
-    gperp = gamma_perp_two(p)
-    return np.array(
-        [
-            [-p.gamma_decay - p.pump_Gamma, -2.0 * g * x, -2.0 * g * y],
-            [2.0 * g * x, -gperp, g * (2.0 * rho11 - 1.0)],
-            [0.0, n_at * g, -kappa],
-        ]
-    )
-
-
-def jacobian_three(p: PhysicalThreeLevel, v: np.ndarray) -> np.ndarray:
-    rho11, rho22, y, x = v
-    g, kappa, n_at = p.coupling_g, p.cavity_kappa, p.n_atoms
-    gperp = gamma_perp_three(p)
-    return np.array(
-        [
-            [-p.gamma_10, p.gamma_21, -2.0 * g * x, -2.0 * g * y],
-            [-p.gamma_02, -p.gamma_02 - p.gamma_21, 0.0, 0.0],
-            [2.0 * g * x, g * x, -gperp, g * (2.0 * rho11 + rho22 - 1.0)],
-            [0.0, 0.0, n_at * g, -kappa],
-        ]
-    )
-
-
-def _state_vec(state) -> np.ndarray:
-    if hasattr(state, "rho22"):
-        return np.array([state.rho11, state.rho22, state.y, state.x])
-    return np.array([state.rho11, state.y, state.x])
 
 
 def min_positive_rate(p) -> float:
@@ -102,8 +70,8 @@ def stable_fixed_point(p) -> bool:
         gpar, _ = gamma_parallel_and_inversion(p)
     if p.cavity_kappa >= gperp + gpar:
         return False
-    v = _state_vec(fixed_point_state(p))
-    jac = jacobian_two(p, v) if isinstance(p, PhysicalTwoLevel) else jacobian_three(p, v)
+    s = fixed_point_state(p)
+    jac = jacobian_two(s, p) if isinstance(p, PhysicalTwoLevel) else jacobian_three(s, p)
     eigs = np.linalg.eigvals(jac)
     slowest = float(eigs.real.max())
     radius = float(np.abs(eigs).max())

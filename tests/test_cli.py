@@ -333,6 +333,14 @@ def test_dynamics_stiffness_failure_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_dynamics_runaway_on_loose_tolerances_exits_2(tmp_path, capsys):
+    # the state runs off to ~1e85 before the step underflows: a
+    # configuration error that names the tolerances, not a stiffness failure
+    path = write_cfg(tmp_path, {**CFG_3B_PHYS, "integrator": {"rel_tol": 1e300}})
+    assert main(["dynamics", "--config", path]) == 2
+    assert "tighten rel_tol/abs_tol" in capsys.readouterr().err
+
+
 def test_dynamics_initial_override_and_seed(tmp_path, capsys):
     doc = {**CFG_3B_PHYS, "initial": {"rho11": 0.2, "rho22": 0.3}}
     path = write_cfg(tmp_path, doc)

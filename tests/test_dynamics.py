@@ -1,4 +1,5 @@
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -25,6 +26,8 @@ from lasekit import (
     fixed_point_state,
     initial_state,
     integrate,
+    jacobian_three,
+    jacobian_two,
     n_three_physical,
     n_two_level,
     reduce_two,
@@ -130,6 +133,54 @@ def test_implied_photon_rate_matches_quadrature_form():
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, scale)
 
 
+def _central_difference(derivs, state, p, h=1e-2):
+    v = np.array(dataclasses.astuple(state))
+    cols = []
+    for j in range(len(v)):
+        step = h * (1.0 + abs(v[j]))
+        up, down = v.copy(), v.copy()
+        up[j] += step
+        down[j] -= step
+        cols.append(
+            (derivs(type(state)(*up), p) - derivs(type(state)(*down), p)) / (2.0 * step)
+        )
+    return np.column_stack(cols)
+
+
+def test_jacobians_match_central_differences():
+    # the right-hand sides are at most bilinear, so a central difference
+    # is exact up to rounding at any step
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        p = PhysicalTwoLevel(
+            n_atoms=float(10 ** rng.uniform(0, 4)),
+            coupling_g=float(10 ** rng.uniform(-1, 1)),
+            cavity_kappa=float(10 ** rng.uniform(-2, 2)),
+            gamma_decay=float(10 ** rng.uniform(-2, 2)),
+            pump_Gamma=float(10 ** rng.uniform(-2, 2)),
+            gamma_ph=float(10 ** rng.uniform(-2, 2)),
+        )
+        s = BlochState2(rho11=float(rng.uniform(0.1, 0.9)),
+                        y=float(rng.normal(0, 1)), x=float(rng.normal(0, 3)))
+        jac = jacobian_two(s, p)
+        assert jac.shape == (3, 3)
+        fd = _central_difference(derivs_two, s, p)
+        assert np.allclose(jac, fd, rtol=1e-9, atol=1e-9 * np.abs(jac).max())
+
+        p3 = PhysicalThreeLevel(
+            n_atoms=p.n_atoms, coupling_g=p.coupling_g, cavity_kappa=p.cavity_kappa,
+            gamma_21=p.gamma_decay, gamma_02=p.pump_Gamma,
+            gamma_10=float(10 ** rng.uniform(-2, 2)), gamma_ph=p.gamma_ph,
+            scheme=PumpScheme.B,
+        )
+        r11, r22 = rng.uniform(0.1, 0.45, 2)
+        s3 = BlochState3(rho11=float(r11), rho22=float(r22), y=s.y, x=s.x)
+        jac = jacobian_three(s3, p3)
+        assert jac.shape == (4, 4)
+        fd = _central_difference(derivs_three, s3, p3)
+        assert np.allclose(jac, fd, rtol=1e-9, atol=1e-9 * np.abs(jac).max())
+
+
 def test_initial_state_uses_equilibrium_and_seed():
     s = initial_state(EXAMPLE_3L, seed_field=1e-3)
     assert s.x == 1e-3
@@ -227,6 +278,53 @@ def test_settle_random_draws_agree_with_closed_forms():
         )
 
 
+def test_settle_polish_finishes_before_plain_stepper():
+    # Newton on the Jacobian ends the settle well before the stepper alone
+    # creeps down to the cutoff, on the same fixed point
+    res = settle(EXAMPLE_3L)
+    series = integrate(EXAMPLE_3L, stop_at_steady=True)
+    assert res.converged and series.steady
+    assert res.time < series.times[-1]
+    assert res.photon_number == pytest.approx(series.photon_numbers[-1], rel=1e-6)
+
+
+def test_settle_weakly_damped_fast_mode_converges():
+    # slowest mode -0.733 +- 621i: the stepper's noise floor keeps ||f||
+    # near 1e-4, far above the cutoff, until t_max; the polish ends it
+    p = PhysicalThreeLevel(
+        n_atoms=8800.18, coupling_g=8.9665, cavity_kappa=40.519,
+        gamma_21=27.498, gamma_02=39.364, gamma_10=1.5616, gamma_ph=0.0,
+        scheme=PumpScheme.B,
+    )
+    res = settle(p, initial=perturbed_fixed_state(p))
+    assert res.converged
+    assert res.photon_number == pytest.approx(
+        n_three_physical(p).photon_number, rel=1e-9
+    )
+
+
+def test_settle_does_not_converge_on_hopf_unstable_fixed_point():
+    # the fixed point meets the cutoff at t = 0, but it is unstable: the
+    # run must leave it and report no convergence at t_max
+    p = dataclasses.replace(EXAMPLE_3L, gamma_02=0.5)
+    start = fixed_point_state(p)
+    assert np.linalg.eigvals(jacobian_three(start, p)).real.max() > 0.1
+    res = settle(p, initial=start, config=IntegratorConfig(t_max=200.0))
+    assert not res.converged
+    assert res.time == pytest.approx(200.0)
+
+
+def test_settle_leaves_unstable_empty_cavity():
+    # a seed field of 1e-12 meets the cutoff at the empty cavity, which is
+    # unstable above threshold; the run must grow onto the lasing branch
+    start = initial_state(EXAMPLE_3L, seed_field=1e-12)
+    assert np.linalg.eigvals(jacobian_three(start, EXAMPLE_3L)).real.max() > 0.0
+    res = settle(EXAMPLE_3L, initial=start)
+    assert res.converged
+    assert res.time > 0.0
+    assert res.photon_number == pytest.approx(23.448125, rel=1e-6)
+
+
 def test_settle_reports_nonconvergence_on_short_horizon():
     res = settle(EXAMPLE_3L, config=IntegratorConfig(t_max=0.5))
     assert not res.converged
@@ -243,6 +341,16 @@ def test_unreachable_tolerances_raise_stiffness_error():
             integrate(EXAMPLE_3L, config=cfg)
     assert err.value.state is not None
 
+
+
+@pytest.mark.parametrize(
+    "tolerances", [{"rel_tol": 1e300}, {"abs_tol": 1e300}, {"rel_tol": 0.5}]
+)
+def test_runaway_before_underflow_names_the_tolerances(tolerances):
+    # tolerances this loose let the state run off to ~1e100 before the
+    # step underflows; the advice must be to tighten, not to relax
+    with pytest.raises(ValueError, match=r"at t = .*tighten rel_tol/abs_tol"):
+        settle(EXAMPLE_3L, config=IntegratorConfig(**tolerances))
 
 
 @pytest.mark.parametrize("abs_tol", [0.3, 0.5, 0.9])
