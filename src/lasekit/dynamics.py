@@ -25,14 +25,19 @@ detector runs on.  The loop runs on scalar float locals with its stages
 unrolled over the components, which keeps plain Python free of
 per-element numpy indexing.
 
-:func:`settle` does not creep all the way down to the cutoff.  Once the
-flow has brought the derivative norm within 1e4 of it, Newton's method on
-the analytic Jacobian finishes the solve.  The root is taken only when it
-meets the cutoff, lies within 1e-3*(||y|| + 1) of the trajectory state,
-is a physical state and is linearly stable (every eigenvalue of the
-Jacobian has a negative real part).  Every steady exit of :func:`settle`
-passes the same stability test, so it never reports an unstable fixed
-point as settled.  :func:`integrate` runs the plain stepper only.
+:func:`settle` does not creep all the way down to the cutoff.  Newton's
+method on the analytic Jacobian finishes the solve: once the flow has
+brought the derivative norm within 1e4 of the cutoff, and on the
+good-cavity side (kappa < gamma_perp + gamma_par) also after accepted
+steps 1, 2, 3, 4, 6, 8, 11, ... (a schedule growing by about 1.25).  The
+root is taken only when it meets the cutoff, lies within
+1e-3*(||y|| + 1) of the trajectory state, is a physical state and is
+linearly stable (every eigenvalue of the Jacobian has a negative real
+part).  Beyond the good-cavity side a stable fixed point can share phase
+space with a pulsing attractor, and those early attempts stay off.
+:func:`integrate` runs the plain stepper only.  Every steady exit of
+either function, the one at t = 0 included, passes the same stability
+test, so neither reports an unstable fixed point as settled.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .params import (
     PhysicalTwoLevel,
     equilibrium_populations_three,
     equilibrium_populations_two,
+    gamma_parallel_and_inversion,
     gamma_perp_three,
     gamma_perp_two,
     reduce_two,
@@ -113,8 +119,8 @@ class TimeSeries:
 
     ``states`` rows match ``times``; columns follow ``state_labels``.
     ``steady`` records whether the run ended on the fixed-point criterion
-    (as opposed to exhausting t_max), and ``derivative_norm`` is ||f|| at
-    the final state.
+    at a linearly stable fixed point (as opposed to exhausting t_max), and
+    ``derivative_norm`` is ||f|| at the final state.
     """
 
     times: np.ndarray
@@ -236,7 +242,10 @@ def _polish(model, par, n, u, steady_tol):
     Returns (root, ||f(root)||) with the root as a 4-tuple, or None unless
     the root meets the steady cutoff within 8 iterations, lies within
     1e-3*(||u|| + 1) of ``u``, is a physical state and is linearly stable.
+    Every iterate must stay inside that ball, so an attempt from a state
+    still far from a root fails after one or two iterations.
     """
+    radius = 1e-3 * (_norm(*u) + 1.0)
     v = u
     f = _rhs(model, par, *v)
     for _ in range(8):
@@ -245,15 +254,14 @@ def _polish(model, par, n, u, steady_tol):
         except np.linalg.LinAlgError:
             return None
         v = tuple(float(a - b) for a, b in zip(v, step)) + v[n:]
+        # the negated test also rejects a NaN iterate
+        if not _norm(*(a - b for a, b in zip(v, u))) <= radius:
+            return None
         f = _rhs(model, par, *v)
         fnorm = _norm(*f)
-        if not math.isfinite(fnorm):
-            return None
         if fnorm < steady_tol * (_norm(*v) + 1.0):
             break
     else:
-        return None
-    if _norm(*(a - b for a, b in zip(v, u))) > 1e-3 * (_norm(*u) + 1.0):
         return None
     try:
         _state_object(model, v)
@@ -285,6 +293,7 @@ def _dp45_loop(
     steady_tol,
     record,
     stop_at_steady,
+    schedule,
 ):
     """Adaptive Dormand-Prince 5(4) from t = 0 to t_max.
 
@@ -296,14 +305,20 @@ def _dp45_loop(
     0 = derivative norm reached steady_tol scale, 1 = t_max reached,
     2 = step-size underflow.
 
-    On the settle path (``stop_at_steady`` without ``record``) a steady
-    exit also needs a Hurwitz Jacobian, and :func:`_polish` finishes the
-    solve once the derivative norm is within 1e4 of the cutoff.  One
-    polish and one stability test are spent per approach: both re-arm
-    only after the norm rises above 1e5 times the cutoff again.
+    With ``stop_at_steady`` a steady exit, the t = 0 one included, also
+    needs a Hurwitz Jacobian.  On the settle path (``stop_at_steady``
+    without ``record``) :func:`_polish` finishes the solve once the
+    derivative norm is within 1e4 of the cutoff.  One polish and one
+    stability test are spent per approach: both re-arm only after the
+    norm rises above 1e5 times the cutoff again.  With ``schedule`` (set
+    on the settle path of good-cavity runs only) the polish is also tried
+    when the count of accepted steps reaches k = 1, 2, 3, 4, 6, 8, 11,
+    14, 18, ..., each term k + 1 + k // 4 after the last.
     """
     polish = stop_at_steady and not record
     polish_armed = check_armed = True
+    accepted = 0
+    next_try = 1
     t = 0.0
     u0, u1, u2, u3 = y0
     k1_0, k1_1, k1_2, k1_3 = _rhs(model, par, u0, u1, u2, u3)
@@ -322,7 +337,7 @@ def _dp45_loop(
         count = 1
 
     if stop_at_steady and fnorm < steady_tol * (_norm(u0, u1, u2, u3) + 1.0):
-        if not polish or _hurwitz(model, par, u0, u1, u2, u3):
+        if _hurwitz(model, par, u0, u1, u2, u3):
             return (
                 _STEADY, t, np.array((u0, u1, u2, u3))[:n], fnorm,
                 ts[:count].copy(), ys[:count, :n].copy(),
@@ -507,20 +522,25 @@ def _dp45_loop(
             fnorm = _norm(k1_0, k1_1, k1_2, k1_3)
             if stop_at_steady:
                 target = steady_tol * (_norm(u0, u1, u2, u3) + 1.0)
-                if polish:
-                    if fnorm > 1e5 * target:
-                        polish_armed = check_armed = True
-                    elif fnorm < 1e4 * target and polish_armed:
-                        polish_armed = False
-                        root = _polish(model, par, n, (u0, u1, u2, u3), steady_tol)
-                        if root is not None:
-                            (u0, u1, u2, u3), fnorm = root
-                            status = _STEADY
-                            break
+                if fnorm > 1e5 * target:
+                    polish_armed = check_armed = True
+                attempt = False
+                if schedule:
+                    accepted += 1
+                    if accepted == next_try:
+                        next_try += 1 + next_try // 4
+                        attempt = True
+                if polish and polish_armed and fnorm < 1e4 * target:
+                    polish_armed = False
+                    attempt = True
+                if attempt:
+                    root = _polish(model, par, n, (u0, u1, u2, u3), steady_tol)
+                    if root is not None:
+                        (u0, u1, u2, u3), fnorm = root
+                        status = _STEADY
+                        break
                 if fnorm < target:
-                    if not polish or (
-                        check_armed and _hurwitz(model, par, u0, u1, u2, u3)
-                    ):
+                    if check_armed and _hurwitz(model, par, u0, u1, u2, u3):
                         status = _STEADY
                         break
                     check_armed = False
@@ -699,6 +719,20 @@ def default_t_max(p: PhysicalTwoLevel | PhysicalThreeLevel) -> float:
     return 1e3 / slowest
 
 
+def _good_cavity(p: PhysicalTwoLevel | PhysicalThreeLevel) -> bool:
+    """kappa < gamma_perp + gamma_par: the good-cavity side of the
+    Lorenz-Haken second threshold (Haken, Phys. Lett. A 53, 77 (1975)).
+    Beyond it a stable lasing fixed point can share phase space with a
+    pulsing attractor."""
+    if isinstance(p, PhysicalTwoLevel):
+        return p.cavity_kappa < gamma_perp_two(p) + p.gamma_decay + p.pump_Gamma
+    try:
+        gpar, _ = gamma_parallel_and_inversion(p)
+    except ValueError:  # gamma_21 = gamma_02 = 0: no gamma_par to compare
+        return False
+    return p.cavity_kappa < gamma_perp_three(p) + gpar
+
+
 def _run(
     p: PhysicalTwoLevel | PhysicalThreeLevel,
     initial: BlochState2 | BlochState3 | None,
@@ -721,6 +755,7 @@ def _run(
         config.steady_tol,
         record,
         stop_at_steady,
+        stop_at_steady and not record and _good_cavity(p),
     )
     if status == _UNDERFLOW:
         # a state that ran off to nonsense first points at loose
@@ -740,9 +775,12 @@ def integrate(
 
     Runs to ``config.t_max`` (resolved per :func:`default_t_max` when
     None), or until the fixed-point criterion fires if
-    ``stop_at_steady`` is set.  Raises :class:`StiffnessError` on step
-    underflow, or ValueError when the state ran off to a non-finite or
-    unphysical value before the step underflowed.
+    ``stop_at_steady`` is set.  The criterion ends the run only where the
+    Jacobian is Hurwitz: a trajectory that meets the cutoff at an
+    unstable fixed point (the empty cavity above threshold, say) goes on.
+    Raises :class:`StiffnessError` on step underflow, or ValueError when
+    the state ran off to a non-finite or unphysical value before the step
+    underflowed.
     """
     model, status, _, _, fnorm, ts, ys = _run(
         p, initial, config, record=True, stop_at_steady=stop_at_steady
@@ -767,9 +805,12 @@ def settle(
 
     The independent cross-check for every closed-form photon number: no
     steady-state algebra enters, only the equations of motion and their
-    Jacobian.  Once the flow has brought the derivative norm within 1e4 of
-    the cutoff, Newton's method on the analytic Jacobian finishes the
-    solve; its root is taken only when it meets the cutoff, lies within
+    Jacobian.  Newton's method on the analytic Jacobian finishes the
+    solve.  It is tried once the flow has brought the derivative norm
+    within 1e4 of the cutoff and, on the good-cavity side (kappa <
+    gamma_perp + gamma_par, where no pulsing attractor is expected beside
+    a stable fixed point), also after accepted steps 1, 2, 3, 4, 6, 8,
+    11, ...  Its root is taken only when it meets the cutoff, lies within
     1e-3*(||y|| + 1) of the trajectory state, is physical and is linearly
     stable, and otherwise the integration goes on.  A state that meets the
     cutoff at an unstable fixed point (a Hopf-unstable lasing point, or the

@@ -76,18 +76,12 @@ def algebraic_oracle_three(p: PhysicalThreeLevel) -> float:
 
 @dataclass(frozen=True)
 class SweepSeries:
-    """Ordered (pump, photon number) samples from one model.
-
-    ``oracle_pump_values``/``oracle_photon_numbers`` hold the optional
-    decimated time-domain cross-check points.
-    """
+    """Ordered (pump, photon number) samples from one model."""
 
     pump_values: np.ndarray
     photon_numbers: np.ndarray
     regimes: tuple[Regime, ...]
     metadata: Mapping[str, object] = field(default_factory=dict)
-    oracle_pump_values: np.ndarray | None = None
-    oracle_photon_numbers: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.pump_values) != len(self.photon_numbers) or len(
@@ -119,34 +113,19 @@ def sweep(
     count: int,
     scale: str = "linear",
     metadata: Mapping[str, object] | None = None,
-    oracle: Callable[[float], float] | None = None,
-    oracle_stride: int = 0,
 ) -> SweepSeries:
     """Evaluate a model's analytic photon number over a pump grid.
 
     Points are independent, so evaluation order cannot change the result;
-    they are computed in grid order.  If ``oracle`` is given together with
-    a positive ``oracle_stride``, every stride-th pump point is also run
-    through it (typically the time-domain integrator) and recorded
-    alongside.
+    they are computed in grid order.
     """
     pumps = pump_grid(pump_range[0], pump_range[1], count, scale)
     results = [evaluate(float(pv)) for pv in pumps]
     photons = np.array([r.photon_number for r in results])
     regimes = tuple(r.regime for r in results)
-
-    oracle_pumps = None
-    oracle_photons = None
-    if oracle is not None and oracle_stride > 0:
-        sel = pumps[::oracle_stride]
-        oracle_pumps = np.array(sel)
-        oracle_photons = np.array([oracle(float(pv)) for pv in sel])
-
     return SweepSeries(
         pump_values=pumps,
         photon_numbers=photons,
         regimes=regimes,
         metadata=dict(metadata or {}),
-        oracle_pump_values=oracle_pumps,
-        oracle_photon_numbers=oracle_photons,
     )

@@ -310,6 +310,20 @@ def test_dynamics_below_threshold(tmp_path, capsys):
     assert series.photon_numbers[-1] < 1e-8
 
 
+def test_dynamics_leaves_unstable_empty_cavity(tmp_path, capsys):
+    # a seed field of 1e-12 meets the cutoff at t = 0 on the empty cavity,
+    # which is unstable above threshold: the footer must not call that
+    # state converged, and the run grows onto the lasing branch
+    path = write_cfg(tmp_path, CFG_3B_PHYS)
+    assert main(["dynamics", "--config", path, "--seed-field", "1e-12"]) == 0
+    out = capsys.readouterr().out
+    assert "# settle: converged=true t=0.0 " not in out
+    series, _ = parse_timeseries_csv(io.StringIO(out))
+    assert series.steady
+    assert series.times[-1] > 0.0
+    assert series.photon_numbers[-1] == pytest.approx(23.448125, rel=1e-5)
+
+
 def test_dynamics_requires_physical_parameterization(tmp_path, capsys):
     path = write_cfg(tmp_path, CFG_2L_DIMLESS)
     assert main(["dynamics", "--config", path, "--pump", "10"]) == 2

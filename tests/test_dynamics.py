@@ -10,6 +10,7 @@ from conftest import (
     random_lasing_three_level,
     random_lasing_two_level,
 )
+import lasekit.dynamics as dynamics
 from lasekit import (
     BlochState2,
     BlochState3,
@@ -41,6 +42,11 @@ EXAMPLE_3L = PhysicalThreeLevel(
     scheme=PumpScheme.B,
 )
 FIG2 = DimensionlessTwoLevel(photon_scale=1e3, saturation=1e-6, dephasing=1e5)
+# two-level Lorenz-Haken draw on the bad-cavity side (sigma = 10, b = 2,
+# r = 21): its fixed point n = 40 is linearly stable (Re lambda = -0.026
+# +- 15.7i, -25.9), but a pulsing attractor coexists with it
+LORENZ_HAKEN = PhysicalTwoLevel(n_atoms=1680.0, coupling_g=1.0, cavity_kappa=20.0,
+                                gamma_decay=1.0, pump_Gamma=3.0, gamma_ph=0.0)
 
 
 def rates_scale(p) -> float:
@@ -323,6 +329,76 @@ def test_settle_leaves_unstable_empty_cavity():
     assert res.converged
     assert res.time > 0.0
     assert res.photon_number == pytest.approx(23.448125, rel=1e-6)
+
+
+def test_integrate_stop_at_steady_leaves_unstable_empty_cavity():
+    # the empty cavity meets the cutoff at t = 0 but is unstable above
+    # threshold; integrate must not stop there either
+    start = initial_state(EXAMPLE_3L, seed_field=1e-12)
+    series = integrate(EXAMPLE_3L, initial=start, stop_at_steady=True)
+    assert series.steady
+    assert series.times[-1] > 0.0
+    assert series.photon_numbers[-1] == pytest.approx(23.448125, rel=1e-6)
+
+
+def test_settle_bad_cavity_coexisting_attractor():
+    # a seed field grows onto the pulsing attractor, which an early Newton
+    # exit must not mistake for the stable fixed point; a start next to
+    # the fixed point settles onto it
+    res = settle(LORENZ_HAKEN, initial=initial_state(LORENZ_HAKEN),
+                 config=IntegratorConfig(t_max=200.0))
+    assert not res.converged
+    res = settle(LORENZ_HAKEN, initial=perturbed_fixed_state(LORENZ_HAKEN))
+    assert res.converged
+    assert res.photon_number == pytest.approx(40.0, rel=1e-9)
+
+
+def test_settle_without_population_flow_runs():
+    # gamma_21 = gamma_02 = 0 leaves gamma_par undefined; the good-cavity
+    # test must treat that as no schedule rather than raise
+    p = dataclasses.replace(EXAMPLE_3L, gamma_21=0.0, gamma_02=0.0)
+    start = BlochState3(rho11=0.2, rho22=0.3, y=0.0, x=1e-3)
+    res = settle(p, initial=start, config=IntegratorConfig(t_max=10.0))
+    assert res.time == pytest.approx(10.0)
+    assert res.state.rho22 == 0.3
+
+
+def _record_polish(monkeypatch):
+    """Wrap the Newton polish; returns the list of states it is tried at."""
+    calls = []
+    polish = dynamics._polish
+
+    def recorder(model, par, n, u, steady_tol):
+        calls.append(u)
+        return polish(model, par, n, u, steady_tol)
+
+    monkeypatch.setattr(dynamics, "_polish", recorder)
+    return calls
+
+
+def test_polish_schedule_starts_on_first_step_on_good_cavity(monkeypatch):
+    # integrate follows the same steps up to the settle exit, so its
+    # second row is the first accepted step
+    first_step = tuple(integrate(EXAMPLE_3L, stop_at_steady=True).states[1])
+    calls = _record_polish(monkeypatch)
+    res = settle(EXAMPLE_3L)
+    assert res.converged
+    assert calls[0] == first_step
+    # 24.80 with the polish near the cutoff alone
+    assert res.time < 0.75 * 24.80
+
+
+def test_polish_schedule_off_on_bad_cavity(monkeypatch):
+    # only the once-per-approach attempt near the cutoff runs there
+    calls = _record_polish(monkeypatch)
+    settle(LORENZ_HAKEN, initial=initial_state(LORENZ_HAKEN),
+           config=IntegratorConfig(t_max=200.0))
+    settle(LORENZ_HAKEN, initial=perturbed_fixed_state(LORENZ_HAKEN))
+    assert calls
+    steady_tol = IntegratorConfig().steady_tol
+    for u in calls:
+        f = derivs_two(BlochState2(*u[:3]), LORENZ_HAKEN)
+        assert np.linalg.norm(f) < 1e4 * steady_tol * (np.linalg.norm(u) + 1.0)
 
 
 def test_settle_reports_nonconvergence_on_short_horizon():

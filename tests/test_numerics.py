@@ -113,18 +113,3 @@ def test_sweep_matches_pointwise_evaluation():
         assert n == n_scheme_b(FIG4B, float(pump)).photon_number
     assert series.metadata["model"] == "three-b"
 
-
-def test_sweep_oracle_attachment():
-    series = sweep(
-        lambda p: n_two_level(FIG2, p),
-        (2.0, 100.0),
-        10,
-        "linear",
-        oracle=lambda p: n_two_level(FIG2, p).photon_number + 1.0,
-        oracle_stride=3,
-    )
-    assert len(series.oracle_pump_values) == 4
-    assert np.allclose(
-        series.oracle_photon_numbers,
-        [n_two_level(FIG2, float(p)).photon_number + 1.0 for p in series.oracle_pump_values],
-    )
