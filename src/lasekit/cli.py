@@ -18,6 +18,9 @@ bit-stable and parses back to identical values; LASEKIT_PRECISION
 overrides the number of significant digits.  Exit codes: 0 success
 (including no-lasing outcomes), 2 config error, 3 output I/O error,
 4 integrator failure.
+
+numpy, ``numerics`` and ``dynamics`` are imported by the commands that use
+them, so ``steady`` and ``region`` run without loading numpy.
 """
 
 from __future__ import annotations
@@ -30,23 +33,14 @@ import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
-from typing import Callable, Mapping, TextIO
+from typing import TYPE_CHECKING, Callable, Mapping, TextIO
 
-import numpy as np
-
-from .dynamics import (
-    IntegratorConfig,
-    StiffnessError,
-    TimeSeries,
-    initial_state,
-    integrate,
-)
-from .numerics import SweepSeries, sweep
 from .params import (
     BlochState3,
     DimensionlessSchemeA,
     DimensionlessSchemeB,
     DimensionlessTwoLevel,
+    IntegratorConfig,
     PhysicalThreeLevel,
     PhysicalTwoLevel,
     PumpScheme,
@@ -60,6 +54,10 @@ from .params import (
     reduce_two,
 )
 from . import steady as st
+
+if TYPE_CHECKING:
+    from .dynamics import TimeSeries
+    from .numerics import SweepSeries
 
 __all__ = ["main", "ConfigError", "emit_sweep_csv", "parse_sweep_csv",
            "emit_timeseries_csv", "parse_timeseries_csv"]
@@ -387,6 +385,10 @@ def emit_sweep_csv(series: SweepSeries, fh: TextIO) -> None:
 
 
 def parse_sweep_csv(fh: TextIO) -> SweepSeries:
+    import numpy as np
+
+    from .numerics import SweepSeries
+
     metadata: dict[str, object] = {}
     pumps: list[float] = []
     photons: list[float] = []
@@ -444,6 +446,10 @@ def emit_timeseries_csv(
 
 
 def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
+    import numpy as np
+
+    from .dynamics import TimeSeries
+
     metadata: dict[str, object] = {}
     footer: dict[str, object] = {}
     labels: tuple[str, ...] | None = None
@@ -617,6 +623,8 @@ def _metadata(cfg: RunConfig, **extra: object) -> dict[str, object]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .numerics import sweep
+
     cfg = load_config(args.config)
     if args.pump_min is None or args.pump_max is None:
         raise ConfigError("--pump-min and --pump-max are required")
@@ -644,6 +652,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
+    from .dynamics import StiffnessError, initial_state, integrate
+
     cfg = load_config(args.config)
     p = _physical(cfg, args.pump)
 
@@ -661,7 +671,11 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         except ValueError as e:
             raise ConfigError(f"initial: {e}") from e
 
-    series = integrate(p, initial=init, config=integ, stop_at_steady=True)
+    try:
+        series = integrate(p, initial=init, config=integ, stop_at_steady=True)
+    except StiffnessError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
     meta = _metadata(cfg)
     if args.pump is not None:
@@ -706,6 +720,8 @@ def figure_series(preset: str) -> list[SweepSeries]:
     with 400 log-spaced points; models without a finite upper edge sweep
     to 1e2, which covers both the linear rise and the saturation plateau.
     """
+    from .numerics import sweep
+
     spec = _FIGURE_PRESETS[preset]
     model = _MODELS[spec["model"]]
     out = []
@@ -808,9 +824,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except StiffnessError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

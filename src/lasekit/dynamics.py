@@ -51,6 +51,7 @@ import numpy as np
 from .params import (
     BlochState2,
     BlochState3,
+    IntegratorConfig,
     PhysicalThreeLevel,
     PhysicalTwoLevel,
     equilibrium_populations_three,
@@ -82,35 +83,6 @@ __all__ = [
 _STEADY = 0
 _TMAX = 1
 _UNDERFLOW = 2
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances and limits for the adaptive integrator.
-
-    ``t_max = None`` resolves to 1e3 times the inverse of the slowest
-    nonzero rate of the model, which comfortably covers the relaxation of
-    every mode; ``steady_tol`` is the scaled derivative-norm cutoff
-    ||f(y)|| < steady_tol*(||y|| + 1) used for fixed-point detection (a
-    state-differencing criterion would need retuning across the many
-    orders of magnitude the photon number spans).
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    t_max: float | None = None
-    steady_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "steady_tol"):
-            v = getattr(self, name)
-            if not v > 0.0:
-                raise ValueError(f"{name} must be > 0, got {v!r}")
-        if not self.max_step > 0.0:
-            raise ValueError(f"max_step must be > 0, got {self.max_step!r}")
-        if self.t_max is not None and not self.t_max > 0.0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max!r}")
 
 
 @dataclass(frozen=True)

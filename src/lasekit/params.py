@@ -1,4 +1,4 @@
-"""Parameter and state types shared by every model in the package.
+"""Parameter, state and integrator-setting types shared by every model.
 
 Two model families are covered: a closed two-level atom with an incoherent
 pump, and a closed three-level atom in which the third level either feeds
@@ -26,6 +26,7 @@ __all__ = [
     "DimensionlessSchemeB",
     "BlochState2",
     "BlochState3",
+    "IntegratorConfig",
     "SteadyResult",
     "gamma_perp_two",
     "gamma_perp_three",
@@ -51,6 +52,14 @@ def _check_rate(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     if not positive and value < 0.0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
+def _check_coupling(g: float) -> None:
+    """The reductions divide by g**2, so its square must be a positive
+    finite float too, not only g itself."""
+    _check_rate("coupling_g", g, positive=True)
+    if not 0.0 < g * g < math.inf:
+        raise ValueError(f"coupling_g**2 must be finite and > 0, got coupling_g={g!r}")
 
 
 class PumpScheme(Enum):
@@ -108,7 +117,7 @@ class PhysicalTwoLevel:
         _check_rate("n_atoms", self.n_atoms)
         if self.n_atoms < 1.0:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms!r}")
-        _check_rate("coupling_g", self.coupling_g, positive=True)
+        _check_coupling(self.coupling_g)
         _check_rate("cavity_kappa", self.cavity_kappa, positive=True)
         _check_rate("gamma_decay", self.gamma_decay, positive=True)
         _check_rate("pump_Gamma", self.pump_Gamma)
@@ -138,7 +147,7 @@ class PhysicalThreeLevel:
         _check_rate("n_atoms", self.n_atoms)
         if self.n_atoms < 1.0:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms!r}")
-        _check_rate("coupling_g", self.coupling_g, positive=True)
+        _check_coupling(self.coupling_g)
         _check_rate("cavity_kappa", self.cavity_kappa, positive=True)
         _check_rate("gamma_21", self.gamma_21)
         _check_rate("gamma_02", self.gamma_02)
@@ -213,6 +222,35 @@ class DimensionlessSchemeB:
         _check_rate("saturation", self.saturation)
         _check_rate("decay_ratio", self.decay_ratio)
         _check_rate("dephasing", self.dephasing)
+
+
+@dataclass(frozen=True)
+class IntegratorConfig:
+    """Tolerances and limits for the adaptive integrator.
+
+    ``t_max = None`` resolves to 1e3 times the inverse of the slowest
+    nonzero rate of the model, which comfortably covers the relaxation of
+    every mode; ``steady_tol`` is the scaled derivative-norm cutoff
+    ||f(y)|| < steady_tol*(||y|| + 1) used for fixed-point detection (a
+    state-differencing criterion would need retuning across the many
+    orders of magnitude the photon number spans).
+    """
+
+    rel_tol: float = 1e-9
+    abs_tol: float = 1e-12
+    max_step: float = math.inf
+    t_max: float | None = None
+    steady_tol: float = 1e-10
+
+    def __post_init__(self) -> None:
+        for name in ("rel_tol", "abs_tol", "steady_tol"):
+            v = getattr(self, name)
+            if not v > 0.0:
+                raise ValueError(f"{name} must be > 0, got {v!r}")
+        if not self.max_step > 0.0:
+            raise ValueError(f"max_step must be > 0, got {self.max_step!r}")
+        if self.t_max is not None and not self.t_max > 0.0:
+            raise ValueError(f"t_max must be > 0, got {self.t_max!r}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,12 @@ CFG_2L_DIMLESS = {
     "model": "two-level",
     "parameterization": "dimensionless",
     "params": {"photon_scale": 1e3, "saturation": 1e-6, "dephasing": 1e5},
+}
+CFG_2L_PHYS = {
+    "model": "two-level",
+    "parameterization": "physical",
+    "params": {"n_atoms": 4000, "coupling_g": 0.1, "cavity_kappa": 1,
+               "gamma_decay": 1, "pump_Gamma": 3},
 }
 CFG_3A_PHYS = {
     "model": "three-a",
@@ -161,6 +168,26 @@ def test_negative_configured_pump_rate_rejected(tmp_path, capsys, cfg, argv):
     assert captured.out == ""
     assert "error: params: " in captured.err
     assert "must be >= 0, got -1.0" in captured.err
+
+
+@pytest.mark.parametrize("cfg", [CFG_2L_PHYS, CFG_3A_PHYS, CFG_3B_PHYS],
+                         ids=["two-level", "three-a", "three-b"])
+@pytest.mark.parametrize("g", [1e-300, 1e300])
+@pytest.mark.parametrize("argv", [
+    ["steady"],
+    ["steady", "--pump", "3"],
+    ["region"],
+    ["sweep", "--pump-min", "0.1", "--pump-max", "5", "--points", "3"],
+], ids=["steady", "steady-pump", "region", "sweep"])
+def test_coupling_with_unrepresentable_square_exits_2(tmp_path, capsys, cfg, g, argv):
+    # g**2 underflows to 0 or overflows: a config error, not a traceback
+    path = write_cfg(tmp_path, {**cfg, "params": {**cfg["params"], "coupling_g": g}})
+    assert main([argv[0], "--config", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: params: coupling_g**2 must be finite and > 0")
+    assert "Traceback" not in captured.err
+
 
 @pytest.mark.parametrize("command, fmt", [
     ("steady", "csv"), ("region", "csv"), ("sweep", "text"), ("dynamics", "text"),
@@ -432,10 +459,11 @@ def test_precision_env_override(tmp_path, capsys, monkeypatch):
 
 def test_module_entry_point(tmp_path):
     path = write_cfg(tmp_path, CFG_3B_PHYS)
+    src = str(Path(__file__).resolve().parents[1] / "src")
     r = subprocess.run(
         [sys.executable, "-m", "lasekit", "steady", "--config", path,
          "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert r.returncode == 0
     assert json.loads(r.stdout)["photon_number"] == pytest.approx(23.448125)

@@ -211,6 +211,21 @@ def test_parameter_validation():
         BlochState3(rho11=0.7, rho22=0.7, y=0.0, x=0.0)
 
 
+@pytest.mark.parametrize("g", [1e-300, 1e300])
+def test_coupling_with_unrepresentable_square_rejected(g):
+    # the reductions divide by g**2: 1e-300**2 underflows to 0, 1e300**2 overflows
+    for make in (
+        lambda: two_level(g=g),
+        lambda: three_level(1.0, 2.0, 0.1, g=g),
+        lambda: three_level(1.0, 2.0, 0.1, g=g, scheme=PumpScheme.A),
+    ):
+        with pytest.raises(ValueError, match="coupling_g"):
+            make()
+    # the extremes whose square is still a positive finite float are kept
+    assert two_level(g=1e-160).coupling_g == 1e-160
+    assert three_level(1.0, 2.0, 0.1, g=1e154).coupling_g == 1e154
+
+
 def test_bloch_state_accessors():
     s2 = BlochState2(rho11=0.25, y=0.1, x=3.0)
     assert s2.rho00 == 0.75
