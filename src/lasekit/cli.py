@@ -56,6 +56,8 @@ from .params import (
 from . import steady as st
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
+
     from .dynamics import TimeSeries
     from .numerics import SweepSeries
 
@@ -120,17 +122,17 @@ class ConfigError(Exception):
 
 
 def _float_format() -> Callable[[float], str]:
-    """Shortest round-trip float text, or LASEKIT_PRECISION significant
-    digits; read once per emitted document."""
+    """Text of a float: shortest round-trip, or LASEKIT_PRECISION
+    significant digits; read once per emitted document."""
     prec = os.environ.get("LASEKIT_PRECISION")
     if not prec:
-        return lambda x: repr(float(x))
+        return float.__repr__
     try:
         spec = f".{int(prec)}g"
         format(0.0, spec)
     except ValueError as e:
         raise ConfigError(f"LASEKIT_PRECISION: {e}") from e
-    return lambda x: format(float(x), spec)
+    return f"{{:{spec}}}".format
 
 
 def _meta_text(v: object, fmt: Callable[[float], str]) -> str:
@@ -373,15 +375,35 @@ def _evaluator(cfg: RunConfig) -> Callable[[float], SteadyResult]:
 # CSV emission / parsing
 # --------------------------------------------------------------------------
 
+_CHUNK_ROWS = 1024
+
+
+def _write_rows(
+    fh: TextIO, fmt: Callable[[float], str], floats: Iterable, *text: Sequence[str]
+) -> None:
+    """One CSV line per row: the ``floats`` columns as ``fmt`` text, then
+    the ``text`` columns as they are.  Each float column is turned into
+    Python floats by ``tolist()`` and formatted with ``map``, a chunk of
+    rows at a time so that a long series never exists as Python floats
+    all at once."""
+    import numpy as np
+
+    floats = [np.asarray(c, dtype=float) for c in floats]
+    write = fh.write
+    for i in range(0, len(floats[0]), _CHUNK_ROWS):
+        j = i + _CHUNK_ROWS
+        cells = [map(fmt, c[i:j].tolist()) for c in floats]
+        for row in zip(*cells, *(t[i:j] for t in text)):
+            write(",".join(row) + "\n")
+
+
 def emit_sweep_csv(series: SweepSeries, fh: TextIO) -> None:
     fmt = _float_format()
     for key, value in series.metadata.items():
         fh.write(f"# {key}={_meta_text(value, fmt)}\n")
     fh.write("pump,photon_number,regime\n")
-    for pump, n, regime in zip(
-        series.pump_values, series.photon_numbers, series.regimes
-    ):
-        fh.write(f"{fmt(pump)},{fmt(n)},{regime.value}\n")
+    _write_rows(fh, fmt, (series.pump_values, series.photon_numbers),
+                [r.value for r in series.regimes])
 
 
 def parse_sweep_csv(fh: TextIO) -> SweepSeries:
@@ -434,13 +456,14 @@ def _settle_footer(series: TimeSeries) -> dict[str, object]:
 def emit_timeseries_csv(
     series: TimeSeries, fh: TextIO, metadata: dict[str, object] | None = None
 ) -> None:
+    import numpy as np
+
     fmt = _float_format()
     for key, value in (metadata or {}).items():
         fh.write(f"# {key}={_meta_text(value, fmt)}\n")
     fh.write("t," + ",".join(series.state_labels) + ",n\n")
-    for t, row, n in zip(series.times, series.states, series.photon_numbers):
-        cells = [fmt(t)] + [fmt(v) for v in row] + [fmt(n)]
-        fh.write(",".join(cells) + "\n")
+    states = np.asarray(series.states, dtype=float)
+    _write_rows(fh, fmt, (series.times, *states.T, series.photon_numbers))
     footer = _settle_footer(series).items()
     fh.write("# settle: " + " ".join(f"{k}={_meta_text(v, fmt)}" for k, v in footer) + "\n")
 

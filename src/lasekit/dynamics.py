@@ -22,8 +22,11 @@ The integrator is an explicit adaptive Dormand-Prince 5(4) embedded pair
 with first-same-as-last reuse; the derivative of every accepted state
 comes for free, which is what the scaled derivative-norm steady-state
 detector runs on.  The loop runs on scalar float locals with its stages
-unrolled over the components, which keeps plain Python free of
-per-element numpy indexing.
+unrolled over the components and the right-hand side bound once per run,
+which keeps plain Python free of per-element numpy indexing.
+:func:`integrate` records each accepted step by appending its time and
+state, packed as doubles, to one flat ``bytearray`` and builds its arrays
+from that buffer once, at the end; :func:`settle` records nothing.
 
 :func:`settle` does not creep all the way down to the cutoff.  Newton's
 method on the analytic Jacobian finishes the solve: once the flow has
@@ -33,8 +36,9 @@ steps 1, 2, 3, 4, 6, 8, 11, ... (a schedule growing by about 1.25).  The
 root is taken only when it meets the cutoff, lies within
 1e-3*(||y|| + 1) of the trajectory state, is a physical state and is
 linearly stable (every eigenvalue of the Jacobian has a negative real
-part).  Beyond the good-cavity side a stable fixed point can share phase
-space with a pulsing attractor, and those early attempts stay off.
+part, decided by the Routh-Hurwitz conditions on its characteristic
+polynomial).  Beyond the good-cavity side a stable fixed point can share
+phase space with a pulsing attractor, and those early attempts stay off.
 :func:`integrate` runs the plain stepper only.  Every steady exit of
 either function, the one at t = 0 included, passes the same stability
 test, so neither reports an unstable fixed point as settled.
@@ -43,6 +47,7 @@ test, so neither reports an unstable fixed point as settled.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -152,9 +157,13 @@ class StiffnessError(RuntimeError):
 # Python float raises OverflowError instead of giving inf
 _SQ_MAX = math.sqrt(sys.float_info.max)
 
+# one recorded step, (t, u0, u1, u2, u3) as native doubles
+_STEP = struct.Struct("5d")
 
-def _rhs(model, par, s0, s1, s2, s3):
-    """Right-hand side on scalar components, returned as a 4-tuple.
+
+def _rhs_of(model, par):
+    """The right-hand side as a function of four scalar components that
+    returns a 4-tuple; bound once per run.
 
     Three-level components are (rho11, rho22, y, x).  The two-level state
     (rho11, y, x) is carried with a fourth component pinned at zero, so
@@ -163,49 +172,95 @@ def _rhs(model, par, s0, s1, s2, s3):
     """
     if model == 2:
         n_at, g, kappa, gamma, pump, gperp, _ = par
-        rho11, yq, xq = s0, s1, s2
-        return (
-            -gamma * rho11 + pump * (1.0 - rho11) - 2.0 * g * xq * yq,
-            -gperp * yq + g * xq * (2.0 * rho11 - 1.0),
-            -kappa * xq + n_at * g * yq,
-            0.0,
-        )
+
+        def rhs(rho11, yq, xq, pad):
+            return (
+                -gamma * rho11 + pump * (1.0 - rho11) - 2.0 * g * xq * yq,
+                -gperp * yq + g * xq * (2.0 * rho11 - 1.0),
+                -kappa * xq + n_at * g * yq,
+                0.0,
+            )
+
+        return rhs
     n_at, g, kappa, g21, g02, g10, gperp = par
-    rho11, rho22, yq, xq = s0, s1, s2, s3
-    rho00 = 1.0 - rho11 - rho22
-    return (
-        g21 * rho22 - g10 * rho11 - 2.0 * g * xq * yq,
-        g02 * rho00 - g21 * rho22,
-        -gperp * yq + g * xq * (rho11 - rho00),
-        -kappa * xq + n_at * g * yq,
-    )
+
+    def rhs(rho11, rho22, yq, xq):
+        rho00 = 1.0 - rho11 - rho22
+        return (
+            g21 * rho22 - g10 * rho11 - 2.0 * g * xq * yq,
+            g02 * rho00 - g21 * rho22,
+            -gperp * yq + g * xq * (rho11 - rho00),
+            -kappa * xq + n_at * g * yq,
+        )
+
+    return rhs
 
 
 def _jacobian(model, par, s0, s1, s2, s3):
-    """Jacobian of :func:`_rhs` over the live components: 3x3 for the
-    two-level model, 4x4 for the three-level one."""
+    """Jacobian of the right-hand side over the live components, as rows
+    of floats: 3x3 for the two-level model, 4x4 for the three-level one."""
     if model == 2:
         n_at, g, kappa, gamma, pump, gperp, _ = par
         rho11, yq, xq = s0, s1, s2
-        return np.array((
+        return (
             (-gamma - pump, -2.0 * g * xq, -2.0 * g * yq),
             (2.0 * g * xq, -gperp, g * (2.0 * rho11 - 1.0)),
             (0.0, n_at * g, -kappa),
-        ))
+        )
     n_at, g, kappa, g21, g02, g10, gperp = par
     rho11, rho22, yq, xq = s0, s1, s2, s3
-    return np.array((
+    return (
         (-g10, g21, -2.0 * g * xq, -2.0 * g * yq),
         (-g02, -g02 - g21, 0.0, 0.0),
         (2.0 * g * xq, g * xq, -gperp, g * (2.0 * rho11 + rho22 - 1.0)),
         (0.0, 0.0, n_at * g, -kappa),
-    ))
+    )
 
 
 def _hurwitz(model, par, s0, s1, s2, s3):
-    """True when every eigenvalue of the Jacobian has a negative real part."""
-    eigs = np.linalg.eigvals(_jacobian(model, par, s0, s1, s2, s3))
-    return bool(eigs.real.max() < 0.0)
+    """True when every eigenvalue of the Jacobian has a negative real part.
+
+    The Lienard-Chipart conditions on the characteristic polynomial
+    det(lambda*I - J) = lambda**n + a1*lambda**(n-1) + ... + an, whose
+    coefficient ak is (-1)**k times the sum of the k x k principal minors
+    of J (Gantmacher, Theory of Matrices II, ch. XV): a1, a3 > 0 and
+    a1*a2 > a3 for n = 3; a1, a3, a4 > 0 and a1*a2*a3 - a3**2 - a1**2*a4
+    > 0 for n = 4.  A NaN entry fails every test.
+    """
+    j = _jacobian(model, par, s0, s1, s2, s3)
+
+    def m2(a, b):
+        return j[a][a] * j[b][b] - j[a][b] * j[b][a]
+
+    def m3(a, b, c):
+        return (
+            j[a][a] * (j[b][b] * j[c][c] - j[b][c] * j[c][b])
+            - j[a][b] * (j[b][a] * j[c][c] - j[b][c] * j[c][a])
+            + j[a][c] * (j[b][a] * j[c][b] - j[b][b] * j[c][a])
+        )
+
+    if model == 2:
+        a1 = -(j[0][0] + j[1][1] + j[2][2])
+        a2 = m2(0, 1) + m2(0, 2) + m2(1, 2)
+        a3 = -m3(0, 1, 2)
+        return a1 > 0.0 and a3 > 0.0 and a1 * a2 > a3
+    a1 = -(j[0][0] + j[1][1] + j[2][2] + j[3][3])
+    a2 = m2(0, 1) + m2(0, 2) + m2(0, 3) + m2(1, 2) + m2(1, 3) + m2(2, 3)
+    a3 = -(m3(0, 1, 2) + m3(0, 1, 3) + m3(0, 2, 3) + m3(1, 2, 3))
+
+    # det J by Laplace expansion along rows 0 and 1
+    def c2(r, a, b):
+        return j[r][a] * j[r + 1][b] - j[r][b] * j[r + 1][a]
+
+    a4 = (
+        c2(0, 0, 1) * c2(2, 2, 3) - c2(0, 0, 2) * c2(2, 1, 3)
+        + c2(0, 0, 3) * c2(2, 1, 2) + c2(0, 1, 2) * c2(2, 0, 3)
+        - c2(0, 1, 3) * c2(2, 0, 2) + c2(0, 2, 3) * c2(2, 0, 1)
+    )
+    return (
+        a1 > 0.0 and a3 > 0.0 and a4 > 0.0
+        and a1 * a2 * a3 - a3 * a3 - a1 * a1 * a4 > 0.0
+    )
 
 
 def _polish(model, par, n, u, steady_tol):
@@ -217,19 +272,20 @@ def _polish(model, par, n, u, steady_tol):
     Every iterate must stay inside that ball, so an attempt from a state
     still far from a root fails after one or two iterations.
     """
+    rhs = _rhs_of(model, par)
     radius = 1e-3 * (_norm(*u) + 1.0)
     v = u
-    f = _rhs(model, par, *v)
+    f = rhs(*v)
     for _ in range(8):
         try:
-            step = np.linalg.solve(_jacobian(model, par, *v), f[:n])
+            step = np.linalg.solve(np.array(_jacobian(model, par, *v)), f[:n])
         except np.linalg.LinAlgError:
             return None
         v = tuple(float(a - b) for a, b in zip(v, step)) + v[n:]
         # the negated test also rejects a NaN iterate
         if not _norm(*(a - b for a, b in zip(v, u))) <= radius:
             return None
-        f = _rhs(model, par, *v)
+        f = rhs(*v)
         fnorm = _norm(*f)
         if fnorm < steady_tol * (_norm(*v) + 1.0):
             break
@@ -269,13 +325,15 @@ def _dp45_loop(
 ):
     """Adaptive Dormand-Prince 5(4) from t = 0 to t_max.
 
-    ``par`` and ``y0`` are float tuples (see :func:`_rhs`); ``n`` is the
-    number of live components.  The stages are unrolled over scalar
+    ``par`` and ``y0`` are float tuples (see :func:`_rhs_of`); ``n`` is
+    the number of live components.  The stages are unrolled over scalar
     locals.
 
-    Returns (status, t, y, f_norm, times[:m], states[:m]).  status:
-    0 = derivative norm reached steady_tol scale, 1 = t_max reached,
-    2 = step-size underflow.
+    Returns (status, t, y, f_norm, steps).  status: 0 = derivative norm
+    reached steady_tol scale, 1 = t_max reached, 2 = step-size underflow.
+    With ``record``, ``steps`` holds (t, u0, u1, u2, u3) of the initial
+    state and of every accepted step as native doubles, flat in one
+    ``bytearray``; without it, ``steps`` is empty.
 
     With ``stop_at_steady`` a steady exit, the t = 0 one included, also
     needs a Hurwitz Jacobian.  On the settle path (``stop_at_steady``
@@ -293,27 +351,18 @@ def _dp45_loop(
     next_try = 1
     t = 0.0
     u0, u1, u2, u3 = y0
-    k1_0, k1_1, k1_2, k1_3 = _rhs(model, par, u0, u1, u2, u3)
+    rhs = _rhs_of(model, par)
+    k1_0, k1_1, k1_2, k1_3 = rhs(u0, u1, u2, u3)
     fnorm = _norm(k1_0, k1_1, k1_2, k1_3)
 
-    cap = 1024 if record else 1
-    ts = np.empty(cap)
-    ys = np.empty((cap, 4))
-    count = 0
+    pack_step = _STEP.pack
+    steps = bytearray()
     if record:
-        ts[0] = t
-        ys[0, 0] = u0
-        ys[0, 1] = u1
-        ys[0, 2] = u2
-        ys[0, 3] = u3
-        count = 1
+        steps += pack_step(t, u0, u1, u2, u3)
 
     if stop_at_steady and fnorm < steady_tol * (_norm(u0, u1, u2, u3) + 1.0):
         if _hurwitz(model, par, u0, u1, u2, u3):
-            return (
-                _STEADY, t, np.array((u0, u1, u2, u3))[:n], fnorm,
-                ts[:count].copy(), ys[:count, :n].copy(),
-            )
+            return _STEADY, t, np.array((u0, u1, u2, u3))[:n], fnorm, steps
         check_armed = False
 
     # initial step: the usual two-phase heuristic on scaled magnitudes
@@ -330,8 +379,8 @@ def _dp45_loop(
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, t_max, max_step)
-    k2_0, k2_1, k2_2, k2_3 = _rhs(
-        model, par, u0 + h0 * k1_0, u1 + h0 * k1_1, u2 + h0 * k1_2, u3 + h0 * k1_3
+    k2_0, k2_1, k2_2, k2_3 = rhs(
+        u0 + h0 * k1_0, u1 + h0 * k1_1, u2 + h0 * k1_2, u3 + h0 * k1_3
     )
     d2 = (
         _sq((k2_0 - k1_0) / sc0)
@@ -380,25 +429,19 @@ def _dp45_loop(
             break
 
         # Dormand-Prince stages (FSAL: k1 already holds f(t, y))
-        k2_0, k2_1, k2_2, k2_3 = _rhs(
-            model,
-            par,
+        k2_0, k2_1, k2_2, k2_3 = rhs(
             u0 + h * 0.2 * k1_0,
             u1 + h * 0.2 * k1_1,
             u2 + h * 0.2 * k1_2,
             u3 + h * 0.2 * k1_3,
         )
-        k3_0, k3_1, k3_2, k3_3 = _rhs(
-            model,
-            par,
+        k3_0, k3_1, k3_2, k3_3 = rhs(
             u0 + h * (0.075 * k1_0 + 0.225 * k2_0),
             u1 + h * (0.075 * k1_1 + 0.225 * k2_1),
             u2 + h * (0.075 * k1_2 + 0.225 * k2_2),
             u3 + h * (0.075 * k1_3 + 0.225 * k2_3),
         )
-        k4_0, k4_1, k4_2, k4_3 = _rhs(
-            model,
-            par,
+        k4_0, k4_1, k4_2, k4_3 = rhs(
             u0 + h * ((44.0 / 45.0) * k1_0 - (56.0 / 15.0) * k2_0
                       + (32.0 / 9.0) * k3_0),
             u1 + h * ((44.0 / 45.0) * k1_1 - (56.0 / 15.0) * k2_1
@@ -408,9 +451,7 @@ def _dp45_loop(
             u3 + h * ((44.0 / 45.0) * k1_3 - (56.0 / 15.0) * k2_3
                       + (32.0 / 9.0) * k3_3),
         )
-        k5_0, k5_1, k5_2, k5_3 = _rhs(
-            model,
-            par,
+        k5_0, k5_1, k5_2, k5_3 = rhs(
             u0 + h * ((19372.0 / 6561.0) * k1_0 - (25360.0 / 2187.0) * k2_0
                       + (64448.0 / 6561.0) * k3_0 - (212.0 / 729.0) * k4_0),
             u1 + h * ((19372.0 / 6561.0) * k1_1 - (25360.0 / 2187.0) * k2_1
@@ -420,9 +461,7 @@ def _dp45_loop(
             u3 + h * ((19372.0 / 6561.0) * k1_3 - (25360.0 / 2187.0) * k2_3
                       + (64448.0 / 6561.0) * k3_3 - (212.0 / 729.0) * k4_3),
         )
-        k6_0, k6_1, k6_2, k6_3 = _rhs(
-            model,
-            par,
+        k6_0, k6_1, k6_2, k6_3 = rhs(
             u0 + h * ((9017.0 / 3168.0) * k1_0 - (355.0 / 33.0) * k2_0
                       + (46732.0 / 5247.0) * k3_0 + (49.0 / 176.0) * k4_0
                       - (5103.0 / 18656.0) * k5_0),
@@ -448,7 +487,7 @@ def _dp45_loop(
         v3 = u3 + h * ((35.0 / 384.0) * k1_3 + (500.0 / 1113.0) * k3_3
                        + (125.0 / 192.0) * k4_3 - (2187.0 / 6784.0) * k5_3
                        + (11.0 / 84.0) * k6_3)
-        k7_0, k7_1, k7_2, k7_3 = _rhs(model, par, v0, v1, v2, v3)
+        k7_0, k7_1, k7_2, k7_3 = rhs(v0, v1, v2, v3)
 
         # embedded 4th-order error estimate
         e0 = h * ((71.0 / 57600.0) * k1_0 - (71.0 / 16695.0) * k3_0
@@ -476,21 +515,7 @@ def _dp45_loop(
             u0, u1, u2, u3 = v0, v1, v2, v3
             k1_0, k1_1, k1_2, k1_3 = k7_0, k7_1, k7_2, k7_3  # FSAL
             if record:
-                if count == cap:
-                    cap2 = cap * 2
-                    ts2 = np.empty(cap2)
-                    ys2 = np.empty((cap2, 4))
-                    ts2[:cap] = ts
-                    ys2[:cap] = ys
-                    ts = ts2
-                    ys = ys2
-                    cap = cap2
-                ts[count] = t
-                ys[count, 0] = u0
-                ys[count, 1] = u1
-                ys[count, 2] = u2
-                ys[count, 3] = u3
-                count += 1
+                steps += pack_step(t, u0, u1, u2, u3)
             fnorm = _norm(k1_0, k1_1, k1_2, k1_3)
             if stop_at_steady:
                 target = steady_tol * (_norm(u0, u1, u2, u3) + 1.0)
@@ -527,10 +552,7 @@ def _dp45_loop(
         else:
             h *= max(0.1, 0.9 * errnorm ** -0.2)
 
-    return (
-        status, t, np.array((u0, u1, u2, u3))[:n], fnorm,
-        ts[:count].copy(), ys[:count, :n].copy(),
-    )
+    return status, t, np.array((u0, u1, u2, u3))[:n], fnorm, steps
 
 
 _LABELS2 = ("rho11", "y", "x")
@@ -606,27 +628,27 @@ def _physical_state(
 def derivs_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
     """Time derivative (d rho11, d y, d x) of the reduced two-level system."""
     _, par = _pack(p)
-    return np.array(_rhs(2, par, *_state_tuple(p, state))[:3])
+    return np.array(_rhs_of(2, par)(*_state_tuple(p, state))[:3])
 
 
 def derivs_three(state: BlochState3, p: PhysicalThreeLevel) -> np.ndarray:
     """Time derivative (d rho11, d rho22, d y, d x) of the reduced
     three-level system."""
     _, par = _pack(p)
-    return np.array(_rhs(3, par, *_state_tuple(p, state)))
+    return np.array(_rhs_of(3, par)(*_state_tuple(p, state)))
 
 
 def jacobian_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
     """Jacobian of :func:`derivs_two` over (rho11, y, x) at ``state``."""
     _, par = _pack(p)
-    return _jacobian(2, par, *_state_tuple(p, state))
+    return np.array(_jacobian(2, par, *_state_tuple(p, state)))
 
 
 def jacobian_three(state: BlochState3, p: PhysicalThreeLevel) -> np.ndarray:
     """Jacobian of :func:`derivs_three` over (rho11, rho22, y, x) at
     ``state``."""
     _, par = _pack(p)
-    return _jacobian(3, par, *_state_tuple(p, state))
+    return np.array(_jacobian(3, par, *_state_tuple(p, state)))
 
 
 def initial_state(
@@ -715,7 +737,7 @@ def _run(
     model, par = _pack(p)
     y0 = _state_tuple(p, initial if initial is not None else initial_state(p))
     t_max = config.t_max if config.t_max is not None else default_t_max(p)
-    status, t, y, fnorm, ts, ys = _dp45_loop(
+    status, t, y, fnorm, steps = _dp45_loop(
         model,
         par,
         y0,
@@ -734,7 +756,7 @@ def _run(
         # tolerances, not at stiffness
         _physical_state(model, t, y)
         raise StiffnessError(t, y)
-    return model, status, t, y, fnorm, ts, ys
+    return model, status, t, y, fnorm, steps
 
 
 def integrate(
@@ -754,15 +776,17 @@ def integrate(
     the state ran off to a non-finite or unphysical value before the step
     underflowed.
     """
-    model, status, _, _, fnorm, ts, ys = _run(
+    model, status, _, _, fnorm, steps = _run(
         p, initial, config, record=True, stop_at_steady=stop_at_steady
     )
-    xcol = 2 if model == 2 else 3
+    labels = _LABELS2 if model == 2 else _LABELS3
+    rows = np.frombuffer(steps).reshape(-1, 5)
+    states = rows[:, 1:1 + len(labels)].copy()
     return TimeSeries(
-        times=ts,
-        states=ys,
-        photon_numbers=ys[:, xcol] ** 2,
-        state_labels=_LABELS2 if model == 2 else _LABELS3,
+        times=rows[:, 0].copy(),
+        states=states,
+        photon_numbers=states[:, -1] ** 2,  # x is the last component
+        state_labels=labels,
         steady=status == _STEADY,
         derivative_norm=fnorm,
     )
@@ -791,7 +815,7 @@ def settle(
     state instead of raising.  A run that ends outside the physical state
     space, which loose tolerances allow, raises ValueError.
     """
-    model, status, t, y, fnorm, _, _ = _run(
+    model, status, t, y, fnorm, _ = _run(
         p, initial, config, record=False, stop_at_steady=True
     )
     state = _physical_state(model, t, y)

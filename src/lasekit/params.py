@@ -384,6 +384,18 @@ def gamma_parallel_and_inversion(p: PhysicalThreeLevel) -> tuple[float, float]:
     return _gamma_parallel_inversion_rates(p.gamma_21, p.gamma_02, p.gamma_10)
 
 
+def _check_saturation(s: float, p, rate: str) -> None:
+    """Reject a reduced saturation that is not finite (a tiny coupling_g
+    against the rates), naming the config values it is built from rather
+    than the derived parameter."""
+    if not math.isfinite(s):
+        raise ValueError(
+            f"coupling_g={p.coupling_g!r} with cavity_kappa={p.cavity_kappa!r}, "
+            f"{rate}={getattr(p, rate)!r} and n_atoms={p.n_atoms!r} gives a "
+            f"saturation cavity_kappa*{rate}/(2*n_atoms*coupling_g**2) of {s!r}"
+        )
+
+
 def reduce_two(p: PhysicalTwoLevel) -> tuple[DimensionlessTwoLevel, float]:
     """Collapse a physical two-level rate set to (reduced params, pump P).
 
@@ -393,6 +405,7 @@ def reduce_two(p: PhysicalTwoLevel) -> tuple[DimensionlessTwoLevel, float]:
     g = p.gamma_decay
     lam = p.n_atoms * g / (4.0 * p.cavity_kappa)
     s = p.cavity_kappa * g / (2.0 * p.n_atoms * p.coupling_g**2)
+    _check_saturation(s, p, "gamma_decay")
     d = DimensionlessTwoLevel(
         photon_scale=lam, saturation=s, dephasing=p.gamma_ph / g
     )
@@ -430,28 +443,23 @@ def reduce_three(
     and must be nonzero; the relative pump is the driven rate over the
     reference rate.
     """
-    n, g, kappa = p.n_atoms, p.coupling_g, p.cavity_kappa
     if p.scheme is PumpScheme.A:
-        ref = p.gamma_02
-        if ref <= 0.0:
-            raise ValueError("scheme A reduction requires gamma_02 > 0")
-        d_a = DimensionlessSchemeA(
-            photon_scale=n * ref / (2.0 * kappa),
-            saturation=kappa * ref / (2.0 * n * g**2),
-            decay_ratio=p.gamma_10 / ref,
-            dephasing=p.gamma_ph / ref,
-        )
-        return d_a, p.gamma_21 / ref
-    ref = p.gamma_21
+        cls, ref_name, pump = DimensionlessSchemeA, "gamma_02", p.gamma_21
+    else:
+        cls, ref_name, pump = DimensionlessSchemeB, "gamma_21", p.gamma_02
+    ref = getattr(p, ref_name)
     if ref <= 0.0:
-        raise ValueError("scheme B reduction requires gamma_21 > 0")
-    d_b = DimensionlessSchemeB(
+        raise ValueError(f"scheme {p.scheme.value} reduction requires {ref_name} > 0")
+    n, g, kappa = p.n_atoms, p.coupling_g, p.cavity_kappa
+    s = kappa * ref / (2.0 * n * g**2)
+    _check_saturation(s, p, ref_name)
+    d = cls(
         photon_scale=n * ref / (2.0 * kappa),
-        saturation=kappa * ref / (2.0 * n * g**2),
+        saturation=s,
         decay_ratio=p.gamma_10 / ref,
         dephasing=p.gamma_ph / ref,
     )
-    return d_b, p.gamma_02 / ref
+    return d, pump / ref
 
 
 def _expand_three(

@@ -189,6 +189,38 @@ def test_coupling_with_unrepresentable_square_exits_2(tmp_path, capsys, cfg, g, 
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("cfg", [CFG_2L_PHYS, CFG_3A_PHYS, CFG_3B_PHYS],
+                         ids=["two-level", "three-a", "three-b"])
+@pytest.mark.parametrize("argv", [
+    ["steady", "--pump", "3"],
+    ["region"],
+    ["sweep", "--pump-min", "0.1", "--pump-max", "5", "--points", "3"],
+], ids=["steady-pump", "region", "sweep"])
+def test_tiny_coupling_names_coupling_g(tmp_path, capsys, cfg, argv):
+    # g**2 = 1e-320 is a positive float, but the reduced saturation
+    # overflows: the error names the config value, not the derived one
+    path = write_cfg(tmp_path, {**cfg, "params": {**cfg["params"], "coupling_g": 1e-160}})
+    code = main([argv[0], "--config", path, *argv[1:]])
+    captured = capsys.readouterr()
+    if argv[0] == "steady" and cfg["model"] != "two-level":
+        # the physical three-level route needs no saturation: no lasing
+        assert code == 0, captured.err
+        assert "photon_number: 0.0\n" in captured.out
+        return
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: params: coupling_g=1e-160 ")
+    assert "saturation" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cfg", [CFG_2L_PHYS, CFG_3A_PHYS, CFG_3B_PHYS],
+                         ids=["two-level", "three-a", "three-b"])
+def test_tiny_coupling_dynamics_runs(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, {**cfg, "params": {**cfg["params"], "coupling_g": 1e-160}})
+    assert main(["dynamics", "--config", path, "--t-max", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command, fmt", [
     ("steady", "csv"), ("region", "csv"), ("sweep", "text"), ("dynamics", "text"),
 ])
@@ -322,6 +354,19 @@ def test_dynamics_reaches_fixed_point(tmp_path, capsys):
     assert series.photon_numbers[-1] == pytest.approx(23.448125, rel=1e-5)
     assert meta["model"] == "three-b"
     assert "# settle: converged=true" in out
+
+
+@pytest.mark.parametrize("cfg", [CFG_2L_PHYS, CFG_3B_PHYS], ids=["two-level", "three-b"])
+def test_dynamics_does_not_call_numpy_linalg(tmp_path, capsys, monkeypatch, cfg):
+    # the stability test on the steady exit is Routh-Hurwitz in plain floats
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("eigvals", "eig", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    path = write_cfg(tmp_path, cfg)
+    assert main(["dynamics", "--config", path]) == 0
+    assert "# settle: converged=true" in capsys.readouterr().out
 
 
 def test_dynamics_below_threshold(tmp_path, capsys):

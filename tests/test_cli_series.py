@@ -20,9 +20,7 @@ from pathlib import Path
 import pytest
 
 from lasekit.cli import main
-
-sys.path.insert(0, str(Path(__file__).parent))
-from test_cli_reports import CONFIGS  # noqa: E402
+from test_cli_reports import CONFIGS
 
 GOLDEN = Path(__file__).parent / "goldens" / "cli_series.json"
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    log_uniform,
     perturbed_fixed_state,
     random_lasing_three_level,
     random_lasing_two_level,
+    random_three_level,
 )
 import lasekit.dynamics as dynamics
 from lasekit import (
@@ -542,3 +544,69 @@ def test_integrator_convergence_order():
     assert 4.3 < order1 < 5.7, (errs, order1)
     assert 4.3 < order2 < 5.7, (errs, order2)
 
+
+
+def _random_rates(rng, kind: int):
+    """Unconstrained two-level (kind 0), scheme-A (1) or scheme-B (2) rates."""
+    if kind == 0:
+        kappa, gamma, pump = log_uniform(rng, 1e-2, 1e2, 3)
+        return PhysicalTwoLevel(
+            n_atoms=float(log_uniform(rng, 1.0, 1e4)),
+            coupling_g=float(log_uniform(rng, 1e-1, 1e1)),
+            cavity_kappa=float(kappa), gamma_decay=float(gamma), pump_Gamma=float(pump),
+            gamma_ph=float(log_uniform(rng, 1e-2, 1e2)) if rng.random() < 0.5 else 0.0,
+        )
+    scheme = PumpScheme.A if kind == 1 else PumpScheme.B
+    return random_three_level(rng, scheme, lo=1e-2, hi=1e2)
+
+
+def test_routh_hurwitz_matches_eigenvalues():
+    # the fixed point of each draw and the same state with every live
+    # component scaled by up to +-30 %
+    rng = np.random.default_rng(8)
+    verdicts = []
+    for i in range(2100):
+        p = _random_rates(rng, i % 3)
+        model, par = dynamics._pack(p)
+        n = 3 if model == 2 else 4
+        s = dynamics._state_tuple(p, fixed_point_state(p))
+        scale = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)
+        nudged = tuple(float(a * b) for a, b in zip(s[:n], scale)) + s[n:]
+        for u in (s, nudged):
+            eigs = np.linalg.eigvals(np.array(dynamics._jacobian(model, par, *u)))
+            expected = bool(eigs.real.max() < 0.0)
+            assert dynamics._hurwitz(model, par, *u) is expected, (p, u, eigs)
+            verdicts.append(expected)
+    assert len(verdicts) >= 4000
+    # both verdicts are exercised
+    assert 0.02 < verdicts.count(False) / len(verdicts) < 0.5
+
+
+def test_routh_hurwitz_rejects_hopf_unstable_scheme_b():
+    # README scheme-B rates at gamma_02 = 0.5: Re lambda = +0.139
+    p = dataclasses.replace(EXAMPLE_3L, gamma_02=0.5)
+    s = fixed_point_state(p)
+    assert n_three_physical(p).photon_number > 0.0
+    assert np.linalg.eigvals(jacobian_three(s, p)).real.max() > 0.1
+    model, par = dynamics._pack(p)
+    assert not dynamics._hurwitz(model, par, *dynamics._state_tuple(p, s))
+    assert dynamics._hurwitz(*dynamics._pack(EXAMPLE_3L),
+                             *dynamics._state_tuple(EXAMPLE_3L, fixed_point_state(EXAMPLE_3L)))
+
+
+@pytest.mark.parametrize("p", [EXAMPLE_3L, expand_two(FIG2, 2.0)], ids=["three-level", "two-level"])
+def test_integrate_arrays_are_contiguous_float64(p):
+    series = integrate(p, config=IntegratorConfig(t_max=5.0))
+    m = len(series.times)
+    width = 4 if isinstance(p, PhysicalThreeLevel) else 3
+    assert m > 10
+    assert series.times.shape == (m,)
+    assert series.states.shape == (m, width)
+    assert series.photon_numbers.shape == (m,)
+    for a in (series.times, series.states, series.photon_numbers):
+        assert a.dtype == np.float64
+        assert a.flags.c_contiguous
+        assert a.flags.owndata
+    assert series.times[0] == 0.0
+    assert tuple(series.states[0]) == dynamics._state_tuple(p, initial_state(p))[:width]
+    np.testing.assert_array_equal(series.photon_numbers, series.states[:, -1] ** 2)

@@ -1,0 +1,125 @@
+"""The CSV emitters against a per-cell reference.
+
+Every float cell must be ``repr(float(x))``, or ``format(float(x),
+".Ng")`` with ``LASEKIT_PRECISION=N``, for the series ``integrate``
+returns and for hand-built series whose columns are lists or hold
+integer values.
+"""
+
+from __future__ import annotations
+
+import io
+
+import numpy as np
+import pytest
+
+from lasekit import (
+    IntegratorConfig,
+    PhysicalThreeLevel,
+    PhysicalTwoLevel,
+    PumpScheme,
+    Regime,
+    SweepSeries,
+    TimeSeries,
+    fixed_point_state,
+    integrate,
+)
+from lasekit.cli import emit_sweep_csv, emit_timeseries_csv
+
+THREE = PhysicalThreeLevel(
+    n_atoms=100.0, coupling_g=1.0, cavity_kappa=1.0,
+    gamma_21=1.0, gamma_02=2.0, gamma_10=0.1, gamma_ph=0.0, scheme=PumpScheme.B,
+)
+TWO = PhysicalTwoLevel(n_atoms=4000.0, coupling_g=0.1, cavity_kappa=1.0,
+                       gamma_decay=1.0, pump_Gamma=2.0, gamma_ph=0.25)
+
+
+def reference_cell(precision: str | None):
+    if precision is None:
+        return lambda x: repr(float(x))
+    return lambda x: format(float(x), f".{precision}g")
+
+
+def reference_timeseries_rows(series: TimeSeries, cell) -> list[str]:
+    return [
+        ",".join([cell(t)] + [cell(v) for v in row] + [cell(n)])
+        for t, row, n in zip(series.times, series.states, series.photon_numbers)
+    ]
+
+
+def reference_sweep_rows(series: SweepSeries, cell) -> list[str]:
+    return [
+        f"{cell(pump)},{cell(n)},{regime.value}"
+        for pump, n, regime in zip(series.pump_values, series.photon_numbers, series.regimes)
+    ]
+
+
+def body(text: str) -> list[str]:
+    """The data rows: no comment lines, no header."""
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    return lines[1:]
+
+
+@pytest.fixture(params=[None, "6", "17"], ids=["shortest", "6g", "17g"])
+def precision(request, monkeypatch):
+    if request.param is None:
+        monkeypatch.delenv("LASEKIT_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("LASEKIT_PRECISION", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("p", [TWO, THREE], ids=["two-level", "three-level"])
+def test_timeseries_rows_match_per_cell_reference(p, precision):
+    series = integrate(p, config=IntegratorConfig(t_max=5.0), stop_at_steady=True)
+    buf = io.StringIO()
+    emit_timeseries_csv(series, buf, metadata={"seed_field": 1e-3})
+    rows = body(buf.getvalue())
+    assert len(rows) == len(series.times) > 10
+    assert rows == reference_timeseries_rows(series, reference_cell(precision))
+
+
+def test_timeseries_one_row(precision):
+    # started at the stable fixed point, the run stops at t = 0
+    series = integrate(THREE, initial=fixed_point_state(THREE), stop_at_steady=True)
+    assert len(series.times) == 1 and series.steady
+    buf = io.StringIO()
+    emit_timeseries_csv(series, buf)
+    text = buf.getvalue()
+    assert body(text) == reference_timeseries_rows(series, reference_cell(precision))
+    assert text.splitlines()[0] == "t,rho11,rho22,y,x,n"
+    t0 = reference_cell(precision)(0.0)
+    assert text.splitlines()[-1].startswith(f"# settle: converged=true t={t0} ")
+
+
+def test_timeseries_hand_built_lists(precision):
+    series = TimeSeries(
+        times=[0, 0.5, 2],
+        states=[[1, 0.0, 0.25], [0.5, -1e-300, 3], [0.125, 2.5e-7, 1e300]],
+        photon_numbers=np.array([0.0625, 9.0, np.inf]),
+        state_labels=("rho11", "y", "x"),
+        steady=False,
+        derivative_norm=1.5,
+    )
+    buf = io.StringIO()
+    emit_timeseries_csv(series, buf)
+    assert body(buf.getvalue()) == reference_timeseries_rows(series, reference_cell(precision))
+
+
+@pytest.mark.parametrize("pumps", [
+    np.array([1, 2, 30]),
+    [1, 2.5, 30],
+    np.array([1e-320, 0.1, 1.0 / 3.0]),
+    [7],
+], ids=["int-array", "list", "float-array", "one-row"])
+def test_sweep_rows_match_per_cell_reference(pumps, precision):
+    m = len(pumps)
+    photons = [0, 12.5, 1e7][:m] if isinstance(pumps, list) else np.linspace(0.0, 2.0, m)
+    regimes = (Regime.BELOW_THRESHOLD, Regime.LASING, Regime.ABOVE_UPPER_BOUND)[:m]
+    series = SweepSeries(pump_values=pumps, photon_numbers=photons, regimes=regimes,
+                         metadata={"points": m, "scale": "log", "pump_min": 0.1})
+    buf = io.StringIO()
+    emit_sweep_csv(series, buf)
+    text = buf.getvalue()
+    assert body(text) == reference_sweep_rows(series, reference_cell(precision))
+    assert text.count("\n") == 3 + 1 + m

@@ -107,6 +107,23 @@ def test_reduce_two_direct_substitution():
     assert (d.photon_scale, d.saturation, d.dephasing, pump) == (1000.0, 5e-4, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("p, rate", [
+    (two_level(Gamma=2.0, g=1e-160), "gamma_decay"),
+    (three_level(1.0, 2.0, 0.1, g=1e-160, scheme=PumpScheme.A), "gamma_02"),
+    (three_level(1.0, 2.0, 0.1, g=1e-160, scheme=PumpScheme.B), "gamma_21"),
+    (three_level(1.0, 1e300, 0.1, kappa=1e300, scheme=PumpScheme.A), "gamma_02"),
+], ids=["two-level", "scheme-a", "scheme-b", "scheme-a-huge-rates"])
+def test_reduce_rejects_unrepresentable_saturation(p, rate):
+    reduce = reduce_two if isinstance(p, PhysicalTwoLevel) else reduce_three
+    with pytest.raises(ValueError) as err:
+        reduce(p)
+    msg = str(err.value)
+    assert msg.startswith(f"coupling_g={p.coupling_g!r} ")
+    for name in ("cavity_kappa", rate, "n_atoms"):
+        assert f"{name}=" in msg
+    assert "saturation" in msg
+
+
 def test_reduce_expand_two_round_trip():
     rng = np.random.default_rng(13)
     for _ in range(100):
