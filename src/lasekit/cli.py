@@ -19,8 +19,11 @@ overrides the number of significant digits.  Exit codes: 0 success
 (including no-lasing outcomes), 2 config error, 3 output I/O error,
 4 integrator failure.
 
-numpy, ``numerics`` and ``dynamics`` are imported by the commands that use
-them, so ``steady`` and ``region`` run without loading numpy.
+``numerics`` and ``dynamics`` are imported by the commands that use them,
+and numpy only by ``sweep``, ``figure`` and the emitters and parsers of
+array-backed series.  ``steady``, ``region`` and ``dynamics`` run without
+loading numpy: ``dynamics`` writes its rows straight from the packed step
+buffer of the recorded run.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .params import (
 from . import steady as st
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Sequence
+    from collections.abc import Iterable, Iterator, Sequence
 
     from .dynamics import TimeSeries
     from .numerics import SweepSeries
@@ -378,31 +381,42 @@ def _evaluator(cfg: RunConfig) -> Callable[[float], SteadyResult]:
 _CHUNK_ROWS = 1024
 
 
+def _chunks(column) -> Iterator[list[float]]:
+    """A float column, a numpy array or a 1-D memoryview of doubles, as
+    lists of Python floats by ``tolist()``, a chunk of rows at a time."""
+    for i in range(0, len(column), _CHUNK_ROWS):
+        yield column[i:i + _CHUNK_ROWS].tolist()
+
+
 def _write_rows(
-    fh: TextIO, fmt: Callable[[float], str], floats: Iterable, *text: Sequence[str]
+    fh: TextIO,
+    fmt: Callable[[float], str],
+    floats: Sequence[Iterable[list[float]]],
+    *text: Sequence[str],
 ) -> None:
     """One CSV line per row: the ``floats`` columns as ``fmt`` text, then
-    the ``text`` columns as they are.  Each float column is turned into
-    Python floats by ``tolist()`` and formatted with ``map``, a chunk of
-    rows at a time so that a long series never exists as Python floats
-    all at once."""
-    import numpy as np
-
-    floats = [np.asarray(c, dtype=float) for c in floats]
+    the ``text`` columns as they are.  Each float column comes as chunks of
+    the same rows (see :func:`_chunks`), so a long series never exists as
+    Python floats all at once."""
     write = fh.write
-    for i in range(0, len(floats[0]), _CHUNK_ROWS):
-        j = i + _CHUNK_ROWS
-        cells = [map(fmt, c[i:j].tolist()) for c in floats]
+    i = 0
+    for chunk in zip(*floats):
+        j = i + len(chunk[0])
+        cells = [map(fmt, c) for c in chunk]
         for row in zip(*cells, *(t[i:j] for t in text)):
             write(",".join(row) + "\n")
+        i = j
 
 
 def emit_sweep_csv(series: SweepSeries, fh: TextIO) -> None:
+    import numpy as np
+
     fmt = _float_format()
     for key, value in series.metadata.items():
         fh.write(f"# {key}={_meta_text(value, fmt)}\n")
     fh.write("pump,photon_number,regime\n")
-    _write_rows(fh, fmt, (series.pump_values, series.photon_numbers),
+    floats = (series.pump_values, series.photon_numbers)
+    _write_rows(fh, fmt, [_chunks(np.asarray(c, dtype=float)) for c in floats],
                 [r.value for r in series.regimes])
 
 
@@ -443,14 +457,34 @@ def parse_sweep_csv(fh: TextIO) -> SweepSeries:
     )
 
 
-def _settle_footer(series: TimeSeries) -> dict[str, object]:
+def _settle_footer(
+    converged: bool, t: float, photon_number: float, derivative_norm: float
+) -> dict[str, object]:
     """How the run ended: the ``# settle:`` CSV footer, the JSON ``settle`` object."""
     return {
-        "converged": series.steady,
-        "t": float(series.times[-1]),
-        "photon_number": float(series.photon_numbers[-1]),
-        "derivative_norm": float(series.derivative_norm),
+        "converged": converged,
+        "t": float(t),
+        "photon_number": float(photon_number),
+        "derivative_norm": float(derivative_norm),
     }
+
+
+def _write_timeseries(
+    fh: TextIO,
+    metadata: Mapping[str, object],
+    labels: Sequence[str],
+    floats: Sequence[Iterable[list[float]]],
+    footer: Mapping[str, object],
+) -> None:
+    """A time-series CSV document: the metadata lines, the header, one row
+    per sample of the chunked columns t, ``labels`` and n (see
+    :func:`_write_rows`), then the ``# settle:`` footer."""
+    fmt = _float_format()
+    for key, value in metadata.items():
+        fh.write(f"# {key}={_meta_text(value, fmt)}\n")
+    fh.write("t," + ",".join(labels) + ",n\n")
+    _write_rows(fh, fmt, floats)
+    fh.write("# settle: " + " ".join(f"{k}={_meta_text(v, fmt)}" for k, v in footer.items()) + "\n")
 
 
 def emit_timeseries_csv(
@@ -458,14 +492,12 @@ def emit_timeseries_csv(
 ) -> None:
     import numpy as np
 
-    fmt = _float_format()
-    for key, value in (metadata or {}).items():
-        fh.write(f"# {key}={_meta_text(value, fmt)}\n")
-    fh.write("t," + ",".join(series.state_labels) + ",n\n")
     states = np.asarray(series.states, dtype=float)
-    _write_rows(fh, fmt, (series.times, *states.T, series.photon_numbers))
-    footer = _settle_footer(series).items()
-    fh.write("# settle: " + " ".join(f"{k}={_meta_text(v, fmt)}" for k, v in footer) + "\n")
+    floats = (series.times, *states.T, series.photon_numbers)
+    footer = _settle_footer(series.steady, series.times[-1], series.photon_numbers[-1],
+                            series.derivative_norm)
+    _write_timeseries(fh, metadata or {}, series.state_labels,
+                      [_chunks(np.asarray(c, dtype=float)) for c in floats], footer)
 
 
 def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
@@ -516,10 +548,36 @@ def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
     return series, metadata
 
 
-def _emit_json(fh: TextIO, metadata: Mapping[str, object], columns: dict, **extra: object) -> None:
-    """One JSON document: the metadata, one array per column, then ``extra``."""
-    json.dump({"metadata": _jsonable(dict(metadata)), **columns, **_jsonable(extra)}, fh, indent=2)
-    fh.write("\n")
+def _emit_json(
+    fh: TextIO,
+    metadata: Mapping[str, object],
+    columns: Mapping[str, Iterable[list]],
+    **extra: object,
+) -> None:
+    """One JSON document, byte for byte as ``json.dump(doc, fh, indent=2)``
+    writes it: the metadata, one array per column, then ``extra``.  Each
+    column comes as chunks of its values (see :func:`_chunks`) and is
+    written a chunk at a time, so a long run never exists as Python values
+    all at once."""
+    # the items of an array one level down, as indent=2 separates them
+    items = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+    def member(key: str, value: object) -> str:
+        return json.dumps(key) + ": " + json.dumps(value, indent=2).replace("\n", "\n  ")
+
+    write = fh.write
+    write("{\n  " + member("metadata", _jsonable(dict(metadata))))
+    for key, chunks in columns.items():
+        write(",\n  " + json.dumps(key) + ": [")
+        empty = True
+        for chunk in chunks:
+            if chunk:
+                write(("\n    " if empty else ",\n    ") + items(chunk)[1:-1])
+                empty = False
+        write("]" if empty else "\n  ]")
+    for key, value in _jsonable(extra).items():
+        write(",\n  " + member(key, value))
+    write("\n}\n")
 
 
 def _open_out(path: str | None):
@@ -665,9 +723,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with _open_out(args.out) as fh:
         if args.format == "json":
             _emit_json(fh, series.metadata, {
-                "pump": series.pump_values.tolist(),
-                "photon_number": series.photon_numbers.tolist(),
-                "regime": [r.value for r in series.regimes],
+                "pump": _chunks(series.pump_values),
+                "photon_number": _chunks(series.photon_numbers),
+                "regime": [[r.value for r in series.regimes]],
             })
         else:
             emit_sweep_csv(series, fh)
@@ -675,7 +733,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
-    from .dynamics import StiffnessError, initial_state, integrate
+    from .dynamics import StiffnessError, _recorded, initial_state
 
     cfg = load_config(args.config)
     p = _physical(cfg, args.pump)
@@ -695,7 +753,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
             raise ConfigError(f"initial: {e}") from e
 
     try:
-        series = integrate(p, initial=init, config=integ, stop_at_steady=True)
+        labels, steady, fnorm, columns = _recorded(p, init, integ, stop_at_steady=True)
     except StiffnessError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
@@ -705,14 +763,16 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         meta["pump"] = args.pump
     meta["seed_field"] = args.seed_field
 
+    # n = x * x, which is numpy's x ** 2 of integrate bit for bit
+    x = columns[-1]
+    footer = _settle_footer(steady, columns[0][-1], x[-1] * x[-1], fnorm)
+    floats = [_chunks(c) for c in columns]
+    floats.append([v * v for v in chunk] for chunk in _chunks(x))
     with _open_out(args.out) as fh:
         if args.format == "json":
-            columns = {"t": series.times.tolist()}
-            columns.update(zip(series.state_labels, series.states.T.tolist()))
-            columns["n"] = series.photon_numbers.tolist()
-            _emit_json(fh, meta, columns, settle=_settle_footer(series))
+            _emit_json(fh, meta, dict(zip(("t", *labels, "n"), floats)), settle=footer)
         else:
-            emit_timeseries_csv(series, fh, metadata=meta)
+            _write_timeseries(fh, meta, labels, floats, footer)
     return 0
 
 

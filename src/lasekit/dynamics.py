@@ -24,9 +24,14 @@ comes for free, which is what the scaled derivative-norm steady-state
 detector runs on.  The loop runs on scalar float locals with its stages
 unrolled over the components and the right-hand side bound once per run,
 which keeps plain Python free of per-element numpy indexing.
-:func:`integrate` records each accepted step by appending its time and
-state, packed as doubles, to one flat ``bytearray`` and builds its arrays
-from that buffer once, at the end; :func:`settle` records nothing.
+A recorded run appends the time and state of each accepted step, packed
+as doubles, to one flat ``bytearray``; :func:`settle` records nothing.
+:func:`integrate` builds its arrays from that buffer once, at the end.
+The ``lasekit dynamics`` command reads the same buffer through
+memoryviews and writes it without loading numpy, which this module
+imports only where it builds an array: in :func:`integrate`,
+:class:`TimeSeries`, the Newton polish of :func:`settle`, the public
+``derivs_*`` and ``jacobian_*`` and the state of a :class:`StiffnessError`.
 
 :func:`settle` does not creep all the way down to the cutoff.  Newton's
 method on the analytic Jacobian finishes the solve: once the flow has
@@ -50,8 +55,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .params import (
     BlochState2,
@@ -67,6 +71,9 @@ from .params import (
     reduce_two,
 )
 from .steady import n_three_physical, n_two_level
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntegratorConfig",
@@ -108,6 +115,8 @@ class TimeSeries:
     derivative_norm: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if len(self.times) != len(self.states) or len(self.times) != len(
             self.photon_numbers
         ):
@@ -272,6 +281,8 @@ def _polish(model, par, n, u, steady_tol):
     Every iterate must stay inside that ball, so an attempt from a state
     still far from a root fails after one or two iterations.
     """
+    import numpy as np
+
     rhs = _rhs_of(model, par)
     radius = 1e-3 * (_norm(*u) + 1.0)
     v = u
@@ -329,7 +340,8 @@ def _dp45_loop(
     the number of live components.  The stages are unrolled over scalar
     locals.
 
-    Returns (status, t, y, f_norm, steps).  status: 0 = derivative norm
+    Returns (status, t, y, f_norm, steps), with the end state ``y`` as a
+    tuple of the ``n`` live components.  status: 0 = derivative norm
     reached steady_tol scale, 1 = t_max reached, 2 = step-size underflow.
     With ``record``, ``steps`` holds (t, u0, u1, u2, u3) of the initial
     state and of every accepted step as native doubles, flat in one
@@ -362,7 +374,7 @@ def _dp45_loop(
 
     if stop_at_steady and fnorm < steady_tol * (_norm(u0, u1, u2, u3) + 1.0):
         if _hurwitz(model, par, u0, u1, u2, u3):
-            return _STEADY, t, np.array((u0, u1, u2, u3))[:n], fnorm, steps
+            return _STEADY, t, (u0, u1, u2, u3)[:n], fnorm, steps
         check_armed = False
 
     # initial step: the usual two-phase heuristic on scaled magnitudes
@@ -552,7 +564,7 @@ def _dp45_loop(
         else:
             h *= max(0.1, 0.9 * errnorm ** -0.2)
 
-    return status, t, np.array((u0, u1, u2, u3))[:n], fnorm, steps
+    return status, t, (u0, u1, u2, u3)[:n], fnorm, steps
 
 
 _LABELS2 = ("rho11", "y", "x")
@@ -602,7 +614,7 @@ def _state_tuple(
 
 
 def _state_object(
-    model: int, y: np.ndarray
+    model: int, y: tuple[float, ...]
 ) -> BlochState2 | BlochState3:
     if model == 2:
         return BlochState2(rho11=float(y[0]), y=float(y[1]), x=float(y[2]))
@@ -612,7 +624,7 @@ def _state_object(
 
 
 def _physical_state(
-    model: int, t: float, y: np.ndarray
+    model: int, t: float, y: tuple[float, ...]
 ) -> BlochState2 | BlochState3:
     """The end state of a run; ValueError naming the tolerances when it is
     non-finite or outside the physical state space."""
@@ -627,6 +639,8 @@ def _physical_state(
 
 def derivs_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
     """Time derivative (d rho11, d y, d x) of the reduced two-level system."""
+    import numpy as np
+
     _, par = _pack(p)
     return np.array(_rhs_of(2, par)(*_state_tuple(p, state))[:3])
 
@@ -634,12 +648,16 @@ def derivs_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
 def derivs_three(state: BlochState3, p: PhysicalThreeLevel) -> np.ndarray:
     """Time derivative (d rho11, d rho22, d y, d x) of the reduced
     three-level system."""
+    import numpy as np
+
     _, par = _pack(p)
     return np.array(_rhs_of(3, par)(*_state_tuple(p, state)))
 
 
 def jacobian_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
     """Jacobian of :func:`derivs_two` over (rho11, y, x) at ``state``."""
+    import numpy as np
+
     _, par = _pack(p)
     return np.array(_jacobian(2, par, *_state_tuple(p, state)))
 
@@ -647,6 +665,8 @@ def jacobian_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
 def jacobian_three(state: BlochState3, p: PhysicalThreeLevel) -> np.ndarray:
     """Jacobian of :func:`derivs_three` over (rho11, rho22, y, x) at
     ``state``."""
+    import numpy as np
+
     _, par = _pack(p)
     return np.array(_jacobian(3, par, *_state_tuple(p, state)))
 
@@ -755,8 +775,34 @@ def _run(
         # a state that ran off to nonsense first points at loose
         # tolerances, not at stiffness
         _physical_state(model, t, y)
-        raise StiffnessError(t, y)
+        import numpy as np
+
+        raise StiffnessError(t, np.array(y))
     return model, status, t, y, fnorm, steps
+
+
+def _recorded(
+    p: PhysicalTwoLevel | PhysicalThreeLevel,
+    initial: BlochState2 | BlochState3 | None,
+    config: IntegratorConfig,
+    stop_at_steady: bool,
+):
+    """The recorded run behind :func:`integrate` and the ``dynamics``
+    command.
+
+    Returns (labels, steady, ||f||, columns): ``columns`` holds t and then
+    the state components named by ``labels``, one row per accepted step,
+    each a 1-D memoryview of doubles that strides over the packed step
+    buffer.  Raises as :func:`integrate` does.
+    """
+    model, status, _, _, fnorm, steps = _run(
+        p, initial, config, record=True, stop_at_steady=stop_at_steady
+    )
+    labels = _LABELS2 if model == 2 else _LABELS3
+    cells = memoryview(steps).cast("d")
+    width = _STEP.size // cells.itemsize  # doubles per step
+    columns = [cells[k::width] for k in range(1 + len(labels))]
+    return labels, status == _STEADY, fnorm, columns
 
 
 def integrate(
@@ -776,18 +822,16 @@ def integrate(
     the state ran off to a non-finite or unphysical value before the step
     underflowed.
     """
-    model, status, _, _, fnorm, steps = _run(
-        p, initial, config, record=True, stop_at_steady=stop_at_steady
-    )
-    labels = _LABELS2 if model == 2 else _LABELS3
-    rows = np.frombuffer(steps).reshape(-1, 5)
-    states = rows[:, 1:1 + len(labels)].copy()
+    import numpy as np
+
+    labels, steady, fnorm, columns = _recorded(p, initial, config, stop_at_steady)
+    states = np.stack(columns[1:], axis=1)
     return TimeSeries(
-        times=rows[:, 0].copy(),
+        times=np.array(columns[0]),
         states=states,
         photon_numbers=states[:, -1] ** 2,  # x is the last component
         state_labels=labels,
-        steady=status == _STEADY,
+        steady=steady,
         derivative_norm=fnorm,
     )
 

@@ -416,7 +416,12 @@ def test_dynamics_stiffness_failure_exits_4(tmp_path, capsys):
                                        "t_max": 10.0}},
     )
     assert main(["dynamics", "--config", path]) == 4
-    assert "error:" in capsys.readouterr().err
+    # the whole line, with the state in its numpy array repr
+    assert capsys.readouterr().err == (
+        "error: step size underflow at t = 0.0 (state array([0.86956522, "
+        "0.08695652, 0.        , 0.001     ])); relax tolerances or reduce "
+        "the rate disparity\n"
+    )
 
 
 def test_dynamics_runaway_on_loose_tolerances_exits_2(tmp_path, capsys):

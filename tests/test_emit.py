@@ -3,12 +3,16 @@
 Every float cell must be ``repr(float(x))``, or ``format(float(x),
 ".Ng")`` with ``LASEKIT_PRECISION=N``, for the series ``integrate``
 returns and for hand-built series whose columns are lists or hold
-integer values.
+integer values.  The JSON writer streams its columns and must write what
+``json.dumps(doc, indent=2)`` writes for the whole document.
 """
 
 from __future__ import annotations
 
 import io
+import json
+import math
+from array import array
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from lasekit import (
     fixed_point_state,
     integrate,
 )
-from lasekit.cli import emit_sweep_csv, emit_timeseries_csv
+from lasekit.cli import _CHUNK_ROWS, _chunks, _emit_json, emit_sweep_csv, emit_timeseries_csv
 
 THREE = PhysicalThreeLevel(
     n_atoms=100.0, coupling_g=1.0, cavity_kappa=1.0,
@@ -123,3 +127,27 @@ def test_sweep_rows_match_per_cell_reference(pumps, precision):
     text = buf.getvalue()
     assert body(text) == reference_sweep_rows(series, reference_cell(precision))
     assert text.count("\n") == 3 + 1 + m
+
+
+SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e300, 3.0]
+
+
+@pytest.mark.parametrize("metadata", [{}, {"model": "three-b", "n_atoms": 100.0, "steady": True}],
+                         ids=["empty-metadata", "metadata"])
+@pytest.mark.parametrize("rows", [1, len(SPECIAL), 2 * _CHUNK_ROWS + 3])
+def test_emit_json_matches_json_dumps(metadata, rows):
+    values = (SPECIAL * rows)[:rows]
+    cubes = [v * v * v for v in values]
+    settle = {"converged": False, "t": 2.5, "derivative_norm": 1e-12}
+    buf = io.StringIO()
+    _emit_json(buf, metadata, {
+        "t": _chunks(np.array(values)),
+        "x": _chunks(memoryview(array("d", cubes))),
+        "regime": [["lasing"] * rows],
+        "none": [],
+    }, settle=settle)
+    doc = {"metadata": metadata, "t": values, "x": cubes, "regime": ["lasing"] * rows,
+           "none": [], "settle": settle}
+    # compared line by line, which keeps pytest's report of a mismatch short
+    expected = json.dumps(doc, indent=2) + "\n"
+    assert buf.getvalue().splitlines(keepends=True) == expected.splitlines(keepends=True)

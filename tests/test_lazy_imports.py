@@ -1,5 +1,6 @@
-"""The package exports load on first access, and the closed-form commands
-run without numpy, ``lasekit.dynamics`` or ``lasekit.numerics``."""
+"""The package exports load on first access, the closed-form commands run
+without numpy, ``lasekit.dynamics`` or ``lasekit.numerics``, and the
+``dynamics`` command without numpy."""
 
 import json
 import os
@@ -100,13 +101,16 @@ def test_closed_form_commands_load_no_numpy(tmp_path, command, fmt):
 
 
 def test_dynamics_command_loads_its_modules(tmp_path):
-    # the probe itself can see the modules a command imports on demand
+    # the probe itself can see the modules a command imports on demand;
+    # dynamics writes from the recorded step buffer, so no numpy
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(CFG), encoding="utf-8")
-    proc = _child("import runpy\nrunpy.run_module('lasekit', run_name='__main__')\n",
-                  "dynamics", "--config", str(path), "--t-max", "0.1")
-    assert proc.returncode == 0, proc.stderr
-    assert set(_loaded(proc)) == {"numpy", "lasekit.dynamics"}
+    for fmt in ("csv", "json"):
+        proc = _child("import runpy\nrunpy.run_module('lasekit', run_name='__main__')\n",
+                      "dynamics", "--config", str(path), "--t-max", "0.1", "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("{" if fmt == "json" else "# model=three-b")
+        assert set(_loaded(proc)) == {"lasekit.dynamics"}, fmt
 
 
 def test_every_export_is_its_home_object():
@@ -135,11 +139,12 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(lasekit, "maximize")
 
 
-def test_stiffness_error_from_integrate_exits_4(tmp_path, capsys, monkeypatch):
+def test_stiffness_error_from_recorded_run_exits_4(tmp_path, capsys, monkeypatch):
     def stiff(*args, **kwargs):
         raise lasekit.StiffnessError(1.0, [0.5, 0.25, 0.0, 1e-3])
 
-    monkeypatch.setattr(lasekit.dynamics, "integrate", stiff)
+    # the recorded run that the dynamics command takes its rows from
+    monkeypatch.setattr(lasekit.dynamics, "_recorded", stiff)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(CFG), encoding="utf-8")
     assert main(["dynamics", "--config", str(path)]) == 4
