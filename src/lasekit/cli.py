@@ -614,7 +614,10 @@ def _steady_report(cfg: RunConfig, pump: float) -> dict:
     }
     if physical and spec.three_level:
         p = _physical(cfg, pump)
-        res = st.n_three_physical(p)
+        try:
+            res = st.n_three_physical(p)
+        except ValueError as e:
+            raise ConfigError(f"params: {e}") from e
         gpar, inv = gamma_parallel_and_inversion(p)
     else:
         d = _dimensionless(cfg)
@@ -632,10 +635,7 @@ def _steady_report(cfg: RunConfig, pump: float) -> dict:
     report["regime"] = res.regime
     report["raw_bracket"] = res.raw_bracket
     report["gamma_perp"] = res.gamma_perp
-    pops = {"rho00": res.populations[0], "rho11": res.populations[1]}
-    if len(res.populations) > 2:
-        pops["rho22"] = res.populations[2]
-    report["populations"] = pops
+    report["populations"] = dict(zip(("rho00", "rho11", "rho22"), res.populations))
     if spec.three_level:
         report["gamma_parallel"] = gpar
         report["equilibrium_inversion"] = inv

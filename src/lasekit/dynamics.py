@@ -30,8 +30,9 @@ as doubles, to one flat ``bytearray``; :func:`settle` records nothing.
 The ``lasekit dynamics`` command reads the same buffer through
 memoryviews and writes it without loading numpy, which this module
 imports only where it builds an array: in :func:`integrate`,
-:class:`TimeSeries`, the Newton polish of :func:`settle`, the public
-``derivs_*`` and ``jacobian_*`` and the state of a :class:`StiffnessError`.
+:class:`TimeSeries`, the Newton polish of :func:`settle`, the one helper
+behind the public ``derivs_*`` and ``jacobian_*`` and the state of a
+:class:`StiffnessError`.
 
 :func:`settle` does not creep all the way down to the cutoff.  Newton's
 method on the analytic Jacobian finishes the solve: once the flow has
@@ -567,10 +568,6 @@ def _dp45_loop(
     return status, t, (u0, u1, u2, u3)[:n], fnorm, steps
 
 
-_LABELS2 = ("rho11", "y", "x")
-_LABELS3 = ("rho11", "rho22", "y", "x")
-
-
 def _pack(
     p: PhysicalTwoLevel | PhysicalThreeLevel,
 ) -> tuple[int, tuple[float, ...]]:
@@ -599,28 +596,26 @@ def _pack(
     raise TypeError(f"unsupported model parameters: {type(p).__name__}")
 
 
-def _state_tuple(
-    p: PhysicalTwoLevel | PhysicalThreeLevel,
-    state: BlochState2 | BlochState3,
-) -> tuple[float, float, float, float]:
+# the state class and the component labels of each model tag of _pack
+_STATES = {
+    2: (BlochState2, ("rho11", "y", "x")),
+    3: (BlochState3, ("rho11", "rho22", "y", "x")),
+}
+
+
+def _state_tuple(model: int, state: BlochState2 | BlochState3) -> tuple[float, ...]:
     """State as four floats; the two-level state is zero-padded."""
-    if isinstance(p, PhysicalTwoLevel):
-        if not isinstance(state, BlochState2):
-            raise TypeError("two-level model needs a BlochState2 initial state")
-        return (float(state.rho11), float(state.y), float(state.x), 0.0)
-    if not isinstance(state, BlochState3):
-        raise TypeError("three-level model needs a BlochState3 initial state")
-    return (float(state.rho11), float(state.rho22), float(state.y), float(state.x))
+    cls, labels = _STATES[model]
+    if not isinstance(state, cls):
+        raise TypeError(f"the {model}-level model needs a {cls.__name__} state, "
+                        f"got {type(state).__name__}")
+    u = tuple(float(getattr(state, k)) for k in labels)
+    return u + (0.0,) * (4 - len(u))
 
 
-def _state_object(
-    model: int, y: tuple[float, ...]
-) -> BlochState2 | BlochState3:
-    if model == 2:
-        return BlochState2(rho11=float(y[0]), y=float(y[1]), x=float(y[2]))
-    return BlochState3(
-        rho11=float(y[0]), rho22=float(y[1]), y=float(y[2]), x=float(y[3])
-    )
+def _state_object(model: int, y: tuple[float, ...]) -> BlochState2 | BlochState3:
+    cls, labels = _STATES[model]
+    return cls(*(float(v) for v in y[:len(labels)]))
 
 
 def _physical_state(
@@ -637,38 +632,41 @@ def _physical_state(
         ) from None
 
 
-def derivs_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
-    """Time derivative (d rho11, d y, d x) of the reduced two-level system."""
+def _evaluate(model: int, jacobian: bool, state, p) -> np.ndarray:
+    """The right-hand side of ``model`` at ``state``, or with ``jacobian``
+    its Jacobian, as an array over the live components; TypeError when
+    ``p`` or ``state`` belongs to the other model."""
     import numpy as np
 
-    _, par = _pack(p)
-    return np.array(_rhs_of(2, par)(*_state_tuple(p, state))[:3])
+    tag, par = _pack(p)
+    if tag != model:
+        raise TypeError(f"{type(p).__name__} is not a {model}-level parameter set")
+    u = _state_tuple(model, state)
+    if jacobian:
+        return np.array(_jacobian(model, par, *u))
+    return np.array(_rhs_of(model, par)(*u)[:len(_STATES[model][1])])
+
+
+def derivs_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
+    """Time derivative (d rho11, d y, d x) of the reduced two-level system."""
+    return _evaluate(2, False, state, p)
 
 
 def derivs_three(state: BlochState3, p: PhysicalThreeLevel) -> np.ndarray:
     """Time derivative (d rho11, d rho22, d y, d x) of the reduced
     three-level system."""
-    import numpy as np
-
-    _, par = _pack(p)
-    return np.array(_rhs_of(3, par)(*_state_tuple(p, state)))
+    return _evaluate(3, False, state, p)
 
 
 def jacobian_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
     """Jacobian of :func:`derivs_two` over (rho11, y, x) at ``state``."""
-    import numpy as np
-
-    _, par = _pack(p)
-    return np.array(_jacobian(2, par, *_state_tuple(p, state)))
+    return _evaluate(2, True, state, p)
 
 
 def jacobian_three(state: BlochState3, p: PhysicalThreeLevel) -> np.ndarray:
     """Jacobian of :func:`derivs_three` over (rho11, rho22, y, x) at
     ``state``."""
-    import numpy as np
-
-    _, par = _pack(p)
-    return np.array(_jacobian(3, par, *_state_tuple(p, state)))
+    return _evaluate(3, True, state, p)
 
 
 def initial_state(
@@ -703,24 +701,14 @@ def fixed_point_state(
     trajectory ends there.
     """
     if isinstance(p, PhysicalTwoLevel):
-        d, pump = reduce_two(p)
-        res = n_two_level(d, pump)
-        if res.photon_number > 0.0:
-            x = math.sqrt(res.photon_number)
-            y = p.cavity_kappa * x / (p.n_atoms * p.coupling_g)
-            return BlochState2(rho11=res.populations[1], y=y, x=x)
-        _, rho11 = equilibrium_populations_two(p)
-        return BlochState2(rho11=rho11, y=0.0, x=0.0)
-
-    res = n_three_physical(p)
+        res, cls = n_two_level(*reduce_two(p)), BlochState2
+    else:
+        res, cls = n_three_physical(p), BlochState3
     if res.photon_number > 0.0:
         x = math.sqrt(res.photon_number)
         y = p.cavity_kappa * x / (p.n_atoms * p.coupling_g)
-        return BlochState3(
-            rho11=res.populations[1], rho22=res.populations[2], y=y, x=x
-        )
-    _, rho11, rho22 = equilibrium_populations_three(p)
-    return BlochState3(rho11=rho11, rho22=rho22, y=0.0, x=0.0)
+        return cls(*res.populations[1:], y, x)
+    return initial_state(p, seed_field=0.0)
 
 
 def default_t_max(p: PhysicalTwoLevel | PhysicalThreeLevel) -> float:
@@ -755,13 +743,13 @@ def _run(
     stop_at_steady: bool,
 ):
     model, par = _pack(p)
-    y0 = _state_tuple(p, initial if initial is not None else initial_state(p))
+    y0 = _state_tuple(model, initial if initial is not None else initial_state(p))
     t_max = config.t_max if config.t_max is not None else default_t_max(p)
     status, t, y, fnorm, steps = _dp45_loop(
         model,
         par,
         y0,
-        3 if model == 2 else 4,
+        len(_STATES[model][1]),
         float(t_max),
         config.rel_tol,
         config.abs_tol,
@@ -798,7 +786,7 @@ def _recorded(
     model, status, _, _, fnorm, steps = _run(
         p, initial, config, record=True, stop_at_steady=stop_at_steady
     )
-    labels = _LABELS2 if model == 2 else _LABELS3
+    labels = _STATES[model][1]
     cells = memoryview(steps).cast("d")
     width = _STEP.size // cells.itemsize  # doubles per step
     columns = [cells[k::width] for k in range(1 + len(labels))]

@@ -181,7 +181,23 @@ class DimensionlessTwoLevel:
 
 
 @dataclass(frozen=True)
-class DimensionlessSchemeA:
+class _DimensionlessThree:
+    """Fields and checks shared by the reduced three-level records; the
+    reference rate depends on the scheme (see the subclasses)."""
+
+    photon_scale: float
+    saturation: float
+    decay_ratio: float
+    dephasing: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_rate("photon_scale", self.photon_scale, positive=True)
+        _check_rate("saturation", self.saturation)
+        _check_rate("decay_ratio", self.decay_ratio)
+        _check_rate("dephasing", self.dephasing)
+
+
+class DimensionlessSchemeA(_DimensionlessThree):
     """Reduced scheme-A parameters (reference rate: the depletion rate
     gamma_02 of the lower lasing state).
 
@@ -190,20 +206,8 @@ class DimensionlessSchemeA:
     The relative pump is P = gamma_21/gamma_02.
     """
 
-    photon_scale: float
-    saturation: float
-    decay_ratio: float
-    dephasing: float = 0.0
 
-    def __post_init__(self) -> None:
-        _check_rate("photon_scale", self.photon_scale, positive=True)
-        _check_rate("saturation", self.saturation)
-        _check_rate("decay_ratio", self.decay_ratio)
-        _check_rate("dephasing", self.dephasing)
-
-
-@dataclass(frozen=True)
-class DimensionlessSchemeB:
+class DimensionlessSchemeB(_DimensionlessThree):
     """Reduced scheme-B parameters (reference rate: the top-level decay
     gamma_21).
 
@@ -211,17 +215,6 @@ class DimensionlessSchemeB:
     decay_ratio = gamma_10/gamma_21, dephasing = gamma_ph/gamma_21.
     The relative pump is P = gamma_02/gamma_21.
     """
-
-    photon_scale: float
-    saturation: float
-    decay_ratio: float
-    dephasing: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_rate("photon_scale", self.photon_scale, positive=True)
-        _check_rate("saturation", self.saturation)
-        _check_rate("decay_ratio", self.decay_ratio)
-        _check_rate("dephasing", self.dephasing)
 
 
 @dataclass(frozen=True)
@@ -463,13 +456,12 @@ def reduce_three(
 
 
 def _expand_three(
-    photon_scale: float, saturation: float, decay_ratio: float, dephasing: float,
-    pump: float, scheme: PumpScheme,
+    d: _DimensionlessThree, pump: float, scheme: PumpScheme
 ) -> PhysicalThreeLevel:
-    if saturation <= 0.0:
+    if d.saturation <= 0.0:
         raise ValueError("gauge expansion requires saturation > 0")
-    n_atoms = 2.0 * photon_scale
-    g = math.sqrt(1.0 / (4.0 * photon_scale * saturation))
+    n_atoms = 2.0 * d.photon_scale
+    g = math.sqrt(1.0 / (4.0 * d.photon_scale * d.saturation))
     if scheme is PumpScheme.A:
         g21, g02 = pump, 1.0
     else:
@@ -480,24 +472,20 @@ def _expand_three(
         cavity_kappa=1.0,
         gamma_21=g21,
         gamma_02=g02,
-        gamma_10=decay_ratio,
-        gamma_ph=dephasing,
+        gamma_10=d.decay_ratio,
+        gamma_ph=d.dephasing,
         scheme=scheme,
     )
 
 
 def expand_scheme_a(d: DimensionlessSchemeA, pump: float) -> PhysicalThreeLevel:
     """Canonical realization: cavity_kappa = 1, gamma_02 = 1, N = 2*photon_scale."""
-    return _expand_three(
-        d.photon_scale, d.saturation, d.decay_ratio, d.dephasing, pump, PumpScheme.A
-    )
+    return _expand_three(d, pump, PumpScheme.A)
 
 
 def expand_scheme_b(d: DimensionlessSchemeB, pump: float) -> PhysicalThreeLevel:
     """Canonical realization: cavity_kappa = 1, gamma_21 = 1, N = 2*photon_scale."""
-    return _expand_three(
-        d.photon_scale, d.saturation, d.decay_ratio, d.dephasing, pump, PumpScheme.B
-    )
+    return _expand_three(d, pump, PumpScheme.B)
 
 
 def equilibrium_populations_two(p: PhysicalTwoLevel) -> tuple[float, float]:

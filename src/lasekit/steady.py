@@ -526,7 +526,11 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
     valid for both pump schemes (they share the equations of motion).
     This route never builds the reduced bracket, so it can arbitrate the
     two dimensionless parameterizations; ``raw_bracket`` here is the
-    unclamped photon number itself.
+    unclamped photon number itself.  The regime still comes from the
+    scheme's reduction, so a coupling_g whose reduced saturation is not
+    finite raises ValueError as :func:`reduce_three` does; a zero
+    reference rate, which has no reduction, classifies by the sign of
+    the photon number alone.
     """
     denom = p.gamma_02 + 2.0 * p.gamma_21
     if denom <= 0.0:
@@ -553,15 +557,12 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
             # degenerate flow: the equilibrium is not unique
             pops = (math.nan, math.nan, math.nan)
 
-    # regime classification runs through the scheme's reduced window
-    try:
+    # the regime comes from the scheme's reduction; a zero reference rate has none
+    ref = p.gamma_02 if p.scheme is PumpScheme.A else p.gamma_21
+    regime = Regime.LASING if raw > 0.0 else Regime.BELOW_THRESHOLD
+    if ref > 0.0:
         d, pump = reduce_three(p)
-    except ValueError:
-        regime = Regime.LASING if raw > 0.0 else Regime.BELOW_THRESHOLD
-    else:
-        if p.scheme is PumpScheme.A:
-            regime = Regime.LASING if raw > 0.0 else Regime.BELOW_THRESHOLD
-        else:
+        if p.scheme is PumpScheme.B:
             regime = _classify(raw, pump, _vertex_scheme_b(d))
 
     return SteadyResult(

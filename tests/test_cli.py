@@ -202,15 +202,21 @@ def test_tiny_coupling_names_coupling_g(tmp_path, capsys, cfg, argv):
     path = write_cfg(tmp_path, {**cfg, "params": {**cfg["params"], "coupling_g": 1e-160}})
     code = main([argv[0], "--config", path, *argv[1:]])
     captured = capsys.readouterr()
-    if argv[0] == "steady" and cfg["model"] != "two-level":
-        # the physical three-level route needs no saturation: no lasing
-        assert code == 0, captured.err
-        assert "photon_number: 0.0\n" in captured.out
-        return
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: params: coupling_g=1e-160 ")
     assert "saturation" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cfg", [CFG_3A_PHYS, CFG_3B_PHYS], ids=["three-a", "three-b"])
+def test_tiny_coupling_steady_fails_as_region_does(tmp_path, capsys, cfg):
+    # the physical three-level route of steady classifies through the
+    # same reduction as region, so both reject the coupling alike
+    path = write_cfg(tmp_path, {**cfg, "params": {**cfg["params"], "coupling_g": 1e-160}})
+    assert main(["region", "--config", path]) == 2
+    region = capsys.readouterr()
+    assert main(["steady", "--config", path, "--pump", "3"]) == 2
+    assert capsys.readouterr() == region
 
 
 @pytest.mark.parametrize("cfg", [CFG_2L_PHYS, CFG_3A_PHYS, CFG_3B_PHYS],

@@ -21,6 +21,7 @@ from lasekit import (
     PhysicalThreeLevel,
     PhysicalTwoLevel,
     PumpScheme,
+    Regime,
     StiffnessError,
     default_t_max,
     derivs_three,
@@ -489,6 +490,43 @@ def test_state_model_mismatch_rejected():
         integrate(EXAMPLE_3L, initial=BlochState2(rho11=0.5, y=0.0, x=1e-3))
 
 
+TWO_LEVEL = expand_two(FIG2, 2.0)
+
+
+@pytest.mark.parametrize("fn, state, p", [
+    (derivs_two, initial_state(TWO_LEVEL), EXAMPLE_3L),
+    (jacobian_two, initial_state(TWO_LEVEL), EXAMPLE_3L),
+    (derivs_two, initial_state(EXAMPLE_3L), TWO_LEVEL),
+    (jacobian_two, initial_state(EXAMPLE_3L), TWO_LEVEL),
+    (derivs_two, initial_state(EXAMPLE_3L), EXAMPLE_3L),
+    (jacobian_two, initial_state(EXAMPLE_3L), EXAMPLE_3L),
+    (derivs_three, initial_state(EXAMPLE_3L), TWO_LEVEL),
+    (jacobian_three, initial_state(EXAMPLE_3L), TWO_LEVEL),
+    (derivs_three, initial_state(TWO_LEVEL), EXAMPLE_3L),
+    (jacobian_three, initial_state(TWO_LEVEL), EXAMPLE_3L),
+    (derivs_three, initial_state(TWO_LEVEL), TWO_LEVEL),
+    (jacobian_three, initial_state(TWO_LEVEL), TWO_LEVEL),
+], ids=lambda v: getattr(v, "__name__", type(v).__name__))
+def test_wrong_model_derivs_and_jacobian_raise(fn, state, p):
+    # each function evaluates the model its name promises and no other
+    with pytest.raises(TypeError):
+        fn(state, p)
+
+
+@pytest.mark.parametrize("p, regime", [
+    (expand_two(FIG2, 0.5), Regime.BELOW_THRESHOLD),
+    (expand_two(FIG2, 1e7), Regime.ABOVE_UPPER_BOUND),
+    (dataclasses.replace(EXAMPLE_3L, gamma_02=0.05), Regime.BELOW_THRESHOLD),
+    (dataclasses.replace(EXAMPLE_3L, gamma_02=1e3), Regime.ABOVE_UPPER_BOUND),
+], ids=["two-below", "two-above", "three-below", "three-above"])
+def test_dark_fixed_point_is_unseeded_initial_state(p, regime):
+    if isinstance(p, PhysicalTwoLevel):
+        assert n_two_level(*reduce_two(p)).regime is regime
+    else:
+        assert n_three_physical(p).regime is regime
+    assert fixed_point_state(p) == initial_state(p, seed_field=0.0)
+
+
 def test_integrator_agrees_with_scipy_reference():
     # same embedded pair, independent implementation: tight-tolerance
     # trajectories must land on the same state
@@ -569,7 +607,7 @@ def test_routh_hurwitz_matches_eigenvalues():
         p = _random_rates(rng, i % 3)
         model, par = dynamics._pack(p)
         n = 3 if model == 2 else 4
-        s = dynamics._state_tuple(p, fixed_point_state(p))
+        s = dynamics._state_tuple(model, fixed_point_state(p))
         scale = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)
         nudged = tuple(float(a * b) for a, b in zip(s[:n], scale)) + s[n:]
         for u in (s, nudged):
@@ -589,9 +627,9 @@ def test_routh_hurwitz_rejects_hopf_unstable_scheme_b():
     assert n_three_physical(p).photon_number > 0.0
     assert np.linalg.eigvals(jacobian_three(s, p)).real.max() > 0.1
     model, par = dynamics._pack(p)
-    assert not dynamics._hurwitz(model, par, *dynamics._state_tuple(p, s))
+    assert not dynamics._hurwitz(model, par, *dynamics._state_tuple(model, s))
     assert dynamics._hurwitz(*dynamics._pack(EXAMPLE_3L),
-                             *dynamics._state_tuple(EXAMPLE_3L, fixed_point_state(EXAMPLE_3L)))
+                             *dynamics._state_tuple(3, fixed_point_state(EXAMPLE_3L)))
 
 
 @pytest.mark.parametrize("p", [EXAMPLE_3L, expand_two(FIG2, 2.0)], ids=["three-level", "two-level"])
@@ -608,5 +646,5 @@ def test_integrate_arrays_are_contiguous_float64(p):
         assert a.flags.c_contiguous
         assert a.flags.owndata
     assert series.times[0] == 0.0
-    assert tuple(series.states[0]) == dynamics._state_tuple(p, initial_state(p))[:width]
+    assert tuple(series.states[0]) == dynamics._state_tuple(dynamics._pack(p)[0], initial_state(p))[:width]
     np.testing.assert_array_equal(series.photon_numbers, series.states[:, -1] ** 2)

@@ -13,11 +13,13 @@ import io
 import json
 import math
 from array import array
+from functools import partial
 
 import numpy as np
 import pytest
 
 from lasekit import (
+    DimensionlessSchemeB,
     IntegratorConfig,
     PhysicalThreeLevel,
     PhysicalTwoLevel,
@@ -27,8 +29,17 @@ from lasekit import (
     TimeSeries,
     fixed_point_state,
     integrate,
+    n_scheme_b,
+    sweep,
 )
-from lasekit.cli import _CHUNK_ROWS, _chunks, _emit_json, emit_sweep_csv, emit_timeseries_csv
+from lasekit.cli import (
+    _CHUNK_ROWS,
+    _chunks,
+    _emit_json,
+    emit_sweep_csv,
+    emit_timeseries_csv,
+    main,
+)
 
 THREE = PhysicalThreeLevel(
     n_atoms=100.0, coupling_g=1.0, cavity_kappa=1.0,
@@ -151,3 +162,50 @@ def test_emit_json_matches_json_dumps(metadata, rows):
     # compared line by line, which keeps pytest's report of a mismatch short
     expected = json.dumps(doc, indent=2) + "\n"
     assert buf.getvalue().splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+# a scheme-B window with a leak: threshold 0.304, upper edge 76.1, so a
+# log sweep over [0.1, 200] passes all three regimes
+LONG_PARAMS = {"photon_scale": 10.0, "saturation": 0.01, "decay_ratio": 0.3}
+LONG_ARGS = ["--pump-min", "0.1", "--pump-max", "200", "--points", "2500", "--scale", "log"]
+
+
+def long_sweep(tmp_path, fmt: str) -> str:
+    """What ``lasekit sweep`` writes for the long sweep in ``fmt``."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "three-b", "parameterization": "dimensionless",
+                               "params": LONG_PARAMS}), encoding="utf-8")
+    out = tmp_path / f"sweep.{fmt}"
+    assert main(["sweep", "--config", str(cfg), "--format", fmt, "--out", str(out),
+                 *LONG_ARGS]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def long_reference() -> SweepSeries:
+    series = sweep(partial(n_scheme_b, DimensionlessSchemeB(**LONG_PARAMS)),
+                   (0.1, 200.0), 2500, "log")
+    assert len(series.regimes) > 2 * _CHUNK_ROWS
+    assert set(series.regimes) == set(Regime)
+    return series
+
+
+def test_long_sweep_csv_rows_match_per_cell_reference(tmp_path, precision):
+    # the regime column, written from one list, stays aligned with the
+    # float columns, written a chunk at a time, across chunk boundaries
+    rows = body(long_sweep(tmp_path, "csv"))
+    assert rows == reference_sweep_rows(long_reference(), reference_cell(precision))
+
+
+def test_long_sweep_json_matches_json_dumps(tmp_path):
+    series = long_reference()
+    doc = {
+        "metadata": {"model": "three-b", "parameterization": "dimensionless",
+                     **dict(sorted(LONG_PARAMS.items())),
+                     "pump_min": 0.1, "pump_max": 200.0, "points": 2500, "scale": "log"},
+        "pump": series.pump_values.tolist(),
+        "photon_number": series.photon_numbers.tolist(),
+        "regime": [r.value for r in series.regimes],
+    }
+    expected = json.dumps(doc, indent=2) + "\n"
+    text = long_sweep(tmp_path, "json")
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)

@@ -224,6 +224,33 @@ def test_n_three_physical_no_pump():
     assert res.photon_number == 0.0
 
 
+@pytest.mark.parametrize("scheme, ref, populations, raw", [
+    (PumpScheme.A, "gamma_02", (1.0, 0.0, 0.0), -2.50125),
+    (PumpScheme.B, "gamma_21", (0.0, 0.0, 1.0), -0.052500000000000005),
+], ids=["scheme-A", "scheme-B"])
+@pytest.mark.parametrize("g", [1.0, 1e-160], ids=["g=1", "g=1e-160"])
+def test_n_three_physical_zero_reference_rate(scheme, ref, populations, raw, g):
+    # no reduction exists, so the sign of the photon number classifies,
+    # also where a reduced saturation would overflow
+    p = PhysicalThreeLevel(**{**EXAMPLE_3L, ref: 0.0, "coupling_g": g}, scheme=scheme)
+    res = n_three_physical(p)
+    assert res.photon_number == 0.0
+    assert res.regime is Regime.BELOW_THRESHOLD
+    assert res.populations == populations
+    assert res.raw_bracket == (raw if g == 1.0 else -math.inf)
+
+
+@pytest.mark.parametrize("scheme", [PumpScheme.A, PumpScheme.B])
+def test_n_three_physical_tiny_coupling_raises_as_reduction_does(scheme):
+    p = PhysicalThreeLevel(**{**EXAMPLE_3L, "coupling_g": 1e-160}, scheme=scheme)
+    with pytest.raises(ValueError) as reduced:
+        reduce_three(p)
+    with pytest.raises(ValueError) as physical:
+        n_three_physical(p)
+    assert str(physical.value) == str(reduced.value)
+    assert str(physical.value).startswith("coupling_g=1e-160 ")
+
+
 def test_scheme_a_fig4a_point():
     assert n_scheme_a(FIG4A, 1.0).photon_number == pytest.approx(
         1e6 * (0.99 - 0.2 * 1.01 * 1.02) / 3.0, rel=1e-12
