@@ -18,15 +18,21 @@ Three-level state [rho11, rho22, y, x] (rho00 = 1 - rho11 - rho22):
     d y     = -gamma_perp*y + g*x*(rho11 - rho00)
     d x     = -kappa*x + N*g*y
 
-The integrator is an explicit adaptive Dormand-Prince 5(4) embedded pair
-with first-same-as-last reuse; the derivative of every accepted state
-comes for free, which is what the scaled derivative-norm steady-state
-detector runs on.  The loop runs on scalar float locals with its stages
-unrolled over the components and the right-hand side bound once per run,
-which keeps plain Python free of per-element numpy indexing.
+Two explicit adaptive Runge-Kutta pairs with first-same-as-last reuse
+integrate the system; the derivative of every accepted state comes for
+free, which is what the scaled derivative-norm steady-state detector runs
+on.  :func:`integrate` and the ``lasekit dynamics`` command record with
+the Dormand-Prince 5(4) pair of :func:`_dp45_loop`.  :func:`settle`
+records nothing and runs the Dormand-Prince 8(5,3) pair (DOP853) of
+``lasekit._dop853``, which it alone imports: near a lasing fixed point
+the weakly damped relaxation oscillation sets the step, and the 8th-order
+pair covers it in fewer right-hand side evaluations.  Both loops run on
+scalar float locals with their stages unrolled over the components and
+the right-hand side bound once per run, which keeps plain Python free of
+per-element numpy indexing.
 A recorded run appends the time and state of each accepted step, packed
-as doubles, to one flat ``bytearray``; :func:`settle` records nothing.
-:func:`integrate` builds its arrays from that buffer once, at the end.
+as doubles, to one flat ``bytearray``; :func:`integrate` builds its
+arrays from that buffer once, at the end.
 The ``lasekit dynamics`` command reads the same buffer through
 memoryviews and writes it without loading numpy, which this module
 imports only where it builds an array: in :func:`integrate`,
@@ -45,7 +51,7 @@ linearly stable (every eigenvalue of the Jacobian has a negative real
 part, decided by the Routh-Hurwitz conditions on its characteristic
 polynomial).  Beyond the good-cavity side a stable fixed point can share
 phase space with a pulsing attractor, and those early attempts stay off.
-:func:`integrate` runs the plain stepper only.  Every steady exit of
+:func:`integrate` tries no Newton polish.  Every steady exit of
 either function, the one at t = 0 included, passes the same stability
 test, so neither reports an unstable fixed point as settled.
 """
@@ -134,6 +140,11 @@ class SettleResult:
     Jacobian there is Hurwitz, i.e. the fixed point is linearly stable.  It
     is False when t_max ran out first, which is also how a run near an
     unstable fixed point ends; the final state is reported either way.
+
+    The counters say what the run cost: ``steps`` accepted and
+    ``rejected_steps`` rejected steps of the stepper, and
+    ``polish_attempts`` tries of the Newton polish, the successful last
+    one included.  A run that starts at a stable fixed point takes 0 steps.
     """
 
     photon_number: float
@@ -141,6 +152,9 @@ class SettleResult:
     time: float
     derivative_norm: float
     converged: bool
+    steps: int = 0
+    rejected_steps: int = 0
+    polish_attempts: int = 0
 
     @property
     def populations(self) -> tuple[float, ...]:
@@ -321,64 +335,12 @@ def _sq(q):
     return math.inf if abs(q) > _SQ_MAX else q ** 2
 
 
-def _dp45_loop(
-    model,
-    par,
-    y0,
-    n,
-    t_max,
-    rtol,
-    atol,
-    max_step,
-    steady_tol,
-    record,
-    stop_at_steady,
-    schedule,
-):
-    """Adaptive Dormand-Prince 5(4) from t = 0 to t_max.
-
-    ``par`` and ``y0`` are float tuples (see :func:`_rhs_of`); ``n`` is
-    the number of live components.  The stages are unrolled over scalar
-    locals.
-
-    Returns (status, t, y, f_norm, steps), with the end state ``y`` as a
-    tuple of the ``n`` live components.  status: 0 = derivative norm
-    reached steady_tol scale, 1 = t_max reached, 2 = step-size underflow.
-    With ``record``, ``steps`` holds (t, u0, u1, u2, u3) of the initial
-    state and of every accepted step as native doubles, flat in one
-    ``bytearray``; without it, ``steps`` is empty.
-
-    With ``stop_at_steady`` a steady exit, the t = 0 one included, also
-    needs a Hurwitz Jacobian.  On the settle path (``stop_at_steady``
-    without ``record``) :func:`_polish` finishes the solve once the
-    derivative norm is within 1e4 of the cutoff.  One polish and one
-    stability test are spent per approach: both re-arm only after the
-    norm rises above 1e5 times the cutoff again.  With ``schedule`` (set
-    on the settle path of good-cavity runs only) the polish is also tried
-    when the count of accepted steps reaches k = 1, 2, 3, 4, 6, 8, 11,
-    14, 18, ..., each term k + 1 + k // 4 after the last.
-    """
-    polish = stop_at_steady and not record
-    polish_armed = check_armed = True
-    accepted = 0
-    next_try = 1
-    t = 0.0
-    u0, u1, u2, u3 = y0
-    rhs = _rhs_of(model, par)
-    k1_0, k1_1, k1_2, k1_3 = rhs(u0, u1, u2, u3)
-    fnorm = _norm(k1_0, k1_1, k1_2, k1_3)
-
-    pack_step = _STEP.pack
-    steps = bytearray()
-    if record:
-        steps += pack_step(t, u0, u1, u2, u3)
-
-    if stop_at_steady and fnorm < steady_tol * (_norm(u0, u1, u2, u3) + 1.0):
-        if _hurwitz(model, par, u0, u1, u2, u3):
-            return _STEADY, t, (u0, u1, u2, u3)[:n], fnorm, steps
-        check_armed = False
-
-    # initial step: the usual two-phase heuristic on scaled magnitudes
+def _first_step(rhs, u, f, n, t_max, rtol, atol, max_step, order):
+    """The initial step of a pair of the given ``order`` from the state
+    ``u`` with ``f`` = rhs(u): the usual two-phase heuristic on scaled
+    magnitudes (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4)."""
+    u0, u1, u2, u3 = u
+    k1_0, k1_1, k1_2, k1_3 = f
     sc0 = atol + rtol * abs(u0)
     sc1 = atol + rtol * abs(u1)
     sc2 = atol + rtol * abs(u2)
@@ -407,11 +369,61 @@ def _dp45_loop(
     if dm <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / dm) ** 0.2
+        h1 = (0.01 / dm) ** (1.0 / order)
     h = min(100.0 * h0, h1, t_max, max_step)
     if not (h > 0.0 and math.isfinite(h)):
         # overflow-proof fallback for extreme tolerance settings
         h = min(1e-6, t_max, max_step)
+    return h
+
+
+def _dp45_loop(
+    model,
+    par,
+    y0,
+    n,
+    t_max,
+    rtol,
+    atol,
+    max_step,
+    steady_tol,
+    stop_at_steady,
+):
+    """Adaptive Dormand-Prince 5(4) from t = 0 to t_max, recording every
+    accepted step.
+
+    ``par`` and ``y0`` are float tuples (see :func:`_rhs_of`); ``n`` is
+    the number of live components.  The stages are unrolled over scalar
+    locals.
+
+    Returns (status, t, y, f_norm, steps), with the end state ``y`` as a
+    tuple of the ``n`` live components.  status: 0 = derivative norm
+    reached steady_tol scale, 1 = t_max reached, 2 = step-size underflow.
+    ``steps`` holds (t, u0, u1, u2, u3) of the initial state and of every
+    accepted step as native doubles, flat in one ``bytearray``.
+
+    With ``stop_at_steady`` the run ends where the derivative norm meets
+    the cutoff and the Jacobian is Hurwitz, the t = 0 state included.  The
+    stability test is spent once per approach and re-arms only after the
+    norm rises above 1e5 times the cutoff again.
+    """
+    check_armed = True
+    t = 0.0
+    u0, u1, u2, u3 = y0
+    rhs = _rhs_of(model, par)
+    k1_0, k1_1, k1_2, k1_3 = rhs(u0, u1, u2, u3)
+    fnorm = _norm(k1_0, k1_1, k1_2, k1_3)
+
+    pack_step = _STEP.pack
+    steps = bytearray(pack_step(t, u0, u1, u2, u3))
+
+    if stop_at_steady and fnorm < steady_tol * (_norm(u0, u1, u2, u3) + 1.0):
+        if _hurwitz(model, par, u0, u1, u2, u3):
+            return _STEADY, t, (u0, u1, u2, u3)[:n], fnorm, steps
+        check_armed = False
+
+    h = _first_step(rhs, (u0, u1, u2, u3), (k1_0, k1_1, k1_2, k1_3), n, t_max,
+                    rtol, atol, max_step, 5)
 
     # Near a fixed point the error-controlled stepper keeps injecting
     # O(atol + rtol*|y|) perturbations, which puts a noise floor under
@@ -527,28 +539,12 @@ def _dp45_loop(
             t += h
             u0, u1, u2, u3 = v0, v1, v2, v3
             k1_0, k1_1, k1_2, k1_3 = k7_0, k7_1, k7_2, k7_3  # FSAL
-            if record:
-                steps += pack_step(t, u0, u1, u2, u3)
+            steps += pack_step(t, u0, u1, u2, u3)
             fnorm = _norm(k1_0, k1_1, k1_2, k1_3)
             if stop_at_steady:
                 target = steady_tol * (_norm(u0, u1, u2, u3) + 1.0)
                 if fnorm > 1e5 * target:
-                    polish_armed = check_armed = True
-                attempt = False
-                if schedule:
-                    accepted += 1
-                    if accepted == next_try:
-                        next_try += 1 + next_try // 4
-                        attempt = True
-                if polish and polish_armed and fnorm < 1e4 * target:
-                    polish_armed = False
-                    attempt = True
-                if attempt:
-                    root = _polish(model, par, n, (u0, u1, u2, u3), steady_tol)
-                    if root is not None:
-                        (u0, u1, u2, u3), fnorm = root
-                        status = _STEADY
-                        break
+                    check_armed = True
                 if fnorm < target:
                     if check_armed and _hurwitz(model, par, u0, u1, u2, u3):
                         status = _STEADY
@@ -735,17 +731,16 @@ def _good_cavity(p: PhysicalTwoLevel | PhysicalThreeLevel) -> bool:
     return p.cavity_kappa < gamma_perp_three(p) + gpar
 
 
-def _run(
+def _loop_args(
     p: PhysicalTwoLevel | PhysicalThreeLevel,
     initial: BlochState2 | BlochState3 | None,
     config: IntegratorConfig,
-    record: bool,
-    stop_at_steady: bool,
-):
+) -> tuple:
+    """The leading arguments of either stepper loop, model tag first."""
     model, par = _pack(p)
     y0 = _state_tuple(model, initial if initial is not None else initial_state(p))
     t_max = config.t_max if config.t_max is not None else default_t_max(p)
-    status, t, y, fnorm, steps = _dp45_loop(
+    return (
         model,
         par,
         y0,
@@ -755,10 +750,10 @@ def _run(
         config.abs_tol,
         config.max_step,
         config.steady_tol,
-        record,
-        stop_at_steady,
-        stop_at_steady and not record and _good_cavity(p),
     )
+
+
+def _raise_on_underflow(model: int, status: int, t: float, y: tuple[float, ...]) -> None:
     if status == _UNDERFLOW:
         # a state that ran off to nonsense first points at loose
         # tolerances, not at stiffness
@@ -766,7 +761,6 @@ def _run(
         import numpy as np
 
         raise StiffnessError(t, np.array(y))
-    return model, status, t, y, fnorm, steps
 
 
 def _recorded(
@@ -783,9 +777,10 @@ def _recorded(
     each a 1-D memoryview of doubles that strides over the packed step
     buffer.  Raises as :func:`integrate` does.
     """
-    model, status, _, _, fnorm, steps = _run(
-        p, initial, config, record=True, stop_at_steady=stop_at_steady
-    )
+    args = _loop_args(p, initial, config)
+    model = args[0]
+    status, t, y, fnorm, steps = _dp45_loop(*args, stop_at_steady)
+    _raise_on_underflow(model, status, t, y)
     labels = _STATES[model][1]
     cells = memoryview(steps).cast("d")
     width = _STEP.size // cells.itemsize  # doubles per step
@@ -833,23 +828,31 @@ def settle(
 
     The independent cross-check for every closed-form photon number: no
     steady-state algebra enters, only the equations of motion and their
-    Jacobian.  Newton's method on the analytic Jacobian finishes the
-    solve.  It is tried once the flow has brought the derivative norm
-    within 1e4 of the cutoff and, on the good-cavity side (kappa <
-    gamma_perp + gamma_par, where no pulsing attractor is expected beside
-    a stable fixed point), also after accepted steps 1, 2, 3, 4, 6, 8,
-    11, ...  Its root is taken only when it meets the cutoff, lies within
-    1e-3*(||y|| + 1) of the trajectory state, is physical and is linearly
-    stable, and otherwise the integration goes on.  A state that meets the
-    cutoff at an unstable fixed point (a Hopf-unstable lasing point, or the
-    empty cavity above threshold) does not end the run.  When t_max is
-    exhausted first, the result carries ``converged = False`` and the last
-    state instead of raising.  A run that ends outside the physical state
-    space, which loose tolerances allow, raises ValueError.
+    Jacobian.  The stepper is the adaptive Dormand-Prince 8(5,3) pair
+    (DOP853), not the 5(4) pair of :func:`integrate`, and the result
+    counts its steps and Newton attempts.  Newton's method on the analytic
+    Jacobian finishes the solve.  It is tried once the flow has brought
+    the derivative norm within 1e4 of the cutoff and, on the good-cavity
+    side (kappa < gamma_perp + gamma_par, where no pulsing attractor is
+    expected beside a stable fixed point), also after accepted steps 1, 2,
+    3, 4, 6, 8, 11, ...  Its root is taken only when it meets the cutoff,
+    lies within 1e-3*(||y|| + 1) of the trajectory state, is physical and
+    is linearly stable, and otherwise the integration goes on.  A state
+    that meets the cutoff at an unstable fixed point (a Hopf-unstable
+    lasing point, or the empty cavity above threshold) does not end the
+    run.  When t_max is exhausted first, the result carries
+    ``converged = False`` and the last state instead of raising.  A run
+    that ends outside the physical state space, which loose tolerances
+    allow, raises ValueError.
     """
-    model, status, t, y, fnorm, _ = _run(
-        p, initial, config, record=False, stop_at_steady=True
+    from ._dop853 import dop853_loop
+
+    args = _loop_args(p, initial, config)
+    model = args[0]
+    status, t, y, fnorm, (steps, rejected, attempts) = dop853_loop(
+        *args, _good_cavity(p)
     )
+    _raise_on_underflow(model, status, t, y)
     state = _physical_state(model, t, y)
     return SettleResult(
         photon_number=state.photon_number,
@@ -857,4 +860,7 @@ def settle(
         time=float(t),
         derivative_norm=float(fnorm),
         converged=status == _STEADY,
+        steps=steps,
+        rejected_steps=rejected,
+        polish_attempts=attempts,
     )

@@ -1,0 +1,169 @@
+"""The Dormand-Prince 8(5,3) stepper behind ``settle``.
+
+The tableau is read back from the unrolled loop itself, so the order
+conditions and the comparison with scipy check the coefficients that run,
+at the stages they multiply.
+"""
+
+import ast
+import inspect
+import math
+import re
+
+import pytest
+
+import lasekit._dop853 as dop853
+import lasekit.dynamics as dynamics
+from lasekit import IntegratorConfig, PhysicalThreeLevel, PumpScheme, settle
+
+README_3L = PhysicalThreeLevel(
+    n_atoms=100.0, coupling_g=1.0, cavity_kappa=1.0,
+    gamma_21=1.0, gamma_02=2.0, gamma_10=0.1, gamma_ph=0.0,
+    scheme=PumpScheme.B,
+)
+# the nodes of Prince & Dormand's 8th-order method, stages 2 to 12
+SQRT6 = math.sqrt(6.0)
+NODES = {
+    2: (12.0 - 2.0 * SQRT6) / 135.0, 3: (6.0 - SQRT6) / 45.0,
+    4: (6.0 - SQRT6) / 30.0, 5: (6.0 + SQRT6) / 30.0, 6: 1.0 / 3.0,
+    7: 0.25, 8: 4.0 / 13.0, 9: 127.0 / 195.0, 10: 0.6, 11: 6.0 / 7.0, 12: 1.0,
+}
+STAGE = re.compile(r"k(\d+)_(\d)$")
+
+
+def _coefficient(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_coefficient(node.operand)
+    assert isinstance(node, ast.Constant) and isinstance(node.value, float)
+    return node.value
+
+
+def _terms(node, sign=1.0):
+    """(stage, component, coefficient) of each ``c * k<stage>_<component>``
+    term of a sum."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        yield from _terms(node.left, sign)
+        yield from _terms(node.right, sign if isinstance(node.op, ast.Add) else -sign)
+        return
+    assert isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+    stage, component = STAGE.match(node.right.id).groups()
+    yield int(stage), int(component), sign * _coefficient(node.left)
+
+
+def _row(sums):
+    """One tableau row from the four unrolled component sums, which must
+    agree term by term."""
+    rows = []
+    for component, node in enumerate(sums):
+        terms = list(_terms(node))
+        assert {c for _, c, _ in terms} == {component}
+        rows.append({stage: coef for stage, _, coef in terms})
+    assert all(row == rows[0] for row in rows)
+    return rows[0]
+
+
+def _increment(node, component):
+    """The sum S of ``u<component> + h * (S)``, or None for another shape."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.Name) and node.left.id == f"u{component}"):
+        return None
+    step = node.right
+    if not (isinstance(step, ast.BinOp) and isinstance(step.op, ast.Mult)
+            and isinstance(step.left, ast.Name) and step.left.id == "h"):
+        return None
+    return step.right
+
+
+def _tableau():
+    """(A, B, E5, E3) as read from the loop: A maps stage i to its row
+    {j: a_ij}, the others map stage j to its weight."""
+    tree = ast.parse(inspect.getsource(dop853.dop853_loop))
+    a, named = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        target = node.targets[0]
+        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Call):
+            sums = [_increment(arg, c) for c, arg in enumerate(node.value.args)]
+            if len(sums) == 4 and None not in sums:
+                stage = int(STAGE.match(target.elts[0].id).group(1))
+                a[stage] = _row(sums)
+        elif isinstance(target, ast.Name):
+            # the solution v<c> = u<c> + h * (S) and the estimates e5_<c>, e3_<c>
+            match = re.match(r"(v|e5_|e3_)(\d)$", target.id)
+            if match is None:
+                continue
+            name, component = match.group(1), int(match.group(2))
+            node_sum = node.value if name != "v" else _increment(node.value, component)
+            named.setdefault(name, [None] * 4)[component] = node_sum
+    return a, _row(named["v"]), _row(named["e5_"]), _row(named["e3_"])
+
+
+A, B, E5, E3 = _tableau()
+
+
+def test_tableau_shape():
+    # 12 stages; zero entries are skipped in every sum
+    assert sorted(A) == list(range(2, 13))
+    assert all(max(row) < i for i, row in A.items())
+    assert sum(len(row) for row in A.values()) == 50
+    assert sorted(B) == sorted(E5) == sorted(E3) == [1, 6, 7, 8, 9, 10, 11, 12]
+
+
+def test_tableau_order_conditions():
+    c = {1: 0.0}
+    for i, row in A.items():
+        c[i] = math.fsum(row.values())
+        assert c[i] == pytest.approx(NODES[i], abs=1e-14), i
+    # the quadrature conditions of an 8th-order method: sum b_i c_i**(q-1) = 1/q
+    for q in range(1, 9):
+        assert math.fsum(b * c[j] ** (q - 1) for j, b in B.items()) == pytest.approx(
+            1.0 / q, abs=1e-14
+        ), q
+    # each estimate is the difference of two solutions of order >= 5 (>= 3)
+    for e, order in ((E5, 5), (E3, 3)):
+        for q in range(1, order + 1):
+            assert math.fsum(w * c[j] ** (q - 1) for j, w in e.items()) == pytest.approx(
+                0.0, abs=1e-14
+            ), (order, q)
+
+
+def test_literals_match_scipy():
+    coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+
+    def check(ours, theirs, what):
+        for j, value in enumerate(theirs, start=1):
+            value = float(value)
+            if value == 0.0:
+                assert j not in ours, (what, j)
+            else:
+                assert abs(ours[j] - value) <= math.ulp(value), (what, j)
+
+    for i, row in A.items():
+        check(row, coeffs.A[i - 1, :i - 1], f"A{i}")
+    check(B, coeffs.A[12, :12], "B")
+    check(E5, coeffs.E5[:12], "E5")
+    check(E3, coeffs.E3[:12], "E3")
+
+
+def _fixed_step_end(h, t_max):
+    # tolerances of 1 accept every step, so each step is max_step long; a
+    # cutoff of 1e-300 keeps the polish and the steady exit from firing
+    cfg = IntegratorConfig(rel_tol=1.0, abs_tol=1.0, steady_tol=1e-300,
+                           max_step=h, t_max=t_max)
+    res = settle(README_3L, config=cfg)
+    assert not res.converged and res.rejected_steps == 0
+    return dynamics._state_tuple(3, res.state)
+
+
+def test_fixed_step_error_falls_as_eighth_power():
+    # errors from 8e-5 down to 5e-10 against a 1600-step reference, far
+    # above its rounding floor of about 1e-13
+    t_max = 2.0
+    ref = _fixed_step_end(t_max / 1600, t_max)
+    errors = [
+        max(abs(a - b) for a, b in zip(_fixed_step_end(h, t_max), ref))
+        for h in (0.1, 0.05, 0.025)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 2.0 ** 7 < coarse / fine < 2.0 ** 9

@@ -297,6 +297,21 @@ def test_settle_polish_finishes_before_plain_stepper():
     assert res.photon_number == pytest.approx(series.photon_numbers[-1], rel=1e-6)
 
 
+def test_settle_counts_its_work():
+    res = settle(EXAMPLE_3L)
+    assert res.converged
+    assert res.steps > 0
+    assert res.polish_attempts >= 1
+
+
+def test_settle_from_stable_fixed_point_takes_no_steps():
+    # the closed-form point meets the cutoff at t = 0 and is stable
+    res = settle(EXAMPLE_3L, initial=fixed_point_state(EXAMPLE_3L))
+    assert res.converged
+    assert res.time == 0.0
+    assert (res.steps, res.rejected_steps, res.polish_attempts) == (0, 0, 0)
+
+
 def test_settle_weakly_damped_fast_mode_converges():
     # slowest mode -0.733 +- 621i: the stepper's noise floor keeps ||f||
     # near 1e-4, far above the cutoff, until t_max; the polish ends it
@@ -367,7 +382,8 @@ def test_settle_without_population_flow_runs():
 
 
 def _record_polish(monkeypatch):
-    """Wrap the Newton polish; returns the list of states it is tried at."""
+    """Wrap the Newton polish where the settle stepper looks it up, on the
+    dynamics module; returns the list of states it is tried at."""
     calls = []
     polish = dynamics._polish
 
@@ -380,13 +396,16 @@ def _record_polish(monkeypatch):
 
 
 def test_polish_schedule_starts_on_first_step_on_good_cavity(monkeypatch):
-    # integrate follows the same steps up to the settle exit, so its
-    # second row is the first accepted step
-    first_step = tuple(integrate(EXAMPLE_3L, stop_at_steady=True).states[1])
     calls = _record_polish(monkeypatch)
+    # a horizon the first step reaches: the polish is tried once, at the
+    # state of that accepted step, not at the start
+    first = settle(EXAMPLE_3L, config=IntegratorConfig(t_max=0.01))
+    assert (first.steps, first.polish_attempts) == (1, 1)
+    assert calls == [dynamics._state_tuple(3, first.state)]
+    calls.clear()
     res = settle(EXAMPLE_3L)
     assert res.converged
-    assert calls[0] == first_step
+    assert res.polish_attempts == len(calls)
     # 24.80 with the polish near the cutoff alone
     assert res.time < 0.75 * 24.80
 
@@ -394,10 +413,13 @@ def test_polish_schedule_starts_on_first_step_on_good_cavity(monkeypatch):
 def test_polish_schedule_off_on_bad_cavity(monkeypatch):
     # only the once-per-approach attempt near the cutoff runs there
     calls = _record_polish(monkeypatch)
-    settle(LORENZ_HAKEN, initial=initial_state(LORENZ_HAKEN),
-           config=IntegratorConfig(t_max=200.0))
-    settle(LORENZ_HAKEN, initial=perturbed_fixed_state(LORENZ_HAKEN))
+    runs = [
+        settle(LORENZ_HAKEN, initial=initial_state(LORENZ_HAKEN),
+               config=IntegratorConfig(t_max=200.0)),
+        settle(LORENZ_HAKEN, initial=perturbed_fixed_state(LORENZ_HAKEN)),
+    ]
     assert calls
+    assert sum(r.polish_attempts for r in runs) == len(calls)
     steady_tol = IntegratorConfig().steady_tol
     for u in calls:
         f = derivs_two(BlochState2(*u[:3]), LORENZ_HAKEN)
@@ -432,12 +454,27 @@ def test_runaway_before_underflow_names_the_tolerances(tolerances):
         settle(EXAMPLE_3L, config=IntegratorConfig(**tolerances))
 
 
-@pytest.mark.parametrize("abs_tol", [0.3, 0.5, 0.9])
-def test_settle_outside_state_space_names_the_tolerances(abs_tol):
-    # tolerances this loose let the run end with negative populations;
-    # that must surface as one clear error, not a state-validation failure
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"abs_tol": 2.0}, {"rel_tol": 0.3}, {"rel_tol": 0.9}],
+)
+def test_settle_outside_state_space_names_the_tolerances(tolerances):
+    # tolerances this loose let the run end with negative populations or
+    # rho11 + rho22 > 1; that must surface as one clear error, not a
+    # state-validation failure
     with pytest.raises(ValueError, match=r"at t = .*tighten rel_tol/abs_tol"):
-        settle(EXAMPLE_3L, config=IntegratorConfig(abs_tol=abs_tol))
+        settle(EXAMPLE_3L, config=IntegratorConfig(**tolerances))
+
+
+@pytest.mark.parametrize("abs_tol", [0.3, 0.5, 0.9])
+def test_settle_loose_abs_tol_stays_physical(abs_tol):
+    # loose, but not loose enough to leave the state space: the run ends
+    # on a physical state (settle would raise otherwise) without
+    # convergence at t_max
+    res = settle(EXAMPLE_3L, config=IntegratorConfig(abs_tol=abs_tol))
+    assert not res.converged
+    assert res.time == default_t_max(EXAMPLE_3L)
+
 
 def test_overflowing_initial_step_scale_falls_back():
     # a zero component (the coherence y) against abs_tol 1e-300 overflows
@@ -447,8 +484,8 @@ def test_overflowing_initial_step_scale_falls_back():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = settle(EXAMPLE_3L, config=cfg)
-    assert res.time == pytest.approx(10.0)
-    assert res.photon_number == pytest.approx(23.448125, rel=1e-2)
+    assert res.converged
+    assert res.photon_number == pytest.approx(23.448125, rel=1e-6)
 
 
 def test_subnormal_abs_tol_settles_two_level():
