@@ -6,16 +6,29 @@ Hairer's DOP853 (Hairer, Norsett & Wanner, Solving Ordinary Differential
 Equations I, sections II.5 and II.10): 12 stages with first-same-as-last
 reuse, so 12 right-hand side evaluations per step, the 8th-order solution,
 and an error estimate that blends the embedded 5th- and 3rd-order
-differences.  Near a lasing fixed point the step is set by the weakly
-damped relaxation oscillation, not by stiffness, and at the tolerances
-``settle`` runs at the 8th-order pair covers one period in fewer
-evaluations than the 5(4) pair that :func:`lasekit.dynamics.integrate`
-records with.
+differences.  As in Hairer's code the weighted sum s = sum b_j k_j is formed
+once: the solution is u + h*s and the 3rd-order difference is
+s - sum bhh_j k_j, over the three nonzero weights of the 3rd-order
+solution.  Near a lasing fixed point the step is set by the weakly damped
+relaxation oscillation, not by stiffness, and at the tolerances ``settle``
+runs at the 8th-order pair covers one period in fewer evaluations than the
+5(4) pair that :func:`lasekit.dynamics.integrate` records with.
+
+The step size follows Hairer's PI (Gustafsson) controller with beta = 0.04
+(Hairer & Wanner, Solving ODEs II, sec. IV.2): after an accepted step h
+grows by 0.9 * err**-(1/8 - 0.2*beta) * err_old**beta, limited to
+[0.333, 6], where err_old is the last accepted error, at least 1e-4 (and
+1e-4 before the first step); an error of 0 grows h by 6; a rejected step
+shrinks h by max(0.333, 0.9 * err**-(1/8 - 0.2*beta)).  The memory of the
+last error damps the accept -> grow -> reject cycle of the plain
+0.9 * err**(-1/8) controller.
 
 As in ``dynamics._dp45_loop`` the stages are unrolled over four scalar
 float locals.  The coefficients are float literals, and the zero entries
-of the tableau are left out of every sum.  The right-hand side, the norms,
-the first-step heuristic, the stability test and the Newton polish are
+of the tableau are left out of every sum.  The error norm makes no
+function call but ``abs`` and ``sqrt``: it squares by multiplication, which
+overflows to inf without raising.  The right-hand side, the first-step
+heuristic, the state check, the stability test and the Newton polish are
 looked up on :mod:`lasekit.dynamics`, so both steppers share them.  Only
 ``settle`` imports this module.
 """
@@ -30,7 +43,8 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
 
     The arguments are those of ``dynamics._dp45_loop``.  Returns (status,
     t, y, f_norm, counts), with status and the end state ``y`` as there
-    and ``counts`` = (accepted steps, rejected steps, polish attempts).
+    and ``counts`` = (accepted steps, rejected steps, polish attempts,
+    right-hand side evaluations of the stepper, the polish's left out).
 
     A steady exit, the one at t = 0 included, needs a Hurwitz Jacobian.
     Newton's method (``dynamics._polish``) finishes the solve once the
@@ -39,40 +53,42 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
     rises above 1e5 times the cutoff again.  With ``schedule`` (set on the
     good-cavity side only) the polish is also tried when the count of
     accepted steps reaches k = 1, 2, 3, 4, 6, 8, 11, 14, 18, ..., each
-    term k + 1 + k // 4 after the last.
+    term k + 1 + k // 4 after the last.  At those counts, on either side,
+    a state outside the physical state space ends the run there, with
+    the status of a run out of time; ``settle`` then raises on it.
     """
     rhs = dynamics._rhs_of(model, par)
-    norm = dynamics._norm
-    sq = dynamics._sq
     polish_armed = check_armed = True
     accepted = rejected = attempts = 0
     next_try = 1
     t = 0.0
     u0, u1, u2, u3 = y0
     k1_0, k1_1, k1_2, k1_3 = rhs(u0, u1, u2, u3)
-    fnorm = norm(k1_0, k1_1, k1_2, k1_3)
+    fnorm = dynamics._norm(k1_0, k1_1, k1_2, k1_3)
 
-    if fnorm < steady_tol * (norm(u0, u1, u2, u3) + 1.0):
+    if fnorm < steady_tol * (dynamics._norm(u0, u1, u2, u3) + 1.0):
         if dynamics._hurwitz(model, par, u0, u1, u2, u3):
-            return dynamics._STEADY, t, (u0, u1, u2, u3)[:n], fnorm, (0, 0, 0)
+            return dynamics._STEADY, t, (u0, u1, u2, u3)[:n], fnorm, (0, 0, 0, 1)
         check_armed = False
 
     h = dynamics._first_step(rhs, (u0, u1, u2, u3), (k1_0, k1_1, k1_2, k1_3), n,
                              t_max, rtol, atol, max_step, 8)
 
     # tightening as in dynamics._dp45_loop: the stepper's own noise floor
-    # must stay below the cutoff, down to the rounding floor
+    # must stay below the cutoff, down to the rounding floor.  The floor
+    # keeps the error scale of a zero component (the two-level padding)
+    # positive should atol*tighten underflow
     tighten = 1.0
     tighten_min = min(1.0, 5e-14 / rtol)
-    sqrt_n = math.sqrt(n)
+    atol_eff = max(atol, 5e-324)
+    rtol_eff = rtol
+    sqrt = math.sqrt
+    sqrt_n = sqrt(n)
+    facold = 1e-4  # Hairer's start value of the last accepted error
 
     status = dynamics._TMAX
     while t < t_max:
-        # the floor keeps the error scale of a zero component (the
-        # two-level padding) positive should atol*tighten underflow
-        atol_eff = max(atol * tighten, 5e-324)
-        rtol_eff = rtol * tighten
-        floor = 1e-14 * max(1.0, abs(t))
+        floor = 1e-14 * t if t > 1.0 else 1e-14  # t >= 0
         remaining = t_max - t
         if remaining <= floor:
             break  # arrived within rounding of the horizon
@@ -221,22 +237,26 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
                       - 8.87285693353063 * k9_3 + 12.360567175794303 * k10_3
                       + 0.6433927460157636 * k11_3),
         )
-        v0 = u0 + h * (0.054293734116568765 * k1_0 + 4.450312892752409 * k6_0
-                       + 1.8915178993145003 * k7_0 - 5.801203960010585 * k8_0
-                       + 0.3111643669578199 * k9_0 - 0.1521609496625161 * k10_0
-                       + 0.20136540080403034 * k11_0 + 0.04471061572777259 * k12_0)
-        v1 = u1 + h * (0.054293734116568765 * k1_1 + 4.450312892752409 * k6_1
-                       + 1.8915178993145003 * k7_1 - 5.801203960010585 * k8_1
-                       + 0.3111643669578199 * k9_1 - 0.1521609496625161 * k10_1
-                       + 0.20136540080403034 * k11_1 + 0.04471061572777259 * k12_1)
-        v2 = u2 + h * (0.054293734116568765 * k1_2 + 4.450312892752409 * k6_2
-                       + 1.8915178993145003 * k7_2 - 5.801203960010585 * k8_2
-                       + 0.3111643669578199 * k9_2 - 0.1521609496625161 * k10_2
-                       + 0.20136540080403034 * k11_2 + 0.04471061572777259 * k12_2)
-        v3 = u3 + h * (0.054293734116568765 * k1_3 + 4.450312892752409 * k6_3
-                       + 1.8915178993145003 * k7_3 - 5.801203960010585 * k8_3
-                       + 0.3111643669578199 * k9_3 - 0.1521609496625161 * k10_3
-                       + 0.20136540080403034 * k11_3 + 0.04471061572777259 * k12_3)
+        s0 = (0.054293734116568765 * k1_0 + 4.450312892752409 * k6_0
+              + 1.8915178993145003 * k7_0 - 5.801203960010585 * k8_0
+              + 0.3111643669578199 * k9_0 - 0.1521609496625161 * k10_0
+              + 0.20136540080403034 * k11_0 + 0.04471061572777259 * k12_0)
+        s1 = (0.054293734116568765 * k1_1 + 4.450312892752409 * k6_1
+              + 1.8915178993145003 * k7_1 - 5.801203960010585 * k8_1
+              + 0.3111643669578199 * k9_1 - 0.1521609496625161 * k10_1
+              + 0.20136540080403034 * k11_1 + 0.04471061572777259 * k12_1)
+        s2 = (0.054293734116568765 * k1_2 + 4.450312892752409 * k6_2
+              + 1.8915178993145003 * k7_2 - 5.801203960010585 * k8_2
+              + 0.3111643669578199 * k9_2 - 0.1521609496625161 * k10_2
+              + 0.20136540080403034 * k11_2 + 0.04471061572777259 * k12_2)
+        s3 = (0.054293734116568765 * k1_3 + 4.450312892752409 * k6_3
+              + 1.8915178993145003 * k7_3 - 5.801203960010585 * k8_3
+              + 0.3111643669578199 * k9_3 - 0.1521609496625161 * k10_3
+              + 0.20136540080403034 * k11_3 + 0.04471061572777259 * k12_3)
+        v0 = u0 + h * s0
+        v1 = u1 + h * s1
+        v2 = u2 + h * s2
+        v3 = u3 + h * s3
         k13_0, k13_1, k13_2, k13_3 = rhs(v0, v1, v2, v3)
 
         e5_0 = (0.01312004499419488 * k1_0 - 1.2251564463762044 * k6_0
@@ -255,36 +275,47 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
                 - 0.4957589496572502 * k7_3 + 1.6643771824549864 * k8_3
                 - 0.35032884874997366 * k9_3 + 0.3341791187130175 * k10_3
                 + 0.08192320648511571 * k11_3 - 0.022355307863886294 * k12_3)
-        e3_0 = (-0.18980075407240762 * k1_0 + 4.450312892752409 * k6_0
-                + 1.8915178993145003 * k7_0 - 5.801203960010585 * k8_0
-                - 0.4226823213237919 * k9_0 - 0.1521609496625161 * k10_0
-                + 0.20136540080403034 * k11_0 + 0.02265179219836082 * k12_0)
-        e3_1 = (-0.18980075407240762 * k1_1 + 4.450312892752409 * k6_1
-                + 1.8915178993145003 * k7_1 - 5.801203960010585 * k8_1
-                - 0.4226823213237919 * k9_1 - 0.1521609496625161 * k10_1
-                + 0.20136540080403034 * k11_1 + 0.02265179219836082 * k12_1)
-        e3_2 = (-0.18980075407240762 * k1_2 + 4.450312892752409 * k6_2
-                + 1.8915178993145003 * k7_2 - 5.801203960010585 * k8_2
-                - 0.4226823213237919 * k9_2 - 0.1521609496625161 * k10_2
-                + 0.20136540080403034 * k11_2 + 0.02265179219836082 * k12_2)
-        e3_3 = (-0.18980075407240762 * k1_3 + 4.450312892752409 * k6_3
-                + 1.8915178993145003 * k7_3 - 5.801203960010585 * k8_3
-                - 0.4226823213237919 * k9_3 - 0.1521609496625161 * k10_3
-                + 0.20136540080403034 * k11_3 + 0.02265179219836082 * k12_3)
+        # the 3rd-order solution shares the weights of the 8th-order one
+        e3_0 = s0 - (0.2440944881889764 * k1_0 + 0.7338466882816118 * k9_0
+                   + 0.022058823529411766 * k12_0)
+        e3_1 = s1 - (0.2440944881889764 * k1_1 + 0.7338466882816118 * k9_1
+                   + 0.022058823529411766 * k12_1)
+        e3_2 = s2 - (0.2440944881889764 * k1_2 + 0.7338466882816118 * k9_2
+                   + 0.022058823529411766 * k12_2)
+        e3_3 = s3 - (0.2440944881889764 * k1_3 + 0.7338466882816118 * k9_3
+                   + 0.022058823529411766 * k12_3)
 
         # Hairer's blend of the 5th- and 3rd-order estimates: h*e5 scaled
-        # by |e5|/sqrt(|e5|**2 + 0.01*|e3|**2), which behaves as h**8
-        sc0 = atol_eff + rtol_eff * max(abs(u0), abs(v0))
-        sc1 = atol_eff + rtol_eff * max(abs(u1), abs(v1))
-        sc2 = atol_eff + rtol_eff * max(abs(u2), abs(v2))
-        sc3 = atol_eff + rtol_eff * max(abs(u3), abs(v3))
-        err5 = sq(e5_0 / sc0) + sq(e5_1 / sc1) + sq(e5_2 / sc2) + sq(e5_3 / sc3)
-        err3 = sq(e3_0 / sc0) + sq(e3_1 / sc1) + sq(e3_2 / sc2) + sq(e3_3 / sc3)
+        # by |e5|/sqrt(|e5|**2 + 0.01*|e3|**2), which behaves as h**8.  The
+        # conditional is builtin max, NaN included; a product that
+        # overflows gives inf without raising
+        a = abs(u0)
+        b = abs(v0)
+        sc0 = atol_eff + rtol_eff * (b if b > a else a)
+        a = abs(u1)
+        b = abs(v1)
+        sc1 = atol_eff + rtol_eff * (b if b > a else a)
+        a = abs(u2)
+        b = abs(v2)
+        sc2 = atol_eff + rtol_eff * (b if b > a else a)
+        a = abs(u3)
+        b = abs(v3)
+        sc3 = atol_eff + rtol_eff * (b if b > a else a)
+        q0 = e5_0 / sc0
+        q1 = e5_1 / sc1
+        q2 = e5_2 / sc2
+        q3 = e5_3 / sc3
+        err5 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
+        q0 = e3_0 / sc0
+        q1 = e3_1 / sc1
+        q2 = e3_2 / sc2
+        q3 = e3_3 / sc3
+        err3 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
         deno = err5 + 0.01 * err3
         if deno == 0.0:
             errnorm = 0.0
         elif deno < math.inf:
-            errnorm = h * err5 / (math.sqrt(deno) * sqrt_n)
+            errnorm = h * err5 / (sqrt(deno) * sqrt_n)
         else:  # an overflowed (or NaN) estimate rejects the step
             errnorm = math.inf
 
@@ -293,14 +324,19 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
             u0, u1, u2, u3 = v0, v1, v2, v3
             k1_0, k1_1, k1_2, k1_3 = k13_0, k13_1, k13_2, k13_3  # FSAL
             accepted += 1
-            fnorm = norm(k1_0, k1_1, k1_2, k1_3)
-            target = steady_tol * (norm(u0, u1, u2, u3) + 1.0)
+            # dynamics._norm of the derivative and of the state
+            fnorm = sqrt(k1_0 * k1_0 + k1_1 * k1_1 + k1_2 * k1_2 + k1_3 * k1_3)
+            target = steady_tol * (sqrt(u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3) + 1.0)
             if fnorm > 1e5 * target:
                 polish_armed = check_armed = True
             attempt = False
-            if schedule and accepted == next_try:
+            if accepted == next_try:
                 next_try += 1 + next_try // 4
-                attempt = True
+                try:
+                    dynamics._state_object(model, (u0, u1, u2, u3))
+                except ValueError:
+                    break  # settle raises on the unphysical end state
+                attempt = schedule
             if polish_armed and fnorm < 1e4 * target:
                 polish_armed = False
                 attempt = True
@@ -318,14 +354,26 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
                 check_armed = False
             if fnorm < 1e4 * target and tighten > tighten_min:
                 tighten = max(0.25 * tighten, tighten_min)
+                atol_eff = max(atol * tighten, 5e-324)
+                rtol_eff = rtol * tighten
             elif fnorm > 1e5 * target and tighten < 1.0:
                 tighten = min(4.0 * tighten, 1.0)
+                atol_eff = max(atol * tighten, 5e-324)
+                rtol_eff = rtol * tighten
+            # PI control (Gustafsson; Hairer's beta = 0.04): the exponent
+            # 1/8 - 0.2*beta on this error, beta on the last accepted one;
+            # the compiler folds the constant expression
             if errnorm == 0.0:
                 h *= 6.0
             else:
-                h *= min(6.0, max(0.333, 0.9 * errnorm ** -0.125))
+                fac = 0.9 * errnorm ** -(0.125 - 0.2 * 0.04) * facold ** 0.04
+                h *= 6.0 if fac > 6.0 else (0.333 if fac < 0.333 else fac)
+            facold = errnorm if errnorm > 1e-4 else 1e-4
         else:
             rejected += 1
-            h *= max(0.333, 0.9 * errnorm ** -0.125)
+            h *= max(0.333, 0.9 * errnorm ** -(0.125 - 0.2 * 0.04))
 
-    return status, t, (u0, u1, u2, u3)[:n], fnorm, (accepted, rejected, attempts)
+    # the start, the first-step probe and 12 per attempted step
+    rhs_evaluations = 2 + 12 * (accepted + rejected)
+    return status, t, (u0, u1, u2, u3)[:n], fnorm, (accepted, rejected, attempts,
+                                                    rhs_evaluations)

@@ -2,7 +2,9 @@
 
 The tableau is read back from the unrolled loop itself, so the order
 conditions and the comparison with scipy check the coefficients that run,
-at the stages they multiply.
+at the stages they multiply.  The loop forms the weighted sum s = sum b_j k_j
+once, takes v = u + h*s and the 3rd-order estimate e3 = s - sum bhh_j k_j,
+as Hairer's DOP853 does; E3 is rebuilt here as B - BHH.
 """
 
 import ast
@@ -10,11 +12,19 @@ import inspect
 import math
 import re
 
+import numpy as np
 import pytest
 
+from conftest import perturbed_fixed_state, random_lasing_three_level
 import lasekit._dop853 as dop853
 import lasekit.dynamics as dynamics
-from lasekit import IntegratorConfig, PhysicalThreeLevel, PumpScheme, settle
+from lasekit import (
+    IntegratorConfig,
+    PhysicalThreeLevel,
+    PumpScheme,
+    fixed_point_state,
+    settle,
+)
 
 README_3L = PhysicalThreeLevel(
     n_atoms=100.0, coupling_g=1.0, cavity_kappa=1.0,
@@ -74,8 +84,16 @@ def _increment(node, component):
     return step.right
 
 
+def _difference(node, component):
+    """The sum S of ``s<component> - (S)``, or None for another shape."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Name) and node.left.id == f"s{component}"):
+        return None
+    return node.right
+
+
 def _tableau():
-    """(A, B, E5, E3) as read from the loop: A maps stage i to its row
+    """(A, B, E5, BHH) as read from the loop: A maps stage i to its row
     {j: a_ij}, the others map stage j to its weight."""
     tree = ast.parse(inspect.getsource(dop853.dop853_loop))
     a, named = {}, {}
@@ -89,17 +107,26 @@ def _tableau():
                 stage = int(STAGE.match(target.elts[0].id).group(1))
                 a[stage] = _row(sums)
         elif isinstance(target, ast.Name):
-            # the solution v<c> = u<c> + h * (S) and the estimates e5_<c>, e3_<c>
-            match = re.match(r"(v|e5_|e3_)(\d)$", target.id)
+            # the weighted sum s<c> = (S), the solution v<c> = u<c> + h * s<c>
+            # and the estimates e5_<c> = (S) and e3_<c> = s<c> - (S)
+            match = re.match(r"(s|v|e5_|e3_)(\d)$", target.id)
             if match is None:
                 continue
             name, component = match.group(1), int(match.group(2))
-            node_sum = node.value if name != "v" else _increment(node.value, component)
+            if name == "v":
+                step = _increment(node.value, component)
+                assert isinstance(step, ast.Name) and step.id == f"s{component}"
+                named.setdefault(name, set()).add(component)
+                continue
+            node_sum = node.value if name != "e3_" else _difference(node.value, component)
+            assert node_sum is not None, target.id
             named.setdefault(name, [None] * 4)[component] = node_sum
-    return a, _row(named["v"]), _row(named["e5_"]), _row(named["e3_"])
+    assert named["v"] == {0, 1, 2, 3}
+    return a, _row(named["s"]), _row(named["e5_"]), _row(named["e3_"])
 
 
-A, B, E5, E3 = _tableau()
+A, B, E5, BHH = _tableau()
+E3 = {j: B.get(j, 0.0) - BHH.get(j, 0.0) for j in sorted(B.keys() | BHH.keys())}
 
 
 def test_tableau_shape():
@@ -108,6 +135,7 @@ def test_tableau_shape():
     assert all(max(row) < i for i, row in A.items())
     assert sum(len(row) for row in A.values()) == 50
     assert sorted(B) == sorted(E5) == sorted(E3) == [1, 6, 7, 8, 9, 10, 11, 12]
+    assert sorted(BHH) == [1, 9, 12]
 
 
 def test_tableau_order_conditions():
@@ -143,6 +171,8 @@ def test_literals_match_scipy():
         check(row, coeffs.A[i - 1, :i - 1], f"A{i}")
     check(B, coeffs.A[12, :12], "B")
     check(E5, coeffs.E5[:12], "E5")
+    # scipy keeps E3 = B - BHH; its BHH is B - E3
+    check(BHH, coeffs.A[12, :12] - coeffs.E3[:12], "BHH")
     check(E3, coeffs.E3[:12], "E3")
 
 
@@ -167,3 +197,53 @@ def test_fixed_step_error_falls_as_eighth_power():
     ]
     for coarse, fine in zip(errors, errors[1:]):
         assert 2.0 ** 7 < coarse / fine < 2.0 ** 9
+
+
+def test_step_controller_rejects_few_attempts():
+    # the PI controller keeps the accept -> grow -> reject cycle rare: on
+    # the first 10 criterion-01 draws 7.8 % of the step attempts are
+    # rejected, against 20.3 % with the plain 0.9*err**(-1/8) controller
+    rng = np.random.default_rng(20250810)
+    accepted = rejected = 0
+    for _ in range(10):
+        p = random_lasing_three_level(rng)
+        res = settle(p, initial=perturbed_fixed_state(p))
+        assert res.converged
+        accepted += res.steps
+        rejected += res.rejected_steps
+    assert rejected / (accepted + rejected) < 0.15
+
+
+def _count_rhs(monkeypatch):
+    """Count the calls of each right-hand side ``dynamics._rhs_of`` hands
+    out, in the order handed out; the stepper takes the first."""
+    counts = []
+    rhs_of = dynamics._rhs_of
+
+    def counting_rhs_of(model, par):
+        rhs = rhs_of(model, par)
+        index = len(counts)
+        counts.append(0)
+
+        def counted(*u):
+            counts[index] += 1
+            return rhs(*u)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_rhs_of", counting_rhs_of)
+    return counts
+
+
+def test_settle_counts_rhs_evaluations(monkeypatch):
+    counts = _count_rhs(monkeypatch)
+    res = settle(README_3L)
+    assert res.converged and res.polish_attempts >= 1
+    # the Newton polish binds its own right-hand side, left out of the count
+    assert len(counts) == 1 + res.polish_attempts
+    assert res.rhs_evaluations == counts[0]
+    assert res.rhs_evaluations == 2 + 12 * (res.steps + res.rejected_steps)
+    counts.clear()
+    res = settle(README_3L, initial=fixed_point_state(README_3L))
+    assert res.converged and res.steps == 0
+    assert res.rhs_evaluations == counts[0] == 1

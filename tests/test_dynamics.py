@@ -1,5 +1,6 @@
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -188,6 +189,34 @@ def test_jacobians_match_central_differences():
         assert jac.shape == (4, 4)
         fd = _central_difference(derivs_three, s3, p3)
         assert np.allclose(jac, fd, rtol=1e-9, atol=1e-9 * np.abs(jac).max())
+
+
+def test_rhs_matches_the_module_equations_bit_for_bit():
+    # the folded constants of _rhs_of must give exactly the equations of
+    # the module docstring, evaluated as written there
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n_at, g, kappa, g21, g02, g10, gperp, gamma, pump = log_uniform(rng, 1e-3, 1e3, 9)
+        par2 = tuple(float(v) for v in (n_at, g, kappa, gamma, pump, gperp, 0.0))
+        par3 = tuple(float(v) for v in (n_at, g, kappa, g21, g02, g10, gperp))
+        rhs2 = dynamics._rhs_of(2, par2)
+        rhs3 = dynamics._rhs_of(3, par3)
+        n_at, g, kappa, gamma, pump, gperp, _ = par2
+        _, _, _, g21, g02, g10, _ = par3
+        for rho11, rho22, y, x in rng.uniform(-2.0, 2.0, (100, 4)).tolist():
+            assert rhs2(rho11, y, x, 0.0) == (
+                -gamma*rho11 + pump*(1 - rho11) - 2*g*x*y,
+                -gperp*y + g*x*(2*rho11 - 1),
+                -kappa*x + n_at*g*y,
+                0.0,
+            )
+            rho00 = 1 - rho11 - rho22
+            assert rhs3(rho11, rho22, y, x) == (
+                g21*rho22 - g10*rho11 - 2*g*x*y,
+                g02*rho00 - g21*rho22,
+                -gperp*y + g*x*(rho11 - rho00),
+                -kappa*x + n_at*g*y,
+            )
 
 
 def test_initial_state_uses_equilibrium_and_seed():
@@ -454,33 +483,58 @@ def test_runaway_before_underflow_names_the_tolerances(tolerances):
         settle(EXAMPLE_3L, config=IntegratorConfig(**tolerances))
 
 
+def _error_time(err) -> float:
+    """The time named by a "tighten rel_tol/abs_tol" error."""
+    return float(re.search(r"at t = (\S+) \(", str(err.value)).group(1))
+
+
 @pytest.mark.parametrize(
     "tolerances",
-    [{"abs_tol": 2.0}, {"rel_tol": 0.3}, {"rel_tol": 0.9}],
+    [{"abs_tol": 2.0}, {"abs_tol": 5.0}, {"rel_tol": 0.9}],
 )
 def test_settle_outside_state_space_names_the_tolerances(tolerances):
-    # tolerances this loose let the run end with negative populations or
+    # tolerances this loose carry the run to negative populations or
     # rho11 + rho22 > 1; that must surface as one clear error, not a
-    # state-validation failure
-    with pytest.raises(ValueError, match=r"at t = .*tighten rel_tol/abs_tol"):
+    # state-validation failure, and without integrating on to t_max = 1e4
+    with pytest.raises(ValueError, match=r"at t = .*tighten rel_tol/abs_tol") as err:
         settle(EXAMPLE_3L, config=IntegratorConfig(**tolerances))
+    assert _error_time(err) < 10.0
 
 
-@pytest.mark.parametrize("abs_tol", [0.3, 0.5, 0.9])
+# abs_tol -> whether the run stays inside the state space until it converges
+LOOSE_ABS_TOL = {0.3: True, 0.5: False, 0.9: False}
+
+
+@pytest.mark.parametrize("abs_tol", sorted(LOOSE_ABS_TOL))
 def test_settle_loose_abs_tol_stays_physical(abs_tol):
-    # loose, but not loose enough to leave the state space: the run ends
-    # on a physical state (settle would raise otherwise) without
-    # convergence at t_max
-    res = settle(EXAMPLE_3L, config=IntegratorConfig(abs_tol=abs_tol))
-    assert not res.converged
-    assert res.time == default_t_max(EXAMPLE_3L)
+    # settle hands back no state outside the state space: either the run
+    # stays inside and converges on the fixed point, or the first accepted
+    # state seen outside ends it with the error naming the tolerances,
+    # long before t_max
+    cfg = IntegratorConfig(abs_tol=abs_tol)
+    if LOOSE_ABS_TOL[abs_tol]:
+        res = settle(EXAMPLE_3L, config=cfg)
+        assert res.converged
+        assert res.photon_number == pytest.approx(23.448125, rel=1e-6)
+    else:
+        with pytest.raises(ValueError, match=r"at t = .*tighten rel_tol/abs_tol") as err:
+            settle(EXAMPLE_3L, config=cfg)
+        assert _error_time(err) < 0.01 * default_t_max(EXAMPLE_3L)
+
+
+def test_settle_loose_rel_tol_converges():
+    # rel_tol 0.3 keeps this run inside the state space up to convergence
+    res = settle(EXAMPLE_3L, config=IntegratorConfig(rel_tol=0.3))
+    assert res.converged
+    assert res.photon_number == pytest.approx(23.448125, rel=1e-6)
 
 
 def test_overflowing_initial_step_scale_falls_back():
     # a zero component (the coherence y) against abs_tol 1e-300 overflows
     # the initial-step derivative scale; the first-step guess must fall
-    # back to a small positive step instead of dividing by zero
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-300, t_max=10.0)
+    # back to a small positive step instead of dividing by zero; the run
+    # converges at t = 12.95
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-300, t_max=20.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = settle(EXAMPLE_3L, config=cfg)
