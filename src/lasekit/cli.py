@@ -141,22 +141,17 @@ def _float_format() -> Callable[[float], str]:
 def _meta_text(v: object, fmt: Callable[[float], str]) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
         return fmt(v)
     return str(v)
 
 
 def _meta_parse(text: str) -> object:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
     if text in ("true", "false"):
         return text == "true"
     return text
@@ -166,8 +161,6 @@ def _jsonable(obj: object) -> object:
     """Recursively make report values JSON-clean (inf -> 'inf', etc.)."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     if isinstance(obj, float):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
@@ -379,6 +372,7 @@ def _evaluator(cfg: RunConfig) -> Callable[[float], SteadyResult]:
 # --------------------------------------------------------------------------
 
 _CHUNK_ROWS = 1024
+_SWEEP_HEADER = ("pump", "photon_number", "regime")
 
 
 def _chunks(column) -> Iterator[list[float]]:
@@ -388,17 +382,31 @@ def _chunks(column) -> Iterator[list[float]]:
         yield column[i:i + _CHUNK_ROWS].tolist()
 
 
-def _write_rows(
+def _write_csv(
     fh: TextIO,
-    fmt: Callable[[float], str],
+    metadata: Mapping[str, object],
+    header: Sequence[str],
     floats: Sequence[Iterable[list[float]]],
     *text: Sequence[str],
+    footer: Mapping[str, object] | None = None,
 ) -> None:
-    """One CSV line per row: the ``floats`` columns as ``fmt`` text, then
-    the ``text`` columns as they are.  Each float column comes as chunks of
-    the same rows (see :func:`_chunks`), so a long series never exists as
-    Python floats all at once."""
+    """Write one CSV document, the format of every series lasekit emits::
+
+        # key=value                     one line per metadata item
+        name,name,...                   the header
+        cell,cell,...                   one line per row
+        # settle: key=value key=value   the footer, if any
+
+    Floats are ``_float_format`` text, booleans ``true``/``false``.  The
+    rows hold the ``floats`` columns, then the ``text`` columns as they
+    are.  Each float column comes as chunks of the same rows (see
+    :func:`_chunks`), so a long series never exists as Python floats all
+    at once.  :func:`_read_csv` reads the document back."""
+    fmt = _float_format()
     write = fh.write
+    for key, value in metadata.items():
+        write(f"# {key}={_meta_text(value, fmt)}\n")
+    write(",".join(header) + "\n")
     i = 0
     for chunk in zip(*floats):
         j = i + len(chunk[0])
@@ -406,18 +414,46 @@ def _write_rows(
         for row in zip(*cells, *(t[i:j] for t in text)):
             write(",".join(row) + "\n")
         i = j
+    if footer is not None:
+        write("# settle: " + " ".join(f"{k}={_meta_text(v, fmt)}" for k, v in footer.items()) + "\n")
+
+
+def _read_csv(fh: TextIO) -> tuple[dict, dict, str, Iterator[list[str]]]:
+    """The metadata, footer, header line and rows (lists of cell text) of a
+    :func:`_write_csv` document.  Rows are read as they are iterated, so the
+    metadata and footer are complete once they are exhausted.  Blank lines
+    and comment lines without ``=`` are skipped."""
+    metadata: dict[str, object] = {}
+    footer: dict[str, object] = {}
+
+    def lines() -> Iterator[str]:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("# settle:"):
+                for item in line[len("# settle:"):].split():
+                    key, _, value = item.partition("=")
+                    footer[key] = _meta_parse(value)
+            elif line.startswith("#"):
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    metadata[key.strip()] = _meta_parse(value.strip())
+            elif line:
+                yield line
+
+    body = lines()
+    header = next(body, None)
+    if header is None:
+        raise ValueError("no header line found")
+    return metadata, footer, header, (line.split(",") for line in body)
 
 
 def emit_sweep_csv(series: SweepSeries, fh: TextIO) -> None:
     import numpy as np
 
-    fmt = _float_format()
-    for key, value in series.metadata.items():
-        fh.write(f"# {key}={_meta_text(value, fmt)}\n")
-    fh.write("pump,photon_number,regime\n")
     floats = (series.pump_values, series.photon_numbers)
-    _write_rows(fh, fmt, [_chunks(np.asarray(c, dtype=float)) for c in floats],
-                [r.value for r in series.regimes])
+    _write_csv(fh, series.metadata, _SWEEP_HEADER,
+               [_chunks(np.asarray(c, dtype=float)) for c in floats],
+               [r.value for r in series.regimes])
 
 
 def parse_sweep_csv(fh: TextIO) -> SweepSeries:
@@ -425,30 +461,14 @@ def parse_sweep_csv(fh: TextIO) -> SweepSeries:
 
     from .numerics import SweepSeries
 
-    metadata: dict[str, object] = {}
-    pumps: list[float] = []
-    photons: list[float] = []
-    regimes: list[Regime] = []
-    header_seen = False
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = _meta_parse(value.strip())
-            continue
-        if not header_seen:
-            if line != "pump,photon_number,regime":
-                raise ValueError(f"unexpected sweep CSV header: {line!r}")
-            header_seen = True
-            continue
-        pump_s, n_s, regime_s = line.split(",")
-        pumps.append(float(pump_s))
-        photons.append(float(n_s))
-        regimes.append(Regime(regime_s))
+    metadata, _, header, rows = _read_csv(fh)
+    if header != ",".join(_SWEEP_HEADER):
+        raise ValueError(f"unexpected sweep CSV header: {header!r}")
+    pumps, photons, regimes = [], [], []
+    for pump, n, regime in rows:  # a row of any other length raises
+        pumps.append(float(pump))
+        photons.append(float(n))
+        regimes.append(Regime(regime))
     return SweepSeries(
         pump_values=np.array(pumps),
         photon_numbers=np.array(photons),
@@ -469,24 +489,6 @@ def _settle_footer(
     }
 
 
-def _write_timeseries(
-    fh: TextIO,
-    metadata: Mapping[str, object],
-    labels: Sequence[str],
-    floats: Sequence[Iterable[list[float]]],
-    footer: Mapping[str, object],
-) -> None:
-    """A time-series CSV document: the metadata lines, the header, one row
-    per sample of the chunked columns t, ``labels`` and n (see
-    :func:`_write_rows`), then the ``# settle:`` footer."""
-    fmt = _float_format()
-    for key, value in metadata.items():
-        fh.write(f"# {key}={_meta_text(value, fmt)}\n")
-    fh.write("t," + ",".join(labels) + ",n\n")
-    _write_rows(fh, fmt, floats)
-    fh.write("# settle: " + " ".join(f"{k}={_meta_text(v, fmt)}" for k, v in footer.items()) + "\n")
-
-
 def emit_timeseries_csv(
     series: TimeSeries, fh: TextIO, metadata: dict[str, object] | None = None
 ) -> None:
@@ -496,8 +498,8 @@ def emit_timeseries_csv(
     floats = (series.times, *states.T, series.photon_numbers)
     footer = _settle_footer(series.steady, series.times[-1], series.photon_numbers[-1],
                             series.derivative_norm)
-    _write_timeseries(fh, metadata or {}, series.state_labels,
-                      [_chunks(np.asarray(c, dtype=float)) for c in floats], footer)
+    _write_csv(fh, metadata or {}, ("t", *series.state_labels, "n"),
+               [_chunks(np.asarray(c, dtype=float)) for c in floats], footer=footer)
 
 
 def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
@@ -505,38 +507,16 @@ def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
 
     from .dynamics import TimeSeries
 
-    metadata: dict[str, object] = {}
-    footer: dict[str, object] = {}
-    labels: tuple[str, ...] | None = None
-    times: list[float] = []
-    rows: list[list[float]] = []
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("# settle:"):
-            for item in line[len("# settle:"):].split():
-                key, _, value = item.partition("=")
-                footer[key] = _meta_parse(value)
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = _meta_parse(value.strip())
-            continue
-        if labels is None:
-            cols = line.split(",")
-            if cols[0] != "t" or cols[-1] != "n":
-                raise ValueError(f"unexpected time-series header: {line!r}")
-            labels = tuple(cols[1:-1])
-            continue
-        cells = [float(c) for c in line.split(",")]
+    metadata, footer, header, rows = _read_csv(fh)
+    cols = header.split(",")
+    if cols[0] != "t" or cols[-1] != "n":
+        raise ValueError(f"unexpected time-series header: {header!r}")
+    labels = tuple(cols[1:-1])
+    times, state_rows = [], []
+    for cells in ([float(c) for c in row] for row in rows):
         times.append(cells[0])
-        rows.append(cells[1:-1])
-    if labels is None:
-        raise ValueError("no header line found")
-    states = np.array(rows)
+        state_rows.append(cells[1:-1])
+    states = np.array(state_rows)
     series = TimeSeries(
         times=np.array(times),
         states=states,
@@ -772,7 +752,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         if args.format == "json":
             _emit_json(fh, meta, dict(zip(("t", *labels, "n"), floats)), settle=footer)
         else:
-            _write_timeseries(fh, meta, labels, floats, footer)
+            _write_csv(fh, meta, ("t", *labels, "n"), floats, footer=footer)
     return 0
 
 

@@ -19,6 +19,7 @@ from lasekit.cli import (
     parse_sweep_csv,
     parse_timeseries_csv,
 )
+from lasekit.params import Regime
 
 CFG_3B_PHYS = {
     "model": "three-b",
@@ -249,6 +250,24 @@ def test_region_two_level(tmp_path, capsys):
     assert doc["optimum"]["pump_exact"] == pytest.approx(449999.0, rel=1e-6)
 
 
+def test_region_infinite_window_edge_text(tmp_path, capsys):
+    # no saturation: the two-level window never closes
+    cfg = {"model": "two-level", "parameterization": "dimensionless",
+           "params": {"photon_scale": 1000, "saturation": 0}}
+    path = write_cfg(tmp_path, cfg)
+    windows = ("window", "window_asymptotic", "pump_restriction")
+    assert main(["region", "--config", path, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    for key in windows:
+        assert doc[key]["upper"] == "inf"
+    assert out.count('"upper": "inf"') == 3
+    assert main(["region", "--config", path]) == 0
+    text = capsys.readouterr().out
+    for key in windows:
+        assert f"{key}:\n  lower: 1.0\n  upper: inf\n" in text
+
+
 def test_region_scheme_b_reports_both_extrema(tmp_path, capsys):
     cfg = {
         "model": "three-b",
@@ -322,6 +341,46 @@ def test_sweep_count_two_endpoints(tmp_path, capsys):
                  "--points", "2"]) == 0
     series = parse_sweep_csv(io.StringIO(capsys.readouterr().out))
     assert list(series.pump_values) == [1.0, 10.0]
+
+
+SWEEP_HEAD = "# model=two-level\npump,photon_number,regime\n"
+
+
+def test_parse_sweep_csv_rejects_wrong_header():
+    with pytest.raises(ValueError, match="unexpected sweep CSV header: 'pump,n,regime'"):
+        parse_sweep_csv(io.StringIO("# model=two-level\npump,n,regime\n1.0,2.0,lasing\n"))
+
+
+@pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,lasing,3.0"], ids=["2-cells", "4-cells"])
+def test_parse_sweep_csv_rejects_wrong_cell_count(row):
+    with pytest.raises(ValueError):
+        parse_sweep_csv(io.StringIO(SWEEP_HEAD + row + "\n"))
+
+
+def test_parse_sweep_csv_rejects_unknown_regime():
+    with pytest.raises(ValueError, match="pulsing"):
+        parse_sweep_csv(io.StringIO(SWEEP_HEAD + "1.0,2.0,pulsing\n"))
+
+
+def test_parse_sweep_csv_skips_blank_lines():
+    text = "\n# model=two-level\n\n# points=2\npump,photon_number,regime\n\n" \
+           "1.0,0.0,below_threshold\n\n2.5,3.0,lasing\n\n"
+    series = parse_sweep_csv(io.StringIO(text))
+    assert series.metadata == {"model": "two-level", "points": 2}
+    assert list(series.pump_values) == [1.0, 2.5]
+    assert list(series.photon_numbers) == [0.0, 3.0]
+    assert series.regimes == (Regime.BELOW_THRESHOLD, Regime.LASING)
+
+
+def test_parse_timeseries_csv_needs_header():
+    with pytest.raises(ValueError, match="no header line found"):
+        parse_timeseries_csv(io.StringIO("# model=three-b\n\n# settle: converged=true\n"))
+
+
+@pytest.mark.parametrize("header", ["time,rho11,x,n", "t,rho11,x,photons"])
+def test_parse_timeseries_csv_rejects_wrong_header(header):
+    with pytest.raises(ValueError, match=f"unexpected time-series header: '{header}'"):
+        parse_timeseries_csv(io.StringIO(f"# model=two-level\n{header}\n0.0,0.5,0.1,0.01\n"))
 
 
 def test_sweep_json_format(tmp_path, capsys):

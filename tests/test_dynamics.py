@@ -455,6 +455,23 @@ def test_polish_schedule_off_on_bad_cavity(monkeypatch):
         assert np.linalg.norm(f) < 1e4 * steady_tol * (np.linalg.norm(u) + 1.0)
 
 
+def test_settle_converges_on_flow_cutoff_when_polish_fails(monkeypatch):
+    # with every Newton attempt failing, settle must still end on the
+    # derivative cutoff, which the tightened tolerances let the flow reach
+    monkeypatch.setattr(dynamics, "_polish", lambda *args: None)
+    p = PhysicalThreeLevel(
+        n_atoms=7.1334269465301094, coupling_g=3.2273591340993657,
+        cavity_kappa=3.741172319353873, gamma_21=10.866634813917733,
+        gamma_02=21.53623725103358, gamma_10=1.0337193074442967, gamma_ph=0.0,
+        scheme=PumpScheme.B,
+    )
+    res = settle(p, initial=initial_state(p), config=IntegratorConfig(t_max=100.0))
+    assert res.converged
+    assert res.time < 100.0
+    assert res.polish_attempts > 0
+    assert res.photon_number == pytest.approx(n_three_physical(p).photon_number, rel=1e-6)
+
+
 def test_settle_reports_nonconvergence_on_short_horizon():
     res = settle(EXAMPLE_3L, config=IntegratorConfig(t_max=0.5))
     assert not res.converged
