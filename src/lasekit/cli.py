@@ -40,8 +40,6 @@ from typing import TYPE_CHECKING, Callable, Mapping, TextIO
 
 from .params import (
     BlochState3,
-    DimensionlessSchemeA,
-    DimensionlessSchemeB,
     DimensionlessTwoLevel,
     IntegratorConfig,
     PhysicalThreeLevel,
@@ -49,6 +47,7 @@ from .params import (
     PumpScheme,
     Regime,
     SteadyResult,
+    _SCHEMES,
     _check_rate,
     _gamma_parallel_inversion_rates,
     gamma_parallel_and_inversion,
@@ -73,9 +72,10 @@ class _Model:
     """What the CLI needs of one model.
 
     The relative pump is the physical rate ``pump_rate`` over the rate
-    ``reference_rate``.  ``optional`` names a physical rate without a
-    class default that a config may leave out: the two-level pump rate
-    (then ``--pump`` sets it), the three-level dephasing rate (then 0).
+    ``reference_rate`` (a pump scheme's are in ``params._SCHEMES``).
+    ``optional`` names a physical rate without a class default that a
+    config may leave out: the two-level pump rate (then ``--pump`` sets
+    it), the three-level dephasing rate (then 0).
     ``window`` and ``optimum`` are None where the photon number saturates
     in the pump instead of closing a window; ``scheme`` is None for the
     two-level model.
@@ -83,13 +83,13 @@ class _Model:
 
     physical: type
     dimensionless: type
+    pump_rate: str
+    reference_rate: str
     reduce: Callable
     evaluate: Callable[..., SteadyResult]
     threshold: Callable
     window: Callable | None
     optimum: Callable | None
-    pump_rate: str
-    reference_rate: str
     optional: str
     scheme: PumpScheme | None = None
 
@@ -98,24 +98,19 @@ class _Model:
         return self.scheme is not None
 
 
+def _three_level(scheme: PumpScheme, *closed_forms: Callable | None) -> _Model:
+    return _Model(PhysicalThreeLevel, *_SCHEMES[scheme], reduce_three, *closed_forms,
+                  optional="gamma_ph", scheme=scheme)
+
+
 _MODELS = {
     "two-level": _Model(
-        PhysicalTwoLevel, DimensionlessTwoLevel, reduce_two, st.n_two_level,
-        st.threshold_two, st.window_two, st.optimum_two,
-        pump_rate="pump_Gamma", reference_rate="gamma_decay", optional="pump_Gamma",
+        PhysicalTwoLevel, DimensionlessTwoLevel, "pump_Gamma", "gamma_decay", reduce_two,
+        st.n_two_level, st.threshold_two, st.window_two, st.optimum_two, optional="pump_Gamma",
     ),
-    "three-a": _Model(
-        PhysicalThreeLevel, DimensionlessSchemeA, reduce_three, st.n_scheme_a,
-        st.threshold_scheme_a, None, None,
-        pump_rate="gamma_21", reference_rate="gamma_02", optional="gamma_ph",
-        scheme=PumpScheme.A,
-    ),
-    "three-b": _Model(
-        PhysicalThreeLevel, DimensionlessSchemeB, reduce_three, st.n_scheme_b,
-        st.threshold_scheme_b, st.window_scheme_b, st.optimum_scheme_b,
-        pump_rate="gamma_02", reference_rate="gamma_21", optional="gamma_ph",
-        scheme=PumpScheme.B,
-    ),
+    "three-a": _three_level(PumpScheme.A, st.n_scheme_a, st.threshold_scheme_a, None, None),
+    "three-b": _three_level(PumpScheme.B, st.n_scheme_b, st.threshold_scheme_b,
+                            st.window_scheme_b, st.optimum_scheme_b),
 }
 _PARAMETERIZATIONS = ("physical", "dimensionless")
 
@@ -607,9 +602,8 @@ def _steady_report(cfg: RunConfig, pump: float) -> dict:
             res = replace(res, gamma_perp=gamma_perp_two(_physical(cfg, pump)))
         elif spec.three_level:
             # rates in units of the reference rate
-            rates = {spec.pump_rate: pump, spec.reference_rate: 1.0}
             gpar, inv = _gamma_parallel_inversion_rates(
-                rates["gamma_21"], rates["gamma_02"], d.decay_ratio
+                **{spec.pump_rate: pump, spec.reference_rate: 1.0}, gamma_10=d.decay_ratio
             )
     report["photon_number"] = res.photon_number
     report["regime"] = res.regime

@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .params import (
@@ -723,12 +723,9 @@ def fixed_point_state(
 
 def default_t_max(p: PhysicalTwoLevel | PhysicalThreeLevel) -> float:
     """1e3 times the inverse of the slowest nonzero rate of the model."""
-    if isinstance(p, PhysicalTwoLevel):
-        rates = (p.cavity_kappa, p.gamma_decay, p.pump_Gamma, p.gamma_ph)
-    else:
-        rates = (p.cavity_kappa, p.gamma_21, p.gamma_02, p.gamma_10, p.gamma_ph)
-    slowest = min(r for r in rates if r > 0.0)
-    return 1e3 / slowest
+    rates = (getattr(p, f.name) for f in fields(p)
+             if f.name not in ("n_atoms", "coupling_g", "scheme"))
+    return 1e3 / min(r for r in rates if r > 0.0)
 
 
 def _good_cavity(p: PhysicalTwoLevel | PhysicalThreeLevel) -> bool:

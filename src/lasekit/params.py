@@ -4,7 +4,12 @@ Two model families are covered: a closed two-level atom with an incoherent
 pump, and a closed three-level atom in which the third level either feeds
 the upper lasing state (pump scheme A) or is fed from the lower one (pump
 scheme B).  Both three-level schemes obey the same equations of motion; the
-scheme tag only selects which rate plays the role of the pump.
+scheme tag only selects which rate plays the role of the pump.  One private
+table states that choice for every module:
+
+    scheme   reduced record         pump rate   reference rate
+    A        DimensionlessSchemeA   gamma_21    gamma_02
+    B        DimensionlessSchemeB   gamma_02    gamma_21
 
 Rates carry one arbitrary common unit.  Only ratios of rates matter, which
 is what the dimensionless reductions below exploit.
@@ -54,12 +59,25 @@ def _check_rate(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
-def _check_coupling(g: float) -> None:
-    """The reductions divide by g**2, so its square must be a positive
-    finite float too, not only g itself."""
-    _check_rate("coupling_g", g, positive=True)
-    if not 0.0 < g * g < math.inf:
-        raise ValueError(f"coupling_g**2 must be finite and > 0, got coupling_g={g!r}")
+class _Record:
+    """The one validation rule of the parameter records, field by field in
+    declaration order: n_atoms >= 1; coupling_g and its square finite and
+    > 0 (the reductions divide by g**2); the rates named in ``_positive``
+    > 0; every other rate >= 0; ``scheme``, where present, a PumpScheme."""
+
+    _positive: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():  # the fields, in declaration order
+            if name == "scheme":
+                if not isinstance(value, PumpScheme):
+                    raise ValueError(f"scheme must be a PumpScheme, got {value!r}")
+                continue
+            _check_rate(name, value, positive=name == "coupling_g" or name in self._positive)
+            if name == "n_atoms" and value < 1.0:
+                raise ValueError(f"n_atoms must be >= 1, got {value!r}")
+            if name == "coupling_g" and not 0.0 < value * value < math.inf:
+                raise ValueError(f"coupling_g**2 must be finite and > 0, got coupling_g={value!r}")
 
 
 class PumpScheme(Enum):
@@ -86,7 +104,7 @@ class Regime(Enum):
 
 
 @dataclass(frozen=True)
-class PhysicalTwoLevel:
+class PhysicalTwoLevel(_Record):
     """Raw rate set for the closed two-level laser.
 
     Attributes
@@ -113,19 +131,11 @@ class PhysicalTwoLevel:
     pump_Gamma: float
     gamma_ph: float = 0.0
 
-    def __post_init__(self) -> None:
-        _check_rate("n_atoms", self.n_atoms)
-        if self.n_atoms < 1.0:
-            raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms!r}")
-        _check_coupling(self.coupling_g)
-        _check_rate("cavity_kappa", self.cavity_kappa, positive=True)
-        _check_rate("gamma_decay", self.gamma_decay, positive=True)
-        _check_rate("pump_Gamma", self.pump_Gamma)
-        _check_rate("gamma_ph", self.gamma_ph)
+    _positive = ("cavity_kappa", "gamma_decay")
 
 
 @dataclass(frozen=True)
-class PhysicalThreeLevel:
+class PhysicalThreeLevel(_Record):
     """Raw rate set for the closed three-level laser.
 
     The lasing transition is |1> -> |0> (coherence rho10); |2> is the third
@@ -143,22 +153,11 @@ class PhysicalThreeLevel:
     gamma_ph: float
     scheme: PumpScheme
 
-    def __post_init__(self) -> None:
-        _check_rate("n_atoms", self.n_atoms)
-        if self.n_atoms < 1.0:
-            raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms!r}")
-        _check_coupling(self.coupling_g)
-        _check_rate("cavity_kappa", self.cavity_kappa, positive=True)
-        _check_rate("gamma_21", self.gamma_21)
-        _check_rate("gamma_02", self.gamma_02)
-        _check_rate("gamma_10", self.gamma_10)
-        _check_rate("gamma_ph", self.gamma_ph)
-        if not isinstance(self.scheme, PumpScheme):
-            raise ValueError(f"scheme must be a PumpScheme, got {self.scheme!r}")
+    _positive = ("cavity_kappa",)
 
 
 @dataclass(frozen=True)
-class DimensionlessTwoLevel:
+class DimensionlessTwoLevel(_Record):
     """Reduced two-level parameters.
 
     photon_scale = N*gamma/(4*kappa) sets the overall photon number,
@@ -174,14 +173,11 @@ class DimensionlessTwoLevel:
     saturation: float
     dephasing: float = 0.0
 
-    def __post_init__(self) -> None:
-        _check_rate("photon_scale", self.photon_scale, positive=True)
-        _check_rate("saturation", self.saturation)
-        _check_rate("dephasing", self.dephasing)
+    _positive = ("photon_scale",)
 
 
 @dataclass(frozen=True)
-class _DimensionlessThree:
+class _DimensionlessThree(_Record):
     """Fields and checks shared by the reduced three-level records; the
     reference rate depends on the scheme (see the subclasses)."""
 
@@ -190,11 +186,7 @@ class _DimensionlessThree:
     decay_ratio: float
     dephasing: float = 0.0
 
-    def __post_init__(self) -> None:
-        _check_rate("photon_scale", self.photon_scale, positive=True)
-        _check_rate("saturation", self.saturation)
-        _check_rate("decay_ratio", self.decay_ratio)
-        _check_rate("dephasing", self.dephasing)
+    _positive = ("photon_scale",)
 
 
 class DimensionlessSchemeA(_DimensionlessThree):
@@ -215,6 +207,13 @@ class DimensionlessSchemeB(_DimensionlessThree):
     decay_ratio = gamma_10/gamma_21, dephasing = gamma_ph/gamma_21.
     The relative pump is P = gamma_02/gamma_21.
     """
+
+
+# each pump scheme's reduced record, pump rate and reference rate
+_SCHEMES = {
+    PumpScheme.A: (DimensionlessSchemeA, "gamma_21", "gamma_02"),
+    PumpScheme.B: (DimensionlessSchemeB, "gamma_02", "gamma_21"),
+}
 
 
 @dataclass(frozen=True)
@@ -345,19 +344,19 @@ def gamma_perp_three(p: PhysicalThreeLevel) -> float:
 
 
 def _gamma_parallel_inversion_rates(
-    g21: float, g02: float, g10: float
+    gamma_21: float, gamma_02: float, gamma_10: float
 ) -> tuple[float, float]:
     """Rate-level core of :func:`gamma_parallel_and_inversion`."""
-    denom = g02 + 2.0 * g21
+    denom = gamma_02 + 2.0 * gamma_21
     if denom <= 0.0:
         raise ValueError("gamma_02 + 2*gamma_21 must be > 0")
-    cross = g21 * g02 + g02 * g10 + g21 * g10
+    cross = gamma_21 * gamma_02 + gamma_02 * gamma_10 + gamma_21 * gamma_10
     gamma_par = 2.0 * cross / denom
     if cross == 0.0:
         # no closed pumping loop: the equilibrium carries no inversion
         inversion = 0.0
     else:
-        inversion = g21 * (g02 - g10) / cross
+        inversion = gamma_21 * (gamma_02 - gamma_10) / cross
     return gamma_par, inversion
 
 
@@ -432,14 +431,10 @@ def reduce_three(
 ) -> tuple[DimensionlessSchemeA | DimensionlessSchemeB, float]:
     """Collapse a physical three-level rate set to (reduced params, pump P).
 
-    The reference rate is gamma_02 for scheme A and gamma_21 for scheme B
-    and must be nonzero; the relative pump is the driven rate over the
-    reference rate.
+    The relative pump is the scheme's pump rate over its reference rate
+    (the table in the module docstring), which must be nonzero.
     """
-    if p.scheme is PumpScheme.A:
-        cls, ref_name, pump = DimensionlessSchemeA, "gamma_02", p.gamma_21
-    else:
-        cls, ref_name, pump = DimensionlessSchemeB, "gamma_21", p.gamma_02
+    cls, pump_name, ref_name = _SCHEMES[p.scheme]
     ref = getattr(p, ref_name)
     if ref <= 0.0:
         raise ValueError(f"scheme {p.scheme.value} reduction requires {ref_name} > 0")
@@ -452,7 +447,7 @@ def reduce_three(
         decay_ratio=p.gamma_10 / ref,
         dephasing=p.gamma_ph / ref,
     )
-    return d, pump / ref
+    return d, getattr(p, pump_name) / ref
 
 
 def _expand_three(
@@ -462,16 +457,12 @@ def _expand_three(
         raise ValueError("gauge expansion requires saturation > 0")
     n_atoms = 2.0 * d.photon_scale
     g = math.sqrt(1.0 / (4.0 * d.photon_scale * d.saturation))
-    if scheme is PumpScheme.A:
-        g21, g02 = pump, 1.0
-    else:
-        g21, g02 = 1.0, pump
+    _, pump_name, ref_name = _SCHEMES[scheme]
     return PhysicalThreeLevel(
         n_atoms=n_atoms,
         coupling_g=g,
         cavity_kappa=1.0,
-        gamma_21=g21,
-        gamma_02=g02,
+        **{pump_name: pump, ref_name: 1.0},
         gamma_10=d.decay_ratio,
         gamma_ph=d.dephasing,
         scheme=scheme,

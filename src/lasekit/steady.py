@@ -29,6 +29,7 @@ from .params import (
     PumpScheme,
     Regime,
     SteadyResult,
+    _SCHEMES,
     equilibrium_populations_three,
     gamma_perp_three,
     reduce_three,
@@ -125,10 +126,10 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float] | None
     comes from c/q with q = -(b + sign(b)*sqrt(disc))/2, which avoids the
     catastrophic cancellation the textbook formula hits when |a| ~ s is
     as small as 1e-7.  Degenerate a == 0 falls back to the linear root
-    with an infinite partner.
+    with an infinite partner, or None when b == 0 or c is infinite.
     """
     if a == 0.0:
-        if b == 0.0:
+        if b == 0.0 or math.isinf(c):
             return None
         root = -c / b
         return (root, math.inf) if b > 0.0 else (-math.inf, root)
@@ -290,6 +291,13 @@ def optimum_two(d: DimensionlessTwoLevel) -> ExtremumReport | None:
 # three-level model, scheme A (pump = gamma_21, coherence decay pump-free)
 # --------------------------------------------------------------------------
 
+def _coeffs_scheme_a(d: DimensionlessSchemeA) -> tuple[float, float, float]:
+    """The bracket numerator, linear in P: a quadratic with a = 0."""
+    s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
+    b = 1.0 - eps - s * (1.0 + eps + delta) * (1.0 + eps)
+    return 0.0, b, -eps * s * (1.0 + eps + delta)
+
+
 def raw_bracket_scheme_a(d: DimensionlessSchemeA, pump: float) -> float:
     """[P*(1-eps) - s*(1+eps+delta)*(P*(1+eps)+eps)] / (1+2P)."""
     s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
@@ -343,13 +351,7 @@ def threshold_scheme_a(d: DimensionlessSchemeA) -> float | None:
     impossible at any pump: no initial inversion (eps >= 1) or saturation
     above (1-eps)/[(1+eps+delta)*(1+eps)].
     """
-    s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
-    if eps >= 1.0:
-        return None
-    denom = 1.0 - eps - s * (1.0 + eps + delta) * (1.0 + eps)
-    if denom <= 0.0:
-        return None
-    return eps * s * (1.0 + eps + delta) / denom
+    return _threshold(_coeffs_scheme_a(d))
 
 
 def saturation_limit_scheme_a(d: DimensionlessSchemeA) -> float:
@@ -359,8 +361,7 @@ def saturation_limit_scheme_a(d: DimensionlessSchemeA) -> float:
     exactly when a threshold exists, and an upper bound for every finite
     pump (bottleneck saturation).
     """
-    s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
-    return d.photon_scale * ((1.0 - eps) - s * (1.0 + eps + delta) * (1.0 + eps)) / 2.0
+    return d.photon_scale * _coeffs_scheme_a(d)[1] / 2.0
 
 
 def n_min_atoms(p: PhysicalThreeLevel) -> float | None:
@@ -530,7 +531,8 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
     scheme's reduction, so a coupling_g whose reduced saturation is not
     finite raises ValueError as :func:`reduce_three` does; a zero
     reference rate, which has no reduction, classifies by the sign of
-    the photon number alone.
+    the photon number alone.  A degenerate population flow (no unique
+    no-field equilibrium) reports the state reached from the ground state.
     """
     denom = p.gamma_02 + 2.0 * p.gamma_21
     if denom <= 0.0:
@@ -554,11 +556,11 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
         try:
             pops = equilibrium_populations_three(p)
         except ValueError:
-            # degenerate flow: the equilibrium is not unique
-            pops = (math.nan, math.nan, math.nan)
+            # degenerate flow: the state reached from the ground state
+            pops = (1.0, 0.0, 0.0) if p.gamma_02 == 0.0 else (0.0, 0.0, 1.0)
 
     # the regime comes from the scheme's reduction; a zero reference rate has none
-    ref = p.gamma_02 if p.scheme is PumpScheme.A else p.gamma_21
+    ref = getattr(p, _SCHEMES[p.scheme][2])
     regime = Regime.LASING if raw > 0.0 else Regime.BELOW_THRESHOLD
     if ref > 0.0:
         d, pump = reduce_three(p)

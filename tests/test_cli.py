@@ -84,6 +84,47 @@ def test_steady_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+CFG_2L_PHYS_NO_PUMP = {**CFG_2L_PHYS, "params": {
+    k: v for k, v in CFG_2L_PHYS["params"].items() if k != "pump_Gamma"}}
+
+
+@pytest.mark.parametrize("text, argv, env, message", [
+    (None, ["steady", "--pump", "1"], None,
+     "cannot read config {path!r}: [Errno 2] No such file or directory: {path!r}"),
+    ("not json", ["steady", "--pump", "1"], None,
+     "config {path!r} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", ["steady", "--pump", "1"], None, "config must be a JSON object"),
+    (json.dumps({**CFG_3B_PHYS, "bogus": 1}), ["steady", "--pump", "1"], None,
+     "bogus: unknown top-level key"),
+    (json.dumps({**CFG_3B_PHYS, "params": [1]}), ["steady", "--pump", "1"], None,
+     "params: must be an object"),
+    (json.dumps({**CFG_3B_PHYS, "integrator": [1]}), ["steady", "--pump", "1"], None,
+     "integrator: must be an object"),
+    (json.dumps({**CFG_3B_PHYS, "integrator": {"rel_tol": -1}}), ["steady", "--pump", "1"],
+     None, "integrator: rel_tol must be > 0, got -1.0"),
+    (json.dumps({**CFG_2L_PHYS, "initial": {"rho22": 0.1}}), ["dynamics", "--t-max", "1"],
+     None, "initial.rho22: not a two-level state component"),
+    (json.dumps({**CFG_2L_PHYS, "initial": {"rho11": 2}}), ["dynamics", "--t-max", "1"],
+     None, "initial: rho11 must lie in [0, 1], got 2.0"),
+    (json.dumps(CFG_2L_PHYS_NO_PUMP), ["dynamics", "--t-max", "1"], None,
+     "params.pump_Gamma: required (or pass --pump) for this command"),
+    (json.dumps(CFG_3B_PHYS), ["steady", "--pump", "1"], "x",
+     "LASEKIT_PRECISION: invalid literal for int() with base 10: 'x'"),
+], ids=["unreadable", "not-json", "not-object", "top-level-key", "params-not-object",
+        "integrator-not-object", "rel-tol", "foreign-initial", "initial-out-of-range",
+        "pump-required", "precision"])
+def test_config_intake_errors_exit_2(tmp_path, capsys, monkeypatch, text, argv, env, message):
+    path = str(tmp_path / "cfg.json")
+    if text is not None:
+        Path(path).write_text(text, encoding="utf-8")
+    if env is not None:
+        monkeypatch.setenv("LASEKIT_PRECISION", env)
+    assert main([argv[0], "--config", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(path=path) + "\n"
+
+
 def test_steady_three_b_physical(tmp_path, capsys):
     path = write_cfg(tmp_path, CFG_3B_PHYS)
     assert main(["steady", "--config", path, "--format", "json"]) == 0
@@ -95,6 +136,26 @@ def test_steady_three_b_physical(tmp_path, capsys):
     assert doc["gamma_parallel"] == pytest.approx(1.15, rel=1e-12)
     assert doc["equilibrium_inversion"] == pytest.approx(1.9 / 2.3, rel=1e-12)
     assert doc["populations"]["rho22"] == pytest.approx(0.49475, rel=1e-12)
+
+
+@pytest.mark.parametrize("model, reduced, populations", [
+    ("three-a", {"photon_scale": 100, "saturation": 0.01}, [0.0, 0.0, 1.0]),
+    ("three-b", {"photon_scale": 50, "saturation": 0.005}, [1.0, 0.0, 0.0]),
+], ids=["three-a", "three-b"])
+def test_steady_degenerate_flow_populations(tmp_path, capsys, model, reduced, populations):
+    # gamma_10 = 0 and no pump leave no unique no-field equilibrium; both
+    # routes report the state reached from the ground state, never NaN
+    physical = {**CFG_3A_PHYS, "model": model,
+                "params": {**CFG_3A_PHYS["params"], "gamma_10": 0}}
+    dimensionless = {"model": model, "parameterization": "dimensionless",
+                     "params": {**reduced, "decay_ratio": 0, "dephasing": 0}}
+    for cfg in (physical, dimensionless):
+        path = write_cfg(tmp_path, cfg)
+        assert main(["steady", "--config", path, "--pump", "0", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["populations"].values()) == populations, cfg
+        assert doc["photon_number"] == 0.0
+        assert doc["regime"] == "below_threshold"
 
 
 def test_steady_two_level_dimensionless(tmp_path, capsys):

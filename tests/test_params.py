@@ -250,3 +250,74 @@ def test_bloch_state_accessors():
     s3 = BlochState3(rho11=0.2, rho22=0.3, y=0.0, x=2.0)
     assert s3.rho00 == pytest.approx(0.5)
     assert s3.photon_number == 4.0
+
+
+# each parameter record: valid keyword arguments, then the fields that must be > 0
+RECORDS = [
+    (PhysicalTwoLevel,
+     dict(n_atoms=4.0, coupling_g=1.0, cavity_kappa=1.0, gamma_decay=1.0,
+          pump_Gamma=2.0, gamma_ph=0.5),
+     {"coupling_g", "cavity_kappa", "gamma_decay"}),
+    (PhysicalThreeLevel,
+     dict(n_atoms=100.0, coupling_g=1.0, cavity_kappa=1.0, gamma_21=1.0,
+          gamma_02=2.0, gamma_10=0.1, gamma_ph=0.5, scheme=PumpScheme.A),
+     {"coupling_g", "cavity_kappa"}),
+    (DimensionlessTwoLevel,
+     dict(photon_scale=1e3, saturation=1e-3, dephasing=0.5),
+     {"photon_scale"}),
+    (DimensionlessSchemeA,
+     dict(photon_scale=1e3, saturation=1e-3, decay_ratio=0.1, dephasing=0.5),
+     {"photon_scale"}),
+    (DimensionlessSchemeB,
+     dict(photon_scale=1e3, saturation=1e-3, decay_ratio=0.1, dephasing=0.5),
+     {"photon_scale"}),
+]
+RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+def bad_values(name: str, positive: set[str]):
+    """Each bad value of one numeric field, with the message that rejects it."""
+    sign = "> 0" if name in positive else ">= 0"
+    yield math.nan, f"{name} must be finite, got nan"
+    yield math.inf, f"{name} must be finite, got inf"
+    yield -1.0, f"{name} must be {sign}, got -1.0"
+    if name in positive:
+        yield 0.0, f"{name} must be > 0, got 0.0"
+    if name == "n_atoms":
+        yield 0.0, "n_atoms must be >= 1, got 0.0"
+        yield 0.5, "n_atoms must be >= 1, got 0.5"
+    if name == "coupling_g":
+        yield 1e-300, "coupling_g**2 must be finite and > 0, got coupling_g=1e-300"
+        yield 1e300, "coupling_g**2 must be finite and > 0, got coupling_g=1e+300"
+
+
+@pytest.mark.parametrize("cls, valid, positive", RECORDS, ids=RECORD_IDS)
+def test_record_rejects_each_bad_value_by_name(cls, valid, positive):
+    cls(**valid)
+    for name in valid:
+        if name == "scheme":
+            continue
+        for value, message in bad_values(name, positive):
+            with pytest.raises(ValueError) as e:
+                cls(**{**valid, name: value})
+            assert str(e.value) == message
+
+
+@pytest.mark.parametrize("cls, valid, positive", RECORDS, ids=RECORD_IDS)
+def test_record_reports_the_first_bad_field(cls, valid, positive):
+    names = list(valid)
+    bad = {"scheme": "A"}  # a string is not a PumpScheme
+    for i, first in enumerate(names):
+        for second in names[i + 1:]:
+            kwargs = {**valid, **{k: bad.get(k, math.nan) for k in (first, second)}}
+            with pytest.raises(ValueError) as e:
+                cls(**kwargs)
+            assert str(e.value) == f"{first} must be finite, got nan", (first, second)
+
+
+def test_three_level_scheme_must_be_a_pump_scheme():
+    valid = RECORDS[1][1]
+    for scheme in ("A", "B", None):
+        with pytest.raises(ValueError) as e:
+            PhysicalThreeLevel(**{**valid, "scheme": scheme})
+        assert str(e.value) == f"scheme must be a PumpScheme, got {scheme!r}"

@@ -31,6 +31,7 @@ from lasekit import (
     window_scheme_b,
     window_two,
 )
+from lasekit.steady import _coeffs_scheme_b, _quadratic_roots
 
 FIG2 = DimensionlessTwoLevel(photon_scale=1e3, saturation=1e-6, dephasing=1e5)
 FIG4A = DimensionlessSchemeA(photon_scale=1e6, saturation=0.2, decay_ratio=0.01, dephasing=0.0)
@@ -240,6 +241,24 @@ def test_n_three_physical_zero_reference_rate(scheme, ref, populations, raw, g):
     assert res.raw_bracket == (raw if g == 1.0 else -math.inf)
 
 
+@pytest.mark.parametrize("scheme, rates, populations", [
+    (PumpScheme.A, dict(gamma_21=0.0, gamma_02=2.0), (0.0, 0.0, 1.0)),
+    (PumpScheme.B, dict(gamma_21=1.0, gamma_02=0.0), (1.0, 0.0, 0.0)),
+    (PumpScheme.A, dict(gamma_21=1.0, gamma_02=0.0), (1.0, 0.0, 0.0)),
+], ids=["scheme-A-no-pump", "scheme-B-no-pump", "scheme-A-no-depletion"])
+def test_n_three_physical_degenerate_flow_reached_from_ground_state(scheme, rates, populations):
+    # no unique no-field equilibrium: report the state the flow reaches
+    # from the ground state, as the dimensionless routes do
+    p = PhysicalThreeLevel(**{**EXAMPLE_3L, **rates, "gamma_10": 0.0}, scheme=scheme)
+    res = n_three_physical(p)
+    assert res.populations == populations
+    assert res.photon_number == 0.0
+    if getattr(p, {PumpScheme.A: "gamma_02", PumpScheme.B: "gamma_21"}[scheme]) > 0.0:
+        d, pump = reduce_three(p)
+        evaluate = n_scheme_a if scheme is PumpScheme.A else n_scheme_b
+        assert evaluate(d, pump).populations == populations
+
+
 @pytest.mark.parametrize("scheme", [PumpScheme.A, PumpScheme.B])
 def test_n_three_physical_tiny_coupling_raises_as_reduction_does(scheme):
     p = PhysicalThreeLevel(**{**EXAMPLE_3L, "coupling_g": 1e-160}, scheme=scheme)
@@ -301,6 +320,44 @@ def test_threshold_scheme_a_no_lasing_cases():
     assert threshold_scheme_a(
         DimensionlessSchemeA(photon_scale=1.0, saturation=0.99, decay_ratio=0.01)
     ) is None
+
+
+def expected_threshold_scheme_a(s, eps, delta):
+    """The scheme-A threshold eps*s*(1+eps+delta) / [1-eps-s*(1+eps+delta)*(1+eps)],
+    None without initial inversion or past the saturation bound."""
+    if eps >= 1.0:
+        return None
+    denom = 1.0 - eps - s * (1.0 + eps + delta) * (1.0 + eps)
+    if denom <= 0.0:
+        return None
+    return eps * s * (1.0 + eps + delta) / denom
+
+
+def test_threshold_and_saturation_limit_scheme_a_formulas():
+    rng = np.random.default_rng(20251018)
+    draws = [(s, eps, delta) for s in (0.0, 0.1, 0.4) for eps in (0.0, 1.0, 2.0)
+             for delta in (0.0, 0.3)]
+    draws += [(1e308, 0.5, 1e10), (1e300, 1e5, 0.0)]  # the bracket terms overflow
+    draws += zip(log_uniform(rng, 1e-8, 10.0, 2000), rng.uniform(0.0, 1.5, 2000),
+                 log_uniform(rng, 1e-6, 1e3, 2000))
+    for s, eps, delta in draws:
+        d = DimensionlessSchemeA(photon_scale=37.0, saturation=float(s),
+                                 decay_ratio=float(eps), dephasing=float(delta))
+        assert threshold_scheme_a(d) == expected_threshold_scheme_a(s, eps, delta), d
+        limit = 37.0 * ((1.0 - eps) - s * (1.0 + eps + delta) * (1.0 + eps)) / 2.0
+        assert saturation_limit_scheme_a(d) == limit, d
+
+
+def test_quadratic_roots_degenerate_branches():
+    # a = b = 0: scheme A with eps = 1 and s = 0 has no root at all
+    d = DimensionlessSchemeA(photon_scale=1.0, saturation=0.0, decay_ratio=1.0)
+    assert _quadratic_roots(0.0, 0.0, -0.0) is None
+    assert threshold_scheme_a(d) is None
+    # a double root at 0: scheme B with eps = 0 and s*dephasing = 1
+    d = DimensionlessSchemeB(photon_scale=1.0, saturation=0.5, decay_ratio=0.0, dephasing=2.0)
+    assert _quadratic_roots(*_coeffs_scheme_b(d)) == (0.0, 0.0)
+    assert threshold_scheme_b(d) is None
+    assert window_scheme_b(d).exact is None
 
 
 def test_n_min_atoms_examples():
