@@ -36,9 +36,9 @@ arrays from that buffer once, at the end.
 The ``lasekit dynamics`` command reads the same buffer through
 memoryviews and writes it without loading numpy, which this module
 imports only where it builds an array: in :func:`integrate`,
-:class:`TimeSeries`, the Newton polish of :func:`settle`, the one helper
-behind the public ``derivs_*`` and ``jacobian_*`` and the state of a
-:class:`StiffnessError`.
+:class:`TimeSeries`, the one helper behind the public ``derivs_*`` and
+``jacobian_*`` and the state of a :class:`StiffnessError`.
+:func:`settle` runs without it.
 
 :func:`settle` does not creep all the way down to the cutoff.  Newton's
 method on the analytic Jacobian finishes the solve: once the flow has
@@ -49,7 +49,10 @@ root is taken only when it meets the cutoff, lies within
 1e-3*(||y|| + 1) of the trajectory state, is a physical state and is
 linearly stable (every eigenvalue of the Jacobian has a negative real
 part, decided by the Routh-Hurwitz conditions on its characteristic
-polynomial).  Beyond the good-cavity side a stable fixed point can share
+polynomial).  Each Newton step is solved on floats: the rows of the
+Jacobian with two structural zeros eliminate one unknown each, and
+Cramer's rule solves the 2x2 system left (:func:`_newton_step`).
+Beyond the good-cavity side a stable fixed point can share
 phase space with a pulsing attractor, and those early attempts stay off.
 :func:`integrate` tries no Newton polish.  Every steady exit of
 either function, the one at t = 0 included, passes the same stability
@@ -70,7 +73,7 @@ from .params import (
     IntegratorConfig,
     PhysicalThreeLevel,
     PhysicalTwoLevel,
-    equilibrium_populations_three,
+    _populations_from_ground,
     equilibrium_populations_two,
     gamma_parallel_and_inversion,
     gamma_perp_three,
@@ -301,6 +304,50 @@ def _hurwitz(model, par, s0, s1, s2, s3):
     )
 
 
+def _newton_step(model, par, v, f):
+    """The Newton step d with J(v) d = f, as a 4-tuple (the two-level one
+    padded with a zero), or None where J is singular.
+
+    The last row of J, (0, N*g, -kappa) over (y, x), gives
+    d_y = (f_x + kappa*d_x)/(N*g); the three-level rho22 row,
+    (-gamma_02, -gamma_02 - gamma_21) over (rho11, rho22), gives d_rho22
+    and is singular where gamma_02 + gamma_21 = 0.  Cramer's rule solves
+    the 2x2 system in (d_rho11, d_x) that the rho11 and y rows leave;
+    it is singular where its determinant is 0.  A NaN entry gives a NaN
+    step.
+    """
+    j = _jacobian(model, par, *v)
+    if model == 2:
+        (a00, a0y, a0x), (ay0, ayy, ayx), (_, axy, axx) = j
+        f0, fy, fx, _ = f
+    else:
+        (a00, a01, a0y, a0x), (a10, a11, _, _), (ay0, ay1, ayy, ayx), (_, _, axy, axx) = j
+        if a11 == 0.0:
+            return None
+        # d_rho22 = p1 - q1*d_rho11, folded into the rho11 and y rows
+        p1, q1 = f[1] / a11, a10 / a11
+        a00 -= a01 * q1
+        ay0 -= ay1 * q1
+        f0 = f[0] - a01 * p1
+        fy = f[2] - ay1 * p1
+        fx = f[3]
+    # d_y = py + qy*d_x
+    py, qy = fx / axy, -axx / axy
+    b0x = a0x + a0y * qy
+    byx = ayx + ayy * qy
+    f0 -= a0y * py
+    fy -= ayy * py
+    det = a00 * byx - b0x * ay0
+    if det == 0.0:
+        return None
+    d0 = (f0 * byx - b0x * fy) / det
+    dx = (a00 * fy - f0 * ay0) / det
+    dy = py + qy * dx
+    if model == 2:
+        return d0, dy, dx, 0.0
+    return d0, p1 - q1 * d0, dy, dx
+
+
 def _polish(model, par, n, u, steady_tol):
     """Newton's method on f(y) = 0, started at the trajectory state ``u``.
 
@@ -310,27 +357,27 @@ def _polish(model, par, n, u, steady_tol):
     Every iterate must stay inside that ball, so an attempt from a state
     still far from a root fails after one or two iterations.
     """
-    import numpy as np
-
     rhs = _rhs_of(model, par)
-    radius = 1e-3 * (_norm(*u) + 1.0)
-    v = u
-    f = rhs(*v)
+    u0, u1, u2, u3 = u
+    radius = 1e-3 * (_norm(u0, u1, u2, u3) + 1.0)
+    v0, v1, v2, v3 = u
+    f = rhs(v0, v1, v2, v3)
     for _ in range(8):
-        try:
-            step = np.linalg.solve(np.array(_jacobian(model, par, *v)), f[:n])
-        except np.linalg.LinAlgError:
+        step = _newton_step(model, par, (v0, v1, v2, v3), f)
+        if step is None:
             return None
-        v = tuple(float(a - b) for a, b in zip(v, step)) + v[n:]
+        d0, d1, d2, d3 = step
+        v0, v1, v2, v3 = v0 - d0, v1 - d1, v2 - d2, v3 - d3
         # the negated test also rejects a NaN iterate
-        if not _norm(*(a - b for a, b in zip(v, u))) <= radius:
+        if not _norm(v0 - u0, v1 - u1, v2 - u2, v3 - u3) <= radius:
             return None
-        f = rhs(*v)
+        f = rhs(v0, v1, v2, v3)
         fnorm = _norm(*f)
-        if fnorm < steady_tol * (_norm(*v) + 1.0):
+        if fnorm < steady_tol * (_norm(v0, v1, v2, v3) + 1.0):
             break
     else:
         return None
+    v = (v0, v1, v2, v3)
     try:
         _state_object(model, v)
     except ValueError:
@@ -687,12 +734,14 @@ def initial_state(
 
     n = 0 is always a fixed point, so a seed is required for the
     trajectory to find the lasing branch; 1e-3 is small enough not to
-    bias where it ends up.
+    bias where it ends up.  A degenerate three-level flow (no unique
+    no-field equilibrium) starts from the populations it reaches from the
+    ground state, those :func:`n_three_physical` reports.
     """
     if isinstance(p, PhysicalTwoLevel):
         _, rho11 = equilibrium_populations_two(p)
         return BlochState2(rho11=rho11, y=0.0, x=seed_field)
-    _, rho11, rho22 = equilibrium_populations_three(p)
+    _, rho11, rho22 = _populations_from_ground(p)
     return BlochState3(rho11=rho11, rho22=rho22, y=0.0, x=seed_field)
 
 

@@ -504,3 +504,13 @@ def equilibrium_populations_three(
             "population flow is degenerate (no unique no-field equilibrium)"
         )
     return z00 / z, z11 / z, z22 / z
+
+
+def _populations_from_ground(p: PhysicalThreeLevel) -> tuple[float, float, float]:
+    """The no-field populations (rho00, rho11, rho22) the flow reaches from
+    the ground state: the unique equilibrium, or for a degenerate flow the
+    ground state itself (gamma_02 = 0) or the reservoir level 2."""
+    try:
+        return equilibrium_populations_three(p)
+    except ValueError:
+        return (1.0, 0.0, 0.0) if p.gamma_02 == 0.0 else (0.0, 0.0, 1.0)

@@ -30,7 +30,7 @@ from .params import (
     Regime,
     SteadyResult,
     _SCHEMES,
-    equilibrium_populations_three,
+    _populations_from_ground,
     gamma_perp_three,
     reduce_three,
 )
@@ -134,7 +134,11 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float] | None
         root = -c / b
         return (root, math.inf) if b > 0.0 else (-math.inf, root)
     disc = b * b - 4.0 * a * c
-    if disc < 0.0:
+    # the negated test also rejects a NaN discriminant: it is inf - inf
+    # where the bracket coefficients overflow, and then b = c = -inf with
+    # a < 0, so the roots have a positive product and a negative sum and
+    # no positive root exists
+    if not disc >= 0.0:
         return None
     sq = math.sqrt(disc)
     q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else -0.5 * sq
@@ -553,11 +557,7 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
         rho22 = 1.0 - rho00 - rho11
         pops = (rho00, rho11, rho22)
     else:
-        try:
-            pops = equilibrium_populations_three(p)
-        except ValueError:
-            # degenerate flow: the state reached from the ground state
-            pops = (1.0, 0.0, 0.0) if p.gamma_02 == 0.0 else (0.0, 0.0, 1.0)
+        pops = _populations_from_ground(p)
 
     # the regime comes from the scheme's reduction; a zero reference rate has none
     ref = getattr(p, _SCHEMES[p.scheme][2])

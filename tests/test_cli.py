@@ -158,6 +158,26 @@ def test_steady_degenerate_flow_populations(tmp_path, capsys, model, reduced, po
         assert doc["regime"] == "below_threshold"
 
 
+@pytest.mark.parametrize("model, populations", [
+    ("three-a", [0.0, 0.0, 1.0]),
+    ("three-b", [1.0, 0.0, 0.0]),
+], ids=["three-a", "three-b"])
+def test_dynamics_degenerate_flow_starts_where_steady_ends(tmp_path, capsys, model,
+                                                          populations):
+    # the default start of a degenerate flow is the state steady reports
+    cfg = {**CFG_3A_PHYS, "model": model,
+           "params": {**CFG_3A_PHYS["params"], "gamma_10": 0}}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["steady", "--config", path, "--pump", "0", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["populations"].values()) == populations
+    assert main(["dynamics", "--config", path, "--pump", "0", "--t-max", "1"]) == 0
+    series, _ = parse_timeseries_csv(io.StringIO(capsys.readouterr().out))
+    rho11, rho22 = series.states[0][:2]
+    assert [1.0 - rho11 - rho22, rho11, rho22] == populations
+    assert series.times[-1] == 1.0
+
+
 def test_steady_two_level_dimensionless(tmp_path, capsys):
     path = write_cfg(tmp_path, CFG_2L_DIMLESS)
     assert main(["steady", "--config", path, "--pump", "449999", "--format", "json"]) == 0
@@ -327,6 +347,15 @@ def test_region_infinite_window_edge_text(tmp_path, capsys):
     text = capsys.readouterr().out
     for key in windows:
         assert f"{key}:\n  lower: 1.0\n  upper: inf\n" in text
+
+
+def test_region_overflowing_bracket_reports_no_threshold(tmp_path, capsys):
+    # the bracket coefficients overflow to -inf: no threshold, not nan
+    cfg = {"model": "two-level", "parameterization": "dimensionless",
+           "params": {"photon_scale": 1, "saturation": 1e300, "dephasing": 1e10}}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["region", "--config", path]) == 0
+    assert "threshold: None\nlasing_possible: false\n" in capsys.readouterr().out
 
 
 def test_region_scheme_b_reports_both_extrema(tmp_path, capsys):

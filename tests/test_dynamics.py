@@ -472,6 +472,35 @@ def test_settle_converges_on_flow_cutoff_when_polish_fails(monkeypatch):
     assert res.photon_number == pytest.approx(n_three_physical(p).photon_number, rel=1e-6)
 
 
+def _numpy_newton_step(model, par, v, f):
+    """The Newton step of ``dynamics._newton_step`` by LAPACK."""
+    n = 3 if model == 2 else 4
+    try:
+        step = np.linalg.solve(np.array(dynamics._jacobian(model, par, *v)), f[:n])
+    except np.linalg.LinAlgError:
+        return None
+    return tuple(float(d) for d in step) + (0.0,) * (4 - n)
+
+
+def test_settle_work_matches_numpy_newton_step(monkeypatch):
+    # criterion-01 and criterion-02 draws: the float solve takes the same
+    # Newton iterates as LAPACK up to rounding, so each settle takes the
+    # same steps and polish attempts and lands on the same root
+    rng3 = np.random.default_rng(20250810)
+    rng2 = np.random.default_rng(20250811)
+    draws = [random_lasing_three_level(rng3) for _ in range(12)]
+    draws += [random_lasing_two_level(rng2)[0] for _ in range(8)]
+    runs = [settle(p, initial=perturbed_fixed_state(p)) for p in draws]
+    monkeypatch.setattr(dynamics, "_newton_step", _numpy_newton_step)
+    for p, res in zip(draws, runs):
+        ref = settle(p, initial=perturbed_fixed_state(p))
+        assert res.converged and ref.converged
+        assert (res.steps, res.rejected_steps, res.polish_attempts) == (
+            ref.steps, ref.rejected_steps, ref.polish_attempts), p
+        assert res.photon_number == pytest.approx(ref.photon_number, rel=1e-12, abs=0.0)
+    assert sum(res.polish_attempts for res in runs) > len(runs)
+
+
 def test_settle_reports_nonconvergence_on_short_horizon():
     res = settle(EXAMPLE_3L, config=IntegratorConfig(t_max=0.5))
     assert not res.converged
@@ -706,18 +735,24 @@ def _random_rates(rng, kind: int):
     return random_three_level(rng, scheme, lo=1e-2, hi=1e2)
 
 
-def test_routh_hurwitz_matches_eigenvalues():
-    # the fixed point of each draw and the same state with every live
-    # component scaled by up to +-30 %
-    rng = np.random.default_rng(8)
-    verdicts = []
-    for i in range(2100):
+def _fixed_and_nudged_states(rng, count: int):
+    """(p, model, par, n, fixed point, nudged state) of ``count`` draws:
+    the nudged state scales every live component of the fixed point by up
+    to +-30 %."""
+    for i in range(count):
         p = _random_rates(rng, i % 3)
         model, par = dynamics._pack(p)
         n = 3 if model == 2 else 4
         s = dynamics._state_tuple(model, fixed_point_state(p))
         scale = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)
         nudged = tuple(float(a * b) for a, b in zip(s[:n], scale)) + s[n:]
+        yield p, model, par, n, s, nudged
+
+
+def test_routh_hurwitz_matches_eigenvalues():
+    rng = np.random.default_rng(8)
+    verdicts = []
+    for p, model, par, _, s, nudged in _fixed_and_nudged_states(rng, 2100):
         for u in (s, nudged):
             eigs = np.linalg.eigvals(np.array(dynamics._jacobian(model, par, *u)))
             expected = bool(eigs.real.max() < 0.0)
@@ -738,6 +773,33 @@ def test_routh_hurwitz_rejects_hopf_unstable_scheme_b():
     assert not dynamics._hurwitz(model, par, *dynamics._state_tuple(model, s))
     assert dynamics._hurwitz(*dynamics._pack(EXAMPLE_3L),
                              *dynamics._state_tuple(3, fixed_point_state(EXAMPLE_3L)))
+
+
+def test_newton_step_matches_numpy_solve():
+    # nudged states, where the right-hand side is far from zero
+    rng = np.random.default_rng(15)
+    for p, model, par, n, _, u in _fixed_and_nudged_states(rng, 900):
+        f = dynamics._rhs_of(model, par)(*u)
+        step = dynamics._newton_step(model, par, u, f)
+        ref = _numpy_newton_step(model, par, u, f)
+        assert step[n:] == ref[n:] == (0.0,) * (4 - n)
+        err = np.linalg.norm(np.subtract(step, ref)) / np.linalg.norm(ref)
+        assert err < 1e-12, (p, u, step, ref)
+
+
+@pytest.mark.parametrize("p, u", [
+    # gamma_21 = gamma_02 = 0: the rho22 row of J is zero
+    (dataclasses.replace(EXAMPLE_3L, gamma_21=0.0, gamma_02=0.0), (0.2, 0.3, 0.01, 0.1)),
+    # gamma_perp*kappa = N*g**2*(2*rho11 - 1) with no field: the 2x2 core
+    # left by the x row is exactly singular
+    (PhysicalTwoLevel(n_atoms=2.0, coupling_g=1.0, cavity_kappa=1.0, gamma_decay=1.0,
+                      pump_Gamma=1.0, gamma_ph=0.0), (0.75, 0.0, 0.0, 0.0)),
+], ids=["no-population-flow", "singular-core"])
+def test_newton_step_singular_jacobian_gives_none(p, u):
+    model, par = dynamics._pack(p)
+    f = dynamics._rhs_of(model, par)(*u)
+    assert dynamics._newton_step(model, par, u, f) is None
+    assert _numpy_newton_step(model, par, u, f) is None
 
 
 @pytest.mark.parametrize("p", [EXAMPLE_3L, expand_two(FIG2, 2.0)], ids=["three-level", "two-level"])

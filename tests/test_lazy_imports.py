@@ -115,7 +115,8 @@ def test_dynamics_command_loads_its_modules(tmp_path):
 
 def test_settle_stepper_loads_with_settle_only(tmp_path):
     # the DOP853 module is compiled on the first settle call, never by an
-    # import or by a dynamics run, which records with the DP45 stepper
+    # import or by a dynamics run, which records with the DP45 stepper;
+    # a converging settle, its Newton polish included, loads no numpy
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(CFG), encoding="utf-8")
     code = (
@@ -127,6 +128,7 @@ def test_settle_stepper_loads_with_settle_only(tmp_path):
         "assert lasekit.settle(lasekit.PhysicalTwoLevel(n_atoms=1e3, coupling_g=1,"
         " cavity_kappa=1, gamma_decay=1, pump_Gamma=4, gamma_ph=0)).converged\n"
         "assert 'lasekit._dop853' in sys.modules\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     proc = _child(code, str(path))
     assert proc.returncode == 0, proc.stderr

@@ -360,6 +360,21 @@ def test_quadratic_roots_degenerate_branches():
     assert window_scheme_b(d).exact is None
 
 
+def test_overflowing_bracket_coefficients_give_no_threshold():
+    # b = c = -inf makes the discriminant inf - inf = nan; with a < 0 the
+    # roots could only be negative, so there is no threshold and no window
+    two = DimensionlessTwoLevel(photon_scale=1.0, saturation=1e300, dephasing=1e10)
+    b = DimensionlessSchemeB(photon_scale=1.0, saturation=1e300, decay_ratio=1e5,
+                             dephasing=1e10)
+    coeffs = _coeffs_scheme_b(b)
+    assert coeffs[0] < 0.0 and coeffs[1:] == (-math.inf, -math.inf)
+    assert _quadratic_roots(*coeffs) is None
+    assert threshold_two(two) is None
+    assert threshold_scheme_b(b) is None
+    assert window_two(two).exact is None
+    assert window_scheme_b(b).exact is None
+
+
 def test_n_min_atoms_examples():
     p = PhysicalThreeLevel(
         n_atoms=1.0, coupling_g=1.0, cavity_kappa=1.0,
