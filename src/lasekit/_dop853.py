@@ -1,4 +1,4 @@
-"""The stepper behind :func:`lasekit.dynamics.settle`: an explicit adaptive
+"""The one stepper of :mod:`lasekit.dynamics`: an explicit adaptive
 Dormand-Prince 8(5,3) pair.
 
 Prince & Dormand, J. Comput. Appl. Math. 7 (1981) 67, in the form of
@@ -10,9 +10,10 @@ differences.  As in Hairer's code the weighted sum s = sum b_j k_j is formed
 once: the solution is u + h*s and the 3rd-order difference is
 s - sum bhh_j k_j, over the three nonzero weights of the 3rd-order
 solution.  Near a lasing fixed point the step is set by the weakly damped
-relaxation oscillation, not by stiffness, and at the tolerances ``settle``
-runs at the 8th-order pair covers one period in fewer evaluations than the
-5(4) pair that :func:`lasekit.dynamics.integrate` records with.
+relaxation oscillation, not by stiffness, and the 8th-order pair covers one
+period in few right-hand side evaluations: :func:`lasekit.dynamics.settle`
+runs it to a fixed point, and :func:`lasekit.dynamics.integrate` and the
+``lasekit dynamics`` command record its accepted steps.
 
 The step size follows Hairer's PI (Gustafsson) controller with beta = 0.04
 (Hairer & Wanner, Solving ODEs II, sec. IV.2): after an accepted step h
@@ -23,14 +24,13 @@ shrinks h by max(0.333, 0.9 * err**-(1/8 - 0.2*beta)).  The memory of the
 last error damps the accept -> grow -> reject cycle of the plain
 0.9 * err**(-1/8) controller.
 
-As in ``dynamics._dp45_loop`` the stages are unrolled over four scalar
-float locals.  The coefficients are float literals, and the zero entries
-of the tableau are left out of every sum.  The error norm makes no
-function call but ``abs`` and ``sqrt``: it squares by multiplication, which
-overflows to inf without raising.  The right-hand side, the first-step
-heuristic, the state check, the stability test and the Newton polish are
-looked up on :mod:`lasekit.dynamics`, so both steppers share them.  Only
-``settle`` imports this module.
+The stages are unrolled over four scalar float locals.  The coefficients
+are float literals, and the zero entries of the tableau are left out of
+every sum.  The error norm makes no function call but ``abs`` and
+``sqrt``: it squares by multiplication, which overflows to inf without
+raising.  The right-hand side, the first-step heuristic, the state check,
+the stability test, the Newton polish and the step record layout are
+looked up on :mod:`lasekit.dynamics`.
 """
 
 import math
@@ -38,45 +38,64 @@ import math
 from . import dynamics
 
 
-def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, schedule):
+def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, schedule,
+                record=False):
     """Adaptive DOP853 from t = 0 until a stable fixed point or t_max.
 
-    The arguments are those of ``dynamics._dp45_loop``.  Returns (status,
-    t, y, f_norm, counts), with status and the end state ``y`` as there
-    and ``counts`` = (accepted steps, rejected steps, polish attempts,
+    ``par`` and ``y0`` are float tuples (see ``dynamics._rhs_of``); ``n``
+    is the number of live components.  Returns (status, t, y, f_norm,
+    counts, steps), with the end state ``y`` as a tuple of the ``n`` live
+    components and status ``dynamics._STEADY`` (a stable fixed point),
+    ``_TMAX`` (t_max reached) or ``_UNDERFLOW`` (step-size underflow).
+    ``counts`` = (accepted steps, rejected steps, polish attempts,
     right-hand side evaluations of the stepper, the polish's left out).
 
-    A steady exit, the one at t = 0 included, needs a Hurwitz Jacobian.
+    A steady exit, the one at t = 0 included, needs the derivative norm
+    below steady_tol*(||y|| + 1) and a Hurwitz Jacobian.  The stability
+    test is spent once per approach and re-arms only after the norm rises
+    above 1e5 times the cutoff again.  Within 1e4 of the cutoff the
+    tolerances are tightened, down to the rounding floor, so the stepper's
+    own noise stays below it.  A steady_tol of 0 never fires and never
+    tightens: the run goes to t_max at the tolerances it was given.
+
     Newton's method (``dynamics._polish``) finishes the solve once the
-    derivative norm is within 1e4 of the cutoff.  One polish and one
-    stability test are spent per approach: both re-arm only after the norm
-    rises above 1e5 times the cutoff again.  With ``schedule`` (set on the
-    good-cavity side only) the polish is also tried when the count of
-    accepted steps reaches k = 1, 2, 3, 4, 6, 8, 11, 14, 18, ..., each
-    term k + 1 + k // 4 after the last.  At those counts, on either side,
-    a state outside the physical state space ends the run there, with
-    the status of a run out of time; ``settle`` then raises on it.
+    derivative norm is within 1e4 of the cutoff, once per approach like
+    the stability test.  With ``schedule`` (set on the good-cavity side
+    only) the polish is also tried when the count of accepted steps
+    reaches k = 1, 2, 3, 4, 6, 8, 11, 14, 18, ..., each term
+    k + 1 + k // 4 after the last.  At those counts, on either side, a
+    state outside the physical state space ends the run there, with the
+    status of a run out of time; ``settle`` then raises on it.
+
+    With ``record`` the run tries no polish and checks no state on a
+    schedule; ``steps`` holds (t, u0, u1, u2, u3) of the initial state and
+    of every accepted step, packed as ``dynamics._STEP`` records in one
+    ``bytearray``.  Without it ``steps`` is None.
     """
     rhs = dynamics._rhs_of(model, par)
     polish_armed = check_armed = True
     accepted = rejected = attempts = 0
-    next_try = 1
+    next_try = 0 if record else 1  # an accepted count is never 0
     t = 0.0
     u0, u1, u2, u3 = y0
     k1_0, k1_1, k1_2, k1_3 = rhs(u0, u1, u2, u3)
     fnorm = dynamics._norm(k1_0, k1_1, k1_2, k1_3)
+    pack_step = dynamics._STEP.pack
+    steps = bytearray(pack_step(t, u0, u1, u2, u3)) if record else None
 
     if fnorm < steady_tol * (dynamics._norm(u0, u1, u2, u3) + 1.0):
         if dynamics._hurwitz(model, par, u0, u1, u2, u3):
-            return dynamics._STEADY, t, (u0, u1, u2, u3)[:n], fnorm, (0, 0, 0, 1)
+            return dynamics._STEADY, t, (u0, u1, u2, u3)[:n], fnorm, (0, 0, 0, 1), steps
         check_armed = False
 
     h = dynamics._first_step(rhs, (u0, u1, u2, u3), (k1_0, k1_1, k1_2, k1_3), n,
-                             t_max, rtol, atol, max_step, 8)
+                             t_max, rtol, atol, max_step)
 
-    # tightening as in dynamics._dp45_loop: the stepper's own noise floor
-    # must stay below the cutoff, down to the rounding floor.  The floor
-    # keeps the error scale of a zero component (the two-level padding)
+    # Near a fixed point the error-controlled stepper keeps injecting
+    # O(atol + rtol*|y|) perturbations, which puts a noise floor under
+    # ||f|| far above the cutoff; tightening (never loosening beyond the
+    # requested tolerances) keeps the cutoff reachable.  The floor keeps
+    # the error scale of a zero component (the two-level padding)
     # positive should atol*tighten underflow
     tighten = 1.0
     tighten_min = min(1.0, 5e-14 / rtol)
@@ -329,6 +348,9 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
             target = steady_tol * (sqrt(u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3) + 1.0)
             if fnorm > 1e5 * target:
                 polish_armed = check_armed = True
+            if record:
+                steps += pack_step(t, u0, u1, u2, u3)
+                polish_armed = False
             attempt = False
             if accepted == next_try:
                 next_try += 1 + next_try // 4
@@ -375,5 +397,5 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
 
     # the start, the first-step probe and 12 per attempted step
     rhs_evaluations = 2 + 12 * (accepted + rejected)
-    return status, t, (u0, u1, u2, u3)[:n], fnorm, (accepted, rejected, attempts,
-                                                    rhs_evaluations)
+    counts = (accepted, rejected, attempts, rhs_evaluations)
+    return status, t, (u0, u1, u2, u3)[:n], fnorm, counts, steps

@@ -18,21 +18,22 @@ Three-level state [rho11, rho22, y, x] (rho00 = 1 - rho11 - rho22):
     d y     = -gamma_perp*y + g*x*(rho11 - rho00)
     d x     = -kappa*x + N*g*y
 
-Two explicit adaptive Runge-Kutta pairs with first-same-as-last reuse
-integrate the system; the derivative of every accepted state comes for
-free, which is what the scaled derivative-norm steady-state detector runs
-on.  :func:`integrate` and the ``lasekit dynamics`` command record with
-the Dormand-Prince 5(4) pair of :func:`_dp45_loop`.  :func:`settle`
-records nothing and runs the Dormand-Prince 8(5,3) pair (DOP853) of
-``lasekit._dop853``, which it alone imports: near a lasing fixed point
-the weakly damped relaxation oscillation sets the step, and the 8th-order
-pair covers it in fewer right-hand side evaluations.  Both loops run on
-scalar float locals with their stages unrolled over the components and
-the right-hand side bound once per run, which keeps plain Python free of
-per-element numpy indexing.
+One explicit adaptive Runge-Kutta pair with first-same-as-last reuse
+integrates the system: the Dormand-Prince 8(5,3) pair (DOP853) of
+``lasekit._dop853``, which :func:`settle`, :func:`integrate` and the
+``lasekit dynamics`` command import on their first call.  The derivative
+of every accepted state comes for free, which is what the scaled
+derivative-norm steady-state detector runs on.  Near a lasing fixed point
+the weakly damped relaxation oscillation sets the step, and the
+8th-order pair covers it in few right-hand side evaluations.  The loop
+runs on scalar float locals with its stages unrolled over the components
+and the right-hand side bound once per run, which keeps plain Python free
+of per-element numpy indexing.
 A recorded run appends the time and state of each accepted step, packed
 as doubles, to one flat ``bytearray``; :func:`integrate` builds its
-arrays from that buffer once, at the end.
+arrays from that buffer once, at the end.  It records the stepper's
+accepted steps and no others: there is no dense output onto a uniform
+grid.
 The ``lasekit dynamics`` command reads the same buffer through
 memoryviews and writes it without loading numpy, which this module
 imports only where it builds an array: in :func:`integrate`,
@@ -396,10 +397,10 @@ def _sq(q):
     return math.inf if abs(q) > _SQ_MAX else q ** 2
 
 
-def _first_step(rhs, u, f, n, t_max, rtol, atol, max_step, order):
-    """The initial step of a pair of the given ``order`` from the state
-    ``u`` with ``f`` = rhs(u): the usual two-phase heuristic on scaled
-    magnitudes (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4)."""
+def _first_step(rhs, u, f, n, t_max, rtol, atol, max_step):
+    """The initial step of the 8th-order pair from the state ``u`` with
+    ``f`` = rhs(u): the usual two-phase heuristic on scaled magnitudes
+    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4)."""
     u0, u1, u2, u3 = u
     k1_0, k1_1, k1_2, k1_3 = f
     sc0 = atol + rtol * abs(u0)
@@ -430,199 +431,12 @@ def _first_step(rhs, u, f, n, t_max, rtol, atol, max_step, order):
     if dm <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / dm) ** (1.0 / order)
+        h1 = (0.01 / dm) ** 0.125
     h = min(100.0 * h0, h1, t_max, max_step)
     if not (h > 0.0 and math.isfinite(h)):
         # overflow-proof fallback for extreme tolerance settings
         h = min(1e-6, t_max, max_step)
     return h
-
-
-def _dp45_loop(
-    model,
-    par,
-    y0,
-    n,
-    t_max,
-    rtol,
-    atol,
-    max_step,
-    steady_tol,
-    stop_at_steady,
-):
-    """Adaptive Dormand-Prince 5(4) from t = 0 to t_max, recording every
-    accepted step.
-
-    ``par`` and ``y0`` are float tuples (see :func:`_rhs_of`); ``n`` is
-    the number of live components.  The stages are unrolled over scalar
-    locals.
-
-    Returns (status, t, y, f_norm, steps), with the end state ``y`` as a
-    tuple of the ``n`` live components.  status: 0 = derivative norm
-    reached steady_tol scale, 1 = t_max reached, 2 = step-size underflow.
-    ``steps`` holds (t, u0, u1, u2, u3) of the initial state and of every
-    accepted step as native doubles, flat in one ``bytearray``.
-
-    With ``stop_at_steady`` the run ends where the derivative norm meets
-    the cutoff and the Jacobian is Hurwitz, the t = 0 state included.  The
-    stability test is spent once per approach and re-arms only after the
-    norm rises above 1e5 times the cutoff again.
-    """
-    check_armed = True
-    t = 0.0
-    u0, u1, u2, u3 = y0
-    rhs = _rhs_of(model, par)
-    k1_0, k1_1, k1_2, k1_3 = rhs(u0, u1, u2, u3)
-    fnorm = _norm(k1_0, k1_1, k1_2, k1_3)
-
-    pack_step = _STEP.pack
-    steps = bytearray(pack_step(t, u0, u1, u2, u3))
-
-    if stop_at_steady and fnorm < steady_tol * (_norm(u0, u1, u2, u3) + 1.0):
-        if _hurwitz(model, par, u0, u1, u2, u3):
-            return _STEADY, t, (u0, u1, u2, u3)[:n], fnorm, steps
-        check_armed = False
-
-    h = _first_step(rhs, (u0, u1, u2, u3), (k1_0, k1_1, k1_2, k1_3), n, t_max,
-                    rtol, atol, max_step, 5)
-
-    # Near a fixed point the error-controlled stepper keeps injecting
-    # O(atol + rtol*|y|) perturbations, which puts a noise floor under
-    # ||f|| far above steady_tol*(||y|| + 1).  When the flow speed enters
-    # the terminal zone the effective tolerances are tightened (never
-    # loosened beyond the requested ones) so the criterion stays
-    # reachable; the rounding floor caps how far tightening can go.
-    tighten = 1.0
-    tighten_min = min(1.0, 5e-14 / rtol)
-
-    status = _TMAX
-    while t < t_max:
-        # the floor keeps the error scale of a zero component (the
-        # two-level padding) positive should atol*tighten underflow
-        atol_eff = max(atol * tighten, 5e-324)
-        rtol_eff = rtol * tighten
-        floor = 1e-14 * max(1.0, abs(t))
-        remaining = t_max - t
-        if remaining <= floor:
-            break  # arrived within rounding of the horizon
-        if h > max_step:
-            h = max_step
-        if h > remaining:
-            h = remaining
-        if h < floor:
-            # the error controller, not the horizon, drove h to zero
-            status = _UNDERFLOW
-            break
-
-        # Dormand-Prince stages (FSAL: k1 already holds f(t, y))
-        k2_0, k2_1, k2_2, k2_3 = rhs(
-            u0 + h * 0.2 * k1_0,
-            u1 + h * 0.2 * k1_1,
-            u2 + h * 0.2 * k1_2,
-            u3 + h * 0.2 * k1_3,
-        )
-        k3_0, k3_1, k3_2, k3_3 = rhs(
-            u0 + h * (0.075 * k1_0 + 0.225 * k2_0),
-            u1 + h * (0.075 * k1_1 + 0.225 * k2_1),
-            u2 + h * (0.075 * k1_2 + 0.225 * k2_2),
-            u3 + h * (0.075 * k1_3 + 0.225 * k2_3),
-        )
-        k4_0, k4_1, k4_2, k4_3 = rhs(
-            u0 + h * ((44.0 / 45.0) * k1_0 - (56.0 / 15.0) * k2_0
-                      + (32.0 / 9.0) * k3_0),
-            u1 + h * ((44.0 / 45.0) * k1_1 - (56.0 / 15.0) * k2_1
-                      + (32.0 / 9.0) * k3_1),
-            u2 + h * ((44.0 / 45.0) * k1_2 - (56.0 / 15.0) * k2_2
-                      + (32.0 / 9.0) * k3_2),
-            u3 + h * ((44.0 / 45.0) * k1_3 - (56.0 / 15.0) * k2_3
-                      + (32.0 / 9.0) * k3_3),
-        )
-        k5_0, k5_1, k5_2, k5_3 = rhs(
-            u0 + h * ((19372.0 / 6561.0) * k1_0 - (25360.0 / 2187.0) * k2_0
-                      + (64448.0 / 6561.0) * k3_0 - (212.0 / 729.0) * k4_0),
-            u1 + h * ((19372.0 / 6561.0) * k1_1 - (25360.0 / 2187.0) * k2_1
-                      + (64448.0 / 6561.0) * k3_1 - (212.0 / 729.0) * k4_1),
-            u2 + h * ((19372.0 / 6561.0) * k1_2 - (25360.0 / 2187.0) * k2_2
-                      + (64448.0 / 6561.0) * k3_2 - (212.0 / 729.0) * k4_2),
-            u3 + h * ((19372.0 / 6561.0) * k1_3 - (25360.0 / 2187.0) * k2_3
-                      + (64448.0 / 6561.0) * k3_3 - (212.0 / 729.0) * k4_3),
-        )
-        k6_0, k6_1, k6_2, k6_3 = rhs(
-            u0 + h * ((9017.0 / 3168.0) * k1_0 - (355.0 / 33.0) * k2_0
-                      + (46732.0 / 5247.0) * k3_0 + (49.0 / 176.0) * k4_0
-                      - (5103.0 / 18656.0) * k5_0),
-            u1 + h * ((9017.0 / 3168.0) * k1_1 - (355.0 / 33.0) * k2_1
-                      + (46732.0 / 5247.0) * k3_1 + (49.0 / 176.0) * k4_1
-                      - (5103.0 / 18656.0) * k5_1),
-            u2 + h * ((9017.0 / 3168.0) * k1_2 - (355.0 / 33.0) * k2_2
-                      + (46732.0 / 5247.0) * k3_2 + (49.0 / 176.0) * k4_2
-                      - (5103.0 / 18656.0) * k5_2),
-            u3 + h * ((9017.0 / 3168.0) * k1_3 - (355.0 / 33.0) * k2_3
-                      + (46732.0 / 5247.0) * k3_3 + (49.0 / 176.0) * k4_3
-                      - (5103.0 / 18656.0) * k5_3),
-        )
-        v0 = u0 + h * ((35.0 / 384.0) * k1_0 + (500.0 / 1113.0) * k3_0
-                       + (125.0 / 192.0) * k4_0 - (2187.0 / 6784.0) * k5_0
-                       + (11.0 / 84.0) * k6_0)
-        v1 = u1 + h * ((35.0 / 384.0) * k1_1 + (500.0 / 1113.0) * k3_1
-                       + (125.0 / 192.0) * k4_1 - (2187.0 / 6784.0) * k5_1
-                       + (11.0 / 84.0) * k6_1)
-        v2 = u2 + h * ((35.0 / 384.0) * k1_2 + (500.0 / 1113.0) * k3_2
-                       + (125.0 / 192.0) * k4_2 - (2187.0 / 6784.0) * k5_2
-                       + (11.0 / 84.0) * k6_2)
-        v3 = u3 + h * ((35.0 / 384.0) * k1_3 + (500.0 / 1113.0) * k3_3
-                       + (125.0 / 192.0) * k4_3 - (2187.0 / 6784.0) * k5_3
-                       + (11.0 / 84.0) * k6_3)
-        k7_0, k7_1, k7_2, k7_3 = rhs(v0, v1, v2, v3)
-
-        # embedded 4th-order error estimate
-        e0 = h * ((71.0 / 57600.0) * k1_0 - (71.0 / 16695.0) * k3_0
-                  + (71.0 / 1920.0) * k4_0 - (17253.0 / 339200.0) * k5_0
-                  + (22.0 / 525.0) * k6_0 - (1.0 / 40.0) * k7_0)
-        e1 = h * ((71.0 / 57600.0) * k1_1 - (71.0 / 16695.0) * k3_1
-                  + (71.0 / 1920.0) * k4_1 - (17253.0 / 339200.0) * k5_1
-                  + (22.0 / 525.0) * k6_1 - (1.0 / 40.0) * k7_1)
-        e2 = h * ((71.0 / 57600.0) * k1_2 - (71.0 / 16695.0) * k3_2
-                  + (71.0 / 1920.0) * k4_2 - (17253.0 / 339200.0) * k5_2
-                  + (22.0 / 525.0) * k6_2 - (1.0 / 40.0) * k7_2)
-        e3 = h * ((71.0 / 57600.0) * k1_3 - (71.0 / 16695.0) * k3_3
-                  + (71.0 / 1920.0) * k4_3 - (17253.0 / 339200.0) * k5_3
-                  + (22.0 / 525.0) * k6_3 - (1.0 / 40.0) * k7_3)
-        errnorm = (
-            _sq(e0 / (atol_eff + rtol_eff * max(abs(u0), abs(v0))))
-            + _sq(e1 / (atol_eff + rtol_eff * max(abs(u1), abs(v1))))
-            + _sq(e2 / (atol_eff + rtol_eff * max(abs(u2), abs(v2))))
-            + _sq(e3 / (atol_eff + rtol_eff * max(abs(u3), abs(v3))))
-        )
-        errnorm = math.sqrt(errnorm / n)
-
-        if errnorm <= 1.0:
-            t += h
-            u0, u1, u2, u3 = v0, v1, v2, v3
-            k1_0, k1_1, k1_2, k1_3 = k7_0, k7_1, k7_2, k7_3  # FSAL
-            steps += pack_step(t, u0, u1, u2, u3)
-            fnorm = _norm(k1_0, k1_1, k1_2, k1_3)
-            if stop_at_steady:
-                target = steady_tol * (_norm(u0, u1, u2, u3) + 1.0)
-                if fnorm > 1e5 * target:
-                    check_armed = True
-                if fnorm < target:
-                    if check_armed and _hurwitz(model, par, u0, u1, u2, u3):
-                        status = _STEADY
-                        break
-                    check_armed = False
-                if fnorm < 1e4 * target and tighten > tighten_min:
-                    tighten = max(0.25 * tighten, tighten_min)
-                elif fnorm > 1e5 * target and tighten < 1.0:
-                    tighten = min(4.0 * tighten, 1.0)
-            if errnorm == 0.0:
-                h *= 5.0
-            else:
-                h *= min(5.0, max(0.2, 0.9 * errnorm ** -0.2))
-        else:
-            h *= max(0.1, 0.9 * errnorm ** -0.2)
-
-    return status, t, (u0, u1, u2, u3)[:n], fnorm, steps
 
 
 def _pack(
@@ -796,7 +610,7 @@ def _loop_args(
     initial: BlochState2 | BlochState3 | None,
     config: IntegratorConfig,
 ) -> tuple:
-    """The leading arguments of either stepper loop, model tag first."""
+    """The leading arguments of the stepper loop, model tag first."""
     model, par = _pack(p)
     y0 = _state_tuple(model, initial if initial is not None else initial_state(p))
     t_max = config.t_max if config.t_max is not None else default_t_max(p)
@@ -835,11 +649,16 @@ def _recorded(
     Returns (labels, steady, ||f||, columns): ``columns`` holds t and then
     the state components named by ``labels``, one row per accepted step,
     each a 1-D memoryview of doubles that strides over the packed step
-    buffer.  Raises as :func:`integrate` does.
+    buffer.  Raises as :func:`integrate` does.  A run that does not stop
+    at steady is given a cutoff of 0, so it never tightens its tolerances.
     """
+    from ._dop853 import dop853_loop
+
     args = _loop_args(p, initial, config)
     model = args[0]
-    status, t, y, fnorm, steps = _dp45_loop(*args, stop_at_steady)
+    if not stop_at_steady:
+        args = args[:-1] + (0.0,)
+    status, t, y, fnorm, _, steps = dop853_loop(*args, schedule=False, record=True)
     _raise_on_underflow(model, status, t, y)
     labels = _STATES[model][1]
     cells = memoryview(steps).cast("d")
@@ -889,8 +708,8 @@ def settle(
     The independent cross-check for every closed-form photon number: no
     steady-state algebra enters, only the equations of motion and their
     Jacobian.  The stepper is the adaptive Dormand-Prince 8(5,3) pair
-    (DOP853), not the 5(4) pair of :func:`integrate`, and the result
-    counts its steps and Newton attempts.  Newton's method on the analytic
+    (DOP853) that :func:`integrate` records with, and the result counts
+    its steps and Newton attempts.  Newton's method on the analytic
     Jacobian finishes the solve.  It is tried once the flow has brought
     the derivative norm within 1e4 of the cutoff and, on the good-cavity
     side (kappa < gamma_perp + gamma_par, where no pulsing attractor is
@@ -911,7 +730,7 @@ def settle(
 
     args = _loop_args(p, initial, config)
     model = args[0]
-    status, t, y, fnorm, (steps, rejected, attempts, evaluations) = dop853_loop(
+    status, t, y, fnorm, (steps, rejected, attempts, evaluations), _ = dop853_loop(
         *args, _good_cavity(p)
     )
     _raise_on_underflow(model, status, t, y)

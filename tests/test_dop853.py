@@ -1,4 +1,4 @@
-"""The Dormand-Prince 8(5,3) stepper behind ``settle``.
+"""The Dormand-Prince 8(5,3) stepper behind ``settle`` and ``integrate``.
 
 The tableau is read back from the unrolled loop itself, so the order
 conditions and the comparison with scipy check the coefficients that run,
@@ -15,7 +15,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import perturbed_fixed_state, random_lasing_three_level
+from conftest import (
+    perturbed_fixed_state,
+    random_lasing_three_level,
+    random_lasing_two_level,
+)
 import lasekit._dop853 as dop853
 import lasekit.dynamics as dynamics
 from lasekit import (
@@ -23,6 +27,7 @@ from lasekit import (
     PhysicalThreeLevel,
     PumpScheme,
     fixed_point_state,
+    integrate,
     settle,
 )
 
@@ -247,3 +252,85 @@ def test_settle_counts_rhs_evaluations(monkeypatch):
     res = settle(README_3L, initial=fixed_point_state(README_3L))
     assert res.converged and res.steps == 0
     assert res.rhs_evaluations == counts[0] == 1
+
+
+def _pinned_draws():
+    """The first 12 criterion-01 and 8 criterion-02 draws of the seeds of
+    ``test_settle_work_matches_numpy_newton_step``."""
+    rng3 = np.random.default_rng(20250810)
+    rng2 = np.random.default_rng(20250811)
+    draws = [random_lasing_three_level(rng3) for _ in range(12)]
+    return draws + [random_lasing_two_level(rng2)[0] for _ in range(8)]
+
+
+# settle of each pinned draw from its nudged fixed point: (live state
+# components, time, steps, rejected_steps, polish_attempts,
+# rhs_evaluations), bit for bit
+SETTLE_PINS = [
+    ((0.0007075510664586973, 0.9987479860599892, 0.00028318025806073804, 5.259797119739532), 21.77402126998465, 362, 1, 22, 4358),
+    ((0.4147067337105991, 0.17059858759262458, 0.0022141180479845037, 17.544440600499), 2.171808648749253, 887, 102, 26, 11870),
+    ((0.380878878817869, 0.24652305692438392, 0.05359133825911112, 11.81326177908995), 0.5901584030998548, 11, 0, 7, 134),
+    ((0.004566150932907052, 0.9943836944847039, 0.001890426511842562, 4.523024671518309), 1.7625050927613828, 37, 1, 12, 458),
+    ((0.0026316813909459036, 0.9950184610203808, 0.0003480013215570004, 7.132385975319188), 5.355214920987445, 59, 3, 14, 746),
+    ((0.2259025216540436, 0.5520101034031002, 0.001915622522244772, 9.141381121050088), 7.835520485836525, 59, 7, 14, 794),
+    ((0.4439423540271035, 0.1389271041001225, 0.0619418143685873, 84.5856400545235), 2.4718629725073207, 47, 4, 13, 614),
+    ((0.006657112835647528, 0.9866932044503679, 0.00021874966966432385, 19.097143722574618), 12.272371984840643, 1387, 186, 28, 18878),
+    ((0.002906953587635079, 0.9943344688036722, 0.0006287487281405051, 17.251598468049124), 5.030180944836641, 184, 10, 19, 2330),
+    ((0.4113527059737052, 0.23923365073502784, 0.10159975122696104, 492.23094033608214), 27.56213789877969, 709, 2, 25, 8534),
+    ((0.10285049722055978, 0.8782238621109614, 0.037992868802007376, 6.602634534638847), 6.764379814782878, 47, 7, 13, 650),
+    ((0.016323028574687096, 0.9684034025145533, 0.0030344677634813132, 43.50059030628576), 74.65225622157439, 567, 27, 24, 7130),
+    ((0.6996180263372184, 0.34628743286774055, 1180.0064289623901), 8.244069366163407, 1109, 4, 27, 13358),
+    ((0.6476128457225868, 0.24081610561029754, 776.0984194943035), 12.53774268880169, 567, 2, 24, 6830),
+    ((0.5077833992763912, 0.04008269247828167, 134.87945106406343), 4.5381761862286645, 184, 32, 19, 2594),
+    ((0.5000150292915675, 0.0035466864207038583, 24.169020492993226), 2.7290600481438583, 567, 65, 24, 7586),
+    ((0.5046799374404275, 0.0642435812098113, 13.755275527155096), 1.9553053454865152, 93, 9, 16, 1226),
+    ((0.6528959292075723, 0.32545380602078783, 923.0757631497233), 9.898543371474918, 453, 3, 23, 5474),
+    ((0.5198763057063969, 0.13798215242196604, 12.393677866916624), 0.12285180600911384, 18, 2, 9, 242),
+    ((0.5980218910601239, 0.23683587453904129, 13.169359664388791), 0.6604987201049689, 47, 3, 13, 602),
+]
+
+
+def test_settle_runs_are_pinned_bit_for_bit():
+    # the record mode of the loop must leave every settle run as it was
+    for p, pin in zip(_pinned_draws(), SETTLE_PINS, strict=True):
+        res = settle(p, initial=perturbed_fixed_state(p))
+        assert res.converged
+        model = 3 if isinstance(p, PhysicalThreeLevel) else 2
+        state = dynamics._state_tuple(model, res.state)[:len(pin[0])]
+        got = (state, res.time, res.steps, res.rejected_steps, res.polish_attempts,
+               res.rhs_evaluations)
+        assert got == pin, p
+
+
+@pytest.mark.parametrize("stop_at_steady", [False, True])
+def test_recorded_run_tries_no_polish(monkeypatch, stop_at_steady):
+    def polish(*args):
+        raise AssertionError("a recorded run tried the Newton polish")
+
+    monkeypatch.setattr(dynamics, "_polish", polish)
+    series = integrate(README_3L, config=IntegratorConfig(t_max=50.0),
+                       stop_at_steady=stop_at_steady)
+    assert series.steady is stop_at_steady
+    # settle from the same start reaches its polish well before t = 50
+    with pytest.raises(AssertionError, match="tried the Newton polish"):
+        settle(README_3L, config=IntegratorConfig(t_max=50.0))
+
+
+def test_run_that_does_not_stop_keeps_its_tolerances():
+    # a cutoff that never ends the run must not tighten the tolerances
+    # either: from next to the fixed point, where the derivative norm
+    # falls below 1e4 times either cutoff, both record the same rows
+    start = perturbed_fixed_state(README_3L)
+    runs = [
+        integrate(README_3L, initial=start,
+                  config=IntegratorConfig(t_max=30.0, steady_tol=tol))
+        for tol in (1e-10, 1e-3)
+    ]
+    assert not runs[0].steady and runs[0].times[-1] == 30.0
+    assert np.array_equal(runs[0].times, runs[1].times)
+    assert np.array_equal(runs[0].states, runs[1].states)
+    # stopping at steady with the loose cutoff does tighten, and ends early
+    stopped = integrate(README_3L, initial=start,
+                        config=IntegratorConfig(t_max=30.0, steady_tol=1e-3),
+                        stop_at_steady=True)
+    assert stopped.steady and stopped.times[-1] < 30.0

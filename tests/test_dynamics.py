@@ -690,18 +690,18 @@ def test_integrator_agrees_with_scipy_reference():
 
 def test_integrator_convergence_order():
     # force fixed steps via max_step with error control disabled by huge
-    # tolerances; the error against a tight reference must fall like h^5,
-    # the propagating order of the pair.  The steps must lie in the
+    # tolerances; the error against a tight reference must fall like h^8,
+    # the propagating order of the DOP853 pair.  The steps must lie in the
     # asymptotic range: the Jacobian's spectral radius along this
-    # trajectory reaches ~18, so h = 0.05 (h*rho ~ 0.9) is still
-    # pre-asymptotic.  The reference's own error (~8e-12, rtol 1e-12 vs
-    # 1e-13) stays far below the smallest error here (~5e-9).
+    # trajectory reaches ~18, so h = 0.04 keeps h*rho below 0.75.  The
+    # reference's own error (~6e-15, rtol 1e-15 vs 1e-14) stays far below
+    # the smallest error here (~4e-13).
     ref = integrate(
-        EXAMPLE_3L, config=IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, t_max=2.0)
+        EXAMPLE_3L, config=IntegratorConfig(rel_tol=1e-15, abs_tol=1e-17, t_max=2.0)
     ).states[-1]
 
     errs = []
-    for h in (0.02, 0.01, 0.005):
+    for h in (0.04, 0.02, 0.01):
         series = integrate(
             EXAMPLE_3L,
             config=IntegratorConfig(rel_tol=1.0, abs_tol=1.0, t_max=2.0, max_step=h),
@@ -716,8 +716,8 @@ def test_integrator_convergence_order():
         errs.append(float(np.linalg.norm(series.states[-1] - ref)))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
-    assert 4.3 < order1 < 5.7, (errs, order1)
-    assert 4.3 < order2 < 5.7, (errs, order2)
+    assert 7.3 < order1 < 8.7, (errs, order1)
+    assert 7.3 < order2 < 8.7, (errs, order2)
 
 
 

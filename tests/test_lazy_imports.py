@@ -113,21 +113,21 @@ def test_dynamics_command_loads_its_modules(tmp_path):
         assert set(_loaded(proc)) == {"lasekit.dynamics"}, fmt
 
 
-def test_settle_stepper_loads_with_settle_only(tmp_path):
-    # the DOP853 module is compiled on the first settle call, never by an
-    # import or by a dynamics run, which records with the DP45 stepper;
-    # a converging settle, its Newton polish included, loads no numpy
+def test_stepper_runs_without_numpy(tmp_path):
+    # the DOP853 module is compiled on the first run, never by an import;
+    # neither a converging settle, its Newton polish included, nor the
+    # dynamics command, which records with the same stepper, loads numpy
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(CFG), encoding="utf-8")
     code = (
         "import lasekit, lasekit.cli\n"
         "assert 'lasekit._dop853' not in sys.modules\n"
-        "assert lasekit.cli.main(['dynamics', '--config', sys.argv[1],"
-        " '--t-max', '0.1']) == 0\n"
-        "assert 'lasekit._dop853' not in sys.modules\n"
         "assert lasekit.settle(lasekit.PhysicalTwoLevel(n_atoms=1e3, coupling_g=1,"
         " cavity_kappa=1, gamma_decay=1, pump_Gamma=4, gamma_ph=0)).converged\n"
         "assert 'lasekit._dop853' in sys.modules\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert lasekit.cli.main(['dynamics', '--config', sys.argv[1],"
+        " '--t-max', '0.1']) == 0\n"
         "assert 'numpy' not in sys.modules\n"
     )
     proc = _child(code, str(path))
