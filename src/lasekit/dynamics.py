@@ -356,7 +356,10 @@ def _polish(model, par, n, u, steady_tol):
     the root meets the steady cutoff within 8 iterations, lies within
     1e-3*(||u|| + 1) of ``u``, is a physical state and is linearly stable.
     Every iterate must stay inside that ball, so an attempt from a state
-    still far from a root fails after one or two iterations.
+    still far from a root fails after one or two iterations.  The first
+    iterate that meets the cutoff is only as good as the cutoff times the
+    Jacobian's conditioning; one more Newton step takes it to rounding,
+    and is kept where it stays in the ball and does not raise ||f||.
     """
     rhs = _rhs_of(model, par)
     u0, u1, u2, u3 = u
@@ -378,6 +381,13 @@ def _polish(model, par, n, u, steady_tol):
             break
     else:
         return None
+    step = _newton_step(model, par, (v0, v1, v2, v3), f)
+    if step is not None:
+        d0, d1, d2, d3 = step
+        w0, w1, w2, w3 = v0 - d0, v1 - d1, v2 - d2, v3 - d3
+        wnorm = _norm(*rhs(w0, w1, w2, w3))
+        if wnorm <= fnorm and _norm(w0 - u0, w1 - u1, w2 - u2, w3 - u3) <= radius:
+            v0, v1, v2, v3, fnorm = w0, w1, w2, w3, wnorm
     v = (v0, v1, v2, v3)
     try:
         _state_object(model, v)

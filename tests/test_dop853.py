@@ -267,25 +267,25 @@ def _pinned_draws():
 # components, time, steps, rejected_steps, polish_attempts,
 # rhs_evaluations), bit for bit
 SETTLE_PINS = [
-    ((0.0007075510664586973, 0.9987479860599892, 0.00028318025806073804, 5.259797119739532), 21.77402126998465, 362, 1, 22, 4358),
-    ((0.4147067337105991, 0.17059858759262458, 0.0022141180479845037, 17.544440600499), 2.171808648749253, 887, 102, 26, 11870),
-    ((0.380878878817869, 0.24652305692438392, 0.05359133825911112, 11.81326177908995), 0.5901584030998548, 11, 0, 7, 134),
+    ((0.0007075510664585162, 0.9987479860599894, 0.00028318025806069955, 5.259797119738818), 21.77402126998465, 362, 1, 22, 4358),
+    ((0.4147067337105991, 0.17059858759262458, 0.0022141180479845033, 17.544440600499), 2.171808648749253, 887, 102, 26, 11870),
+    ((0.3808788788141918, 0.2465230569258482, 0.053591338258611634, 11.813261778979848), 0.5901584030998548, 11, 0, 7, 134),
     ((0.004566150932907052, 0.9943836944847039, 0.001890426511842562, 4.523024671518309), 1.7625050927613828, 37, 1, 12, 458),
-    ((0.0026316813909459036, 0.9950184610203808, 0.0003480013215570004, 7.132385975319188), 5.355214920987445, 59, 3, 14, 746),
-    ((0.2259025216540436, 0.5520101034031002, 0.001915622522244772, 9.141381121050088), 7.835520485836525, 59, 7, 14, 794),
+    ((0.0026316813909458892, 0.9950184610203808, 0.0003480013215570021, 7.132385975319224), 5.355214920987445, 59, 3, 14, 746),
+    ((0.22590252165404226, 0.5520101034031012, 0.0019156225222446612, 9.141381121049559), 7.835520485836525, 59, 7, 14, 794),
     ((0.4439423540271035, 0.1389271041001225, 0.0619418143685873, 84.5856400545235), 2.4718629725073207, 47, 4, 13, 614),
     ((0.006657112835647528, 0.9866932044503679, 0.00021874966966432385, 19.097143722574618), 12.272371984840643, 1387, 186, 28, 18878),
-    ((0.002906953587635079, 0.9943344688036722, 0.0006287487281405051, 17.251598468049124), 5.030180944836641, 184, 10, 19, 2330),
-    ((0.4113527059737052, 0.23923365073502784, 0.10159975122696104, 492.23094033608214), 27.56213789877969, 709, 2, 25, 8534),
-    ((0.10285049722055978, 0.8782238621109614, 0.037992868802007376, 6.602634534638847), 6.764379814782878, 47, 7, 13, 650),
-    ((0.016323028574687096, 0.9684034025145533, 0.0030344677634813132, 43.50059030628576), 74.65225622157439, 567, 27, 24, 7130),
-    ((0.6996180263372184, 0.34628743286774055, 1180.0064289623901), 8.244069366163407, 1109, 4, 27, 13358),
-    ((0.6476128457225868, 0.24081610561029754, 776.0984194943035), 12.53774268880169, 567, 2, 24, 6830),
-    ((0.5077833992763912, 0.04008269247828167, 134.87945106406343), 4.5381761862286645, 184, 32, 19, 2594),
-    ((0.5000150292915675, 0.0035466864207038583, 24.169020492993226), 2.7290600481438583, 567, 65, 24, 7586),
-    ((0.5046799374404275, 0.0642435812098113, 13.755275527155096), 1.9553053454865152, 93, 9, 16, 1226),
-    ((0.6528959292075723, 0.32545380602078783, 923.0757631497233), 9.898543371474918, 453, 3, 23, 5474),
-    ((0.5198763057063969, 0.13798215242196604, 12.393677866916624), 0.12285180600911384, 18, 2, 9, 242),
+    ((0.002906953587634983, 0.9943344688036723, 0.0006287487281404535, 17.25159846804771), 5.030180944836641, 184, 10, 19, 2330),
+    ((0.41135270597369666, 0.2392336507350313, 0.1015997512269614, 492.2309403360838), 27.56213789877969, 709, 2, 25, 8534),
+    ((0.10285049722051597, 0.8782238621110042, 0.03799286880200773, 6.602634534638908), 6.764379814782878, 47, 7, 13, 650),
+    ((0.01632302857468676, 0.9684034025145535, 0.00303446776348121, 43.50059030628428), 74.65225622157439, 567, 27, 24, 7130),
+    ((0.6996180263372553, 0.3462874328677113, 1180.0064289622906), 8.244069366163407, 1109, 4, 27, 13358),
+    ((0.6476128457226061, 0.2408161056102807, 776.0984194942492), 12.53774268880169, 567, 2, 24, 6830),
+    ((0.5077833992763873, 0.040082692478279426, 134.87945106405584), 4.5381761862286645, 184, 32, 19, 2594),
+    ((0.5000150292786587, 0.0035466864168132903, 24.16902046648081), 2.7290600481438583, 567, 65, 24, 7586),
+    ((0.5046799374404269, 0.06424358120981037, 13.755275527154899), 1.9553053454865152, 93, 9, 16, 1226),
+    ((0.6528959292075787, 0.32545380602078433, 923.0757631497133), 9.898543371474918, 453, 3, 23, 5474),
+    ((0.5198763057064153, 0.13798215242195466, 12.393677866915603), 0.12285180600911384, 18, 2, 9, 242),
     ((0.5980218910601239, 0.23683587453904129, 13.169359664388791), 0.6604987201049689, 47, 3, 13, 602),
 ]
 

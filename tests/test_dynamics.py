@@ -316,6 +316,28 @@ def test_settle_random_draws_agree_with_closed_forms():
         )
 
 
+def test_settle_agrees_with_closed_forms_to_rounding():
+    # the Newton polish takes one more step after its first iterate that
+    # meets the cutoff, so the ODE leg of the oracle agrees with the closed
+    # forms to rounding, not to the cutoff times the conditioning (2.5e-9
+    # and 2.2e-9 here without that step)
+    rng3 = np.random.default_rng(20250810)
+    rng2 = np.random.default_rng(20250811)
+    worst = 0.0
+    for _ in range(40):
+        p = random_lasing_three_level(rng3)
+        res = settle(p, initial=perturbed_fixed_state(p))
+        exact = n_three_physical(p).photon_number
+        worst = max(worst, abs(res.photon_number - exact) / exact)
+    for _ in range(20):
+        p, pump = random_lasing_two_level(rng2)
+        d, _ = reduce_two(p)
+        res = settle(p, initial=perturbed_fixed_state(p))
+        exact = n_two_level(d, pump).photon_number
+        worst = max(worst, abs(res.photon_number - exact) / exact)
+    assert worst < 1e-12
+
+
 def test_settle_polish_finishes_before_plain_stepper():
     # Newton on the Jacobian ends the settle well before the stepper alone
     # creeps down to the cutoff, on the same fixed point
