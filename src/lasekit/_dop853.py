@@ -60,12 +60,15 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
 
     Newton's method (``dynamics._polish``) finishes the solve once the
     derivative norm is within 1e4 of the cutoff, once per approach like
-    the stability test.  With ``schedule`` (set on the good-cavity side
-    only) the polish is also tried when the count of accepted steps
-    reaches k = 1, 2, 3, 4, 6, 8, 11, 14, 18, ..., each term
-    k + 1 + k // 4 after the last.  At those counts, on either side, a
-    state outside the physical state space ends the run there, with the
-    status of a run out of time; ``settle`` then raises on it.
+    the stability test.  With ``schedule`` (which ``settle`` sets on the
+    good-cavity side only, to save work) the polish is also tried when
+    the count of accepted steps reaches k = 1, 2, 3, 4, 6, 8, 11, 14, 18,
+    ..., each term k + 1 + k // 4 after the last.  At those counts, on
+    either side, a state outside the physical state space ends the run
+    there, with the status of a run out of time; ``settle`` then raises
+    on it.  Neither the schedule nor the cavity side guards the result: a
+    pulsing orbit that passes near a stable fixed point is told from it
+    by the acceptance ball of the polish alone.
 
     With ``record`` the run tries no polish and checks no state on a
     schedule; ``steps`` holds (t, u0, u1, u2, u3) of the initial state and

@@ -53,8 +53,12 @@ part, decided by the Routh-Hurwitz conditions on its characteristic
 polynomial).  Each Newton step is solved on floats: the rows of the
 Jacobian with two structural zeros eliminate one unknown each, and
 Cramer's rule solves the 2x2 system left (:func:`_newton_step`).
-Beyond the good-cavity side a stable fixed point can share
-phase space with a pulsing attractor, and those early attempts stay off.
+The cavity test only decides where the early attempts are spent.  It is
+no guard against a pulsing attractor: one can share phase space with a
+stable fixed point on either side of it (scheme B has good-cavity
+examples).  What keeps an orbit of such an attractor from being taken
+for the fixed point is the acceptance ball, which the orbits pass by
+rather than enter.
 :func:`integrate` tries no Newton polish.  Every steady exit of
 either function, the one at t = 0 included, passes the same stability
 test, so neither reports an unstable fixed point as settled.
@@ -604,8 +608,12 @@ def default_t_max(p: PhysicalTwoLevel | PhysicalThreeLevel) -> float:
 def _good_cavity(p: PhysicalTwoLevel | PhysicalThreeLevel) -> bool:
     """kappa < gamma_perp + gamma_par: the good-cavity side of the
     Lorenz-Haken second threshold (Haken, Phys. Lett. A 53, 77 (1975)).
-    Beyond it a stable lasing fixed point can share phase space with a
-    pulsing attractor."""
+
+    :func:`settle` spends its scheduled Newton attempts on this side
+    only, which is a matter of cost.  The test does not rule out a
+    pulsing attractor beside a stable fixed point: scheme B has
+    good-cavity draws where a seed field grows onto one.  The acceptance
+    ball of :func:`_polish` is what guards the result on either side."""
     if isinstance(p, PhysicalTwoLevel):
         return p.cavity_kappa < gamma_perp_two(p) + p.gamma_decay + p.pump_Gamma
     try:
@@ -722,11 +730,14 @@ def settle(
     its steps and Newton attempts.  Newton's method on the analytic
     Jacobian finishes the solve.  It is tried once the flow has brought
     the derivative norm within 1e4 of the cutoff and, on the good-cavity
-    side (kappa < gamma_perp + gamma_par, where no pulsing attractor is
-    expected beside a stable fixed point), also after accepted steps 1, 2,
+    side (kappa < gamma_perp + gamma_par), also after accepted steps 1, 2,
     3, 4, 6, 8, 11, ...  Its root is taken only when it meets the cutoff,
     lies within 1e-3*(||y|| + 1) of the trajectory state, is physical and
-    is linearly stable, and otherwise the integration goes on.  A state
+    is linearly stable, and otherwise the integration goes on.  The
+    cavity test only saves work: a pulsing attractor can sit beside a
+    stable fixed point on either side of it, and the acceptance ball is
+    what keeps an orbit that passes near the fixed point from being taken
+    for it.  A state
     that meets the cutoff at an unstable fixed point (a Hopf-unstable
     lasing point, or the empty cavity above threshold) does not end the
     run.  When t_max is exhausted first, the result carries

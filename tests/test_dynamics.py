@@ -422,6 +422,56 @@ def test_settle_bad_cavity_coexisting_attractor():
     assert res.photon_number == pytest.approx(40.0, rel=1e-9)
 
 
+# two settle_oracle draws of seed 20250810 (indices 360 and 384): scheme B
+# on the good-cavity side with a linearly stable fixed point (Re lambda =
+# -0.095 and -0.037 on modes oscillating at 37.9 and 27.1), yet a seed
+# field grows onto a pulsing attractor beside it
+GOOD_CAVITY_PULSING = [
+    PhysicalThreeLevel(
+        n_atoms=98.5708468767142, coupling_g=8.667560876200062,
+        cavity_kappa=0.5878740680917577, gamma_21=0.5558782293033676,
+        gamma_02=0.40434965248230886, gamma_10=0.2491738381909437, gamma_ph=0.0,
+        scheme=PumpScheme.B,
+    ),
+    PhysicalThreeLevel(
+        n_atoms=19.197660781546166, coupling_g=9.755169319157217,
+        cavity_kappa=0.4054516918930695, gamma_21=0.1410396528795,
+        gamma_02=0.4420128148229109, gamma_10=0.0248824703262688, gamma_ph=0.0,
+        scheme=PumpScheme.B,
+    ),
+]
+
+
+@pytest.mark.parametrize("p", GOOD_CAVITY_PULSING)
+def test_settle_good_cavity_coexisting_attractor(p):
+    # the good-cavity side does not rule out a pulsing attractor
+    assert dynamics._good_cavity(p)
+    fixed = fixed_point_state(p)
+    assert dynamics._hurwitz(3, dynamics._pack(p)[1], *dynamics._state_tuple(3, fixed))
+    cfg = IntegratorConfig(t_max=50.0)
+    res = settle(p, initial=initial_state(p), config=cfg)
+    assert not res.converged and res.polish_attempts > 0
+    # the orbit keeps its full swing to the end: no decaying transient
+    series = integrate(p, initial=initial_state(p), config=cfg)
+    late = series.photon_numbers[series.times >= 40.0]
+    assert late.min() < 1e-2 * fixed.photon_number
+    assert late.max() > 2.0 * fixed.photon_number
+    res = settle(p, initial=perturbed_fixed_state(p), config=cfg)
+    assert res.converged
+    assert res.photon_number == pytest.approx(fixed.photon_number, rel=1e-12)
+
+
+def test_acceptance_ball_alone_guards_bad_cavity(monkeypatch):
+    # with the Newton schedule forced on beyond the good-cavity side, the
+    # attempts along the pulsing orbit all fail: the ball, not the cavity
+    # test, keeps settle from reporting the fixed point it passes by
+    monkeypatch.setattr(dynamics, "_good_cavity", lambda p: True)
+    res = settle(LORENZ_HAKEN, initial=initial_state(LORENZ_HAKEN),
+                 config=IntegratorConfig(t_max=200.0))
+    assert not res.converged
+    assert res.polish_attempts > 10
+
+
 def test_settle_without_population_flow_runs():
     # gamma_21 = gamma_02 = 0 leaves gamma_par undefined; the good-cavity
     # test must treat that as no schedule rather than raise
