@@ -44,19 +44,20 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
 
     ``par`` and ``y0`` are float tuples (see ``dynamics._rhs_of``); ``n``
     is the number of live components.  Returns (status, t, y, f_norm,
-    counts, steps), with the end state ``y`` as a tuple of the ``n`` live
-    components and status ``dynamics._STEADY`` (a stable fixed point),
-    ``_TMAX`` (t_max reached) or ``_UNDERFLOW`` (step-size underflow).
-    ``counts`` = (accepted steps, rejected steps, polish attempts,
-    right-hand side evaluations of the stepper, the polish's left out).
+    counts, steps): status ``dynamics._STEADY``, ``_TMAX`` or
+    ``_UNDERFLOW`` (step-size underflow), the end state ``y`` as a tuple
+    of the ``n`` live components, and ``counts`` = (accepted steps,
+    rejected steps, polish attempts, right-hand side evaluations of the
+    stepper, the polish's left out).
 
     A steady exit, the one at t = 0 included, needs the derivative norm
     below steady_tol*(||y|| + 1) and a Hurwitz Jacobian.  The stability
     test is spent once per approach and re-arms only after the norm rises
     above 1e5 times the cutoff again.  Within 1e4 of the cutoff the
-    tolerances are tightened, down to the rounding floor, so the stepper's
-    own noise stays below it.  A steady_tol of 0 never fires and never
-    tightens: the run goes to t_max at the tolerances it was given.
+    tolerances are tightened, never beyond the rounding floor, so the
+    stepper's own noise, O(atol + rtol*|y|) per step, stays below it.  A
+    steady_tol of 0 never fires and never tightens: the run goes to t_max
+    at the tolerances it was given.
 
     Newton's method (``dynamics._polish``) finishes the solve once the
     derivative norm is within 1e4 of the cutoff, once per approach like
@@ -66,9 +67,7 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
     ..., each term k + 1 + k // 4 after the last.  At those counts, on
     either side, a state outside the physical state space ends the run
     there, with the status of a run out of time; ``settle`` then raises
-    on it.  Neither the schedule nor the cavity side guards the result: a
-    pulsing orbit that passes near a stable fixed point is told from it
-    by the acceptance ball of the polish alone.
+    on it.
 
     With ``record`` the run tries no polish and checks no state on a
     schedule; ``steps`` holds (t, u0, u1, u2, u3) of the initial state and
@@ -94,12 +93,9 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
     h = dynamics._first_step(rhs, (u0, u1, u2, u3), (k1_0, k1_1, k1_2, k1_3), n,
                              t_max, rtol, atol, max_step)
 
-    # Near a fixed point the error-controlled stepper keeps injecting
-    # O(atol + rtol*|y|) perturbations, which puts a noise floor under
-    # ||f|| far above the cutoff; tightening (never loosening beyond the
-    # requested tolerances) keeps the cutoff reachable.  The floor keeps
-    # the error scale of a zero component (the two-level padding)
-    # positive should atol*tighten underflow
+    # tightening (see above); the floor keeps the error scale of a zero
+    # component (the two-level padding) positive should atol*tighten
+    # underflow
     tighten = 1.0
     tighten_min = min(1.0, 5e-14 / rtol)
     atol_eff = max(atol, 5e-324)

@@ -18,22 +18,17 @@ Three-level state [rho11, rho22, y, x] (rho00 = 1 - rho11 - rho22):
     d y     = -gamma_perp*y + g*x*(rho11 - rho00)
     d x     = -kappa*x + N*g*y
 
-One explicit adaptive Runge-Kutta pair with first-same-as-last reuse
-integrates the system: the Dormand-Prince 8(5,3) pair (DOP853) of
-``lasekit._dop853``, which :func:`settle`, :func:`integrate` and the
-``lasekit dynamics`` command import on their first call.  The derivative
-of every accepted state comes for free, which is what the scaled
-derivative-norm steady-state detector runs on.  Near a lasing fixed point
-the weakly damped relaxation oscillation sets the step, and the
-8th-order pair covers it in few right-hand side evaluations.  The loop
-runs on scalar float locals with its stages unrolled over the components
-and the right-hand side bound once per run, which keeps plain Python free
-of per-element numpy indexing.
-A recorded run appends the time and state of each accepted step, packed
-as doubles, to one flat ``bytearray``; :func:`integrate` builds its
-arrays from that buffer once, at the end.  It records the stepper's
-accepted steps and no others: there is no dense output onto a uniform
-grid.
+One explicit adaptive Runge-Kutta pair with first-same-as-last reuse, the
+Dormand-Prince 8(5,3) pair (DOP853) of ``lasekit._dop853``, integrates the
+system for :func:`settle`, :func:`integrate` and the ``lasekit dynamics``
+command; each imports it on first use.  The derivative of every accepted
+state comes for free, which is what the scaled derivative-norm
+steady-state detector runs on.  The loop runs on scalar float locals with
+its stages unrolled over the components and the right-hand side bound
+once per run, which keeps plain Python free of per-element numpy indexing.
+A recorded run appends the time and state of each accepted step, and of
+no other point (there is no dense output), packed as doubles, to one flat
+``bytearray``; :func:`integrate` builds its arrays from that buffer once.
 The ``lasekit dynamics`` command reads the same buffer through
 memoryviews and writes it without loading numpy, which this module
 imports only where it builds an array: in :func:`integrate`,
@@ -53,12 +48,8 @@ part, decided by the Routh-Hurwitz conditions on its characteristic
 polynomial).  Each Newton step is solved on floats: the rows of the
 Jacobian with two structural zeros eliminate one unknown each, and
 Cramer's rule solves the 2x2 system left (:func:`_newton_step`).
-The cavity test only decides where the early attempts are spent.  It is
-no guard against a pulsing attractor: one can share phase space with a
-stable fixed point on either side of it (scheme B has good-cavity
-examples).  What keeps an orbit of such an attractor from being taken
-for the fixed point is the acceptance ball, which the orbits pass by
-rather than enter.
+The cavity test only saves work; the acceptance ball is what keeps a
+pulsing orbit from being taken for the fixed point (:func:`_good_cavity`).
 :func:`integrate` tries no Newton polish.  Every steady exit of
 either function, the one at t = 0 included, passes the same stability
 test, so neither reports an unstable fixed point as settled.
@@ -734,10 +725,7 @@ def settle(
     3, 4, 6, 8, 11, ...  Its root is taken only when it meets the cutoff,
     lies within 1e-3*(||y|| + 1) of the trajectory state, is physical and
     is linearly stable, and otherwise the integration goes on.  The
-    cavity test only saves work: a pulsing attractor can sit beside a
-    stable fixed point on either side of it, and the acceptance ball is
-    what keeps an orbit that passes near the fixed point from being taken
-    for it.  A state
+    cavity test only saves work (see :func:`_good_cavity`).  A state
     that meets the cutoff at an unstable fixed point (a Hopf-unstable
     lasing point, or the empty cavity above threshold) does not end the
     run.  When t_max is exhausted first, the result carries
