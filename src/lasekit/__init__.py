@@ -9,7 +9,8 @@ presets as CSV or JSON.
 
 The names below are loaded on first access (PEP 562), so ``import
 lasekit`` and the closed forms of ``params`` and ``steady`` do not load
-numpy; ``numerics`` and ``dynamics`` do.
+numpy, nor does any ``lasekit`` command.  The names of ``numerics`` and
+``dynamics`` that return arrays load it when called.
 """
 
 import importlib

@@ -20,10 +20,11 @@ overrides the number of significant digits.  Exit codes: 0 success
 4 integrator failure.
 
 ``numerics`` and ``dynamics`` are imported by the commands that use them,
-and numpy only by ``sweep``, ``figure`` and the emitters and parsers of
-array-backed series.  ``steady``, ``region`` and ``dynamics`` run without
-loading numpy: ``dynamics`` writes its rows straight from the packed step
-buffer of the recorded run.
+and numpy only by the emitters and parsers of array-backed series and by
+``figure_series``.  Every command runs without loading numpy:
+``dynamics`` writes its rows straight from the packed step buffer of the
+recorded run, ``sweep`` and ``figure`` from the float rows of
+``numerics``, whose pump grid is the same on every CPU.
 """
 
 from __future__ import annotations
@@ -371,10 +372,11 @@ _SWEEP_HEADER = ("pump", "photon_number", "regime")
 
 
 def _chunks(column) -> Iterator[list[float]]:
-    """A float column, a numpy array or a 1-D memoryview of doubles, as
-    lists of Python floats by ``tolist()``, a chunk of rows at a time."""
+    """A float column, a list of floats, a numpy array or a 1-D memoryview
+    of doubles, as lists of Python floats, a chunk of rows at a time."""
     for i in range(0, len(column), _CHUNK_ROWS):
-        yield column[i:i + _CHUNK_ROWS].tolist()
+        chunk = column[i:i + _CHUNK_ROWS]
+        yield chunk if isinstance(chunk, list) else chunk.tolist()
 
 
 def _write_csv(
@@ -442,13 +444,28 @@ def _read_csv(fh: TextIO) -> tuple[dict, dict, str, Iterator[list[str]]]:
     return metadata, footer, header, (line.split(",") for line in body)
 
 
+def _write_sweep(
+    fh: TextIO,
+    fmt: str,
+    metadata: Mapping[str, object],
+    pumps,
+    photons,
+    regimes: Iterable[Regime],
+) -> None:
+    """A sweep as CSV or JSON; the float columns as :func:`_chunks` takes them."""
+    regimes = [r.value for r in regimes]
+    if fmt == "json":
+        _emit_json(fh, metadata, {"pump": _chunks(pumps), "photon_number": _chunks(photons),
+                                  "regime": [regimes]})
+    else:
+        _write_csv(fh, metadata, _SWEEP_HEADER, [_chunks(pumps), _chunks(photons)], regimes)
+
+
 def emit_sweep_csv(series: SweepSeries, fh: TextIO) -> None:
     import numpy as np
 
-    floats = (series.pump_values, series.photon_numbers)
-    _write_csv(fh, series.metadata, _SWEEP_HEADER,
-               [_chunks(np.asarray(c, dtype=float)) for c in floats],
-               [r.value for r in series.regimes])
+    _write_sweep(fh, "csv", series.metadata, np.asarray(series.pump_values, dtype=float),
+                 np.asarray(series.photon_numbers, dtype=float), series.regimes)
 
 
 def parse_sweep_csv(fh: TextIO) -> SweepSeries:
@@ -678,31 +695,20 @@ def _metadata(cfg: RunConfig, **extra: object) -> dict[str, object]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .numerics import sweep
+    from .numerics import _sweep_rows
 
     cfg = load_config(args.config)
     if args.pump_min is None or args.pump_max is None:
         raise ConfigError("--pump-min and --pump-max are required")
     try:
-        series = sweep(
-            _evaluator(cfg),
-            (args.pump_min, args.pump_max),
-            args.points,
-            args.scale,
-            metadata=_metadata(cfg, pump_min=args.pump_min, pump_max=args.pump_max,
-                               points=args.points, scale=args.scale),
-        )
+        rows = _sweep_rows(_evaluator(cfg), (args.pump_min, args.pump_max), args.points,
+                           args.scale)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    meta = _metadata(cfg, pump_min=args.pump_min, pump_max=args.pump_max,
+                     points=args.points, scale=args.scale)
     with _open_out(args.out) as fh:
-        if args.format == "json":
-            _emit_json(fh, series.metadata, {
-                "pump": _chunks(series.pump_values),
-                "photon_number": _chunks(series.photon_numbers),
-                "regime": [[r.value for r in series.regimes]],
-            })
-        else:
-            emit_sweep_csv(series, fh)
+        _write_sweep(fh, args.format, meta, *rows)
     return 0
 
 
@@ -770,18 +776,17 @@ _FIGURE_PRESETS: dict[str, dict] = {
 _FIGURE_POINTS = 400
 
 
-def figure_series(preset: str) -> list[SweepSeries]:
-    """The three curves of one bundled figure preset.
+def _figure_curves(
+    preset: str,
+) -> Iterator[tuple[dict[str, object], Callable[[float], SteadyResult], tuple[float, float]]]:
+    """The metadata, model and pump range of each curve of a figure preset.
 
-    Pump ranges are [max(1e-2, 0.5*threshold), 1.2*upper window edge]
-    with 400 log-spaced points; models without a finite upper edge sweep
-    to 1e2, which covers both the linear rise and the saturation plateau.
+    Pump ranges are [max(1e-2, 0.5*threshold), 1.2*upper window edge];
+    models without a finite upper edge sweep to 1e2, which covers both
+    the linear rise and the saturation plateau.
     """
-    from .numerics import sweep
-
     spec = _FIGURE_PRESETS[preset]
     model = _MODELS[spec["model"]]
-    out = []
     for index, saturation in enumerate(spec["saturations"]):
         params = dict(spec["params"])
         params["saturation"] = saturation
@@ -801,20 +806,28 @@ def figure_series(preset: str) -> list[SweepSeries]:
         else:
             hi = 1e2
         meta = _metadata(cfg, pump_min=lo, pump_max=hi, points=_FIGURE_POINTS, scale="log")
-        meta = {"preset": preset, "curve": index + 1, **meta}
-        out.append(
-            sweep(_evaluator(cfg), (lo, hi), _FIGURE_POINTS, "log", metadata=meta)
-        )
-    return out
+        yield {"preset": preset, "curve": index + 1, **meta}, _evaluator(cfg), (lo, hi)
+
+
+def figure_series(preset: str) -> list[SweepSeries]:
+    """The three curves of one bundled figure preset, each a sweep of
+    400 log-spaced pumps over the range :func:`_figure_curves` gives."""
+    from .numerics import sweep
+
+    return [sweep(evaluate, pumps, _FIGURE_POINTS, "log", metadata=meta)
+            for meta, evaluate, pumps in _figure_curves(preset)]
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .numerics import _sweep_rows
+
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    for index, series in enumerate(figure_series(args.preset)):
+    for index, (meta, evaluate, pumps) in enumerate(_figure_curves(args.preset)):
+        rows = _sweep_rows(evaluate, pumps, _FIGURE_POINTS, "log")
         path = os.path.join(outdir, f"{args.preset}_curve{index + 1}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            emit_sweep_csv(series, fh)
+            _write_sweep(fh, "csv", meta, *rows)
         print(path)
     return 0
 

@@ -4,14 +4,21 @@ The oracle here solves the fixed-point equations directly (inversion
 pinning + population balance) without ever evaluating the closed-form
 photon-number bracket, so it can arbitrate between the analytic formulas
 and the time-domain integrator.
+
+The pump grid and the sweep rows are built on Python floats, with
+numpy's own ``linspace``/``geomspace`` arithmetic but libm's ``log10``
+and ``pow`` in place of numpy's SIMD loops, so a grid is the same on
+every CPU.  This module loads numpy only where it returns or solves on
+arrays: ``pump_grid``, ``sweep``, ``SweepSeries`` and the three-level
+oracle.  The ``sweep`` and ``figure`` commands write the float rows and
+load no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .params import (
     PhysicalThreeLevel,
@@ -21,6 +28,9 @@ from .params import (
     gamma_perp_three,
     gamma_perp_two,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SweepSeries",
@@ -63,6 +73,8 @@ def algebraic_oracle_three(p: PhysicalThreeLevel) -> float:
     """
     if p.gamma_02 + 2.0 * p.gamma_21 <= 0.0:
         raise ValueError("singular population balance: gamma_02 + 2*gamma_21 = 0")
+    import numpy as np
+
     d_pin = p.cavity_kappa * gamma_perp_three(p) / (p.n_atoms * p.coupling_g**2)
     a = np.array([[p.gamma_02, -p.gamma_21], [2.0, 1.0]])
     rhs = np.array([0.0, 1.0 - d_pin])
@@ -84,6 +96,8 @@ class SweepSeries:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if len(self.pump_values) != len(self.photon_numbers) or len(
             self.pump_values
         ) != len(self.regimes):
@@ -92,19 +106,62 @@ class SweepSeries:
             raise ValueError("pump values must be strictly increasing")
 
 
-def pump_grid(lo: float, hi: float, count: int, scale: str = "linear") -> np.ndarray:
-    """Strictly increasing pump grid, linear or logarithmic."""
+def _pump_grid(lo: float, hi: float, count: int, scale: str) -> list[float]:
+    """The pump grid as Python floats, both ends exactly ``lo`` and ``hi``.
+
+    A linear point is ``i * step + lo``; a log point is ``10.0 ** (i * step
+    + log10(lo))``.  That is numpy's ``linspace`` and ``geomspace``
+    arithmetic on libm's ``log10`` and ``pow``, which numpy's SIMD loops
+    do not always match in the last bit.
+    """
+    lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if count < 2:
         raise ValueError(f"need count >= 2, got {count}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"need finite lo and hi, got [{lo}, {hi}]")
     if scale == "linear":
-        return np.linspace(lo, hi, count)
-    if scale == "log":
+        a, b = lo, hi
+    elif scale == "log":
         if lo <= 0.0:
             raise ValueError("log scale requires lo > 0")
-        return np.geomspace(lo, hi, count)
-    raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
+        a, b = math.log10(lo), math.log10(hi)
+    else:
+        raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
+    step = (b - a) / (count - 1)
+    if not math.isfinite(step):
+        raise ValueError(f"pump grid step overflows on [{lo}, {hi}]")
+    inner = [i * step + a for i in range(1, count - 1)]
+    if scale == "log":
+        inner = [10.0 ** y for y in inner]
+    grid = [lo, *inner, hi]
+    # written so that a NaN point fails it too
+    if not all(q > p for p, q in zip(grid, grid[1:])):
+        raise ValueError("pump values must be strictly increasing")
+    return grid
+
+
+def _sweep_rows(
+    evaluate: Callable[[float], SteadyResult],
+    pump_range: tuple[float, float],
+    count: int,
+    scale: str,
+) -> tuple[list[float], list[float], list[Regime]]:
+    """The pumps, photon numbers and regimes of a sweep, as Python objects."""
+    pumps = _pump_grid(pump_range[0], pump_range[1], count, scale)
+    results = [evaluate(pv) for pv in pumps]
+    return pumps, [r.photon_number for r in results], [r.regime for r in results]
+
+
+def pump_grid(lo: float, hi: float, count: int, scale: str = "linear") -> np.ndarray:
+    """Strictly increasing pump grid, linear or logarithmic.
+
+    The same floats on every CPU: see :func:`_pump_grid`.
+    """
+    import numpy as np
+
+    return np.array(_pump_grid(lo, hi, count, scale))
 
 
 def sweep(
@@ -119,13 +176,12 @@ def sweep(
     Points are independent, so evaluation order cannot change the result;
     they are computed in grid order.
     """
-    pumps = pump_grid(pump_range[0], pump_range[1], count, scale)
-    results = [evaluate(float(pv)) for pv in pumps]
-    photons = np.array([r.photon_number for r in results])
-    regimes = tuple(r.regime for r in results)
+    import numpy as np
+
+    pumps, photons, regimes = _sweep_rows(evaluate, pump_range, count, scale)
     return SweepSeries(
-        pump_values=pumps,
-        photon_numbers=photons,
-        regimes=regimes,
+        pump_values=np.array(pumps),
+        photon_numbers=np.array(photons),
+        regimes=tuple(regimes),
         metadata=dict(metadata or {}),
     )

@@ -491,6 +491,29 @@ def test_sweep_invalid_range_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (["--pump-min", "10", "--pump-max", "1"], "need lo < hi, got [10.0, 1.0]"),
+    (["--pump-min", "1", "--pump-max", "10", "--points", "1"], "need count >= 2, got 1"),
+    (["--pump-min", "0", "--pump-max", "1", "--scale", "log"], "log scale requires lo > 0"),
+    (["--pump-min", "1", "--pump-max", "1.0000000000000002"],
+     "pump values must be strictly increasing"),
+    (["--pump-min", "0.01", "--pump-max", "inf"], "need finite lo and hi, got [0.01, inf]"),
+    (["--pump-min", "0.01", "--pump-max", "inf", "--scale", "log"],
+     "need finite lo and hi, got [0.01, inf]"),
+    (["--pump-min=-inf", "--pump-max", "1"], "need finite lo and hi, got [-inf, 1.0]"),
+    (["--pump-min=-1e308", "--pump-max", "1e308"],
+     "pump grid step overflows on [-1e+308, 1e+308]"),
+], ids=["reversed", "one-point", "log-zero", "not-increasing", "inf", "log-inf", "minus-inf",
+        "overflow"])
+def test_sweep_grid_errors_exit_2(tmp_path, capsys, bounds, message):
+    # every bad grid is a config error: no rows, no numpy warning, exit 2
+    path = write_cfg(tmp_path, CFG_2L_DIMLESS)
+    assert main(["sweep", "--config", path, "--points", "5", *bounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_sweep_unwritable_path_exits_3(tmp_path, capsys):
     path = write_cfg(tmp_path, CFG_2L_DIMLESS)
     out = tmp_path / "missing-dir" / "x.csv"

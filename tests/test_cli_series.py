@@ -3,7 +3,9 @@
 ``dynamics --t-max 20`` on the three physical configs of
 ``test_cli_reports.py``, and a 50-point log ``sweep`` on all six configs,
 each in CSV and JSON.  Each case pins the exit code, stdout and stderr.
-After an intentional change, regenerate the golden with
+After an intentional change, regenerate every series golden, this file's
+and the nine ``lasekit figure`` CSVs that criterion 09 of
+``test_acceptance.py`` compares, with
 ``PYTHONPATH=src python tests/test_cli_series.py``.
 """
 
@@ -23,6 +25,7 @@ from lasekit.cli import main
 from test_cli_reports import CONFIGS
 
 GOLDEN = Path(__file__).parent / "goldens" / "cli_series.json"
+FIGURES = ("fig2", "fig4a", "fig4b")
 
 COMMANDS = {
     "dynamics": ["dynamics", "--t-max", "20"],
@@ -68,3 +71,6 @@ if __name__ == "__main__":
         doc = {case: run_case(case, tmp) for case in CASES}
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(doc)} cases to {GOLDEN}", file=sys.stderr)
+    with contextlib.redirect_stdout(sys.stderr):
+        for preset in FIGURES:
+            assert main(["figure", preset, "--out", str(GOLDEN.parent)]) == 0

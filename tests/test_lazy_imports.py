@@ -1,6 +1,6 @@
 """The package exports load on first access, the closed-form commands run
 without numpy, ``lasekit.dynamics`` or ``lasekit.numerics``, and the
-``dynamics`` command without numpy."""
+``dynamics``, ``sweep`` and ``figure`` commands without numpy."""
 
 import json
 import os
@@ -111,6 +111,28 @@ def test_dynamics_command_loads_its_modules(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("{" if fmt == "json" else "# model=three-b")
         assert set(_loaded(proc)) == {"lasekit.dynamics"}, fmt
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--pump-min", "0.01", "--pump-max", "120", "--points", "50", "--scale", "log"],
+    ["sweep", "--pump-min", "0.01", "--pump-max", "120", "--points", "50", "--format", "json"],
+    ["figure", "fig4b"],
+], ids=["sweep-csv", "sweep-json", "figure"])
+def test_sweep_and_figure_load_no_numpy(tmp_path, argv):
+    # the pump grid and the rows are Python floats, written as they are
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CFG), encoding="utf-8")
+    if argv[0] == "figure":
+        argv = argv + ["--out", str(tmp_path)]
+    else:
+        argv = argv + ["--config", str(path)]
+    proc = _child("import runpy\nrunpy.run_module('lasekit', run_name='__main__')\n", *argv)
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] == "figure":
+        assert proc.stdout.splitlines() == [str(tmp_path / f"fig4b_curve{i}.csv") for i in (1, 2, 3)]
+    else:
+        assert proc.stdout.startswith("{" if "json" in argv else "# model=three-b")
+    assert _loaded(proc) == ["lasekit.numerics"]
 
 
 def test_stepper_runs_without_numpy(tmp_path):

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -96,6 +99,46 @@ def test_pump_grid_scales_and_validation():
         pump_grid(0.0, 5.0, 10, "log")
     with pytest.raises(ValueError):
         pump_grid(1.0, 5.0, 10, "cubic")
+
+
+def plain_grid(lo: float, hi: float, count: int, scale: str) -> list[float]:
+    """numpy's linspace/geomspace arithmetic on libm's log10 and pow."""
+    if scale == "log":
+        a, b = math.log10(lo), math.log10(hi)
+        step = (b - a) / (count - 1)
+        return [lo] + [10.0 ** (i * step + a) for i in range(1, count - 1)] + [hi]
+    step = (hi - lo) / (count - 1)
+    return [lo] + [i * step + lo for i in range(1, count - 1)] + [hi]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pump_grid_is_the_plain_float_formula(seed):
+    # bit for bit, so the grid cannot depend on the SIMD loops of the CPU
+    rng = random.Random(seed)
+    for _ in range(20):
+        lo = 10.0 ** rng.uniform(-4, 2)
+        hi = lo * 10.0 ** rng.uniform(0.01, 6)
+        count = rng.randint(2, 600)
+        for scale in ("linear", "log"):
+            grid = pump_grid(lo, hi, count, scale)
+            assert grid.dtype == np.float64
+            assert grid.tolist() == plain_grid(lo, hi, count, scale), (lo, hi, count, scale)
+        # multiply and add round the same on every CPU
+        assert pump_grid(lo, hi, count).tolist() == np.linspace(lo, hi, count).tolist()
+
+
+@pytest.mark.parametrize("lo, hi, scale", [
+    (0.01, math.inf, "linear"),
+    (0.01, math.inf, "log"),
+    (-math.inf, 1.0, "linear"),
+    (-1e308, 1e308, "linear"),
+], ids=["inf", "log-inf", "minus-inf", "overflow"])
+def test_pump_grid_rejects_edge_pumps(lo, hi, scale):
+    # no NaN or inf point and no numpy warning (warnings are errors here)
+    with pytest.raises(ValueError, match="need finite lo and hi|step overflows"):
+        pump_grid(lo, hi, 3, scale)
+    with pytest.raises(ValueError, match="need finite lo and hi|step overflows"):
+        sweep(lambda p: n_two_level(FIG2, p), (lo, hi), 3, scale)
 
 
 def test_sweep_two_points_are_endpoints():
