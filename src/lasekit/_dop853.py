@@ -13,7 +13,9 @@ solution.  Near a lasing fixed point the step is set by the weakly damped
 relaxation oscillation, not by stiffness, and the 8th-order pair covers one
 period in few right-hand side evaluations: :func:`lasekit.dynamics.settle`
 runs it to a fixed point, and :func:`lasekit.dynamics.integrate` and the
-``lasekit dynamics`` command record its accepted steps.
+``lasekit dynamics`` command record its accepted steps.  Both end a run
+that stops at steady the same way: on the root of Newton's method once
+the flow has come within 1e4 of the cutoff.
 
 The step size follows Hairer's PI (Gustafsson) controller with beta = 0.04
 (Hairer & Wanner, Solving ODEs II, sec. IV.2): after an accepted step h
@@ -69,10 +71,15 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
     there, with the status of a run out of time; ``settle`` then raises
     on it.
 
-    With ``record`` the run tries no polish and checks no state on a
-    schedule; ``steps`` holds (t, u0, u1, u2, u3) of the initial state and
-    of every accepted step, packed as ``dynamics._STEP`` records in one
-    ``bytearray``.  Without it ``steps`` is None.
+    With ``record`` the run tries the polish at the approach only, never
+    on a schedule, and checks no state on a schedule either: an early
+    polish could jump by up to the acceptance ball.  ``steps`` holds (t,
+    u0, u1, u2, u3) of the initial state and of every accepted step,
+    packed as ``dynamics._STEP`` records in one ``bytearray``; a root the
+    polish returns takes the place of the last step's state, at its t.
+    So with ``schedule`` off, a recorded run and an unrecorded one end at
+    the same t, state and step count.  Without ``record`` ``steps`` is
+    None.
     """
     rhs = dynamics._rhs_of(model, par)
     polish_armed = check_armed = True
@@ -349,7 +356,6 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
                 polish_armed = check_armed = True
             if record:
                 steps += pack_step(t, u0, u1, u2, u3)
-                polish_armed = False
             attempt = False
             if accepted == next_try:
                 next_try += 1 + next_try // 4
@@ -366,6 +372,8 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
                 root = dynamics._polish(model, par, n, (u0, u1, u2, u3), steady_tol)
                 if root is not None:
                     (u0, u1, u2, u3), fnorm = root
+                    if record:  # the root takes the last step's row, at its t
+                        steps[-dynamics._STEP.size:] = pack_step(t, u0, u1, u2, u3)
                     status = dynamics._STEADY
                     break
             if fnorm < target:

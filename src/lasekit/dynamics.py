@@ -50,7 +50,8 @@ Jacobian with two structural zeros eliminate one unknown each, and
 Cramer's rule solves the 2x2 system left (:func:`_newton_step`).
 The cavity test only saves work; the acceptance ball is what keeps a
 pulsing orbit from being taken for the fixed point (:func:`_good_cavity`).
-:func:`integrate` tries no Newton polish.  Every steady exit of
+:func:`integrate` with ``stop_at_steady`` tries the polish at the approach
+only, and its root replaces the last recorded state.  Every steady exit of
 either function, the one at t = 0 included, passes the same stability
 test, so neither reports an unstable fixed point as settled.
 """
@@ -658,8 +659,11 @@ def _recorded(
     Returns (labels, steady, ||f||, columns): ``columns`` holds t and then
     the state components named by ``labels``, one row per accepted step,
     each a 1-D memoryview of doubles that strides over the packed step
-    buffer.  Raises as :func:`integrate` does.  A run that does not stop
-    at steady is given a cutoff of 0, so it never tightens its tolerances.
+    buffer.  Raises as :func:`integrate` does.  A run that stops at
+    steady ends on the Newton root where the flow's approach gives one,
+    recorded at the t of the last accepted step, as :func:`settle` does on
+    the bad-cavity side.  A run that does not stop at steady is given a
+    cutoff of 0, so it never polishes and never tightens its tolerances.
     """
     from ._dop853 import dop853_loop
 
@@ -685,10 +689,15 @@ def integrate(
     """Integrate one trajectory, sampling every accepted step.
 
     Runs to ``config.t_max`` (resolved per :func:`default_t_max` when
-    None), or until the fixed-point criterion fires if
-    ``stop_at_steady`` is set.  The criterion ends the run only where the
-    Jacobian is Hurwitz: a trajectory that meets the cutoff at an
-    unstable fixed point (the empty cavity above threshold, say) goes on.
+    None), or, if ``stop_at_steady`` is set, until the run reaches a
+    stable fixed point.  Once the derivative norm is within 1e4 of the
+    cutoff, Newton's method is tried as in :func:`settle`; its root, when
+    accepted, replaces the last recorded state at the same t and ends the
+    run.  Otherwise the run goes on until the cutoff itself fires.  Either
+    exit needs a Hurwitz Jacobian: a trajectory that meets the cutoff at
+    an unstable fixed point (the empty cavity above threshold, say) goes
+    on.  The full decay tail is the run with ``stop_at_steady`` off and
+    an explicit ``t_max``.
     Raises :class:`StiffnessError` on step underflow, or ValueError when
     the state ran off to a non-finite or unphysical value before the step
     underflowed.

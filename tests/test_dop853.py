@@ -28,6 +28,7 @@ from lasekit import (
     PumpScheme,
     fixed_point_state,
     integrate,
+    n_three_physical,
     settle,
 )
 
@@ -302,18 +303,65 @@ def test_settle_runs_are_pinned_bit_for_bit():
         assert got == pin, p
 
 
-@pytest.mark.parametrize("stop_at_steady", [False, True])
-def test_recorded_run_tries_no_polish(monkeypatch, stop_at_steady):
+def test_run_that_does_not_stop_never_polishes(monkeypatch):
     def polish(*args):
-        raise AssertionError("a recorded run tried the Newton polish")
+        raise AssertionError("the run tried the Newton polish")
 
     monkeypatch.setattr(dynamics, "_polish", polish)
-    series = integrate(README_3L, config=IntegratorConfig(t_max=50.0),
-                       stop_at_steady=stop_at_steady)
-    assert series.steady is stop_at_steady
+    series = integrate(README_3L, config=IntegratorConfig(t_max=50.0))
+    assert not series.steady and series.times[-1] == 50.0
     # settle from the same start reaches its polish well before t = 50
     with pytest.raises(AssertionError, match="tried the Newton polish"):
         settle(README_3L, config=IntegratorConfig(t_max=50.0))
+
+
+def test_recorded_run_stops_on_the_root():
+    series = integrate(README_3L, config=IntegratorConfig(t_max=50.0), stop_at_steady=True)
+    assert series.steady and series.times[-1] < 50.0
+    n = n_three_physical(README_3L).photon_number
+    assert abs(series.photon_numbers[-1] - n) <= 1e-12 * n
+
+
+def _recorded_starts():
+    """README_3L from the seed field, and the first two criterion-01 and
+    criterion-02 draws from their nudged fixed points."""
+    draws = _pinned_draws()
+    runs = [(README_3L, None)]
+    for p in draws[:2] + draws[12:14]:
+        runs.append((p, perturbed_fixed_state(p)))
+    return runs
+
+
+def test_stopped_recording_is_a_prefix_of_the_unpolished_run(monkeypatch):
+    # the polish only cuts the run short: every row before the root is the
+    # row the run without it records, and the root keeps its step's t
+    for p, start in _recorded_starts():
+        stopped = integrate(p, initial=start, stop_at_steady=True)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_polish", lambda *args: None)
+            unpolished = integrate(p, initial=start, stop_at_steady=True)
+        assert stopped.steady and unpolished.steady
+        rows = len(stopped.times)
+        assert rows < len(unpolished.times)
+        assert np.array_equal(stopped.times, unpolished.times[:rows])
+        assert np.array_equal(stopped.states[:-1], unpolished.states[:rows - 1])
+        assert not np.array_equal(stopped.states[-1], unpolished.states[rows - 1])
+
+
+def test_recorded_run_and_settle_share_one_exit(monkeypatch):
+    # without the scheduled attempts of the good-cavity side, settle and a
+    # recorded run are the same loop: same end time, state and step count
+    monkeypatch.setattr(dynamics, "_good_cavity", lambda p: False)
+    for p, start in _recorded_starts():
+        res = settle(p, initial=start)
+        series = integrate(p, initial=start, stop_at_steady=True)
+        assert res.converged and series.steady
+        model = 3 if isinstance(p, PhysicalThreeLevel) else 2
+        state = dynamics._state_tuple(model, res.state)[:series.states.shape[1]]
+        assert series.times[-1] == res.time
+        assert tuple(series.states[-1].tolist()) == state
+        assert len(series.times) - 1 == res.steps
+        assert series.derivative_norm == res.derivative_norm
 
 
 def test_run_that_does_not_stop_keeps_its_tolerances():
