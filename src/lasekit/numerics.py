@@ -8,10 +8,10 @@ and the time-domain integrator.
 The pump grid and the sweep rows are built on Python floats, with
 numpy's own ``linspace``/``geomspace`` arithmetic but libm's ``log10``
 and ``pow`` in place of numpy's SIMD loops, so a grid is the same on
-every CPU.  This module loads numpy only where it returns or solves on
-arrays: ``pump_grid``, ``sweep``, ``SweepSeries`` and the three-level
-oracle.  The ``sweep`` and ``figure`` commands write the float rows and
-load no numpy.
+every CPU.  This module loads numpy only where it returns arrays:
+``pump_grid``, ``sweep`` and ``SweepSeries``.  The ``sweep`` and
+``figure`` commands write the float rows, and the oracles solve on
+floats; none of them loads numpy.
 """
 
 from __future__ import annotations
@@ -68,17 +68,16 @@ def algebraic_oracle_three(p: PhysicalThreeLevel) -> float:
         gamma_02*rho00 - gamma_21*rho22 = 0      (middle-level balance)
         2*rho00 + rho22 = 1 - D                  (trace with rho11 = rho00 + D)
 
-    and the photon number follows from the upper-level rate balance.
-    This never touches the closed-form bracket, which is the point.
+    solved by Cramer's rule on its determinant gamma_02 + 2*gamma_21, and
+    the photon number follows from the upper-level rate balance.  This
+    never touches the closed-form bracket, which is the point.
     """
-    if p.gamma_02 + 2.0 * p.gamma_21 <= 0.0:
+    det = p.gamma_02 + 2.0 * p.gamma_21
+    if det <= 0.0:
         raise ValueError("singular population balance: gamma_02 + 2*gamma_21 = 0")
-    import numpy as np
-
     d_pin = p.cavity_kappa * gamma_perp_three(p) / (p.n_atoms * p.coupling_g**2)
-    a = np.array([[p.gamma_02, -p.gamma_21], [2.0, 1.0]])
-    rhs = np.array([0.0, 1.0 - d_pin])
-    rho00, rho22 = np.linalg.solve(a, rhs)
+    rho00 = p.gamma_21 * (1.0 - d_pin) / det
+    rho22 = p.gamma_02 * (1.0 - d_pin) / det
     rho11 = rho00 + d_pin
     n = (p.n_atoms / (2.0 * p.cavity_kappa)) * (
         p.gamma_21 * rho22 - p.gamma_10 * rho11

@@ -1,6 +1,7 @@
 """The package exports load on first access, the closed-form commands run
 without numpy, ``lasekit.dynamics`` or ``lasekit.numerics``, and the
-``dynamics``, ``sweep`` and ``figure`` commands without numpy."""
+``dynamics``, ``sweep`` and ``figure`` commands and the algebraic oracle
+without numpy."""
 
 import json
 import os
@@ -132,6 +133,19 @@ def test_sweep_and_figure_load_no_numpy(tmp_path, argv):
         assert proc.stdout.splitlines() == [str(tmp_path / f"fig4b_curve{i}.csv") for i in (1, 2, 3)]
     else:
         assert proc.stdout.startswith("{" if "json" in argv else "# model=three-b")
+    assert _loaded(proc) == ["lasekit.numerics"]
+
+
+def test_algebraic_oracle_loads_no_numpy():
+    # the 2x2 population balance is solved by Cramer's rule on floats
+    code = (
+        "import lasekit\n"
+        "p = lasekit.PhysicalThreeLevel(n_atoms=100, coupling_g=1, cavity_kappa=1,"
+        " gamma_21=1, gamma_02=2, gamma_10=0.1, gamma_ph=0, scheme=lasekit.PumpScheme.B)\n"
+        "assert lasekit.algebraic_oracle_three(p) > 0.0\n"
+    )
+    proc = _child(code)
+    assert proc.returncode == 0, proc.stderr
     assert _loaded(proc) == ["lasekit.numerics"]
 
 
