@@ -326,10 +326,7 @@ def _recorded_starts():
     """README_3L from the seed field, and the first two criterion-01 and
     criterion-02 draws from their nudged fixed points."""
     draws = _pinned_draws()
-    runs = [(README_3L, None)]
-    for p in draws[:2] + draws[12:14]:
-        runs.append((p, perturbed_fixed_state(p)))
-    return runs
+    return [(README_3L, None)] + [(p, perturbed_fixed_state(p)) for p in draws[:2] + draws[12:14]]
 
 
 def test_stopped_recording_is_a_prefix_of_the_unpolished_run(monkeypatch):
