@@ -11,11 +11,8 @@ once: the solution is u + h*s and the 3rd-order difference is
 s - sum bhh_j k_j, over the three nonzero weights of the 3rd-order
 solution.  Near a lasing fixed point the step is set by the weakly damped
 relaxation oscillation, not by stiffness, and the 8th-order pair covers one
-period in few right-hand side evaluations: :func:`lasekit.dynamics.settle`
-runs it to a fixed point, and :func:`lasekit.dynamics.integrate` and the
-``lasekit dynamics`` command record its accepted steps.  Both end a run
-that stops at steady the same way: on the root of Newton's method once
-the flow has come within 1e4 of the cutoff.
+period in few right-hand side evaluations.  ``dynamics._run`` is its one
+caller; :func:`dop853_loop` states the rule that ends a run.
 
 The step size follows Hairer's PI (Gustafsson) controller with beta = 0.04
 (Hairer & Wanner, Solving ODEs II, sec. IV.2): after an accepted step h
@@ -40,8 +37,7 @@ import math
 from . import dynamics
 
 
-def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, schedule,
-                record=False):
+def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, schedule, record):
     """Adaptive DOP853 from t = 0 until a stable fixed point or t_max.
 
     ``par`` and ``y0`` are float tuples (see ``dynamics._rhs_of``); ``n``
@@ -52,39 +48,42 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
     rejected steps, polish attempts, right-hand side evaluations of the
     stepper, the polish's left out).
 
-    A steady exit, the one at t = 0 included, needs the derivative norm
-    below steady_tol*(||y|| + 1) and a Hurwitz Jacobian.  The stability
-    test is spent once per approach and re-arms only after the norm rises
-    above 1e5 times the cutoff again.  Within 1e4 of the cutoff the
-    tolerances are tightened, never beyond the rounding floor, so the
-    stepper's own noise, O(atol + rtol*|y|) per step, stays below it.  A
-    steady_tol of 0 never fires and never tightens: the run goes to t_max
-    at the tolerances it was given.
+    The rule that ends a run:
 
-    Newton's method (``dynamics._polish``) finishes the solve once the
-    derivative norm is within 1e4 of the cutoff, once per approach like
-    the stability test.  With ``schedule`` (which ``settle`` sets on the
-    good-cavity side only, to save work) the polish is also tried when
-    the count of accepted steps reaches k = 1, 2, 3, 4, 6, 8, 11, 14, 18,
-    ..., each term k + 1 + k // 4 after the last.  At those counts, on
-    either side, a state outside the physical state space ends the run
-    there, with the status of a run out of time; ``settle`` then raises
-    on it.
+    - A steady exit, the one at t = 0 included, needs the derivative norm
+      below the cutoff steady_tol*(||y|| + 1) and a Hurwitz Jacobian
+      (``dynamics._hurwitz``).  The stability test is spent once per
+      approach and re-arms only after the norm rises above 1e5 times the
+      cutoff, so a run that meets the cutoff at an unstable fixed point
+      goes on.
+    - Within 1e4 of the cutoff the tolerances are tightened, never beyond
+      the rounding floor, so the stepper's own noise, O(atol + rtol*|y|)
+      per step, stays below it; above 1e5 times the cutoff they loosen
+      again.  A steady_tol of 0 never fires and never tightens: the run
+      goes to t_max at the tolerances it was given.
+    - Within 1e4 of the cutoff, once per approach, Newton's method
+      (``dynamics._polish``) is tried.  A root it accepts (one within
+      1e-3*(||y|| + 1) that meets the cutoff, is physical and is stable)
+      ends the run as steady, in the place of the last step's state.
+    - When the count of accepted steps reaches k = 1, 2, 3, 4, 6, 8, 11,
+      14, 18, ..., each term k + 1 + k // 4 after the last, a state
+      outside the physical state space ends the run there with the
+      status of a run out of time, for the caller to raise on.  With
+      ``schedule`` the polish is also tried at those counts, which saves
+      work.  The caller sets it on the good-cavity side of a run that
+      records nothing: in a recording an early root would show as a jump
+      of up to the polish's ball.
 
-    With ``record`` the run tries the polish at the approach only, never
-    on a schedule, and checks no state on a schedule either: an early
-    polish could jump by up to the acceptance ball.  ``steps`` holds (t,
-    u0, u1, u2, u3) of the initial state and of every accepted step,
-    packed as ``dynamics._STEP`` records in one ``bytearray``; a root the
-    polish returns takes the place of the last step's state, at its t.
-    So with ``schedule`` off, a recorded run and an unrecorded one end at
-    the same t, state and step count.  Without ``record`` ``steps`` is
-    None.
+    With ``record``, ``steps`` holds (t, u0, u1, u2, u3) of the initial
+    state and of every accepted step, packed as ``dynamics._STEP`` records
+    in one ``bytearray``; otherwise it is None.  Recording changes nothing
+    else: with ``schedule`` off, a recorded run and an unrecorded one end
+    at the same t, state and step count.
     """
     rhs = dynamics._rhs_of(model, par)
     polish_armed = check_armed = True
     accepted = rejected = attempts = 0
-    next_try = 0 if record else 1  # an accepted count is never 0
+    next_try = 1
     t = 0.0
     u0, u1, u2, u3 = y0
     k1_0, k1_1, k1_2, k1_3 = rhs(u0, u1, u2, u3)
@@ -362,7 +361,7 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
                 try:
                     dynamics._state_object(model, (u0, u1, u2, u3))
                 except ValueError:
-                    break  # settle raises on the unphysical end state
+                    break  # the caller raises on the unphysical end state
                 attempt = schedule
             if polish_armed and fnorm < 1e4 * target:
                 polish_armed = False

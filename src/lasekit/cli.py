@@ -20,8 +20,8 @@ overrides the number of significant digits.  Exit codes: 0 success
 4 integrator failure.
 
 ``numerics`` and ``dynamics`` are imported by the commands that use them,
-and numpy only by the emitters and parsers of array-backed series and by
-``figure_series``.  Every command runs without loading numpy:
+and numpy only by the emitters and parsers of array-backed series.
+Every command runs without loading numpy:
 ``dynamics`` writes its rows straight from the packed step buffer of the
 recorded run, ``sweep`` and ``figure`` from the float rows of
 ``numerics``, whose pump grid is the same on every CPU.
@@ -807,15 +807,6 @@ def _figure_curves(
             hi = 1e2
         meta = _metadata(cfg, pump_min=lo, pump_max=hi, points=_FIGURE_POINTS, scale="log")
         yield {"preset": preset, "curve": index + 1, **meta}, _evaluator(cfg), (lo, hi)
-
-
-def figure_series(preset: str) -> list[SweepSeries]:
-    """The three curves of one bundled figure preset, each a sweep of
-    400 log-spaced pumps over the range :func:`_figure_curves` gives."""
-    from .numerics import sweep
-
-    return [sweep(evaluate, pumps, _FIGURE_POINTS, "log", metadata=meta)
-            for meta, evaluate, pumps in _figure_curves(preset)]
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:

@@ -21,46 +21,32 @@ Three-level state [rho11, rho22, y, x] (rho00 = 1 - rho11 - rho22):
 One explicit adaptive Runge-Kutta pair with first-same-as-last reuse, the
 Dormand-Prince 8(5,3) pair (DOP853) of ``lasekit._dop853``, integrates the
 system for :func:`settle`, :func:`integrate` and the ``lasekit dynamics``
-command; each imports it on first use.  The derivative of every accepted
-state comes for free, which is what the scaled derivative-norm
-steady-state detector runs on.  The loop runs on scalar float locals with
-its stages unrolled over the components and the right-hand side bound
-once per run, which keeps plain Python free of per-element numpy indexing.
-A recorded run appends the time and state of each accepted step, and of
-no other point (there is no dense output), packed as doubles, to one flat
-``bytearray``; :func:`integrate` builds its arrays from that buffer once.
-The ``lasekit dynamics`` command reads the same buffer through
-memoryviews and writes it without loading numpy, which this module
-imports only where it builds an array: in :func:`integrate`,
-:class:`TimeSeries`, the one helper behind the public ``derivs_*`` and
-``jacobian_*`` and the state of a :class:`StiffnessError`.
-:func:`settle` runs without it.
+command, all through :func:`_run`, the one caller of its ``dop853_loop``.
+That loop's docstring states the rule that ends a run: the
+derivative-norm cutoff, the stability test, the Newton polish and the
+state check.
+The loop runs on scalar float locals with its stages unrolled over the
+components and the right-hand side bound once per run, which keeps plain
+Python free of per-element numpy indexing.  A recorded run appends the
+time and state of each accepted step, and of no other point (there is no
+dense output), packed as doubles, to one flat ``bytearray``;
+:func:`integrate` builds its arrays from that buffer once.  The ``lasekit
+dynamics`` command reads the same buffer through memoryviews and writes
+it without loading numpy, which this module imports only where it builds
+an array: in :func:`integrate`, :class:`TimeSeries`, the one helper
+behind the public ``derivs_*`` and ``jacobian_*`` and the state of a
+:class:`StiffnessError`.  :func:`settle` runs without it.
 
-:func:`settle` does not creep all the way down to the cutoff.  Newton's
-method on the analytic Jacobian finishes the solve: once the flow has
-brought the derivative norm within 1e4 of the cutoff, and on the
-good-cavity side (kappa < gamma_perp + gamma_par) also after accepted
-steps 1, 2, 3, 4, 6, 8, 11, ... (a schedule growing by about 1.25).  The
-root is taken only when it meets the cutoff, lies within
-1e-3*(||y|| + 1) of the trajectory state, is a physical state and is
-linearly stable (every eigenvalue of the Jacobian has a negative real
-part, decided by the Routh-Hurwitz conditions on its characteristic
-polynomial).  Each Newton step is solved on floats: the rows of the
-Jacobian with two structural zeros eliminate one unknown each, and
-Cramer's rule solves the 2x2 system left (:func:`_newton_step`).
-The cavity test only saves work; the acceptance ball is what keeps a
-pulsing orbit from being taken for the fixed point (:func:`_good_cavity`).
-:func:`integrate` with ``stop_at_steady`` tries the polish at the approach
-only, and its root replaces the last recorded state.  Every steady exit of
-either function, the one at t = 0 included, passes the same stability
-test, so neither reports an unstable fixed point as settled.
+Newton's method on the analytic Jacobian finishes a run that stops at
+steady.  Each Newton step is solved on floats: the rows of the Jacobian
+with two structural zeros eliminate one unknown each, and Cramer's rule
+solves the 2x2 system left (:func:`_newton_step`).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import sys
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -180,10 +166,6 @@ class StiffnessError(RuntimeError):
             "relax tolerances or reduce the rate disparity"
         )
 
-
-# largest magnitude whose square is finite; beyond it ``q ** 2`` on a
-# Python float raises OverflowError instead of giving inf
-_SQ_MAX = math.sqrt(sys.float_info.max)
 
 # one recorded step, (t, u0, u1, u2, u3) as native doubles
 _STEP = struct.Struct("5d")
@@ -398,23 +380,22 @@ def _norm(s0, s1, s2, s3):
     return math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
 
 
-def _sq(q):
-    """q ** 2, or inf where the square overflows."""
-    return math.inf if abs(q) > _SQ_MAX else q ** 2
-
-
 def _first_step(rhs, u, f, n, t_max, rtol, atol, max_step):
     """The initial step of the 8th-order pair from the state ``u`` with
     ``f`` = rhs(u): the usual two-phase heuristic on scaled magnitudes
-    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4)."""
+    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).  Each scaled
+    quotient is squared by multiplication, which overflows to inf without
+    raising, as in the stepper's error norm."""
     u0, u1, u2, u3 = u
     k1_0, k1_1, k1_2, k1_3 = f
     sc0 = atol + rtol * abs(u0)
     sc1 = atol + rtol * abs(u1)
     sc2 = atol + rtol * abs(u2)
     sc3 = atol + rtol * abs(u3)
-    d0 = _sq(u0 / sc0) + _sq(u1 / sc1) + _sq(u2 / sc2) + _sq(u3 / sc3)
-    d1 = _sq(k1_0 / sc0) + _sq(k1_1 / sc1) + _sq(k1_2 / sc2) + _sq(k1_3 / sc3)
+    q0, q1, q2, q3 = u0 / sc0, u1 / sc1, u2 / sc2, u3 / sc3
+    d0 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
+    q0, q1, q2, q3 = k1_0 / sc0, k1_1 / sc1, k1_2 / sc2, k1_3 / sc3
+    d1 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
     d0 = math.sqrt(d0 / n)
     d1 = math.sqrt(d1 / n)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -425,12 +406,11 @@ def _first_step(rhs, u, f, n, t_max, rtol, atol, max_step):
     k2_0, k2_1, k2_2, k2_3 = rhs(
         u0 + h0 * k1_0, u1 + h0 * k1_1, u2 + h0 * k1_2, u3 + h0 * k1_3
     )
-    d2 = (
-        _sq((k2_0 - k1_0) / sc0)
-        + _sq((k2_1 - k1_1) / sc1)
-        + _sq((k2_2 - k1_2) / sc2)
-        + _sq((k2_3 - k1_3) / sc3)
-    )
+    q0 = (k2_0 - k1_0) / sc0
+    q1 = (k2_1 - k1_1) / sc1
+    q2 = (k2_2 - k1_2) / sc2
+    q3 = (k2_3 - k1_3) / sc3
+    d2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
     # h0 is 0 only when d1 overflowed; the fallback below then applies
     d2 = math.sqrt(d2 / n) / h0 if h0 > 0.0 else math.inf
     dm = max(d1, d2)
@@ -610,41 +590,48 @@ def _good_cavity(p: PhysicalTwoLevel | PhysicalThreeLevel) -> bool:
         return p.cavity_kappa < gamma_perp_two(p) + p.gamma_decay + p.pump_Gamma
     try:
         gpar, _ = gamma_parallel_and_inversion(p)
-    except ValueError:  # gamma_21 = gamma_02 = 0: no gamma_par to compare
+    except ValueError:  # no finite gamma_par to compare
         return False
     return p.cavity_kappa < gamma_perp_three(p) + gpar
 
 
-def _loop_args(
+def _run(
     p: PhysicalTwoLevel | PhysicalThreeLevel,
     initial: BlochState2 | BlochState3 | None,
     config: IntegratorConfig,
-) -> tuple:
-    """The leading arguments of the stepper loop, model tag first."""
+    stop_at_steady: bool,
+    record: bool,
+):
+    """One run of the stepper, the only call of ``_dop853.dop853_loop``,
+    whose docstring states the rule that ends it.
+
+    A run that does not stop at steady gets a cutoff of 0; the scheduled
+    Newton attempts are spent on the good-cavity side of a run that
+    records nothing.  Returns (state, t, status, ||f||, counts, steps):
+    the end state as a :class:`BlochState2` or :class:`BlochState3`, and
+    the rest as ``dop853_loop`` returns them.  Raises ValueError naming
+    the tolerances when the run ended outside the physical state space,
+    and otherwise :class:`StiffnessError` when the step size underflowed.
+    """
+    from ._dop853 import dop853_loop
+
     model, par = _pack(p)
     y0 = _state_tuple(model, initial if initial is not None else initial_state(p))
     t_max = config.t_max if config.t_max is not None else default_t_max(p)
-    return (
-        model,
-        par,
-        y0,
-        len(_STATES[model][1]),
-        float(t_max),
-        config.rel_tol,
-        config.abs_tol,
-        config.max_step,
-        config.steady_tol,
+    status, t, y, fnorm, counts, steps = dop853_loop(
+        model, par, y0, len(_STATES[model][1]), float(t_max),
+        config.rel_tol, config.abs_tol, config.max_step,
+        config.steady_tol if stop_at_steady else 0.0,
+        not record and _good_cavity(p), record,
     )
-
-
-def _raise_on_underflow(model: int, status: int, t: float, y: tuple[float, ...]) -> None:
+    # a state that ran off to nonsense points at loose tolerances first,
+    # not at stiffness
+    state = _physical_state(model, t, y)
     if status == _UNDERFLOW:
-        # a state that ran off to nonsense first points at loose
-        # tolerances, not at stiffness
-        _physical_state(model, t, y)
         import numpy as np
 
         raise StiffnessError(t, np.array(y))
+    return state, t, status, fnorm, counts, steps
 
 
 def _recorded(
@@ -654,26 +641,15 @@ def _recorded(
     stop_at_steady: bool,
 ):
     """The recorded run behind :func:`integrate` and the ``dynamics``
-    command.
+    command; raises as :func:`integrate` does.
 
     Returns (labels, steady, ||f||, columns): ``columns`` holds t and then
     the state components named by ``labels``, one row per accepted step,
     each a 1-D memoryview of doubles that strides over the packed step
-    buffer.  Raises as :func:`integrate` does.  A run that stops at
-    steady ends on the Newton root where the flow's approach gives one,
-    recorded at the t of the last accepted step, as :func:`settle` does on
-    the bad-cavity side.  A run that does not stop at steady is given a
-    cutoff of 0, so it never polishes and never tightens its tolerances.
+    buffer.
     """
-    from ._dop853 import dop853_loop
-
-    args = _loop_args(p, initial, config)
-    model = args[0]
-    if not stop_at_steady:
-        args = args[:-1] + (0.0,)
-    status, t, y, fnorm, _, steps = dop853_loop(*args, schedule=False, record=True)
-    _raise_on_underflow(model, status, t, y)
-    labels = _STATES[model][1]
+    state, _, status, fnorm, _, steps = _run(p, initial, config, stop_at_steady, True)
+    labels = tuple(f.name for f in fields(state))
     cells = memoryview(steps).cast("d")
     width = _STEP.size // cells.itemsize  # doubles per step
     columns = [cells[k::width] for k in range(1 + len(labels))]
@@ -690,17 +666,14 @@ def integrate(
 
     Runs to ``config.t_max`` (resolved per :func:`default_t_max` when
     None), or, if ``stop_at_steady`` is set, until the run reaches a
-    stable fixed point.  Once the derivative norm is within 1e4 of the
-    cutoff, Newton's method is tried as in :func:`settle`; its root, when
-    accepted, replaces the last recorded state at the same t and ends the
-    run.  Otherwise the run goes on until the cutoff itself fires.  Either
-    exit needs a Hurwitz Jacobian: a trajectory that meets the cutoff at
-    an unstable fixed point (the empty cavity above threshold, say) goes
-    on.  The full decay tail is the run with ``stop_at_steady`` off and
-    an explicit ``t_max``.
-    Raises :class:`StiffnessError` on step underflow, or ValueError when
-    the state ran off to a non-finite or unphysical value before the step
-    underflowed.
+    stable fixed point, as :func:`settle` does but without its scheduled
+    Newton attempts (the stop rule is ``_dop853.dop853_loop``'s).  A
+    Newton root that ends the run replaces the last recorded state at
+    the same t.  The full decay tail is the run with ``stop_at_steady``
+    off and an explicit ``t_max``, which keeps the tolerances it was
+    given.  Raises ValueError naming the tolerances when the run leaves
+    the physical state space (seen on a schedule of accepted steps and
+    at the end), and otherwise :class:`StiffnessError` on step underflow.
     """
     import numpy as np
 
@@ -725,34 +698,16 @@ def settle(
 
     The independent cross-check for every closed-form photon number: no
     steady-state algebra enters, only the equations of motion and their
-    Jacobian.  The stepper is the adaptive Dormand-Prince 8(5,3) pair
-    (DOP853) that :func:`integrate` records with, and the result counts
-    its steps and Newton attempts.  Newton's method on the analytic
-    Jacobian finishes the solve.  It is tried once the flow has brought
-    the derivative norm within 1e4 of the cutoff and, on the good-cavity
-    side (kappa < gamma_perp + gamma_par), also after accepted steps 1, 2,
-    3, 4, 6, 8, 11, ...  Its root is taken only when it meets the cutoff,
-    lies within 1e-3*(||y|| + 1) of the trajectory state, is physical and
-    is linearly stable, and otherwise the integration goes on.  The
-    cavity test only saves work (see :func:`_good_cavity`).  A state
-    that meets the cutoff at an unstable fixed point (a Hopf-unstable
-    lasing point, or the empty cavity above threshold) does not end the
-    run.  When t_max is exhausted first, the result carries
-    ``converged = False`` and the last state instead of raising.  Loose
-    tolerances can carry the state outside the physical state space; the
-    run stops and raises ValueError as soon as an accepted state there is
-    seen.  The state is checked after accepted steps 1, 2, 3, 4, 6, 8,
-    11, ... on either side of the cavity condition, and at the end.
+    Jacobian.  The run is :func:`integrate`'s with nothing recorded, and
+    on the good-cavity side (see :func:`_good_cavity`) Newton's method is
+    also tried on a schedule of accepted steps; the stop rule is
+    ``_dop853.dop853_loop``'s.  When t_max is exhausted first, as it is
+    near an unstable fixed point, the result carries ``converged = False``
+    and the last state instead of raising.  Raises as :func:`integrate`
+    does.
     """
-    from ._dop853 import dop853_loop
-
-    args = _loop_args(p, initial, config)
-    model = args[0]
-    status, t, y, fnorm, (steps, rejected, attempts, evaluations), _ = dop853_loop(
-        *args, _good_cavity(p)
-    )
-    _raise_on_underflow(model, status, t, y)
-    state = _physical_state(model, t, y)
+    state, t, status, fnorm, counts, _ = _run(p, initial, config, True, False)
+    steps, rejected, attempts, evaluations = counts
     return SettleResult(
         photon_number=state.photon_number,
         state=state,

@@ -343,14 +343,29 @@ def gamma_perp_three(p: PhysicalThreeLevel) -> float:
     return 0.5 * (p.gamma_10 + p.gamma_02 + p.gamma_ph)
 
 
-def _gamma_parallel_inversion_rates(
-    gamma_21: float, gamma_02: float, gamma_10: float
-) -> tuple[float, float]:
-    """Rate-level core of :func:`gamma_parallel_and_inversion`."""
+def _flow_sums(gamma_21: float, gamma_02: float, gamma_10: float) -> tuple[float, float]:
+    """(gamma_02 + 2*gamma_21, gamma_21*gamma_02 + gamma_02*gamma_10 +
+    gamma_21*gamma_10): the denominator and the rate-product sum of the
+    three-level closed forms.  ValueError when the first is not > 0, or
+    when either overflows, naming the rates."""
     denom = gamma_02 + 2.0 * gamma_21
     if denom <= 0.0:
         raise ValueError("gamma_02 + 2*gamma_21 must be > 0")
     cross = gamma_21 * gamma_02 + gamma_02 * gamma_10 + gamma_21 * gamma_10
+    if not (denom < math.inf and cross < math.inf):
+        raise ValueError(
+            f"gamma_21={gamma_21!r} with gamma_02={gamma_02!r} and gamma_10={gamma_10!r} "
+            "overflows the rate sums gamma_02 + 2*gamma_21 and "
+            "gamma_21*gamma_02 + gamma_02*gamma_10 + gamma_21*gamma_10"
+        )
+    return denom, cross
+
+
+def _gamma_parallel_inversion_rates(
+    gamma_21: float, gamma_02: float, gamma_10: float
+) -> tuple[float, float]:
+    """Rate-level core of :func:`gamma_parallel_and_inversion`."""
+    denom, cross = _flow_sums(gamma_21, gamma_02, gamma_10)
     gamma_par = 2.0 * cross / denom
     if cross == 0.0:
         # no closed pumping loop: the equilibrium carries no inversion
@@ -371,7 +386,8 @@ def gamma_parallel_and_inversion(p: PhysicalThreeLevel) -> tuple[float, float]:
 
     The inversion equals rho11 - rho00 of the no-field equilibrium; it is
     positive only when the lower lasing state is drained faster than the
-    upper one decays (gamma_02 > gamma_10).
+    upper one decays (gamma_02 > gamma_10).  ValueError naming the rates
+    when gamma_02 + 2*gamma_21 is 0 or the rate products overflow.
     """
     return _gamma_parallel_inversion_rates(p.gamma_21, p.gamma_02, p.gamma_10)
 

@@ -30,6 +30,7 @@ from .params import (
     Regime,
     SteadyResult,
     _SCHEMES,
+    _flow_sums,
     _populations_from_ground,
     gamma_perp_three,
     reduce_three,
@@ -272,8 +273,9 @@ def optimum_two(d: DimensionlessTwoLevel) -> ExtremumReport | None:
     1/(2s) - 1 - dephasing/2 is the exact optimum and the estimate
     coincides with it.  Also reports the coarse peak value
     photon_scale/(4s), which is accurate to O(s) when the small-signal
-    gain is large.  None when no window exists or in the lossless limit
-    (no interior maximum).
+    gain is large, and its error relative to the exact peak, None where
+    that peak is not a positive finite number.  None when no window
+    exists or in the lossless limit (no interior maximum).
     """
     win = window_two(d).exact
     if win is None or not math.isfinite(win.upper) or d.saturation == 0.0:
@@ -287,7 +289,9 @@ def optimum_two(d: DimensionlessTwoLevel) -> ExtremumReport | None:
         photon_at_exact=n_exact,
         discrepancy=0.0,
         photon_max_estimate=n_est,
-        photon_max_rel_err=abs(n_exact - n_est) / n_exact if n_exact > 0.0 else None,
+        photon_max_rel_err=(
+            abs(n_exact - n_est) / n_exact if 0.0 < n_exact < math.inf else None
+        ),
     )
 
 
@@ -537,17 +541,15 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
     reference rate, which has no reduction, classifies by the sign of
     the photon number alone.  A degenerate population flow (no unique
     no-field equilibrium) reports the state reached from the ground state.
+    Rates whose products overflow raise ValueError naming them, as
+    :func:`gamma_parallel_and_inversion` does.
     """
-    denom = p.gamma_02 + 2.0 * p.gamma_21
-    if denom <= 0.0:
-        raise ValueError("gamma_02 + 2*gamma_21 must be > 0")
+    denom, cross = _flow_sums(p.gamma_21, p.gamma_02, p.gamma_10)
     gperp = gamma_perp_three(p)
     gain = (p.n_atoms / (2.0 * p.cavity_kappa)) * p.gamma_21 * (
         p.gamma_02 - p.gamma_10
     ) / denom
-    loss = (gperp / (2.0 * p.coupling_g**2)) * (
-        p.gamma_02 * p.gamma_21 + p.gamma_02 * p.gamma_10 + p.gamma_21 * p.gamma_10
-    ) / denom
+    loss = (gperp / (2.0 * p.coupling_g**2)) * cross / denom
     raw = gain - loss
 
     if raw > 0.0:

@@ -13,7 +13,6 @@ from lasekit.cli import (
     ConfigError,
     emit_sweep_csv,
     emit_timeseries_csv,
-    figure_series,
     main,
     parse_config,
     parse_sweep_csv,
@@ -610,6 +609,40 @@ def test_dynamics_runaway_on_loose_tolerances_exits_2(tmp_path, capsys):
     assert "tighten rel_tol/abs_tol" in capsys.readouterr().err
 
 
+def test_dynamics_leaving_state_space_exits_2(tmp_path, capsys):
+    # the run crosses rho11 + rho22 = 1 before t = 3: no rows, the error
+    # settle raises on the same rates
+    path = write_cfg(tmp_path, {**CFG_3B_PHYS, "integrator": {"rel_tol": 0.3, "abs_tol": 0.3}})
+    assert main(["dynamics", "--config", path, "--t-max", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the run ended outside the physical state space")
+    assert "tighten rel_tol/abs_tol" in captured.err
+
+
+@pytest.mark.parametrize("cfg, rate", [(CFG_3A_PHYS, "gamma_02"), (CFG_3B_PHYS, "gamma_21")],
+                         ids=["three-a", "three-b"])
+def test_steady_overflowing_rate_products_exit_2(tmp_path, capsys, cfg, rate):
+    # gamma_21*gamma_02 overflows at pump 2: a config error naming the
+    # rates, not a report of nan populations and an inf gamma_parallel
+    path = write_cfg(tmp_path, {**cfg, "params": {**cfg["params"], rate: 1e300}})
+    assert main(["steady", "--config", path, "--pump", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: params: gamma_21=")
+    assert f"{rate}=1e+300" in captured.err and "overflows" in captured.err
+
+
+@pytest.mark.parametrize("param, value", [("n_atoms", 1e300), ("cavity_kappa", 1e-300)])
+def test_region_infinite_peak_reports_no_relative_error(tmp_path, capsys, param, value):
+    # the peak photon number overflows to inf: no relative error, not nan
+    path = write_cfg(tmp_path, {**CFG_2L_PHYS, "params": {**CFG_2L_PHYS["params"], param: value}})
+    assert main(["region", "--config", path, "--format", "json"]) == 0
+    optimum = json.loads(capsys.readouterr().out)["optimum"]
+    assert optimum["photon_at_exact"] == "inf"
+    assert optimum["photon_max_rel_err"] is None
+
+
 def test_dynamics_initial_override_and_seed(tmp_path, capsys):
     doc = {**CFG_3B_PHYS, "initial": {"rho11": 0.2, "rho22": 0.3}}
     path = write_cfg(tmp_path, doc)
@@ -663,13 +696,6 @@ def test_figure_presets_write_curves(tmp_path):
     assert series.metadata["preset"] == "fig4b"
     assert series.metadata["saturation"] == 0.01
     assert len(series.pump_values) == 400
-
-
-def test_figure_series_shapes():
-    for preset in ("fig2", "fig4a", "fig4b"):
-        for series in figure_series(preset):
-            assert len(series.pump_values) == 400
-            assert np.all(np.diff(series.pump_values) > 0)
 
 
 def test_precision_env_override(tmp_path, capsys, monkeypatch):

@@ -379,3 +379,17 @@ def test_run_that_does_not_stop_keeps_its_tolerances():
                         config=IntegratorConfig(t_max=30.0, steady_tol=1e-3),
                         stop_at_steady=True)
     assert stopped.steady and stopped.times[-1] < 30.0
+
+
+@pytest.mark.parametrize("stop_at_steady", [True, False])
+def test_recorded_run_outside_state_space_raises_as_settle_does(stop_at_steady):
+    # tolerances this loose carry the run to rho11 + rho22 > 1 by t = 1.47;
+    # a recorded run checks its state on settle's schedule and at the end,
+    # so it stops there with settle's error instead of returning rows with
+    # a negative population
+    config = IntegratorConfig(rel_tol=0.3, abs_tol=0.3, t_max=3.0)
+    with pytest.raises(ValueError, match="outside the physical state space") as expected:
+        settle(README_3L, config=config)
+    with pytest.raises(ValueError) as err:
+        integrate(README_3L, config=config, stop_at_steady=stop_at_steady)
+    assert str(err.value) == str(expected.value)

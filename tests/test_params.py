@@ -81,6 +81,18 @@ def test_gamma_parallel_rejects_zero_denominator():
         gamma_parallel_and_inversion(three_level(0.0, 0.0, 0.1))
 
 
+@pytest.mark.parametrize("rates", [(2e300, 1e300, 0.1), (1e300, 2e300, 0.1), (1e308, 0.0, 1.0)],
+                         ids=["g21*g02", "g02*g21", "g02+2*g21"])
+@pytest.mark.parametrize("fn", [gamma_parallel_and_inversion, n_three_physical])
+def test_overflowing_rate_products_name_the_rates(fn, rates):
+    # the products overflow to inf, and inf/inf would leak nan into
+    # gamma_par, the inversion and the populations
+    g21, g02, g10 = rates
+    with pytest.raises(ValueError, match="overflows the rate sums") as err:
+        fn(three_level(g21, g02, g10))
+    assert f"gamma_21={g21!r} with gamma_02={g02!r} and gamma_10={g10!r}" in str(err.value)
+
+
 def test_decomposition_identity_reproduces_direct_steady_state():
     # effective-two-level form N*gpar*inv/(4k) - gperp*gpar/(4g^2) must
     # equal the direct three-level formula exactly (500 random rate sets)
