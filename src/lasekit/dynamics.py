@@ -24,8 +24,8 @@ system for :func:`settle`, :func:`integrate` and the ``lasekit dynamics``
 command, all through :func:`_run`, the one caller of its ``dop853_loop``.
 That loop's docstring states the rule that ends a run: the
 derivative-norm cutoff, the stability test, the Newton polish and the
-state check.
-The loop runs on scalar float locals with its stages unrolled over the
+state check.  The derivative of every accepted state, which the cutoff
+runs on, comes for free.  The loop runs on scalar float locals with its stages unrolled over the
 components and the right-hand side bound once per run, which keeps plain
 Python free of per-element numpy indexing.  A recorded run appends the
 time and state of each accepted step, and of no other point (there is no
