@@ -25,11 +25,16 @@ last error damps the accept -> grow -> reject cycle of the plain
 
 The stages are unrolled over four scalar float locals.  The coefficients
 are float literals, and the zero entries of the tableau are left out of
-every sum.  The error norm makes no function call but ``abs`` and
-``sqrt``: it squares by multiplication, which overflows to inf without
-raising.  The right-hand side, the first-step heuristic, the state check,
-the stability test, the Newton polish and the step record layout are
-looked up on :mod:`lasekit.dynamics`.
+every sum.  The right-hand side of ``dynamics._rhs_of``, the one set of
+equations of both atoms, is written into each of the 12 evaluations of a
+step, FSAL's included, with the same operations in the same order, so a
+stage gives bit for bit what a call of the closure gives: the 12 calls
+were about 10 % of a step.  The closure itself serves the derivative at
+the start, the first-step heuristic and the Newton polish.  The error
+norm makes no function call but ``abs`` and ``sqrt``: it squares by
+multiplication, which overflows to inf without raising.  The first-step
+heuristic, the state check, the stability test, the Newton polish and
+the step record layout are looked up on :mod:`lasekit.dynamics`.
 """
 
 import math
@@ -40,11 +45,12 @@ from . import dynamics
 def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, schedule, record):
     """Adaptive DOP853 from t = 0 until a stable fixed point or t_max.
 
-    ``par`` and ``y0`` are float tuples (see ``dynamics._rhs_of``); ``n``
-    is the number of live components.  Returns (status, t, y, f_norm,
-    counts, steps): status ``dynamics._STEADY``, ``_TMAX`` or
-    ``_UNDERFLOW`` (step-size underflow), the end state ``y`` as a tuple
-    of the ``n`` live components, and ``counts`` = (accepted steps,
+    ``par`` and ``y0`` are float tuples (see ``dynamics._rhs_of``), the
+    state as four floats (rho11, rho22, y, x); ``n`` is the number of
+    components the model has.  Returns (status, t, y, f_norm, counts,
+    steps): status ``dynamics._STEADY``, ``_TMAX`` or ``_UNDERFLOW``
+    (step-size underflow), the end state ``y`` as four floats, and
+    ``counts`` = (accepted steps,
     rejected steps, polish attempts, right-hand side evaluations of the
     stepper, the polish's left out).
 
@@ -67,7 +73,8 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
       ends the run as steady, in the place of the last step's state.
     - When the count of accepted steps reaches k = 1, 2, 3, 4, 6, 8, 11,
       14, 18, ..., each term k + 1 + k // 4 after the last, a state
-      outside the physical state space ends the run there with the
+      outside the physical state space (``dynamics._physical``, on the
+      floats) ends the run there with the
       status of a run out of time, for the caller to raise on.  With
       ``schedule`` the polish is also tried at those counts, which saves
       work.  The caller sets it on the good-cavity side of a run that
@@ -80,7 +87,10 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
     else: with ``schedule`` off, a recorded run and an unrecorded one end
     at the same t, state and step count.
     """
-    rhs = dynamics._rhs_of(model, par)
+    rhs = dynamics._rhs_of(par)
+    # the rates and folded constants of rhs, for the stages written out below
+    n_at, g, kappa, g21, g02, g10, gperp, pump = par
+    g2, ng, nkappa, ngperp = 2.0 * g, n_at * g, -kappa, -gperp
     polish_armed = check_armed = True
     accepted = rejected = attempts = 0
     next_try = 1
@@ -93,15 +103,15 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
 
     if fnorm < steady_tol * (dynamics._norm(u0, u1, u2, u3) + 1.0):
         if dynamics._hurwitz(model, par, u0, u1, u2, u3):
-            return dynamics._STEADY, t, (u0, u1, u2, u3)[:n], fnorm, (0, 0, 0, 1), steps
+            return dynamics._STEADY, t, (u0, u1, u2, u3), fnorm, (0, 0, 0, 1), steps
         check_armed = False
 
     h = dynamics._first_step(rhs, (u0, u1, u2, u3), (k1_0, k1_1, k1_2, k1_3), n,
                              t_max, rtol, atol, max_step)
 
     # tightening (see above); the floor keeps the error scale of a zero
-    # component (the two-level padding) positive should atol*tighten
-    # underflow
+    # component (the empty level 2 of the two-level atom) positive should
+    # atol*tighten underflow
     tighten = 1.0
     tighten_min = min(1.0, 5e-14 / rtol)
     atol_eff = max(atol, 5e-324)
@@ -127,140 +137,173 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
 
         # stages 2-12 (FSAL: k1 already holds f(t, y)), the 8th-order
         # solution v and f(t + h, v) as the next step's k1
-        k2_0, k2_1, k2_2, k2_3 = rhs(
-            u0 + h * (0.05260015195876773 * k1_0),
-            u1 + h * (0.05260015195876773 * k1_1),
-            u2 + h * (0.05260015195876773 * k1_2),
-            u3 + h * (0.05260015195876773 * k1_3),
-        )
-        k3_0, k3_1, k3_2, k3_3 = rhs(
-            u0 + h * (0.0197250569845379 * k1_0 + 0.0591751709536137 * k2_0),
-            u1 + h * (0.0197250569845379 * k1_1 + 0.0591751709536137 * k2_1),
-            u2 + h * (0.0197250569845379 * k1_2 + 0.0591751709536137 * k2_2),
-            u3 + h * (0.0197250569845379 * k1_3 + 0.0591751709536137 * k2_3),
-        )
-        k4_0, k4_1, k4_2, k4_3 = rhs(
-            u0 + h * (0.02958758547680685 * k1_0 + 0.08876275643042054 * k3_0),
-            u1 + h * (0.02958758547680685 * k1_1 + 0.08876275643042054 * k3_1),
-            u2 + h * (0.02958758547680685 * k1_2 + 0.08876275643042054 * k3_2),
-            u3 + h * (0.02958758547680685 * k1_3 + 0.08876275643042054 * k3_3),
-        )
-        k5_0, k5_1, k5_2, k5_3 = rhs(
-            u0 + h * (0.2413651341592667 * k1_0 - 0.8845494793282861 * k3_0
-                      + 0.924834003261792 * k4_0),
-            u1 + h * (0.2413651341592667 * k1_1 - 0.8845494793282861 * k3_1
-                      + 0.924834003261792 * k4_1),
-            u2 + h * (0.2413651341592667 * k1_2 - 0.8845494793282861 * k3_2
-                      + 0.924834003261792 * k4_2),
-            u3 + h * (0.2413651341592667 * k1_3 - 0.8845494793282861 * k3_3
-                      + 0.924834003261792 * k4_3),
-        )
-        k6_0, k6_1, k6_2, k6_3 = rhs(
-            u0 + h * (0.037037037037037035 * k1_0 + 0.17082860872947386 * k4_0
-                      + 0.12546768756682242 * k5_0),
-            u1 + h * (0.037037037037037035 * k1_1 + 0.17082860872947386 * k4_1
-                      + 0.12546768756682242 * k5_1),
-            u2 + h * (0.037037037037037035 * k1_2 + 0.17082860872947386 * k4_2
-                      + 0.12546768756682242 * k5_2),
-            u3 + h * (0.037037037037037035 * k1_3 + 0.17082860872947386 * k4_3
-                      + 0.12546768756682242 * k5_3),
-        )
-        k7_0, k7_1, k7_2, k7_3 = rhs(
-            u0 + h * (0.037109375 * k1_0 + 0.17025221101954405 * k4_0
-                      + 0.06021653898045596 * k5_0 - 0.017578125 * k6_0),
-            u1 + h * (0.037109375 * k1_1 + 0.17025221101954405 * k4_1
-                      + 0.06021653898045596 * k5_1 - 0.017578125 * k6_1),
-            u2 + h * (0.037109375 * k1_2 + 0.17025221101954405 * k4_2
-                      + 0.06021653898045596 * k5_2 - 0.017578125 * k6_2),
-            u3 + h * (0.037109375 * k1_3 + 0.17025221101954405 * k4_3
-                      + 0.06021653898045596 * k5_3 - 0.017578125 * k6_3),
-        )
-        k8_0, k8_1, k8_2, k8_3 = rhs(
-            u0 + h * (0.03709200011850479 * k1_0 + 0.17038392571223998 * k4_0
-                      + 0.10726203044637328 * k5_0 - 0.015319437748624402 * k6_0
-                      + 0.008273789163814023 * k7_0),
-            u1 + h * (0.03709200011850479 * k1_1 + 0.17038392571223998 * k4_1
-                      + 0.10726203044637328 * k5_1 - 0.015319437748624402 * k6_1
-                      + 0.008273789163814023 * k7_1),
-            u2 + h * (0.03709200011850479 * k1_2 + 0.17038392571223998 * k4_2
-                      + 0.10726203044637328 * k5_2 - 0.015319437748624402 * k6_2
-                      + 0.008273789163814023 * k7_2),
-            u3 + h * (0.03709200011850479 * k1_3 + 0.17038392571223998 * k4_3
-                      + 0.10726203044637328 * k5_3 - 0.015319437748624402 * k6_3
-                      + 0.008273789163814023 * k7_3),
-        )
-        k9_0, k9_1, k9_2, k9_3 = rhs(
-            u0 + h * (0.6241109587160757 * k1_0 - 3.3608926294469414 * k4_0
-                      - 0.868219346841726 * k5_0 + 27.59209969944671 * k6_0
-                      + 20.154067550477894 * k7_0 - 43.48988418106996 * k8_0),
-            u1 + h * (0.6241109587160757 * k1_1 - 3.3608926294469414 * k4_1
-                      - 0.868219346841726 * k5_1 + 27.59209969944671 * k6_1
-                      + 20.154067550477894 * k7_1 - 43.48988418106996 * k8_1),
-            u2 + h * (0.6241109587160757 * k1_2 - 3.3608926294469414 * k4_2
-                      - 0.868219346841726 * k5_2 + 27.59209969944671 * k6_2
-                      + 20.154067550477894 * k7_2 - 43.48988418106996 * k8_2),
-            u3 + h * (0.6241109587160757 * k1_3 - 3.3608926294469414 * k4_3
-                      - 0.868219346841726 * k5_3 + 27.59209969944671 * k6_3
-                      + 20.154067550477894 * k7_3 - 43.48988418106996 * k8_3),
-        )
-        k10_0, k10_1, k10_2, k10_3 = rhs(
-            u0 + h * (0.47766253643826434 * k1_0 - 2.4881146199716677 * k4_0
-                      - 0.590290826836843 * k5_0 + 21.230051448181193 * k6_0
-                      + 15.279233632882423 * k7_0 - 33.28821096898486 * k8_0
-                      - 0.020331201708508627 * k9_0),
-            u1 + h * (0.47766253643826434 * k1_1 - 2.4881146199716677 * k4_1
-                      - 0.590290826836843 * k5_1 + 21.230051448181193 * k6_1
-                      + 15.279233632882423 * k7_1 - 33.28821096898486 * k8_1
-                      - 0.020331201708508627 * k9_1),
-            u2 + h * (0.47766253643826434 * k1_2 - 2.4881146199716677 * k4_2
-                      - 0.590290826836843 * k5_2 + 21.230051448181193 * k6_2
-                      + 15.279233632882423 * k7_2 - 33.28821096898486 * k8_2
-                      - 0.020331201708508627 * k9_2),
-            u3 + h * (0.47766253643826434 * k1_3 - 2.4881146199716677 * k4_3
-                      - 0.590290826836843 * k5_3 + 21.230051448181193 * k6_3
-                      + 15.279233632882423 * k7_3 - 33.28821096898486 * k8_3
-                      - 0.020331201708508627 * k9_3),
-        )
-        k11_0, k11_1, k11_2, k11_3 = rhs(
-            u0 + h * (-0.9371424300859873 * k1_0 + 5.186372428844064 * k4_0
-                      + 1.0914373489967295 * k5_0 - 8.149787010746927 * k6_0
-                      - 18.52006565999696 * k7_0 + 22.739487099350505 * k8_0
-                      + 2.4936055526796523 * k9_0 - 3.0467644718982196 * k10_0),
-            u1 + h * (-0.9371424300859873 * k1_1 + 5.186372428844064 * k4_1
-                      + 1.0914373489967295 * k5_1 - 8.149787010746927 * k6_1
-                      - 18.52006565999696 * k7_1 + 22.739487099350505 * k8_1
-                      + 2.4936055526796523 * k9_1 - 3.0467644718982196 * k10_1),
-            u2 + h * (-0.9371424300859873 * k1_2 + 5.186372428844064 * k4_2
-                      + 1.0914373489967295 * k5_2 - 8.149787010746927 * k6_2
-                      - 18.52006565999696 * k7_2 + 22.739487099350505 * k8_2
-                      + 2.4936055526796523 * k9_2 - 3.0467644718982196 * k10_2),
-            u3 + h * (-0.9371424300859873 * k1_3 + 5.186372428844064 * k4_3
-                      + 1.0914373489967295 * k5_3 - 8.149787010746927 * k6_3
-                      - 18.52006565999696 * k7_3 + 22.739487099350505 * k8_3
-                      + 2.4936055526796523 * k9_3 - 3.0467644718982196 * k10_3),
-        )
-        k12_0, k12_1, k12_2, k12_3 = rhs(
-            u0 + h * (2.273310147516538 * k1_0 - 10.53449546673725 * k4_0
-                      - 2.0008720582248625 * k5_0 - 17.9589318631188 * k6_0
-                      + 27.94888452941996 * k7_0 - 2.8589982771350235 * k8_0
-                      - 8.87285693353063 * k9_0 + 12.360567175794303 * k10_0
-                      + 0.6433927460157636 * k11_0),
-            u1 + h * (2.273310147516538 * k1_1 - 10.53449546673725 * k4_1
-                      - 2.0008720582248625 * k5_1 - 17.9589318631188 * k6_1
-                      + 27.94888452941996 * k7_1 - 2.8589982771350235 * k8_1
-                      - 8.87285693353063 * k9_1 + 12.360567175794303 * k10_1
-                      + 0.6433927460157636 * k11_1),
-            u2 + h * (2.273310147516538 * k1_2 - 10.53449546673725 * k4_2
-                      - 2.0008720582248625 * k5_2 - 17.9589318631188 * k6_2
-                      + 27.94888452941996 * k7_2 - 2.8589982771350235 * k8_2
-                      - 8.87285693353063 * k9_2 + 12.360567175794303 * k10_2
-                      + 0.6433927460157636 * k11_2),
-            u3 + h * (2.273310147516538 * k1_3 - 10.53449546673725 * k4_3
-                      - 2.0008720582248625 * k5_3 - 17.9589318631188 * k6_3
-                      + 27.94888452941996 * k7_3 - 2.8589982771350235 * k8_3
-                      - 8.87285693353063 * k9_3 + 12.360567175794303 * k10_3
-                      + 0.6433927460157636 * k11_3),
-        )
+        w0 = u0 + h * (0.05260015195876773 * k1_0)
+        w1 = u1 + h * (0.05260015195876773 * k1_1)
+        w2 = u2 + h * (0.05260015195876773 * k1_2)
+        w3 = u3 + h * (0.05260015195876773 * k1_3)
+        r = 1.0 - w0 - w1
+        k2_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k2_1 = g02 * r - g21 * w1
+        k2_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k2_3 = nkappa * w3 + ng * w2
+        w0 = u0 + h * (0.0197250569845379 * k1_0 + 0.0591751709536137 * k2_0)
+        w1 = u1 + h * (0.0197250569845379 * k1_1 + 0.0591751709536137 * k2_1)
+        w2 = u2 + h * (0.0197250569845379 * k1_2 + 0.0591751709536137 * k2_2)
+        w3 = u3 + h * (0.0197250569845379 * k1_3 + 0.0591751709536137 * k2_3)
+        r = 1.0 - w0 - w1
+        k3_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k3_1 = g02 * r - g21 * w1
+        k3_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k3_3 = nkappa * w3 + ng * w2
+        w0 = u0 + h * (0.02958758547680685 * k1_0 + 0.08876275643042054 * k3_0)
+        w1 = u1 + h * (0.02958758547680685 * k1_1 + 0.08876275643042054 * k3_1)
+        w2 = u2 + h * (0.02958758547680685 * k1_2 + 0.08876275643042054 * k3_2)
+        w3 = u3 + h * (0.02958758547680685 * k1_3 + 0.08876275643042054 * k3_3)
+        r = 1.0 - w0 - w1
+        k4_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k4_1 = g02 * r - g21 * w1
+        k4_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k4_3 = nkappa * w3 + ng * w2
+        w0 = u0 + h * (0.2413651341592667 * k1_0 - 0.8845494793282861 * k3_0
+                       + 0.924834003261792 * k4_0)
+        w1 = u1 + h * (0.2413651341592667 * k1_1 - 0.8845494793282861 * k3_1
+                       + 0.924834003261792 * k4_1)
+        w2 = u2 + h * (0.2413651341592667 * k1_2 - 0.8845494793282861 * k3_2
+                       + 0.924834003261792 * k4_2)
+        w3 = u3 + h * (0.2413651341592667 * k1_3 - 0.8845494793282861 * k3_3
+                       + 0.924834003261792 * k4_3)
+        r = 1.0 - w0 - w1
+        k5_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k5_1 = g02 * r - g21 * w1
+        k5_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k5_3 = nkappa * w3 + ng * w2
+        w0 = u0 + h * (0.037037037037037035 * k1_0 + 0.17082860872947386 * k4_0
+                       + 0.12546768756682242 * k5_0)
+        w1 = u1 + h * (0.037037037037037035 * k1_1 + 0.17082860872947386 * k4_1
+                       + 0.12546768756682242 * k5_1)
+        w2 = u2 + h * (0.037037037037037035 * k1_2 + 0.17082860872947386 * k4_2
+                       + 0.12546768756682242 * k5_2)
+        w3 = u3 + h * (0.037037037037037035 * k1_3 + 0.17082860872947386 * k4_3
+                       + 0.12546768756682242 * k5_3)
+        r = 1.0 - w0 - w1
+        k6_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k6_1 = g02 * r - g21 * w1
+        k6_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k6_3 = nkappa * w3 + ng * w2
+        w0 = u0 + h * (0.037109375 * k1_0 + 0.17025221101954405 * k4_0
+                       + 0.06021653898045596 * k5_0 - 0.017578125 * k6_0)
+        w1 = u1 + h * (0.037109375 * k1_1 + 0.17025221101954405 * k4_1
+                       + 0.06021653898045596 * k5_1 - 0.017578125 * k6_1)
+        w2 = u2 + h * (0.037109375 * k1_2 + 0.17025221101954405 * k4_2
+                       + 0.06021653898045596 * k5_2 - 0.017578125 * k6_2)
+        w3 = u3 + h * (0.037109375 * k1_3 + 0.17025221101954405 * k4_3
+                       + 0.06021653898045596 * k5_3 - 0.017578125 * k6_3)
+        r = 1.0 - w0 - w1
+        k7_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k7_1 = g02 * r - g21 * w1
+        k7_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k7_3 = nkappa * w3 + ng * w2
+        w0 = u0 + h * (0.03709200011850479 * k1_0 + 0.17038392571223998 * k4_0
+                       + 0.10726203044637328 * k5_0 - 0.015319437748624402 * k6_0
+                       + 0.008273789163814023 * k7_0)
+        w1 = u1 + h * (0.03709200011850479 * k1_1 + 0.17038392571223998 * k4_1
+                       + 0.10726203044637328 * k5_1 - 0.015319437748624402 * k6_1
+                       + 0.008273789163814023 * k7_1)
+        w2 = u2 + h * (0.03709200011850479 * k1_2 + 0.17038392571223998 * k4_2
+                       + 0.10726203044637328 * k5_2 - 0.015319437748624402 * k6_2
+                       + 0.008273789163814023 * k7_2)
+        w3 = u3 + h * (0.03709200011850479 * k1_3 + 0.17038392571223998 * k4_3
+                       + 0.10726203044637328 * k5_3 - 0.015319437748624402 * k6_3
+                       + 0.008273789163814023 * k7_3)
+        r = 1.0 - w0 - w1
+        k8_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k8_1 = g02 * r - g21 * w1
+        k8_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k8_3 = nkappa * w3 + ng * w2
+        w0 = u0 + h * (0.6241109587160757 * k1_0 - 3.3608926294469414 * k4_0
+                       - 0.868219346841726 * k5_0 + 27.59209969944671 * k6_0
+                       + 20.154067550477894 * k7_0 - 43.48988418106996 * k8_0)
+        w1 = u1 + h * (0.6241109587160757 * k1_1 - 3.3608926294469414 * k4_1
+                       - 0.868219346841726 * k5_1 + 27.59209969944671 * k6_1
+                       + 20.154067550477894 * k7_1 - 43.48988418106996 * k8_1)
+        w2 = u2 + h * (0.6241109587160757 * k1_2 - 3.3608926294469414 * k4_2
+                       - 0.868219346841726 * k5_2 + 27.59209969944671 * k6_2
+                       + 20.154067550477894 * k7_2 - 43.48988418106996 * k8_2)
+        w3 = u3 + h * (0.6241109587160757 * k1_3 - 3.3608926294469414 * k4_3
+                       - 0.868219346841726 * k5_3 + 27.59209969944671 * k6_3
+                       + 20.154067550477894 * k7_3 - 43.48988418106996 * k8_3)
+        r = 1.0 - w0 - w1
+        k9_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k9_1 = g02 * r - g21 * w1
+        k9_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k9_3 = nkappa * w3 + ng * w2
+        w0 = u0 + h * (0.47766253643826434 * k1_0 - 2.4881146199716677 * k4_0
+                       - 0.590290826836843 * k5_0 + 21.230051448181193 * k6_0
+                       + 15.279233632882423 * k7_0 - 33.28821096898486 * k8_0
+                       - 0.020331201708508627 * k9_0)
+        w1 = u1 + h * (0.47766253643826434 * k1_1 - 2.4881146199716677 * k4_1
+                       - 0.590290826836843 * k5_1 + 21.230051448181193 * k6_1
+                       + 15.279233632882423 * k7_1 - 33.28821096898486 * k8_1
+                       - 0.020331201708508627 * k9_1)
+        w2 = u2 + h * (0.47766253643826434 * k1_2 - 2.4881146199716677 * k4_2
+                       - 0.590290826836843 * k5_2 + 21.230051448181193 * k6_2
+                       + 15.279233632882423 * k7_2 - 33.28821096898486 * k8_2
+                       - 0.020331201708508627 * k9_2)
+        w3 = u3 + h * (0.47766253643826434 * k1_3 - 2.4881146199716677 * k4_3
+                       - 0.590290826836843 * k5_3 + 21.230051448181193 * k6_3
+                       + 15.279233632882423 * k7_3 - 33.28821096898486 * k8_3
+                       - 0.020331201708508627 * k9_3)
+        r = 1.0 - w0 - w1
+        k10_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k10_1 = g02 * r - g21 * w1
+        k10_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k10_3 = nkappa * w3 + ng * w2
+        w0 = u0 + h * (-0.9371424300859873 * k1_0 + 5.186372428844064 * k4_0
+                       + 1.0914373489967295 * k5_0 - 8.149787010746927 * k6_0
+                       - 18.52006565999696 * k7_0 + 22.739487099350505 * k8_0
+                       + 2.4936055526796523 * k9_0 - 3.0467644718982196 * k10_0)
+        w1 = u1 + h * (-0.9371424300859873 * k1_1 + 5.186372428844064 * k4_1
+                       + 1.0914373489967295 * k5_1 - 8.149787010746927 * k6_1
+                       - 18.52006565999696 * k7_1 + 22.739487099350505 * k8_1
+                       + 2.4936055526796523 * k9_1 - 3.0467644718982196 * k10_1)
+        w2 = u2 + h * (-0.9371424300859873 * k1_2 + 5.186372428844064 * k4_2
+                       + 1.0914373489967295 * k5_2 - 8.149787010746927 * k6_2
+                       - 18.52006565999696 * k7_2 + 22.739487099350505 * k8_2
+                       + 2.4936055526796523 * k9_2 - 3.0467644718982196 * k10_2)
+        w3 = u3 + h * (-0.9371424300859873 * k1_3 + 5.186372428844064 * k4_3
+                       + 1.0914373489967295 * k5_3 - 8.149787010746927 * k6_3
+                       - 18.52006565999696 * k7_3 + 22.739487099350505 * k8_3
+                       + 2.4936055526796523 * k9_3 - 3.0467644718982196 * k10_3)
+        r = 1.0 - w0 - w1
+        k11_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k11_1 = g02 * r - g21 * w1
+        k11_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k11_3 = nkappa * w3 + ng * w2
+        w0 = u0 + h * (2.273310147516538 * k1_0 - 10.53449546673725 * k4_0
+                       - 2.0008720582248625 * k5_0 - 17.9589318631188 * k6_0
+                       + 27.94888452941996 * k7_0 - 2.8589982771350235 * k8_0
+                       - 8.87285693353063 * k9_0 + 12.360567175794303 * k10_0
+                       + 0.6433927460157636 * k11_0)
+        w1 = u1 + h * (2.273310147516538 * k1_1 - 10.53449546673725 * k4_1
+                       - 2.0008720582248625 * k5_1 - 17.9589318631188 * k6_1
+                       + 27.94888452941996 * k7_1 - 2.8589982771350235 * k8_1
+                       - 8.87285693353063 * k9_1 + 12.360567175794303 * k10_1
+                       + 0.6433927460157636 * k11_1)
+        w2 = u2 + h * (2.273310147516538 * k1_2 - 10.53449546673725 * k4_2
+                       - 2.0008720582248625 * k5_2 - 17.9589318631188 * k6_2
+                       + 27.94888452941996 * k7_2 - 2.8589982771350235 * k8_2
+                       - 8.87285693353063 * k9_2 + 12.360567175794303 * k10_2
+                       + 0.6433927460157636 * k11_2)
+        w3 = u3 + h * (2.273310147516538 * k1_3 - 10.53449546673725 * k4_3
+                       - 2.0008720582248625 * k5_3 - 17.9589318631188 * k6_3
+                       + 27.94888452941996 * k7_3 - 2.8589982771350235 * k8_3
+                       - 8.87285693353063 * k9_3 + 12.360567175794303 * k10_3
+                       + 0.6433927460157636 * k11_3)
+        r = 1.0 - w0 - w1
+        k12_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
+        k12_1 = g02 * r - g21 * w1
+        k12_2 = ngperp * w2 + g * w3 * (w0 - r)
+        k12_3 = nkappa * w3 + ng * w2
         s0 = (0.054293734116568765 * k1_0 + 4.450312892752409 * k6_0
               + 1.8915178993145003 * k7_0 - 5.801203960010585 * k8_0
               + 0.3111643669578199 * k9_0 - 0.1521609496625161 * k10_0
@@ -281,7 +324,11 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
         v1 = u1 + h * s1
         v2 = u2 + h * s2
         v3 = u3 + h * s3
-        k13_0, k13_1, k13_2, k13_3 = rhs(v0, v1, v2, v3)
+        r = 1.0 - v0 - v1
+        k13_0 = pump * r + g21 * v1 - g10 * v0 - g2 * v3 * v2
+        k13_1 = g02 * r - g21 * v1
+        k13_2 = ngperp * v2 + g * v3 * (v0 - r)
+        k13_3 = nkappa * v3 + ng * v2
 
         e5_0 = (0.01312004499419488 * k1_0 - 1.2251564463762044 * k6_0
                 - 0.4957589496572502 * k7_0 + 1.6643771824549864 * k8_0
@@ -358,9 +405,7 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
             attempt = False
             if accepted == next_try:
                 next_try += 1 + next_try // 4
-                try:
-                    dynamics._state_object(model, (u0, u1, u2, u3))
-                except ValueError:
+                if not dynamics._physical(u0, u1, u2, u3):
                     break  # the caller raises on the unphysical end state
                 attempt = schedule
             if polish_armed and fnorm < 1e4 * target:
@@ -368,7 +413,8 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
                 attempt = True
             if attempt:
                 attempts += 1
-                root = dynamics._polish(model, par, n, (u0, u1, u2, u3), steady_tol)
+                root = dynamics._polish(model, par, rhs, (u0, u1, u2, u3),
+                                        (k1_0, k1_1, k1_2, k1_3), steady_tol)
                 if root is not None:
                     (u0, u1, u2, u3), fnorm = root
                     if record:  # the root takes the last step's row, at its t
@@ -404,4 +450,4 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
     # the start, the first-step probe and 12 per attempted step
     rhs_evaluations = 2 + 12 * (accepted + rejected)
     counts = (accepted, rejected, attempts, rhs_evaluations)
-    return status, t, (u0, u1, u2, u3)[:n], fnorm, counts, steps
+    return status, t, (u0, u1, u2, u3), fnorm, counts, steps

@@ -7,16 +7,17 @@ and the implied dn/dt = -2*kappa*n + 2*N*g*x*y reproduces the
 photon-number equation term by term, so fixed points of the reduced system
 are exactly the steady states of the full one.
 
-Two-level state  [rho11, y, x]:
-    d rho11 = -gamma*rho11 + Gamma*(1 - rho11) - 2*g*x*y
-    d y     = -gamma_perp*y + g*x*(2*rho11 - 1)
-    d x     = -kappa*x + N*g*y
-
-Three-level state [rho11, rho22, y, x] (rho00 = 1 - rho11 - rho22):
-    d rho11 = gamma_21*rho22 - gamma_10*rho11 - 2*g*x*y
+Both atoms obey one set of equations in the state [rho11, rho22, y, x],
+with rho00 = 1 - rho11 - rho22:
+    d rho11 = Gamma*rho00 + gamma_21*rho22 - gamma_10*rho11 - 2*g*x*y
     d rho22 = gamma_02*rho00 - gamma_21*rho22
     d y     = -gamma_perp*y + g*x*(rho11 - rho00)
     d x     = -kappa*x + N*g*y
+
+The three-level atom has Gamma = 0.  The two-level atom is the three-level
+one with level 2 empty and Gamma pumping 0 -> 1 directly: rho22 = 0,
+gamma_21 = gamma_02 = 0 and gamma_10 = gamma, so its state is
+[rho11, y, x] and its inversion rho11 - rho00 is rho11 - (1 - rho11).
 
 One explicit adaptive Runge-Kutta pair with first-same-as-last reuse, the
 Dormand-Prince 8(5,3) pair (DOP853) of ``lasekit._dop853``, integrates the
@@ -25,9 +26,10 @@ command, all through :func:`_run`, the one caller of its ``dop853_loop``.
 That loop's docstring states the rule that ends a run: the
 derivative-norm cutoff, the stability test, the Newton polish and the
 state check.  The derivative of every accepted state, which the cutoff
-runs on, comes for free.  The loop runs on scalar float locals with its stages unrolled over the
-components and the right-hand side bound once per run, which keeps plain
-Python free of per-element numpy indexing.  A recorded run appends the
+runs on, comes for free.  The loop runs on scalar float locals with its
+stages unrolled over the components and the right-hand side written into
+each stage, which keeps plain Python free of per-element numpy indexing
+and of a call per stage.  A recorded run appends the
 time and state of each accepted step, and of no other point (there is no
 dense output), packed as doubles, to one flat ``bytearray``;
 :func:`integrate` builds its arrays from that buffer once.  The ``lasekit
@@ -56,6 +58,7 @@ from .params import (
     IntegratorConfig,
     PhysicalThreeLevel,
     PhysicalTwoLevel,
+    _POP_SLACK,
     _populations_from_ground,
     equilibrium_populations_two,
     gamma_parallel_and_inversion,
@@ -171,14 +174,15 @@ class StiffnessError(RuntimeError):
 _STEP = struct.Struct("5d")
 
 
-def _rhs_of(model, par):
-    """The right-hand side as a function of four scalar components that
-    returns a 4-tuple; bound once per run.
+def _rhs_of(par):
+    """The right-hand side as a function of the four scalar components
+    (rho11, rho22, y, x) that returns a 4-tuple; bound once per run.
 
-    Three-level components are (rho11, rho22, y, x).  The two-level state
-    (rho11, y, x) is carried with a fourth component pinned at zero, so
-    one unrolled loop serves both models: the padding adds exact zeros to
-    every sum and changes no result.
+    The equations are those of the module docstring for both models: the
+    two-level atom is the three-level one with level 2 empty, so its state
+    carries rho22 = 0 and its rates are (gamma_21, gamma_02, gamma_10) =
+    (0, 0, gamma); a three-level atom has Gamma = 0.  ``_dop853`` writes
+    the same expressions into each stage of a step, in the same order.
 
     The constant factors are folded once per run.  Python groups ``*``
     from the left and binds unary minus tighter, so ``2.0 * g * x * y``
@@ -186,28 +190,13 @@ def _rhs_of(model, par):
     every result is bit for bit that of the equations as written in the
     module docstring.
     """
-    n_at, g, kappa = par[:3]
-    g2, ng, nkappa = 2.0 * g, n_at * g, -kappa
-    if model == 2:
-        _, _, _, gamma, pump, gperp, _ = par
-        ngamma, ngperp = -gamma, -gperp
-
-        def rhs(rho11, yq, xq, pad):
-            return (
-                ngamma * rho11 + pump * (1.0 - rho11) - g2 * xq * yq,
-                ngperp * yq + g * xq * (2.0 * rho11 - 1.0),
-                nkappa * xq + ng * yq,
-                0.0,
-            )
-
-        return rhs
-    _, _, _, g21, g02, g10, gperp = par
-    ngperp = -gperp
+    n_at, g, kappa, g21, g02, g10, gperp, pump = par
+    g2, ng, nkappa, ngperp = 2.0 * g, n_at * g, -kappa, -gperp
 
     def rhs(rho11, rho22, yq, xq):
         rho00 = 1.0 - rho11 - rho22
         return (
-            g21 * rho22 - g10 * rho11 - g2 * xq * yq,
+            pump * rho00 + g21 * rho22 - g10 * rho11 - g2 * xq * yq,
             g02 * rho00 - g21 * rho22,
             ngperp * yq + g * xq * (rho11 - rho00),
             nkappa * xq + ng * yq,
@@ -218,16 +207,16 @@ def _rhs_of(model, par):
 
 def _jacobian(model, par, s0, s1, s2, s3):
     """Jacobian of the right-hand side over the live components, as rows
-    of floats: 3x3 for the two-level model, 4x4 for the three-level one."""
+    of floats: 3x3 over (rho11, y, x) for the two-level model, whose empty
+    level 2 (slot ``s1``) it leaves out, 4x4 for the three-level one."""
+    n_at, g, kappa, g21, g02, g10, gperp, pump = par
     if model == 2:
-        n_at, g, kappa, gamma, pump, gperp, _ = par
-        rho11, yq, xq = s0, s1, s2
+        rho11, yq, xq = s0, s2, s3
         return (
-            (-gamma - pump, -2.0 * g * xq, -2.0 * g * yq),
+            (-g10 - pump, -2.0 * g * xq, -2.0 * g * yq),
             (2.0 * g * xq, -gperp, g * (2.0 * rho11 - 1.0)),
             (0.0, n_at * g, -kappa),
         )
-    n_at, g, kappa, g21, g02, g10, gperp = par
     rho11, rho22, yq, xq = s0, s1, s2, s3
     return (
         (-g10, g21, -2.0 * g * xq, -2.0 * g * yq),
@@ -285,7 +274,7 @@ def _hurwitz(model, par, s0, s1, s2, s3):
 
 def _newton_step(model, par, v, f):
     """The Newton step d with J(v) d = f, as a 4-tuple (the two-level one
-    padded with a zero), or None where J is singular.
+    with a zero in the rho22 slot), or None where J is singular.
 
     The last row of J, (0, N*g, -kappa) over (y, x), gives
     d_y = (f_x + kappa*d_x)/(N*g); the three-level rho22 row,
@@ -298,7 +287,7 @@ def _newton_step(model, par, v, f):
     j = _jacobian(model, par, *v)
     if model == 2:
         (a00, a0y, a0x), (ay0, ayy, ayx), (_, axy, axx) = j
-        f0, fy, fx, _ = f
+        f0, _, fy, fx = f
     else:
         (a00, a01, a0y, a0x), (a10, a11, _, _), (ay0, ay1, ayy, ayx), (_, _, axy, axx) = j
         if a11 == 0.0:
@@ -323,27 +312,27 @@ def _newton_step(model, par, v, f):
     dx = (a00 * fy - f0 * ay0) / det
     dy = py + qy * dx
     if model == 2:
-        return d0, dy, dx, 0.0
+        return d0, 0.0, dy, dx
     return d0, p1 - q1 * d0, dy, dx
 
 
-def _polish(model, par, n, u, steady_tol):
-    """Newton's method on f(y) = 0, started at the trajectory state ``u``.
+def _polish(model, par, rhs, u, f, steady_tol):
+    """Newton's method on f(y) = 0, started at the trajectory state ``u``
+    with ``f`` = rhs(u), the stepper's right-hand side and derivative.
 
     Returns (root, ||f(root)||) with the root as a 4-tuple, or None unless
     the root meets the steady cutoff within 8 iterations, lies within
-    1e-3*(||u|| + 1) of ``u``, is a physical state and is linearly stable.
-    Every iterate must stay inside that ball, so an attempt from a state
-    still far from a root fails after one or two iterations.  The first
-    iterate that meets the cutoff is only as good as the cutoff times the
-    Jacobian's conditioning; one more Newton step takes it to rounding,
-    and is kept where it stays in the ball and does not raise ||f||.
+    1e-3*(||u|| + 1) of ``u``, is a physical state (:func:`_physical`) and
+    is linearly stable.  Every iterate must stay inside that ball, so an
+    attempt from a state still far from a root fails after one or two
+    iterations.  The first iterate that meets the cutoff is only as good
+    as the cutoff times the Jacobian's conditioning; one more Newton step
+    takes it to rounding, and is kept where it stays in the ball and does
+    not raise ||f||.
     """
-    rhs = _rhs_of(model, par)
     u0, u1, u2, u3 = u
     radius = 1e-3 * (_norm(u0, u1, u2, u3) + 1.0)
     v0, v1, v2, v3 = u
-    f = rhs(v0, v1, v2, v3)
     for _ in range(8):
         step = _newton_step(model, par, (v0, v1, v2, v3), f)
         if step is None:
@@ -366,14 +355,22 @@ def _polish(model, par, n, u, steady_tol):
         wnorm = _norm(*rhs(w0, w1, w2, w3))
         if wnorm <= fnorm and _norm(w0 - u0, w1 - u1, w2 - u2, w3 - u3) <= radius:
             v0, v1, v2, v3, fnorm = w0, w1, w2, w3, wnorm
-    v = (v0, v1, v2, v3)
-    try:
-        _state_object(model, v)
-    except ValueError:
+    if not (_physical(v0, v1, v2, v3) and _hurwitz(model, par, v0, v1, v2, v3)):
         return None
-    if not _hurwitz(model, par, *v):
-        return None
-    return v, fnorm
+    return (v0, v1, v2, v3), fnorm
+
+
+def _physical(rho11, rho22, yq, xq):
+    """True for a state inside the physical state space, on floats: the
+    rule of :class:`BlochState2` and :class:`BlochState3`.  Every
+    component is finite, rho11 and rho22 are at least -_POP_SLACK, and
+    rho11 + rho22 is at most 1 + _POP_SLACK; with rho22 = 0 this is the
+    two-level rule.  A NaN fails every comparison."""
+    return (
+        rho11 >= -_POP_SLACK and rho22 >= -_POP_SLACK
+        and rho11 + rho22 <= 1.0 + _POP_SLACK
+        and -math.inf < yq < math.inf and -math.inf < xq < math.inf
+    )
 
 
 def _norm(s0, s1, s2, s3):
@@ -428,27 +425,15 @@ def _first_step(rhs, u, f, n, t_max, rtol, atol, max_step):
 def _pack(
     p: PhysicalTwoLevel | PhysicalThreeLevel,
 ) -> tuple[int, tuple[float, ...]]:
+    """The model tag and the rates (N, g, kappa, gamma_21, gamma_02,
+    gamma_10, gamma_perp, Gamma) of :func:`_rhs_of`, as floats."""
     if isinstance(p, PhysicalTwoLevel):
-        par = (
-            p.n_atoms,
-            p.coupling_g,
-            p.cavity_kappa,
-            p.gamma_decay,
-            p.pump_Gamma,
-            gamma_perp_two(p),
-            0.0,
-        )
+        par = (p.n_atoms, p.coupling_g, p.cavity_kappa, 0.0, 0.0, p.gamma_decay,
+               gamma_perp_two(p), p.pump_Gamma)
         return 2, tuple(float(v) for v in par)
     if isinstance(p, PhysicalThreeLevel):
-        par = (
-            p.n_atoms,
-            p.coupling_g,
-            p.cavity_kappa,
-            p.gamma_21,
-            p.gamma_02,
-            p.gamma_10,
-            gamma_perp_three(p),
-        )
+        par = (p.n_atoms, p.coupling_g, p.cavity_kappa, p.gamma_21, p.gamma_02,
+               p.gamma_10, gamma_perp_three(p), 0.0)
         return 3, tuple(float(v) for v in par)
     raise TypeError(f"unsupported model parameters: {type(p).__name__}")
 
@@ -458,21 +443,27 @@ _STATES = {
     2: (BlochState2, ("rho11", "y", "x")),
     3: (BlochState3, ("rho11", "rho22", "y", "x")),
 }
+# the slot of each component in the stepper's four-float state
+_SLOTS = {"rho11": 0, "rho22": 1, "y": 2, "x": 3}
 
 
 def _state_tuple(model: int, state: BlochState2 | BlochState3) -> tuple[float, ...]:
-    """State as four floats; the two-level state is zero-padded."""
-    cls, labels = _STATES[model]
+    """State as four floats (rho11, rho22, y, x); the two-level state has
+    rho22 = 0."""
+    cls, _ = _STATES[model]
     if not isinstance(state, cls):
         raise TypeError(f"the {model}-level model needs a {cls.__name__} state, "
                         f"got {type(state).__name__}")
-    u = tuple(float(getattr(state, k)) for k in labels)
-    return u + (0.0,) * (4 - len(u))
+    return tuple(float(getattr(state, k, 0.0)) for k in _SLOTS)
+
+
+def _live(model: int, y: tuple[float, ...]) -> list[float]:
+    """The components of the four-float state ``y`` that ``model`` has."""
+    return [y[_SLOTS[k]] for k in _STATES[model][1]]
 
 
 def _state_object(model: int, y: tuple[float, ...]) -> BlochState2 | BlochState3:
-    cls, labels = _STATES[model]
-    return cls(*(float(v) for v in y[:len(labels)]))
+    return _STATES[model][0](*(float(v) for v in _live(model, y)))
 
 
 def _physical_state(
@@ -501,7 +492,7 @@ def _evaluate(model: int, jacobian: bool, state, p) -> np.ndarray:
     u = _state_tuple(model, state)
     if jacobian:
         return np.array(_jacobian(model, par, *u))
-    return np.array(_rhs_of(model, par)(*u)[:len(_STATES[model][1])])
+    return np.array(_live(model, _rhs_of(par)(*u)))
 
 
 def derivs_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
@@ -630,7 +621,7 @@ def _run(
     if status == _UNDERFLOW:
         import numpy as np
 
-        raise StiffnessError(t, np.array(y))
+        raise StiffnessError(t, np.array(_live(model, y)))
     return state, t, status, fnorm, counts, steps
 
 
@@ -652,7 +643,7 @@ def _recorded(
     labels = tuple(f.name for f in fields(state))
     cells = memoryview(steps).cast("d")
     width = _STEP.size // cells.itemsize  # doubles per step
-    columns = [cells[k::width] for k in range(1 + len(labels))]
+    columns = [cells[0::width]] + [cells[1 + _SLOTS[k]::width] for k in labels]
     return labels, status == _STEADY, fnorm, columns
 
 

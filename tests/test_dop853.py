@@ -8,6 +8,8 @@ as Hairer's DOP853 does; E3 is rebuilt here as B - BHH.
 """
 
 import ast
+import copy
+import dataclasses
 import inspect
 import math
 import re
@@ -98,46 +100,89 @@ def _difference(node, component):
     return node.right
 
 
+def _renamed(node, names):
+    """The ast dump of ``node`` with each name in ``names`` renamed."""
+    node = copy.deepcopy(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            sub.id = names.get(sub.id, sub.id)
+    return ast.dump(node)
+
+
+def _closure_equations():
+    """The rho00 expression and the four derivatives of the closure that
+    ``dynamics._rhs_of`` returns, as ast dumps."""
+    fn = ast.parse(inspect.getsource(dynamics._rhs_of)).body[0]
+    rhs = next(node for node in fn.body if isinstance(node, ast.FunctionDef))
+    (rho00, ret) = rhs.body
+    assert rho00.targets[0].id == "rho00"
+    return _renamed(rho00.value, {}), [_renamed(e, {}) for e in ret.value.elts]
+
+
 def _tableau():
-    """(A, B, E5, BHH) as read from the loop: A maps stage i to its row
-    {j: a_ij}, the others map stage j to its weight."""
+    """(A, B, E5, BHH, evaluations) as read from the loop: A maps stage i
+    to its row {j: a_ij}, the others map stage j to its weight, and
+    ``evaluations`` lists the stages whose derivative is the closure of
+    ``dynamics._rhs_of`` written out, term for term."""
     tree = ast.parse(inspect.getsource(dop853.dop853_loop))
-    a, named = {}, {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
+    loop = next(node for node in ast.walk(tree) if isinstance(node, ast.While))
+    closure_rho00, closure = _closure_equations()
+    a, named, stage_sums, evaluations = {}, {}, {}, []
+    for node in loop.body:
+        if not (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)):
             continue
-        target = node.targets[0]
-        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Call):
-            sums = [_increment(arg, c) for c, arg in enumerate(node.value.args)]
-            if len(sums) == 4 and None not in sums:
-                stage = int(STAGE.match(target.elts[0].id).group(1))
-                a[stage] = _row(sums)
-        elif isinstance(target, ast.Name):
-            # the weighted sum s<c> = (S), the solution v<c> = u<c> + h * s<c>
-            # and the estimates e5_<c> = (S) and e3_<c> = s<c> - (S)
-            match = re.match(r"(s|v|e5_|e3_)(\d)$", target.id)
-            if match is None:
+        target = node.targets[0].id
+        # a stage state w<c> = u<c> + h * (S), the derivative there
+        # k<i>_<c> over rho00 = r; the last stage runs at v
+        if re.match(r"w\d$", target):
+            component = int(target[1])
+            stage_sums[component] = _increment(node.value, component)
+            continue
+        stage = STAGE.match(target)
+        if target == "r" or stage:
+            point = "w" if stage_sums else "v"
+            names = {f"{point}{c}": name for c, name in enumerate(("rho11", "rho22", "yq", "xq"))}
+            names["r"] = "rho00"
+            if target == "r":
+                assert _renamed(node.value, names) == closure_rho00
                 continue
-            name, component = match.group(1), int(match.group(2))
-            if name == "v":
-                step = _increment(node.value, component)
-                assert isinstance(step, ast.Name) and step.id == f"s{component}"
-                named.setdefault(name, set()).add(component)
-                continue
-            node_sum = node.value if name != "e3_" else _difference(node.value, component)
-            assert node_sum is not None, target.id
-            named.setdefault(name, [None] * 4)[component] = node_sum
+            i, component = int(stage.group(1)), int(stage.group(2))
+            assert _renamed(node.value, names) == closure[component], target
+            if component == 3:
+                evaluations.append(i)
+                if stage_sums:
+                    assert len(stage_sums) == 4 and None not in stage_sums.values()
+                    a[i] = _row([stage_sums[c] for c in range(4)])
+                    stage_sums = {}
+            continue
+        # the weighted sum s<c> = (S), the solution v<c> = u<c> + h * s<c>
+        # and the estimates e5_<c> = (S) and e3_<c> = s<c> - (S)
+        match = re.match(r"(s|v|e5_|e3_)(\d)$", target)
+        if match is None:
+            continue
+        name, component = match.group(1), int(match.group(2))
+        if name == "v":
+            step = _increment(node.value, component)
+            assert isinstance(step, ast.Name) and step.id == f"s{component}"
+            named.setdefault(name, set()).add(component)
+            continue
+        node_sum = node.value if name != "e3_" else _difference(node.value, component)
+        assert node_sum is not None, target
+        named.setdefault(name, [None] * 4)[component] = node_sum
     assert named["v"] == {0, 1, 2, 3}
-    return a, _row(named["s"]), _row(named["e5_"]), _row(named["e3_"])
+    return a, _row(named["s"]), _row(named["e5_"]), _row(named["e3_"]), evaluations
 
 
-A, B, E5, BHH = _tableau()
+A, B, E5, BHH, EVALUATIONS = _tableau()
 E3 = {j: B.get(j, 0.0) - BHH.get(j, 0.0) for j in sorted(B.keys() | BHH.keys())}
 
 
 def test_tableau_shape():
     # 12 stages; zero entries are skipped in every sum
     assert sorted(A) == list(range(2, 13))
+    # each stage and the FSAL point evaluate the closure's equations,
+    # written out in the same order
+    assert EVALUATIONS == list(range(2, 14))
     assert all(max(row) < i for i, row in A.items())
     assert sum(len(row) for row in A.values()) == 50
     assert sorted(B) == sorted(E5) == sorted(E3) == [1, 6, 7, 8, 9, 10, 11, 12]
@@ -222,12 +267,12 @@ def test_step_controller_rejects_few_attempts():
 
 def _count_rhs(monkeypatch):
     """Count the calls of each right-hand side ``dynamics._rhs_of`` hands
-    out, in the order handed out; the stepper takes the first."""
+    out, in the order handed out."""
     counts = []
     rhs_of = dynamics._rhs_of
 
-    def counting_rhs_of(model, par):
-        rhs = rhs_of(model, par)
+    def counting_rhs_of(par):
+        rhs = rhs_of(par)
         index = len(counts)
         counts.append(0)
 
@@ -245,10 +290,18 @@ def test_settle_counts_rhs_evaluations(monkeypatch):
     counts = _count_rhs(monkeypatch)
     res = settle(README_3L)
     assert res.converged and res.polish_attempts >= 1
-    # the Newton polish binds its own right-hand side, left out of the count
-    assert len(counts) == 1 + res.polish_attempts
-    assert res.rhs_evaluations == counts[0]
+    # one closure per run, which the Newton polish shares; its calls are
+    # left out of the count
+    assert len(counts) == 1
     assert res.rhs_evaluations == 2 + 12 * (res.steps + res.rejected_steps)
+    counts.clear()
+    # the stepper calls the closure at the start and in the first-step
+    # probe only: its stages write the equations out
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_polish", lambda *args: None)
+        res = settle(README_3L)
+    assert res.converged and res.steps > 0
+    assert counts == [2]
     counts.clear()
     res = settle(README_3L, initial=fixed_point_state(README_3L))
     assert res.converged and res.steps == 0
@@ -283,7 +336,7 @@ SETTLE_PINS = [
     ((0.6996180263372553, 0.3462874328677113, 1180.0064289622906), 8.244069366163407, 1109, 4, 27, 13358),
     ((0.6476128457226061, 0.2408161056102807, 776.0984194942492), 12.53774268880169, 567, 2, 24, 6830),
     ((0.5077833992763873, 0.040082692478279426, 134.87945106405584), 4.5381761862286645, 184, 32, 19, 2594),
-    ((0.5000150292786587, 0.0035466864168132903, 24.16902046648081), 2.7290600481438583, 567, 65, 24, 7586),
+    ((0.5000150292786587, 0.0035466864168132908, 24.169020466480813), 2.7290648215423117, 567, 65, 24, 7586),
     ((0.5046799374404269, 0.06424358120981037, 13.755275527154899), 1.9553053454865152, 93, 9, 16, 1226),
     ((0.6528959292075787, 0.32545380602078433, 923.0757631497133), 9.898543371474918, 453, 3, 23, 5474),
     ((0.5198763057064153, 0.13798215242195466, 12.393677866915603), 0.12285180600911384, 18, 2, 9, 242),
@@ -296,9 +349,7 @@ def test_settle_runs_are_pinned_bit_for_bit():
     for p, pin in zip(_pinned_draws(), SETTLE_PINS, strict=True):
         res = settle(p, initial=perturbed_fixed_state(p))
         assert res.converged
-        model = 3 if isinstance(p, PhysicalThreeLevel) else 2
-        state = dynamics._state_tuple(model, res.state)[:len(pin[0])]
-        got = (state, res.time, res.steps, res.rejected_steps, res.polish_attempts,
+        got = (dataclasses.astuple(res.state), res.time, res.steps, res.rejected_steps, res.polish_attempts,
                res.rhs_evaluations)
         assert got == pin, p
 
@@ -353,10 +404,8 @@ def test_recorded_run_and_settle_share_one_exit(monkeypatch):
         res = settle(p, initial=start)
         series = integrate(p, initial=start, stop_at_steady=True)
         assert res.converged and series.steady
-        model = 3 if isinstance(p, PhysicalThreeLevel) else 2
-        state = dynamics._state_tuple(model, res.state)[:series.states.shape[1]]
         assert series.times[-1] == res.time
-        assert tuple(series.states[-1].tolist()) == state
+        assert tuple(series.states[-1].tolist()) == dataclasses.astuple(res.state)
         assert len(series.times) - 1 == res.steps
         assert series.derivative_norm == res.derivative_norm
 

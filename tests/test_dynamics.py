@@ -1,5 +1,6 @@
 
 import dataclasses
+import math
 import re
 import warnings
 
@@ -191,32 +192,100 @@ def test_jacobians_match_central_differences():
         assert np.allclose(jac, fd, rtol=1e-9, atol=1e-9 * np.abs(jac).max())
 
 
+def _full_mantissa(rng, size):
+    """Doubles of either sign between 2**-8 and 2 with all 52 fraction bits
+    drawn.  ``rng.uniform(-2, 2)`` gives multiples of 2**-51, for which
+    1 - rho11 never rounds."""
+    mantissa = 1.0 + rng.integers(0, 2**52, size) / 2**52
+    return np.ldexp(mantissa * rng.choice((-1.0, 1.0), size), rng.integers(-8, 1, size))
+
+
 def test_rhs_matches_the_module_equations_bit_for_bit():
-    # the folded constants of _rhs_of must give exactly the equations of
-    # the module docstring, evaluated as written there
+    # the folded constants of _rhs_of must give exactly the one set of
+    # equations of the module docstring, evaluated as written there, for
+    # the rates of either atom: the three-level one has Gamma = 0, the
+    # two-level one gamma_21 = gamma_02 = 0 and rho22 = 0
     rng = np.random.default_rng(7)
+    rounded = 0
     for _ in range(30):
-        n_at, g, kappa, g21, g02, g10, gperp, gamma, pump = log_uniform(rng, 1e-3, 1e3, 9)
-        par2 = tuple(float(v) for v in (n_at, g, kappa, gamma, pump, gperp, 0.0))
-        par3 = tuple(float(v) for v in (n_at, g, kappa, g21, g02, g10, gperp))
-        rhs2 = dynamics._rhs_of(2, par2)
-        rhs3 = dynamics._rhs_of(3, par3)
-        n_at, g, kappa, gamma, pump, gperp, _ = par2
-        _, _, _, g21, g02, g10, _ = par3
-        for rho11, rho22, y, x in rng.uniform(-2.0, 2.0, (100, 4)).tolist():
-            assert rhs2(rho11, y, x, 0.0) == (
-                -gamma*rho11 + pump*(1 - rho11) - 2*g*x*y,
-                -gperp*y + g*x*(2*rho11 - 1),
-                -kappa*x + n_at*g*y,
-                0.0,
-            )
-            rho00 = 1 - rho11 - rho22
-            assert rhs3(rho11, rho22, y, x) == (
-                g21*rho22 - g10*rho11 - 2*g*x*y,
-                g02*rho00 - g21*rho22,
-                -gperp*y + g*x*(rho11 - rho00),
-                -kappa*x + n_at*g*y,
-            )
+        n_at, g, kappa, g21, g02, g10, gperp, pump = log_uniform(rng, 1e-3, 1e3, 8).tolist()
+        for par, two_level in (((n_at, g, kappa, g21, g02, g10, gperp, 0.0), False),
+                               ((n_at, g, kappa, 0.0, 0.0, g10, gperp, pump), True)):
+            rhs = dynamics._rhs_of(par)
+            n_at, g, kappa, g21, g02, g10, gperp, pump = par
+            for rho11, rho22, y, x in _full_mantissa(rng, (100, 4)).tolist():
+                rho22 = 0.0 if two_level else rho22
+                rho00 = 1 - rho11 - rho22
+                assert rhs(rho11, rho22, y, x) == (
+                    pump*rho00 + g21*rho22 - g10*rho11 - 2*g*x*y,
+                    g02*rho00 - g21*rho22,
+                    -gperp*y + g*x*(rho11 - rho00),
+                    -kappa*x + n_at*g*y,
+                )
+                rounded += 2*rho11 - 1 != rho11 - rho00
+    # the draws see the last bit by which the two-level inversion
+    # rho11 - (1 - rho11) can differ from 2*rho11 - 1
+    assert rounded > 0
+
+
+@pytest.mark.parametrize("p", [EXAMPLE_3L, LORENZ_HAKEN], ids=["three-level", "two-level"])
+def test_written_out_stages_match_rhs_of(p):
+    # a run with a cutoff of 0 ends on an accepted step, and its ||f|| is
+    # that of the FSAL stage the stepper writes out: it must be the norm
+    # of the closure's derivative at the end state, bit for bit
+    series = integrate(p, config=IntegratorConfig(t_max=3.0))
+    model, par = dynamics._pack(p)
+    end = dynamics._state_tuple(model, type(initial_state(p))(*series.states[-1].tolist()))
+    assert series.derivative_norm == dynamics._norm(*dynamics._rhs_of(par)(*end))
+    assert series.derivative_norm > 1e-3
+
+
+def _accepts(cls, *components):
+    try:
+        cls(*components)
+    except ValueError:
+        return False
+    return True
+
+
+def _state_space_edges():
+    """Four-float states (rho11, rho22, y, x) on and just past each edge
+    of the physical state space, and with a NaN or an inf in each slot."""
+    slack = dynamics._POP_SLACK
+    below = math.nextafter(-slack, -math.inf)
+    top = 1.0 + slack
+    above = math.nextafter(top, math.inf)
+    for slot in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            u = [0.3, 0.2, -0.1, 2.0]
+            u[slot] = bad
+            yield tuple(u)
+    for pop in (-slack, below):
+        yield pop, 0.2, -0.1, 2.0
+        yield 0.3, pop, -0.1, 2.0
+    # rho11 + rho22 at 1 + slack and one float above; top - 0.5 is exact,
+    # so each sum is exactly its target
+    for total in (top, above):
+        yield total - 0.5, 0.5, -0.1, 2.0
+        yield total, 0.0, -0.1, 2.0
+        yield 0.0, total, -0.1, 2.0
+
+
+def test_float_state_check_matches_the_state_classes():
+    verdicts = []
+    for u in _state_space_edges():
+        verdicts.append(dynamics._physical(*u))
+        assert verdicts[-1] is _accepts(BlochState3, *u), u
+        if u[1] == 0.0:
+            assert verdicts[-1] is _accepts(BlochState2, u[0], u[2], u[3]), u
+    assert True in verdicts and False in verdicts
+    # the two-level rho11 at both ends of its range, and past them, with
+    # a NaN or an inf in y or x
+    slack = dynamics._POP_SLACK
+    for rho11 in (-slack, math.nextafter(-slack, -math.inf), 1.0 + slack,
+                  math.nextafter(1.0 + slack, math.inf), 0.0, 1.0):
+        for y, x in ((-0.1, 2.0), (math.nan, 2.0), (-0.1, math.inf), (-math.inf, 2.0)):
+            assert dynamics._physical(rho11, 0.0, y, x) is _accepts(BlochState2, rho11, y, x)
 
 
 def test_initial_state_uses_equilibrium_and_seed():
@@ -488,9 +557,9 @@ def _record_polish(monkeypatch):
     calls = []
     polish = dynamics._polish
 
-    def recorder(model, par, n, u, steady_tol):
+    def recorder(model, par, rhs, u, f, steady_tol):
         calls.append(u)
-        return polish(model, par, n, u, steady_tol)
+        return polish(model, par, rhs, u, f, steady_tol)
 
     monkeypatch.setattr(dynamics, "_polish", recorder)
     return calls
@@ -523,7 +592,7 @@ def test_polish_schedule_off_on_bad_cavity(monkeypatch):
     assert sum(r.polish_attempts for r in runs) == len(calls)
     steady_tol = IntegratorConfig().steady_tol
     for u in calls:
-        f = derivs_two(BlochState2(*u[:3]), LORENZ_HAKEN)
+        f = derivs_two(BlochState2(u[0], u[2], u[3]), LORENZ_HAKEN)
         assert np.linalg.norm(f) < 1e4 * steady_tol * (np.linalg.norm(u) + 1.0)
 
 
@@ -545,13 +614,18 @@ def test_settle_converges_on_flow_cutoff_when_polish_fails(monkeypatch):
 
 
 def _numpy_newton_step(model, par, v, f):
-    """The Newton step of ``dynamics._newton_step`` by LAPACK."""
-    n = 3 if model == 2 else 4
+    """The Newton step of ``dynamics._newton_step`` by LAPACK, with 0 in
+    the rho22 slot of the two-level atom."""
+    slots = [0, 2, 3] if model == 2 else [0, 1, 2, 3]
     try:
-        step = np.linalg.solve(np.array(dynamics._jacobian(model, par, *v)), f[:n])
+        step = np.linalg.solve(np.array(dynamics._jacobian(model, par, *v)),
+                               np.array(f)[slots])
     except np.linalg.LinAlgError:
         return None
-    return tuple(float(d) for d in step) + (0.0,) * (4 - n)
+    d = [0.0] * 4
+    for slot, value in zip(slots, step.tolist()):
+        d[slot] = value
+    return tuple(d)
 
 
 def test_settle_work_matches_numpy_newton_step(monkeypatch):
@@ -808,23 +882,25 @@ def _random_rates(rng, kind: int):
 
 
 def _fixed_and_nudged_states(rng, count: int):
-    """(p, model, par, n, fixed point, nudged state) of ``count`` draws:
+    """(p, model, par, fixed point, nudged state) of ``count`` draws:
     the nudged state scales every live component of the fixed point by up
-    to +-30 %."""
+    to +-30 %; the two-level rho22 slot stays 0."""
     for i in range(count):
         p = _random_rates(rng, i % 3)
         model, par = dynamics._pack(p)
         n = 3 if model == 2 else 4
         s = dynamics._state_tuple(model, fixed_point_state(p))
         scale = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)
-        nudged = tuple(float(a * b) for a, b in zip(s[:n], scale)) + s[n:]
-        yield p, model, par, n, s, nudged
+        if model == 2:
+            scale = np.insert(scale, 1, 1.0)
+        nudged = tuple(float(a * b) for a, b in zip(s, scale))
+        yield p, model, par, s, nudged
 
 
 def test_routh_hurwitz_matches_eigenvalues():
     rng = np.random.default_rng(8)
     verdicts = []
-    for p, model, par, _, s, nudged in _fixed_and_nudged_states(rng, 2100):
+    for p, model, par, s, nudged in _fixed_and_nudged_states(rng, 2100):
         for u in (s, nudged):
             eigs = np.linalg.eigvals(np.array(dynamics._jacobian(model, par, *u)))
             expected = bool(eigs.real.max() < 0.0)
@@ -850,11 +926,12 @@ def test_routh_hurwitz_rejects_hopf_unstable_scheme_b():
 def test_newton_step_matches_numpy_solve():
     # nudged states, where the right-hand side is far from zero
     rng = np.random.default_rng(15)
-    for p, model, par, n, _, u in _fixed_and_nudged_states(rng, 900):
-        f = dynamics._rhs_of(model, par)(*u)
+    for p, model, par, _, u in _fixed_and_nudged_states(rng, 900):
+        f = dynamics._rhs_of(par)(*u)
         step = dynamics._newton_step(model, par, u, f)
         ref = _numpy_newton_step(model, par, u, f)
-        assert step[n:] == ref[n:] == (0.0,) * (4 - n)
+        if model == 2:
+            assert step[1] == ref[1] == 0.0
         err = np.linalg.norm(np.subtract(step, ref)) / np.linalg.norm(ref)
         assert err < 1e-12, (p, u, step, ref)
 
@@ -869,7 +946,7 @@ def test_newton_step_matches_numpy_solve():
 ], ids=["no-population-flow", "singular-core"])
 def test_newton_step_singular_jacobian_gives_none(p, u):
     model, par = dynamics._pack(p)
-    f = dynamics._rhs_of(model, par)(*u)
+    f = dynamics._rhs_of(par)(*u)
     assert dynamics._newton_step(model, par, u, f) is None
     assert _numpy_newton_step(model, par, u, f) is None
 
@@ -888,5 +965,5 @@ def test_integrate_arrays_are_contiguous_float64(p):
         assert a.flags.c_contiguous
         assert a.flags.owndata
     assert series.times[0] == 0.0
-    assert tuple(series.states[0]) == dynamics._state_tuple(dynamics._pack(p)[0], initial_state(p))[:width]
+    assert tuple(series.states[0]) == dataclasses.astuple(initial_state(p))
     np.testing.assert_array_equal(series.photon_numbers, series.states[:, -1] ** 2)
