@@ -343,6 +343,18 @@ def gamma_perp_three(p: PhysicalThreeLevel) -> float:
     return 0.5 * (p.gamma_10 + p.gamma_02 + p.gamma_ph)
 
 
+def _rate_overflow(
+    gamma_21: float, gamma_02: float, gamma_10: float,
+    what: str = "the rate sums gamma_02 + 2*gamma_21 and "
+                "gamma_21*gamma_02 + gamma_02*gamma_10 + gamma_21*gamma_10",
+) -> ValueError:
+    """The error for three-level rates whose arithmetic overflows ``what``."""
+    return ValueError(
+        f"gamma_21={gamma_21!r} with gamma_02={gamma_02!r} and gamma_10={gamma_10!r} "
+        f"overflows {what}"
+    )
+
+
 def _flow_sums(gamma_21: float, gamma_02: float, gamma_10: float) -> tuple[float, float]:
     """(gamma_02 + 2*gamma_21, gamma_21*gamma_02 + gamma_02*gamma_10 +
     gamma_21*gamma_10): the denominator and the rate-product sum of the
@@ -353,11 +365,7 @@ def _flow_sums(gamma_21: float, gamma_02: float, gamma_10: float) -> tuple[float
         raise ValueError("gamma_02 + 2*gamma_21 must be > 0")
     cross = gamma_21 * gamma_02 + gamma_02 * gamma_10 + gamma_21 * gamma_10
     if not (denom < math.inf and cross < math.inf):
-        raise ValueError(
-            f"gamma_21={gamma_21!r} with gamma_02={gamma_02!r} and gamma_10={gamma_10!r} "
-            "overflows the rate sums gamma_02 + 2*gamma_21 and "
-            "gamma_21*gamma_02 + gamma_02*gamma_10 + gamma_21*gamma_10"
-        )
+        raise _rate_overflow(gamma_21, gamma_02, gamma_10)
     return denom, cross
 
 
@@ -367,6 +375,10 @@ def _gamma_parallel_inversion_rates(
     """Rate-level core of :func:`gamma_parallel_and_inversion`."""
     denom, cross = _flow_sums(gamma_21, gamma_02, gamma_10)
     gamma_par = 2.0 * cross / denom
+    if gamma_par == math.inf:  # 2*cross overflowed
+        raise _rate_overflow(gamma_21, gamma_02, gamma_10,
+                             "gamma_par = 2*(gamma_21*gamma_02 + gamma_02*gamma_10 "
+                             "+ gamma_21*gamma_10)/(gamma_02 + 2*gamma_21)")
     if cross == 0.0:
         # no closed pumping loop: the equilibrium carries no inversion
         inversion = 0.0
@@ -387,7 +399,8 @@ def gamma_parallel_and_inversion(p: PhysicalThreeLevel) -> tuple[float, float]:
     The inversion equals rho11 - rho00 of the no-field equilibrium; it is
     positive only when the lower lasing state is drained faster than the
     upper one decays (gamma_02 > gamma_10).  ValueError naming the rates
-    when gamma_02 + 2*gamma_21 is 0 or the rate products overflow.
+    when gamma_02 + 2*gamma_21 is 0 or the rate products, or twice their
+    sum, overflow.
     """
     return _gamma_parallel_inversion_rates(p.gamma_21, p.gamma_02, p.gamma_10)
 
@@ -509,24 +522,38 @@ def equilibrium_populations_three(
     Detailed balance of the 0 -> 2 -> 1 -> 0 loop gives populations
     proportional to (g21*g10, g02*g21, g02*g10).  Degenerate rate sets
     (two or more loop rates zero) have no unique equilibrium and are
-    rejected.
+    rejected; rates whose products overflow raise the ValueError naming
+    them that :func:`gamma_parallel_and_inversion` raises.
     """
+    pops = _equilibrium_three(p)
+    if pops is None:
+        raise ValueError(
+            "population flow is degenerate (no unique no-field equilibrium)"
+        )
+    return pops
+
+
+def _equilibrium_three(p: PhysicalThreeLevel) -> tuple[float, float, float] | None:
+    """The populations of :func:`equilibrium_populations_three`, or None
+    for a degenerate flow."""
     z00 = p.gamma_21 * p.gamma_10
     z11 = p.gamma_02 * p.gamma_21
     z22 = p.gamma_02 * p.gamma_10
     z = z00 + z11 + z22
+    if z == math.inf:  # inf/inf would give nan populations
+        raise _rate_overflow(p.gamma_21, p.gamma_02, p.gamma_10)
     if z <= 0.0:
-        raise ValueError(
-            "population flow is degenerate (no unique no-field equilibrium)"
-        )
+        return None
     return z00 / z, z11 / z, z22 / z
 
 
 def _populations_from_ground(p: PhysicalThreeLevel) -> tuple[float, float, float]:
     """The no-field populations (rho00, rho11, rho22) the flow reaches from
     the ground state: the unique equilibrium, or for a degenerate flow the
-    ground state itself (gamma_02 = 0) or the reservoir level 2."""
-    try:
-        return equilibrium_populations_three(p)
-    except ValueError:
+    ground state itself (gamma_02 = 0) or the reservoir level 2.  Rates
+    whose products overflow raise as :func:`equilibrium_populations_three`
+    does."""
+    pops = _equilibrium_three(p)
+    if pops is None:
         return (1.0, 0.0, 0.0) if p.gamma_02 == 0.0 else (0.0, 0.0, 1.0)
+    return pops

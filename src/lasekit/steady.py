@@ -32,6 +32,7 @@ from .params import (
     _SCHEMES,
     _flow_sums,
     _populations_from_ground,
+    _rate_overflow,
     gamma_perp_three,
     reduce_three,
 )
@@ -542,14 +543,25 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
     the photon number alone.  A degenerate population flow (no unique
     no-field equilibrium) reports the state reached from the ground state.
     Rates whose products overflow raise ValueError naming them, as
-    :func:`gamma_parallel_and_inversion` does.
+    :func:`gamma_parallel_and_inversion` does, and so do rates whose sums
+    are finite but whose gain or loss term is not (a loss made infinite by
+    the coupling factor gamma_perp/(2*g**2) alone is left to the
+    reduction, which names coupling_g).
     """
     denom, cross = _flow_sums(p.gamma_21, p.gamma_02, p.gamma_10)
     gperp = gamma_perp_three(p)
     gain = (p.n_atoms / (2.0 * p.cavity_kappa)) * p.gamma_21 * (
         p.gamma_02 - p.gamma_10
     ) / denom
-    loss = (gperp / (2.0 * p.coupling_g**2)) * cross / denom
+    coupling = gperp / (2.0 * p.coupling_g**2)
+    loss = coupling * cross / denom
+    if not (abs(gain) < math.inf and (abs(loss) < math.inf or coupling == math.inf)):
+        raise _rate_overflow(
+            p.gamma_21, p.gamma_02, p.gamma_10,
+            f"the gain or the loss term of the photon number at n_atoms={p.n_atoms!r}, "
+            f"cavity_kappa={p.cavity_kappa!r}, coupling_g={p.coupling_g!r} "
+            f"and gamma_ph={p.gamma_ph!r}",
+        )
     raw = gain - loss
 
     if raw > 0.0:

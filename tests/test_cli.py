@@ -633,6 +633,18 @@ def test_steady_overflowing_rate_products_exit_2(tmp_path, capsys, cfg, rate):
     assert f"{rate}=1e+300" in captured.err and "overflows" in captured.err
 
 
+@pytest.mark.parametrize("cfg, rate", [(CFG_3A_PHYS, "gamma_02"), (CFG_3B_PHYS, "gamma_21")],
+                         ids=["three-a", "three-b"])
+def test_dynamics_overflowing_rate_products_exit_2(tmp_path, capsys, cfg, rate):
+    # the start's no-field equilibrium would divide inf by inf: the error
+    # names the rates, as steady's does, not a non-finite state
+    path = write_cfg(tmp_path, {**cfg, "params": {**cfg["params"], rate: 1e300}})
+    assert main(["dynamics", "--config", path, "--pump", "2", "--t-max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{rate}=1e+300" in captured.err and "overflows the rate sums" in captured.err
+
+
 @pytest.mark.parametrize("param, value", [("n_atoms", 1e300), ("cavity_kappa", 1e-300)])
 def test_region_infinite_peak_reports_no_relative_error(tmp_path, capsys, param, value):
     # the peak photon number overflows to inf: no relative error, not nan

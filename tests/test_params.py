@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_identity, log_uniform, random_three_level
+import lasekit.params as params
 from lasekit import (
     BlochState2,
     BlochState3,
@@ -90,6 +91,32 @@ def test_overflowing_rate_products_name_the_rates(fn, rates):
     g21, g02, g10 = rates
     with pytest.raises(ValueError, match="overflows the rate sums") as err:
         fn(three_level(g21, g02, g10))
+    assert f"gamma_21={g21!r} with gamma_02={g02!r} and gamma_10={g10!r}" in str(err.value)
+
+
+def test_equilibrium_with_overflowing_rate_products_names_the_rates():
+    # g02*g21 overflows, and inf/inf would leak nan into the populations;
+    # the flow is not degenerate, so neither the ground state nor the
+    # reservoir level stands in for the equilibrium
+    for fn in (equilibrium_populations_three, params._populations_from_ground):
+        with pytest.raises(ValueError, match="overflows the rate sums") as err:
+            fn(three_level(2e300, 1e300, 0.1))
+        assert "gamma_21=2e+300 with gamma_02=1e+300 and gamma_10=0.1" in str(err.value)
+
+
+@pytest.mark.parametrize("fn, rates", [
+    # N/(2*kappa)*gamma_21*(gamma_02 - gamma_10) and 2*cross overflow
+    (gamma_parallel_and_inversion, (1e308 / 3, 3.0, 0.0)),
+    (n_three_physical, (1e308 / 3, 3.0, 0.0)),
+    # gamma_perp/(2*g**2)*cross overflows
+    (n_three_physical, (1.0, 1.0, 1e300)),
+], ids=["gamma_par", "gain", "loss"])
+def test_finite_rate_sums_with_overflowing_terms_name_the_rates(fn, rates):
+    # the rate sums are finite, but a later product is not: an error
+    # naming the rates, not an inf photon number or gamma_par
+    g21, g02, g10 = rates
+    with pytest.raises(ValueError, match="overflows") as err:
+        fn(three_level(g21, g02, g10, scheme=PumpScheme.A))
     assert f"gamma_21={g21!r} with gamma_02={g02!r} and gamma_10={g10!r}" in str(err.value)
 
 
