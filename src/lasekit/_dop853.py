@@ -28,13 +28,14 @@ are float literals, and the zero entries of the tableau are left out of
 every sum.  The right-hand side of ``dynamics._rhs_of``, the one set of
 equations of both atoms, is written into each of the 12 evaluations of a
 step, FSAL's included, with the same operations in the same order, so a
-stage gives bit for bit what a call of the closure gives: the 12 calls
-were about 10 % of a step.  The closure itself serves the derivative at
-the start, the first-step heuristic and the Newton polish.  The error
-norm makes no function call but ``abs`` and ``sqrt``: it squares by
-multiplication, which overflows to inf without raising.  The first-step
-heuristic, the state check, the stability test, the Newton polish and
-the step record layout are looked up on :mod:`lasekit.dynamics`.
+stage gives bit for bit what a call of the closure gives; a call per
+stage would cost about 10 % of a step.  The closure itself serves the
+derivative at the start, the first-step heuristic and the Newton
+polish.  The error norm makes no function call but ``abs`` and
+``sqrt``: it squares by multiplication, which overflows to inf without
+raising.  The first-step heuristic, the state check, the stability
+test, the Newton polish and the step record layout are looked up on
+:mod:`lasekit.dynamics`.
 """
 
 import math
