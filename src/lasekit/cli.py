@@ -453,7 +453,7 @@ def _write_sweep(
     regimes: Iterable[Regime],
 ) -> None:
     """A sweep as CSV or JSON; the float columns as :func:`_chunks` takes them."""
-    regimes = [r.value for r in regimes]
+    regimes = [r._value_ for r in regimes]  # the plain attribute: .value is a property
     if fmt == "json":
         _emit_json(fh, metadata, {"pump": _chunks(pumps), "photon_number": _chunks(photons),
                                   "regime": [regimes]})
@@ -722,7 +722,14 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     if args.t_max is not None:
         integ = replace(integ, t_max=args.t_max)
 
-    init = initial_state(p, seed_field=args.seed_field)
+    try:
+        # the start's no-field populations fail only on the rates, which
+        # makes it a config error, as steady reports it; the seed field
+        # is checked on its own below
+        init = initial_state(p, seed_field=0.0)
+    except ValueError as e:
+        raise ConfigError(f"params: {e}") from e
+    init = replace(init, x=args.seed_field)
     if cfg.initial:
         foreign = sorted(cfg.initial.keys() - {f.name for f in fields(init)})
         if foreign:

@@ -300,7 +300,7 @@ class BlochState3:
         return self.x * self.x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SteadyResult:
     """Closed-form steady state of one model at one pump value.
 
@@ -313,6 +313,14 @@ class SteadyResult:
     physical, otherwise in units of the reduction's reference rate.
     ``populations`` is (rho00, rho11) or (rho00, rho11, rho22) at the
     fixed point (the no-field equilibrium when not lasing).
+
+    Every sweep point builds one, so ``__init__`` is written out: it
+    stores the fields straight into the instance dict, where the
+    generated frozen ``__init__`` calls ``object.__setattr__`` once per
+    field at about twice the cost.  It takes the same parameters with the
+    same annotations, and the class keeps every other dataclass
+    behaviour: ``fields``, ``replace``, ``asdict``, equality, hashing,
+    ``repr``, pickling and the frozen ``__setattr__``.
     """
 
     photon_number: float
@@ -320,6 +328,25 @@ class SteadyResult:
     populations: tuple[float, ...]
     gamma_perp: float
     raw_bracket: float
+
+    def __init__(
+        self,
+        photon_number: float,
+        regime: Regime,
+        populations: tuple[float, ...],
+        gamma_perp: float,
+        raw_bracket: float,
+    ):
+        state = self.__dict__
+        state["photon_number"] = photon_number
+        state["regime"] = regime
+        state["populations"] = populations
+        state["gamma_perp"] = gamma_perp
+        state["raw_bracket"] = raw_bracket
+
+    # the generated __init__ is annotated "-> None" with the object None,
+    # which a string annotation under postponed evaluation cannot spell
+    __init__.__annotations__["return"] = None
 
 
 def gamma_perp_two(p: PhysicalTwoLevel) -> float:

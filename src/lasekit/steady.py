@@ -60,6 +60,12 @@ __all__ = [
     "n_three_physical",
 ]
 
+# bound once: each sweep point names a regime, and a class-attribute lookup
+# on the enum costs more than the bracket's comparison
+_LASING = Regime.LASING
+_BELOW_THRESHOLD = Regime.BELOW_THRESHOLD
+_ABOVE_UPPER_BOUND = Regime.ABOVE_UPPER_BOUND
+
 
 @dataclass(frozen=True)
 class LasingWindow:
@@ -157,12 +163,14 @@ def _classify(raw: float, pump: float, divide: float) -> Regime:
 
     A non-positive divide means no physical (pump >= 0) window exists at
     all, in which case every non-lasing pump counts as below threshold.
+    The lasing branch does not read ``divide``, so the per-point callers
+    compute it (the bracket's vertex) only off that branch.
     """
     if raw > 0.0:
-        return Regime.LASING
+        return _LASING
     if divide > 0.0 and pump > divide:
-        return Regime.ABOVE_UPPER_BOUND
-    return Regime.BELOW_THRESHOLD
+        return _ABOVE_UPPER_BOUND
+    return _BELOW_THRESHOLD
 
 
 def _threshold(coeffs: tuple[float, float, float]) -> float | None:
@@ -230,14 +238,13 @@ def n_two_level(d: DimensionlessTwoLevel, pump: float) -> SteadyResult:
         # inversion pinned by the gain condition
         d_pin = d.saturation * (pump + 1.0 + d.dephasing)
         rho11 = 0.5 * (1.0 + d_pin)
+        regime = _LASING
     else:
         rho11 = pump / (pump + 1.0)
+        regime = _classify(raw, pump, _vertex_two(d))
+    # the clamp is max(0.0, raw) without the call, 0.0 for NaN and -0.0 alike
     return SteadyResult(
-        photon_number=d.photon_scale * max(0.0, raw),
-        regime=_classify(raw, pump, _vertex_two(d)),
-        populations=(1.0 - rho11, rho11),
-        gamma_perp=gperp,
-        raw_bracket=raw,
+        d.photon_scale * (raw if raw > 0.0 else 0.0), regime, (1.0 - rho11, rho11), gperp, raw
     )
 
 
@@ -325,13 +332,13 @@ def n_scheme_a(d: DimensionlessSchemeA, pump: float) -> SteadyResult:
         raise ValueError(f"pump must be >= 0, got {pump!r}")
     raw = raw_bracket_scheme_a(d, pump)
     gperp = 0.5 * (1.0 + d.decay_ratio + d.dephasing)  # units of gamma_02
-    pops = _populations_scheme_a(d, pump, lasing=raw > 0.0)
+    lasing = raw > 0.0
     return SteadyResult(
-        photon_number=d.photon_scale * max(0.0, raw),
-        regime=Regime.LASING if raw > 0.0 else Regime.BELOW_THRESHOLD,
-        populations=pops,
-        gamma_perp=gperp,
-        raw_bracket=raw,
+        d.photon_scale * (raw if lasing else 0.0),
+        _LASING if lasing else _BELOW_THRESHOLD,
+        _populations_scheme_a(d, pump, lasing),
+        gperp,
+        raw,
     )
 
 
@@ -451,13 +458,13 @@ def n_scheme_b(d: DimensionlessSchemeB, pump: float) -> SteadyResult:
         raise ValueError(f"pump must be >= 0, got {pump!r}")
     raw = raw_bracket_scheme_b(d, pump)
     gperp = 0.5 * (pump + d.decay_ratio + d.dephasing)  # units of gamma_21
-    pops = _populations_scheme_b(d, pump, lasing=raw > 0.0)
+    lasing = raw > 0.0
     return SteadyResult(
-        photon_number=d.photon_scale * max(0.0, raw),
-        regime=_classify(raw, pump, _vertex_scheme_b(d)),
-        populations=pops,
-        gamma_perp=gperp,
-        raw_bracket=raw,
+        d.photon_scale * (raw if lasing else 0.0),
+        _LASING if lasing else _classify(raw, pump, _vertex_scheme_b(d)),
+        _populations_scheme_b(d, pump, lasing),
+        gperp,
+        raw,
     )
 
 
@@ -554,7 +561,10 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
         p.gamma_02 - p.gamma_10
     ) / denom
     coupling = gperp / (2.0 * p.coupling_g**2)
-    loss = coupling * cross / denom
+    # no closed pumping loop (cross == 0) carries no loss, as in
+    # _gamma_parallel_inversion_rates: 0 * coupling / denom is 0 anyway,
+    # but inf * 0 is nan where the coupling factor alone overflows
+    loss = coupling * cross / denom if cross else 0.0
     if not (abs(gain) < math.inf and (abs(loss) < math.inf or coupling == math.inf)):
         raise _rate_overflow(
             p.gamma_21, p.gamma_02, p.gamma_10,
@@ -575,7 +585,7 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
 
     # the regime comes from the scheme's reduction; a zero reference rate has none
     ref = getattr(p, _SCHEMES[p.scheme][2])
-    regime = Regime.LASING if raw > 0.0 else Regime.BELOW_THRESHOLD
+    regime = _LASING if raw > 0.0 else _BELOW_THRESHOLD
     if ref > 0.0:
         d, pump = reduce_three(p)
         if p.scheme is PumpScheme.B:
