@@ -645,6 +645,30 @@ def test_dynamics_overflowing_rate_products_exit_2(tmp_path, capsys, cfg, rate):
     assert f"{rate}=1e+300" in captured.err and "overflows the rate sums" in captured.err
 
 
+@pytest.mark.parametrize("cfg, rate", [(CFG_3A_PHYS, "gamma_02"), (CFG_3B_PHYS, "gamma_21")],
+                         ids=["three-a", "three-b"])
+def test_steady_and_dynamics_report_overflowing_rates_alike(tmp_path, capsys, cfg, rate):
+    # one config fault, one message: both commands call it a params error
+    path = write_cfg(tmp_path, {**cfg, "params": {**cfg["params"], rate: 1e300}})
+    assert main(["steady", "--config", path, "--pump", "2"]) == 2
+    steady = capsys.readouterr()
+    assert main(["dynamics", "--config", path, "--pump", "2", "--t-max", "1"]) == 2
+    dynamics = capsys.readouterr()
+    assert steady.out == dynamics.out == ""
+    assert dynamics.err == steady.err
+    assert dynamics.err.startswith("error: params: gamma_21=")
+
+
+@pytest.mark.parametrize("cfg", [CFG_3B_PHYS, CFG_2L_PHYS], ids=["three-b", "two-level"])
+@pytest.mark.parametrize("seed", ["nan", "inf", "-inf"])
+def test_dynamics_non_finite_seed_field_keeps_its_message(tmp_path, capsys, cfg, seed):
+    path = write_cfg(tmp_path, cfg)
+    assert main(["dynamics", "--config", path, f"--seed-field={seed}", "--t-max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state components must be finite\n"
+
+
 @pytest.mark.parametrize("param, value", [("n_atoms", 1e300), ("cavity_kappa", 1e-300)])
 def test_region_infinite_peak_reports_no_relative_error(tmp_path, capsys, param, value):
     # the peak photon number overflows to inf: no relative error, not nan

@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from lasekit import (
     PhysicalThreeLevel,
     PhysicalTwoLevel,
     PumpScheme,
+    Regime,
+    SteadyResult,
     equilibrium_populations_three,
     expand_scheme_a,
     expand_scheme_b,
@@ -360,3 +365,50 @@ def test_three_level_scheme_must_be_a_pump_scheme():
         with pytest.raises(ValueError) as e:
             PhysicalThreeLevel(**{**valid, "scheme": scheme})
         assert str(e.value) == f"scheme must be a PumpScheme, got {scheme!r}"
+
+
+def test_steady_result_keeps_every_dataclass_behaviour():
+    # SteadyResult writes its __init__ out; pin it against the frozen
+    # dataclass that the decorator would generate for the same fields
+    names = ("photon_number", "regime", "populations", "gamma_perp", "raw_bracket")
+    reference = dataclasses.make_dataclass(
+        "SteadyResult",
+        list(zip(names, ("float", "Regime", "tuple[float, ...]", "float", "float"))),
+        frozen=True,
+    )
+    assert inspect.signature(SteadyResult) == inspect.signature(reference)
+    assert inspect.signature(SteadyResult.__init__) == inspect.signature(reference.__init__)
+    assert SteadyResult.__match_args__ == reference.__match_args__ == names
+
+    values = (2.5, Regime.LASING, (0.25, 0.75), 1.5, 0.125)
+    res = SteadyResult(*values)
+    assert res == SteadyResult(**dict(zip(names, values)))
+    assert tuple(getattr(res, name) for name in names) == values
+    assert tuple(f.name for f in dataclasses.fields(res)) == names
+    assert dataclasses.asdict(res) == dict(zip(names, values))
+    assert dataclasses.astuple(res) == values
+    assert repr(res) == repr(reference(*values))
+
+    changed = dataclasses.replace(res, regime=Regime.BELOW_THRESHOLD, photon_number=0.0)
+    assert type(changed) is SteadyResult
+    assert changed == SteadyResult(0.0, Regime.BELOW_THRESHOLD, *values[2:])
+    assert changed != res and hash(changed) != hash(res)
+    assert hash(res) == hash(SteadyResult(*values)) == hash(reference(*values))
+    assert res != reference(*values)  # another class never compares equal
+
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(res, name)
+
+    copy = pickle.loads(pickle.dumps(res))
+    assert type(copy) is SteadyResult and copy == res and copy is not res
+
+    for args, kwargs in [(values[:4], {}), ((), dict(zip(names[1:], values[1:]))),
+                         (values, {"extra": 1.0}), ((*values, 1.0), {})]:
+        with pytest.raises(TypeError) as ours:
+            SteadyResult(*args, **kwargs)
+        with pytest.raises(TypeError) as generated:
+            reference(*args, **kwargs)
+        assert str(ours.value) == str(generated.value)

@@ -13,6 +13,7 @@ from lasekit import (
     PumpScheme,
     Regime,
     depletion_ratio_window,
+    gamma_perp_three,
     n_min_atoms,
     n_scheme_a,
     n_scheme_b,
@@ -239,6 +240,23 @@ def test_n_three_physical_zero_reference_rate(scheme, ref, populations, raw, g):
     assert res.regime is Regime.BELOW_THRESHOLD
     assert res.populations == populations
     assert res.raw_bracket == (raw if g == 1.0 else -math.inf)
+
+
+@pytest.mark.parametrize("scheme, rates", [
+    (PumpScheme.A, dict(coupling_g=1e-160, gamma_21=1.0, gamma_02=0.0, gamma_10=0.0,
+                        gamma_ph=0.5)),
+    (PumpScheme.B, dict(coupling_g=2.2e-16, gamma_21=0.0, gamma_02=1.0, gamma_10=0.0,
+                        gamma_ph=1e308)),
+], ids=["scheme-A", "scheme-B"])
+def test_n_three_physical_no_pumping_loop_with_infinite_coupling(scheme, rates):
+    # the coupling factor gamma_perp/(2*g**2) is inf and the rate-product
+    # sum 0: no closed loop carries no loss, where inf*0 would make it nan
+    p = PhysicalThreeLevel(**{**EXAMPLE_3L, **rates}, scheme=scheme)
+    assert gamma_perp_three(p) / (2.0 * p.coupling_g**2) == math.inf
+    res = n_three_physical(p)
+    assert res.raw_bracket == 0.0
+    assert res.photon_number == 0.0
+    assert res.regime is Regime.BELOW_THRESHOLD
 
 
 @pytest.mark.parametrize("scheme, rates, populations", [
