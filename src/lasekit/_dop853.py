@@ -43,17 +43,17 @@ import math
 from . import dynamics
 
 
-def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, schedule, record):
+def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, schedule, record):
     """Adaptive DOP853 from t = 0 until a stable fixed point or t_max.
 
     ``par`` and ``y0`` are float tuples (see ``dynamics._rhs_of``), the
-    state as four floats (rho11, rho22, y, x); ``n`` is the number of
-    components the model has.  Returns (status, t, y, f_norm, counts,
-    steps): status ``dynamics._STEADY``, ``_TMAX`` or ``_UNDERFLOW``
-    (step-size underflow), the end state ``y`` as four floats, and
-    ``counts`` = (accepted steps,
-    rejected steps, polish attempts, right-hand side evaluations of the
-    stepper, the polish's left out).
+    state as four floats (rho11, rho22, y, x) for either atom; ``n`` is
+    the number of fields of its state class, over which the error norm
+    takes its mean.  Returns (status, t, y, f_norm, counts, steps): status
+    ``dynamics._STEADY``, ``_TMAX`` or ``_UNDERFLOW`` (step-size
+    underflow), the end state ``y`` as four floats, and ``counts`` =
+    (accepted steps, rejected steps, polish attempts, right-hand side
+    evaluations of the stepper, the polish's left out).
 
     The rule that ends a run:
 
@@ -103,7 +103,7 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
     steps = bytearray(pack_step(t, u0, u1, u2, u3)) if record else None
 
     if fnorm < steady_tol * (dynamics._norm(u0, u1, u2, u3) + 1.0):
-        if dynamics._hurwitz(model, par, u0, u1, u2, u3):
+        if dynamics._hurwitz(par, u0, u1, u2, u3):
             return dynamics._STEADY, t, (u0, u1, u2, u3), fnorm, (0, 0, 0, 1), steps
         check_armed = False
 
@@ -414,7 +414,7 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
                 attempt = True
             if attempt:
                 attempts += 1
-                root = dynamics._polish(model, par, rhs, (u0, u1, u2, u3),
+                root = dynamics._polish(par, rhs, (u0, u1, u2, u3),
                                         (k1_0, k1_1, k1_2, k1_3), steady_tol)
                 if root is not None:
                     (u0, u1, u2, u3), fnorm = root
@@ -423,7 +423,7 @@ def dop853_loop(model, par, y0, n, t_max, rtol, atol, max_step, steady_tol, sche
                     status = dynamics._STEADY
                     break
             if fnorm < target:
-                if check_armed and dynamics._hurwitz(model, par, u0, u1, u2, u3):
+                if check_armed and dynamics._hurwitz(par, u0, u1, u2, u3):
                     status = dynamics._STEADY
                     break
                 check_armed = False

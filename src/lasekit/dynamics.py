@@ -15,9 +15,14 @@ with rho00 = 1 - rho11 - rho22:
     d x     = -kappa*x + N*g*y
 
 The three-level atom has Gamma = 0.  The two-level atom is the three-level
-one with level 2 empty and Gamma pumping 0 -> 1 directly: rho22 = 0,
-gamma_21 = gamma_02 = 0 and gamma_10 = gamma, so its state is
+one with level 2 empty and Gamma pumping 0 -> 1 directly: its rates are
+(gamma_21, gamma_02, gamma_10) = (gamma, 0, gamma), so its state is
 [rho11, y, x] and its inversion rho11 - rho00 is rho11 - (1 - rho11).
+Level 2 stays empty because nothing fills it: from rho22 = 0, d rho22 =
+0*rho00 - gamma*0 is exactly zero.  Its decay gamma into level 1 makes
+the Jacobian's rho22 row (0, -gamma, 0, 0), which adds the eigenvalue
+-gamma to those over (rho11, y, x), so one 4x4 Jacobian, Newton step and
+stability test serve both atoms.
 
 One explicit adaptive Runge-Kutta pair with first-same-as-last reuse, the
 Dormand-Prince 8(5,3) pair (DOP853) of ``lasekit._dop853``, integrates the
@@ -178,10 +183,11 @@ def _rhs_of(par):
     """The right-hand side as a function of the four scalar components
     (rho11, rho22, y, x) that returns a 4-tuple; bound once per run.
 
-    The equations are those of the module docstring for both models: the
+    The equations are those of the module docstring for both atoms: the
     two-level atom is the three-level one with level 2 empty, so its state
     carries rho22 = 0 and its rates are (gamma_21, gamma_02, gamma_10) =
-    (0, 0, gamma); a three-level atom has Gamma = 0.  ``_dop853`` writes
+    (gamma, 0, gamma), whose gamma_21*rho22 terms add exact zeros; a
+    three-level atom has Gamma = 0.  ``_dop853`` writes
     the same expressions into each stage of a step, in the same order.
 
     The constant factors are folded once per run.  Python groups ``*``
@@ -205,38 +211,34 @@ def _rhs_of(par):
     return rhs
 
 
-def _jacobian(model, par, s0, s1, s2, s3):
-    """Jacobian of the right-hand side over the live components, as rows
-    of floats: 3x3 over (rho11, y, x) for the two-level model, whose empty
-    level 2 (slot ``s1``) it leaves out, 4x4 for the three-level one."""
+def _jacobian(par, s0, s1, s2, s3):
+    """Jacobian of the right-hand side over (rho11, rho22, y, x), as rows
+    of floats.  d rho00/d rho22 = -1 puts -Gamma into the rho11 row's
+    rho22 entry; the three-level atom has Gamma = 0, and the two-level
+    one's rho22 row is (0, -gamma, 0, 0)."""
     n_at, g, kappa, g21, g02, g10, gperp, pump = par
-    if model == 2:
-        rho11, yq, xq = s0, s2, s3
-        return (
-            (-g10 - pump, -2.0 * g * xq, -2.0 * g * yq),
-            (2.0 * g * xq, -gperp, g * (2.0 * rho11 - 1.0)),
-            (0.0, n_at * g, -kappa),
-        )
     rho11, rho22, yq, xq = s0, s1, s2, s3
     return (
-        (-g10, g21, -2.0 * g * xq, -2.0 * g * yq),
+        (-g10 - pump, g21 - pump, -2.0 * g * xq, -2.0 * g * yq),
         (-g02, -g02 - g21, 0.0, 0.0),
         (2.0 * g * xq, g * xq, -gperp, g * (2.0 * rho11 + rho22 - 1.0)),
         (0.0, 0.0, n_at * g, -kappa),
     )
 
 
-def _hurwitz(model, par, s0, s1, s2, s3):
-    """True when every eigenvalue of the Jacobian has a negative real part.
+def _hurwitz(par, s0, s1, s2, s3):
+    """True when every eigenvalue of the 4x4 Jacobian has a negative real
+    part.
 
     The Lienard-Chipart conditions on the characteristic polynomial
-    det(lambda*I - J) = lambda**n + a1*lambda**(n-1) + ... + an, whose
+    det(lambda*I - J) = lambda**4 + a1*lambda**3 + ... + a4, whose
     coefficient ak is (-1)**k times the sum of the k x k principal minors
-    of J (Gantmacher, Theory of Matrices II, ch. XV): a1, a3 > 0 and
-    a1*a2 > a3 for n = 3; a1, a3, a4 > 0 and a1*a2*a3 - a3**2 - a1**2*a4
-    > 0 for n = 4.  A NaN entry fails every test.
+    of J (Gantmacher, Theory of Matrices II, ch. XV): a1, a3, a4 > 0 and
+    a1*a2*a3 - a3**2 - a1**2*a4 > 0.  For the two-level atom the extra
+    eigenvalue -gamma of its empty level is negative, so the verdict is
+    that over (rho11, y, x).  A NaN entry fails every test.
     """
-    j = _jacobian(model, par, s0, s1, s2, s3)
+    j = _jacobian(par, s0, s1, s2, s3)
 
     def m2(a, b):
         return j[a][a] * j[b][b] - j[a][b] * j[b][a]
@@ -248,11 +250,6 @@ def _hurwitz(model, par, s0, s1, s2, s3):
             + j[a][c] * (j[b][a] * j[c][b] - j[b][b] * j[c][a])
         )
 
-    if model == 2:
-        a1 = -(j[0][0] + j[1][1] + j[2][2])
-        a2 = m2(0, 1) + m2(0, 2) + m2(1, 2)
-        a3 = -m3(0, 1, 2)
-        return a1 > 0.0 and a3 > 0.0 and a1 * a2 > a3
     a1 = -(j[0][0] + j[1][1] + j[2][2] + j[3][3])
     a2 = m2(0, 1) + m2(0, 2) + m2(0, 3) + m2(1, 2) + m2(1, 3) + m2(2, 3)
     a3 = -(m3(0, 1, 2) + m3(0, 1, 3) + m3(0, 2, 3) + m3(1, 2, 3))
@@ -272,33 +269,30 @@ def _hurwitz(model, par, s0, s1, s2, s3):
     )
 
 
-def _newton_step(model, par, v, f):
-    """The Newton step d with J(v) d = f, as a 4-tuple (the two-level one
-    with a zero in the rho22 slot), or None where J is singular.
+def _newton_step(par, v, f):
+    """The Newton step d with J(v) d = f, as a 4-tuple, or None where J is
+    singular.
 
     The last row of J, (0, N*g, -kappa) over (y, x), gives
-    d_y = (f_x + kappa*d_x)/(N*g); the three-level rho22 row,
-    (-gamma_02, -gamma_02 - gamma_21) over (rho11, rho22), gives d_rho22
-    and is singular where gamma_02 + gamma_21 = 0.  Cramer's rule solves
-    the 2x2 system in (d_rho11, d_x) that the rho11 and y rows leave;
-    it is singular where its determinant is 0.  A NaN entry gives a NaN
-    step.
+    d_y = (f_x + kappa*d_x)/(N*g); the rho22 row, (-gamma_02,
+    -gamma_02 - gamma_21) over (rho11, rho22), gives d_rho22 and is
+    singular where gamma_02 + gamma_21 = 0.  For the two-level atom that
+    row is (0, -gamma) and f's rho22 slot is 0, so d_rho22 is 0.  Cramer's
+    rule solves the 2x2 system in (d_rho11, d_x) that the rho11 and y rows
+    leave; it is singular where its determinant is 0.  A NaN entry gives
+    a NaN step.
     """
-    j = _jacobian(model, par, *v)
-    if model == 2:
-        (a00, a0y, a0x), (ay0, ayy, ayx), (_, axy, axx) = j
-        f0, _, fy, fx = f
-    else:
-        (a00, a01, a0y, a0x), (a10, a11, _, _), (ay0, ay1, ayy, ayx), (_, _, axy, axx) = j
-        if a11 == 0.0:
-            return None
-        # d_rho22 = p1 - q1*d_rho11, folded into the rho11 and y rows
-        p1, q1 = f[1] / a11, a10 / a11
-        a00 -= a01 * q1
-        ay0 -= ay1 * q1
-        f0 = f[0] - a01 * p1
-        fy = f[2] - ay1 * p1
-        fx = f[3]
+    j = _jacobian(par, *v)
+    (a00, a01, a0y, a0x), (a10, a11, _, _), (ay0, ay1, ayy, ayx), (_, _, axy, axx) = j
+    if a11 == 0.0:
+        return None
+    # d_rho22 = p1 - q1*d_rho11, folded into the rho11 and y rows
+    p1, q1 = f[1] / a11, a10 / a11
+    a00 -= a01 * q1
+    ay0 -= ay1 * q1
+    f0 = f[0] - a01 * p1
+    fy = f[2] - ay1 * p1
+    fx = f[3]
     # d_y = py + qy*d_x
     py, qy = fx / axy, -axx / axy
     b0x = a0x + a0y * qy
@@ -311,12 +305,10 @@ def _newton_step(model, par, v, f):
     d0 = (f0 * byx - b0x * fy) / det
     dx = (a00 * fy - f0 * ay0) / det
     dy = py + qy * dx
-    if model == 2:
-        return d0, 0.0, dy, dx
     return d0, p1 - q1 * d0, dy, dx
 
 
-def _polish(model, par, rhs, u, f, steady_tol):
+def _polish(par, rhs, u, f, steady_tol):
     """Newton's method on f(y) = 0, started at the trajectory state ``u``
     with ``f`` = rhs(u), the stepper's right-hand side and derivative.
 
@@ -334,7 +326,7 @@ def _polish(model, par, rhs, u, f, steady_tol):
     radius = 1e-3 * (_norm(u0, u1, u2, u3) + 1.0)
     v0, v1, v2, v3 = u
     for _ in range(8):
-        step = _newton_step(model, par, (v0, v1, v2, v3), f)
+        step = _newton_step(par, (v0, v1, v2, v3), f)
         if step is None:
             return None
         d0, d1, d2, d3 = step
@@ -348,14 +340,14 @@ def _polish(model, par, rhs, u, f, steady_tol):
             break
     else:
         return None
-    step = _newton_step(model, par, (v0, v1, v2, v3), f)
+    step = _newton_step(par, (v0, v1, v2, v3), f)
     if step is not None:
         d0, d1, d2, d3 = step
         w0, w1, w2, w3 = v0 - d0, v1 - d1, v2 - d2, v3 - d3
         wnorm = _norm(*rhs(w0, w1, w2, w3))
         if wnorm <= fnorm and _norm(w0 - u0, w1 - u1, w2 - u2, w3 - u3) <= radius:
             v0, v1, v2, v3, fnorm = w0, w1, w2, w3, wnorm
-    if not (_physical(v0, v1, v2, v3) and _hurwitz(model, par, v0, v1, v2, v3)):
+    if not (_physical(v0, v1, v2, v3) and _hurwitz(par, v0, v1, v2, v3)):
         return None
     return (v0, v1, v2, v3), fnorm
 
@@ -424,55 +416,46 @@ def _first_step(rhs, u, f, n, t_max, rtol, atol, max_step):
 
 def _pack(
     p: PhysicalTwoLevel | PhysicalThreeLevel,
-) -> tuple[int, tuple[float, ...]]:
-    """The model tag and the rates (N, g, kappa, gamma_21, gamma_02,
-    gamma_10, gamma_perp, Gamma) of :func:`_rhs_of`, as floats."""
+) -> tuple[type[BlochState2] | type[BlochState3], tuple[float, ...]]:
+    """The state class and the rates (N, g, kappa, gamma_21, gamma_02,
+    gamma_10, gamma_perp, Gamma) of :func:`_rhs_of`, as floats.  The
+    two-level atom's are (gamma, 0, gamma) for (gamma_21, gamma_02,
+    gamma_10): its empty level 2 decays into level 1 (module docstring)."""
     if isinstance(p, PhysicalTwoLevel):
-        par = (p.n_atoms, p.coupling_g, p.cavity_kappa, 0.0, 0.0, p.gamma_decay,
-               gamma_perp_two(p), p.pump_Gamma)
-        return 2, tuple(float(v) for v in par)
+        par = (p.n_atoms, p.coupling_g, p.cavity_kappa, p.gamma_decay, 0.0,
+               p.gamma_decay, gamma_perp_two(p), p.pump_Gamma)
+        return BlochState2, tuple(float(v) for v in par)
     if isinstance(p, PhysicalThreeLevel):
         par = (p.n_atoms, p.coupling_g, p.cavity_kappa, p.gamma_21, p.gamma_02,
                p.gamma_10, gamma_perp_three(p), 0.0)
-        return 3, tuple(float(v) for v in par)
+        return BlochState3, tuple(float(v) for v in par)
     raise TypeError(f"unsupported model parameters: {type(p).__name__}")
 
 
-# the state class and the component labels of each model tag of _pack
-_STATES = {
-    2: (BlochState2, ("rho11", "y", "x")),
-    3: (BlochState3, ("rho11", "rho22", "y", "x")),
-}
 # the slot of each component in the stepper's four-float state
 _SLOTS = {"rho11": 0, "rho22": 1, "y": 2, "x": 3}
 
 
-def _state_tuple(model: int, state: BlochState2 | BlochState3) -> tuple[float, ...]:
+def _state_tuple(cls, state: BlochState2 | BlochState3) -> tuple[float, ...]:
     """State as four floats (rho11, rho22, y, x); the two-level state has
-    rho22 = 0."""
-    cls, _ = _STATES[model]
+    rho22 = 0.  TypeError unless ``state`` is a ``cls``."""
     if not isinstance(state, cls):
-        raise TypeError(f"the {model}-level model needs a {cls.__name__} state, "
+        raise TypeError(f"these parameters need a {cls.__name__} state, "
                         f"got {type(state).__name__}")
     return tuple(float(getattr(state, k, 0.0)) for k in _SLOTS)
 
 
-def _live(model: int, y: tuple[float, ...]) -> list[float]:
-    """The components of the four-float state ``y`` that ``model`` has."""
-    return [y[_SLOTS[k]] for k in _STATES[model][1]]
+def _live(cls, y: tuple[float, ...]) -> list[float]:
+    """The components of the four-float state ``y`` that are fields of
+    the state class ``cls``, in its field order."""
+    return [y[_SLOTS[f.name]] for f in fields(cls)]
 
 
-def _state_object(model: int, y: tuple[float, ...]) -> BlochState2 | BlochState3:
-    return _STATES[model][0](*(float(v) for v in _live(model, y)))
-
-
-def _physical_state(
-    model: int, t: float, y: tuple[float, ...]
-) -> BlochState2 | BlochState3:
-    """The end state of a run; ValueError naming the tolerances when it is
-    non-finite or outside the physical state space."""
+def _physical_state(cls, t: float, y: tuple[float, ...]) -> BlochState2 | BlochState3:
+    """The end state of a run as a ``cls``; ValueError naming the
+    tolerances when it is non-finite or outside the physical state space."""
     try:
-        return _state_object(model, y)
+        return cls(*_live(cls, y))
     except ValueError as e:
         raise ValueError(
             f"the run ended outside the physical state space at t = {t!r} ({e}); "
@@ -480,41 +463,42 @@ def _physical_state(
         ) from None
 
 
-def _evaluate(model: int, jacobian: bool, state, p) -> np.ndarray:
-    """The right-hand side of ``model`` at ``state``, or with ``jacobian``
-    its Jacobian, as an array over the live components; TypeError when
-    ``p`` or ``state`` belongs to the other model."""
+def _evaluate(cls, jacobian: bool, state, p) -> np.ndarray:
+    """The right-hand side at ``state``, or with ``jacobian`` its
+    Jacobian, as an array over the fields of ``cls``; TypeError when ``p``
+    or ``state`` belongs to the other model."""
     import numpy as np
 
-    tag, par = _pack(p)
-    if tag != model:
-        raise TypeError(f"{type(p).__name__} is not a {model}-level parameter set")
-    u = _state_tuple(model, state)
+    packed, par = _pack(p)
+    if packed is not cls:
+        raise TypeError(f"{type(p).__name__} does not evolve a {cls.__name__}")
+    u = _state_tuple(cls, state)
     if jacobian:
-        return np.array(_jacobian(model, par, *u))
-    return np.array(_live(model, _rhs_of(par)(*u)))
+        return np.array([_live(cls, row) for row in _live(cls, _jacobian(par, *u))])
+    return np.array(_live(cls, _rhs_of(par)(*u)))
 
 
 def derivs_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
     """Time derivative (d rho11, d y, d x) of the reduced two-level system."""
-    return _evaluate(2, False, state, p)
+    return _evaluate(BlochState2, False, state, p)
 
 
 def derivs_three(state: BlochState3, p: PhysicalThreeLevel) -> np.ndarray:
     """Time derivative (d rho11, d rho22, d y, d x) of the reduced
     three-level system."""
-    return _evaluate(3, False, state, p)
+    return _evaluate(BlochState3, False, state, p)
 
 
 def jacobian_two(state: BlochState2, p: PhysicalTwoLevel) -> np.ndarray:
-    """Jacobian of :func:`derivs_two` over (rho11, y, x) at ``state``."""
-    return _evaluate(2, True, state, p)
+    """Jacobian of :func:`derivs_two` over (rho11, y, x) at ``state``: the
+    block of the live rows and columns of the 4x4 one."""
+    return _evaluate(BlochState2, True, state, p)
 
 
 def jacobian_three(state: BlochState3, p: PhysicalThreeLevel) -> np.ndarray:
     """Jacobian of :func:`derivs_three` over (rho11, rho22, y, x) at
     ``state``."""
-    return _evaluate(3, True, state, p)
+    return _evaluate(BlochState3, True, state, p)
 
 
 def initial_state(
@@ -606,22 +590,22 @@ def _run(
     """
     from ._dop853 import dop853_loop
 
-    model, par = _pack(p)
-    y0 = _state_tuple(model, initial if initial is not None else initial_state(p))
+    cls, par = _pack(p)
+    y0 = _state_tuple(cls, initial if initial is not None else initial_state(p))
     t_max = config.t_max if config.t_max is not None else default_t_max(p)
     status, t, y, fnorm, counts, steps = dop853_loop(
-        model, par, y0, len(_STATES[model][1]), float(t_max),
+        par, y0, len(fields(cls)), float(t_max),
         config.rel_tol, config.abs_tol, config.max_step,
         config.steady_tol if stop_at_steady else 0.0,
         not record and _good_cavity(p), record,
     )
     # a state that ran off to nonsense points at loose tolerances first,
     # not at stiffness
-    state = _physical_state(model, t, y)
+    state = _physical_state(cls, t, y)
     if status == _UNDERFLOW:
         import numpy as np
 
-        raise StiffnessError(t, np.array(_live(model, y)))
+        raise StiffnessError(t, np.array(_live(cls, y)))
     return state, t, status, fnorm, counts, steps
 
 

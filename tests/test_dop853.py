@@ -25,6 +25,7 @@ from conftest import (
 import lasekit._dop853 as dop853
 import lasekit.dynamics as dynamics
 from lasekit import (
+    BlochState3,
     IntegratorConfig,
     PhysicalThreeLevel,
     PumpScheme,
@@ -234,7 +235,7 @@ def _fixed_step_end(h, t_max):
                            max_step=h, t_max=t_max)
     res = settle(README_3L, config=cfg)
     assert not res.converged and res.rejected_steps == 0
-    return dynamics._state_tuple(3, res.state)
+    return dynamics._state_tuple(BlochState3, res.state)
 
 
 def test_fixed_step_error_falls_as_eighth_power():

@@ -204,13 +204,20 @@ def test_rhs_matches_the_module_equations_bit_for_bit():
     # the folded constants of _rhs_of must give exactly the one set of
     # equations of the module docstring, evaluated as written there, for
     # the rates of either atom: the three-level one has Gamma = 0, the
-    # two-level one gamma_21 = gamma_02 = 0 and rho22 = 0
+    # two-level one rho22 = 0 and (gamma_21, gamma_02, gamma_10) either
+    # (0, 0, gamma), level 2 closed off, or (gamma, 0, gamma) as _pack
+    # gives them; both two-level packings give the same derivative, down
+    # to the sign of a zero
+    assert dynamics._pack(LORENZ_HAKEN)[1][3:6] == (1.0, 0.0, 1.0)
     rng = np.random.default_rng(7)
     rounded = 0
     for _ in range(30):
         n_at, g, kappa, g21, g02, g10, gperp, pump = log_uniform(rng, 1e-3, 1e3, 8).tolist()
+        closed = (n_at, g, kappa, 0.0, 0.0, g10, gperp, pump)
+        packed = (n_at, g, kappa, g10, 0.0, g10, gperp, pump)
+        rhs_closed = dynamics._rhs_of(closed)
         for par, two_level in (((n_at, g, kappa, g21, g02, g10, gperp, 0.0), False),
-                               ((n_at, g, kappa, 0.0, 0.0, g10, gperp, pump), True)):
+                               (closed, True), (packed, True)):
             rhs = dynamics._rhs_of(par)
             n_at, g, kappa, g21, g02, g10, gperp, pump = par
             for rho11, rho22, y, x in _full_mantissa(rng, (100, 4)).tolist():
@@ -222,6 +229,9 @@ def test_rhs_matches_the_module_equations_bit_for_bit():
                     -gperp*y + g*x*(rho11 - rho00),
                     -kappa*x + n_at*g*y,
                 )
+                if two_level:
+                    assert [v.hex() for v in rhs(rho11, rho22, y, x)] == [
+                        v.hex() for v in rhs_closed(rho11, rho22, y, x)]
                 rounded += 2*rho11 - 1 != rho11 - rho00
     # the draws see the last bit by which the two-level inversion
     # rho11 - (1 - rho11) can differ from 2*rho11 - 1
@@ -234,8 +244,8 @@ def test_written_out_stages_match_rhs_of(p):
     # that of the FSAL stage the stepper writes out: it must be the norm
     # of the closure's derivative at the end state, bit for bit
     series = integrate(p, config=IntegratorConfig(t_max=3.0))
-    model, par = dynamics._pack(p)
-    end = dynamics._state_tuple(model, type(initial_state(p))(*series.states[-1].tolist()))
+    cls, par = dynamics._pack(p)
+    end = dynamics._state_tuple(cls, cls(*series.states[-1].tolist()))
     assert series.derivative_norm == dynamics._norm(*dynamics._rhs_of(par)(*end))
     assert series.derivative_norm > 1e-3
 
@@ -516,7 +526,7 @@ def test_settle_good_cavity_coexisting_attractor(p):
     # the good-cavity side does not rule out a pulsing attractor
     assert dynamics._good_cavity(p)
     fixed = fixed_point_state(p)
-    assert dynamics._hurwitz(3, dynamics._pack(p)[1], *dynamics._state_tuple(3, fixed))
+    assert dynamics._hurwitz(dynamics._pack(p)[1], *dynamics._state_tuple(BlochState3, fixed))
     cfg = IntegratorConfig(t_max=50.0)
     res = settle(p, initial=initial_state(p), config=cfg)
     assert not res.converged and res.polish_attempts > 0
@@ -557,9 +567,9 @@ def _record_polish(monkeypatch):
     calls = []
     polish = dynamics._polish
 
-    def recorder(model, par, rhs, u, f, steady_tol):
+    def recorder(par, rhs, u, f, steady_tol):
         calls.append(u)
-        return polish(model, par, rhs, u, f, steady_tol)
+        return polish(par, rhs, u, f, steady_tol)
 
     monkeypatch.setattr(dynamics, "_polish", recorder)
     return calls
@@ -571,7 +581,7 @@ def test_polish_schedule_starts_on_first_step_on_good_cavity(monkeypatch):
     # state of that accepted step, not at the start
     first = settle(EXAMPLE_3L, config=IntegratorConfig(t_max=0.01))
     assert (first.steps, first.polish_attempts) == (1, 1)
-    assert calls == [dynamics._state_tuple(3, first.state)]
+    assert calls == [dynamics._state_tuple(BlochState3, first.state)]
     calls.clear()
     res = settle(EXAMPLE_3L)
     assert res.converged
@@ -613,19 +623,14 @@ def test_settle_converges_on_flow_cutoff_when_polish_fails(monkeypatch):
     assert res.photon_number == pytest.approx(n_three_physical(p).photon_number, rel=1e-6)
 
 
-def _numpy_newton_step(model, par, v, f):
-    """The Newton step of ``dynamics._newton_step`` by LAPACK, with 0 in
-    the rho22 slot of the two-level atom."""
-    slots = [0, 2, 3] if model == 2 else [0, 1, 2, 3]
+def _numpy_newton_step(par, v, f):
+    """The Newton step of ``dynamics._newton_step`` by LAPACK, over the
+    full 4x4 Jacobian for either atom."""
     try:
-        step = np.linalg.solve(np.array(dynamics._jacobian(model, par, *v)),
-                               np.array(f)[slots])
+        step = np.linalg.solve(np.array(dynamics._jacobian(par, *v)), np.array(f))
     except np.linalg.LinAlgError:
         return None
-    d = [0.0] * 4
-    for slot, value in zip(slots, step.tolist()):
-        d[slot] = value
-    return tuple(d)
+    return tuple(step.tolist())
 
 
 def test_settle_work_matches_numpy_newton_step(monkeypatch):
@@ -882,31 +887,48 @@ def _random_rates(rng, kind: int):
 
 
 def _fixed_and_nudged_states(rng, count: int):
-    """(p, model, par, fixed point, nudged state) of ``count`` draws:
-    the nudged state scales every live component of the fixed point by up
-    to +-30 %; the two-level rho22 slot stays 0."""
+    """(p, state class, par, fixed point, nudged state) of ``count``
+    draws: the nudged state scales every live component of the fixed
+    point by up to +-30 %; the two-level rho22 slot stays 0."""
     for i in range(count):
         p = _random_rates(rng, i % 3)
-        model, par = dynamics._pack(p)
-        n = 3 if model == 2 else 4
-        s = dynamics._state_tuple(model, fixed_point_state(p))
-        scale = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)
-        if model == 2:
+        cls, par = dynamics._pack(p)
+        s = dynamics._state_tuple(cls, fixed_point_state(p))
+        scale = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, len(dataclasses.fields(cls)))
+        if cls is BlochState2:
             scale = np.insert(scale, 1, 1.0)
         nudged = tuple(float(a * b) for a, b in zip(s, scale))
-        yield p, model, par, s, nudged
+        yield p, cls, par, s, nudged
 
 
 def test_routh_hurwitz_matches_eigenvalues():
     rng = np.random.default_rng(8)
     verdicts = []
-    for p, model, par, s, nudged in _fixed_and_nudged_states(rng, 2100):
+    live = [0, 2, 3]  # rho11, y, x
+    two_level = 0
+    for p, cls, par, s, nudged in _fixed_and_nudged_states(rng, 2100):
         for u in (s, nudged):
-            eigs = np.linalg.eigvals(np.array(dynamics._jacobian(model, par, *u)))
+            jac = np.array(dynamics._jacobian(par, *u))
+            eigs = np.linalg.eigvals(jac)
             expected = bool(eigs.real.max() < 0.0)
-            assert dynamics._hurwitz(model, par, *u) is expected, (p, u, eigs)
+            assert dynamics._hurwitz(par, *u) is expected, (p, u, eigs)
             verdicts.append(expected)
+            if cls is BlochState2:
+                # the empty level adds -gamma to the spectrum of the live
+                # block, which is jacobian_two wherever the state is one
+                block = jac[np.ix_(live, live)]
+                if _accepts(BlochState2, *(u[k] for k in live)):
+                    state = BlochState2(*(u[k] for k in live))
+                    assert np.array_equal(jacobian_two(state, p), block)
+                eigs3 = np.linalg.eigvals(block)
+                for lam in [*eigs3, -p.gamma_decay]:
+                    k = int(np.argmin(np.abs(eigs - lam)))
+                    assert abs(eigs[k] - lam) <= 1e-9 * np.abs(jac).max(), (p, u, eigs, lam)
+                    eigs = np.delete(eigs, k)
+                assert dynamics._hurwitz(par, *u) is bool(eigs3.real.max() < 0.0)
+                two_level += 1
     assert len(verdicts) >= 4000
+    assert two_level >= 1000
     # both verdicts are exercised
     assert 0.02 < verdicts.count(False) / len(verdicts) < 0.5
 
@@ -917,21 +939,23 @@ def test_routh_hurwitz_rejects_hopf_unstable_scheme_b():
     s = fixed_point_state(p)
     assert n_three_physical(p).photon_number > 0.0
     assert np.linalg.eigvals(jacobian_three(s, p)).real.max() > 0.1
-    model, par = dynamics._pack(p)
-    assert not dynamics._hurwitz(model, par, *dynamics._state_tuple(model, s))
-    assert dynamics._hurwitz(*dynamics._pack(EXAMPLE_3L),
-                             *dynamics._state_tuple(3, fixed_point_state(EXAMPLE_3L)))
+    cls, par = dynamics._pack(p)
+    assert not dynamics._hurwitz(par, *dynamics._state_tuple(cls, s))
+    assert dynamics._hurwitz(dynamics._pack(EXAMPLE_3L)[1],
+                             *dynamics._state_tuple(cls, fixed_point_state(EXAMPLE_3L)))
 
 
 def test_newton_step_matches_numpy_solve():
     # nudged states, where the right-hand side is far from zero
     rng = np.random.default_rng(15)
-    for p, model, par, _, u in _fixed_and_nudged_states(rng, 900):
+    for p, cls, par, _, u in _fixed_and_nudged_states(rng, 900):
         f = dynamics._rhs_of(par)(*u)
-        step = dynamics._newton_step(model, par, u, f)
-        ref = _numpy_newton_step(model, par, u, f)
-        if model == 2:
-            assert step[1] == ref[1] == 0.0
+        step = dynamics._newton_step(par, u, f)
+        ref = _numpy_newton_step(par, u, f)
+        if cls is BlochState2:
+            # the float solve keeps the empty level empty; LAPACK's 4x4
+            # solve leaves rounding there, within the bound below
+            assert step[1] == 0.0
         err = np.linalg.norm(np.subtract(step, ref)) / np.linalg.norm(ref)
         assert err < 1e-12, (p, u, step, ref)
 
@@ -945,10 +969,10 @@ def test_newton_step_matches_numpy_solve():
                       pump_Gamma=1.0, gamma_ph=0.0), (0.75, 0.0, 0.0, 0.0)),
 ], ids=["no-population-flow", "singular-core"])
 def test_newton_step_singular_jacobian_gives_none(p, u):
-    model, par = dynamics._pack(p)
+    _, par = dynamics._pack(p)
     f = dynamics._rhs_of(par)(*u)
-    assert dynamics._newton_step(model, par, u, f) is None
-    assert _numpy_newton_step(model, par, u, f) is None
+    assert dynamics._newton_step(par, u, f) is None
+    assert _numpy_newton_step(par, u, f) is None
 
 
 @pytest.mark.parametrize("p", [EXAMPLE_3L, expand_two(FIG2, 2.0)], ids=["three-level", "two-level"])
