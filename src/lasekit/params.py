@@ -460,6 +460,13 @@ def reduce_two(p: PhysicalTwoLevel) -> tuple[DimensionlessTwoLevel, float]:
     return d, p.pump_Gamma / g
 
 
+def _gauge_coupling(denominator: float) -> float:
+    """g = sqrt(1/denominator) of a gauge expansion; inf where the
+    denominator underflows to 0, which happens only for N < 1, so that
+    the record names n_atoms, the field it checks first."""
+    return math.sqrt(1.0 / denominator) if denominator > 0.0 else math.inf
+
+
 def expand_two(d: DimensionlessTwoLevel, pump: float) -> PhysicalTwoLevel:
     """Canonical physical realization of a dimensionless two-level point.
 
@@ -471,7 +478,7 @@ def expand_two(d: DimensionlessTwoLevel, pump: float) -> PhysicalTwoLevel:
     if d.saturation <= 0.0:
         raise ValueError("expand_two requires saturation > 0")
     n_atoms = 4.0 * d.photon_scale
-    g = math.sqrt(1.0 / (2.0 * n_atoms * d.saturation))
+    g = _gauge_coupling(2.0 * n_atoms * d.saturation)
     return PhysicalTwoLevel(
         n_atoms=n_atoms,
         coupling_g=g,
@@ -512,7 +519,7 @@ def _expand_three(
     if d.saturation <= 0.0:
         raise ValueError("gauge expansion requires saturation > 0")
     n_atoms = 2.0 * d.photon_scale
-    g = math.sqrt(1.0 / (4.0 * d.photon_scale * d.saturation))
+    g = _gauge_coupling(4.0 * d.photon_scale * d.saturation)
     _, pump_name, ref_name = _SCHEMES[scheme]
     return PhysicalThreeLevel(
         n_atoms=n_atoms,

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,21 @@ def test_reduce_expand_two_round_trip():
 def test_expand_two_requires_positive_saturation():
     with pytest.raises(ValueError):
         expand_two(DimensionlessTwoLevel(1e3, 0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("expand, d, n_atoms", [
+    (expand_two, DimensionlessTwoLevel(photon_scale=1e-300, saturation=1e-300,
+                                       dephasing=0.0), 4e-300),
+    (expand_scheme_a, DimensionlessSchemeA(photon_scale=1e-300, saturation=1e-300,
+                                           decay_ratio=4.65e297), 2e-300),
+    (expand_scheme_b, DimensionlessSchemeB(photon_scale=1e-300, saturation=1e-300,
+                                           decay_ratio=4.65e297), 2e-300),
+], ids=["expand_two", "expand_scheme_a", "expand_scheme_b"])
+def test_expand_underflowing_gauge_names_n_atoms(expand, d, n_atoms):
+    # photon_scale*saturation underflows to 0 in the coupling's gauge
+    # formula: the error is the record's, for the atom number it names
+    with pytest.raises(ValueError, match=re.escape(f"n_atoms must be >= 1, got {n_atoms!r}")):
+        expand(d, 1.46e299)
 
 
 def test_reduce_three_both_schemes():
