@@ -872,7 +872,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, ("csv", "json"))
     sp.add_argument("--pump", type=float, default=None, help="relative pump override")
     sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--seed-field", type=float, default=1e-3)
+    sp.add_argument(
+        "--seed-field", type=float, default=1e-3,
+        help="initial field quadrature x (default: 1e-3); write a negative "
+        "value in exponent notation as --seed-field=-1e-3",
+    )
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
     sp.set_defaults(func=_cmd_dynamics)
 

@@ -691,6 +691,16 @@ def test_dynamics_initial_override_and_seed(tmp_path, capsys):
     assert meta["seed_field"] == 0.01
 
 
+def test_dynamics_negative_seed_field_in_exponent_notation(tmp_path, capsys):
+    # the form the help and the README give; "--seed-field -1e-3" stops
+    # in argparse, which takes "-1e-3" for an option
+    path = write_cfg(tmp_path, CFG_3B_PHYS)
+    assert main(["dynamics", "--config", path, "--t-max", "1", "--seed-field=-1e-3"]) == 0
+    series, meta = parse_timeseries_csv(io.StringIO(capsys.readouterr().out))
+    assert series.states[0, 3] == -0.001
+    assert meta["seed_field"] == -0.001
+
+
 def test_dynamics_json_matches_csv(tmp_path, capsys):
     path = write_cfg(tmp_path, CFG_3B_PHYS)
     argv = ["dynamics", "--config", path, "--pump", "2.5", "--t-max", "2"]
