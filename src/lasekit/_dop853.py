@@ -12,7 +12,9 @@ s - sum bhh_j k_j, over the three nonzero weights of the 3rd-order
 solution.  Near a lasing fixed point the step is set by the weakly damped
 relaxation oscillation, not by stiffness, and the 8th-order pair covers one
 period in few right-hand side evaluations.  ``dynamics._run`` is its one
-caller; :func:`dop853_loop` states the rule that ends a run.
+caller; :func:`dop853_loop` states the rule that ends a run, which only
+recording changes: a run that records nothing tries the Newton polish on
+a schedule of accepted steps, whatever the cavity.
 
 The step size follows Hairer's PI (Gustafsson) controller with beta = 0.04
 (Hairer & Wanner, Solving ODEs II, sec. IV.2): after an accepted step h
@@ -43,7 +45,7 @@ import math
 from . import dynamics
 
 
-def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, schedule, record):
+def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, record):
     """Adaptive DOP853 from t = 0 until a stable fixed point or t_max.
 
     ``par`` and ``y0`` are float tuples (see ``dynamics._rhs_of``), the
@@ -76,17 +78,18 @@ def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, schedule, r
       14, 18, ..., each term k + 1 + k // 4 after the last, a state
       outside the physical state space (``dynamics._physical``, on the
       floats) ends the run there with the
-      status of a run out of time, for the caller to raise on.  With
-      ``schedule`` the polish is also tried at those counts, which saves
-      work.  The caller sets it on the good-cavity side of a run that
-      records nothing: in a recording an early root would show as a jump
-      of up to the polish's ball.
+      status of a run out of time, for the caller to raise on.  A run
+      that records nothing also tries the polish at those counts, which
+      saves work on either side of the Lorenz-Haken condition; a recorded
+      run does not, since there an early root would show as a jump of up
+      to the polish's ball.  The ball, not the cavity, keeps a pulsing
+      orbit that passes near a fixed point from ending the run.
 
     With ``record``, ``steps`` holds (t, u0, u1, u2, u3) of the initial
     state and of every accepted step, packed as ``dynamics._STEP`` records
     in one ``bytearray``; otherwise it is None.  Recording changes nothing
-    else: with ``schedule`` off, a recorded run and an unrecorded one end
-    at the same t, state and step count.
+    but the scheduled attempts: where none succeeds, a recorded run and an
+    unrecorded one end at the same t, state and step count.
     """
     rhs = dynamics._rhs_of(par)
     # the rates and folded constants of rhs, for the stages written out below
@@ -408,7 +411,7 @@ def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, schedule, r
                 next_try += 1 + next_try // 4
                 if not dynamics._physical(u0, u1, u2, u3):
                     break  # the caller raises on the unphysical end state
-                attempt = schedule
+                attempt = not record
             if polish_armed and fnorm < 1e4 * target:
                 polish_armed = False
                 attempt = True

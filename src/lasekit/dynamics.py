@@ -66,7 +66,6 @@ from .params import (
     _POP_SLACK,
     _populations_from_ground,
     equilibrium_populations_two,
-    gamma_parallel_and_inversion,
     gamma_perp_three,
     gamma_perp_two,
     reduce_two,
@@ -552,24 +551,6 @@ def default_t_max(p: PhysicalTwoLevel | PhysicalThreeLevel) -> float:
     return 1e3 / min(r for r in rates if r > 0.0)
 
 
-def _good_cavity(p: PhysicalTwoLevel | PhysicalThreeLevel) -> bool:
-    """kappa < gamma_perp + gamma_par: the good-cavity side of the
-    Lorenz-Haken second threshold (Haken, Phys. Lett. A 53, 77 (1975)).
-
-    :func:`settle` spends its scheduled Newton attempts on this side
-    only, which is a matter of cost.  The test does not rule out a
-    pulsing attractor beside a stable fixed point: scheme B has
-    good-cavity draws where a seed field grows onto one.  The acceptance
-    ball of :func:`_polish` is what guards the result on either side."""
-    if isinstance(p, PhysicalTwoLevel):
-        return p.cavity_kappa < gamma_perp_two(p) + p.gamma_decay + p.pump_Gamma
-    try:
-        gpar, _ = gamma_parallel_and_inversion(p)
-    except ValueError:  # no finite gamma_par to compare
-        return False
-    return p.cavity_kappa < gamma_perp_three(p) + gpar
-
-
 def _run(
     p: PhysicalTwoLevel | PhysicalThreeLevel,
     initial: BlochState2 | BlochState3 | None,
@@ -580,9 +561,9 @@ def _run(
     """One run of the stepper, the only call of ``_dop853.dop853_loop``,
     whose docstring states the rule that ends it.
 
-    A run that does not stop at steady gets a cutoff of 0; the scheduled
-    Newton attempts are spent on the good-cavity side of a run that
-    records nothing.  Returns (state, t, status, ||f||, counts, steps):
+    A run that does not stop at steady gets a cutoff of 0; a run that
+    records nothing also tries Newton's method on a schedule of accepted
+    steps.  Returns (state, t, status, ||f||, counts, steps):
     the end state as a :class:`BlochState2` or :class:`BlochState3`, and
     the rest as ``dop853_loop`` returns them.  Raises ValueError naming
     the tolerances when the run ended outside the physical state space,
@@ -596,8 +577,7 @@ def _run(
     status, t, y, fnorm, counts, steps = dop853_loop(
         par, y0, len(fields(cls)), float(t_max),
         config.rel_tol, config.abs_tol, config.max_step,
-        config.steady_tol if stop_at_steady else 0.0,
-        not record and _good_cavity(p), record,
+        config.steady_tol if stop_at_steady else 0.0, record,
     )
     # a state that ran off to nonsense points at loose tolerances first,
     # not at stiffness
@@ -642,7 +622,8 @@ def integrate(
     Runs to ``config.t_max`` (resolved per :func:`default_t_max` when
     None), or, if ``stop_at_steady`` is set, until the run reaches a
     stable fixed point, as :func:`settle` does but without its scheduled
-    Newton attempts (the stop rule is ``_dop853.dop853_loop``'s).  A
+    Newton attempts, trying Newton's method only once per approach to the
+    cutoff (the stop rule is ``_dop853.dop853_loop``'s).  A
     Newton root that ends the run replaces the last recorded state at
     the same t.  The full decay tail is the run with ``stop_at_steady``
     off and an explicit ``t_max``, which keeps the tolerances it was
@@ -674,12 +655,13 @@ def settle(
     The independent cross-check for every closed-form photon number: no
     steady-state algebra enters, only the equations of motion and their
     Jacobian.  The run is :func:`integrate`'s with nothing recorded, and
-    on the good-cavity side (see :func:`_good_cavity`) Newton's method is
-    also tried on a schedule of accepted steps; the stop rule is
-    ``_dop853.dop853_loop``'s.  When t_max is exhausted first, as it is
-    near an unstable fixed point, the result carries ``converged = False``
-    and the last state instead of raising.  Raises as :func:`integrate`
-    does.
+    Newton's method is also tried on a schedule of accepted steps, on
+    either side of the Lorenz-Haken condition: the acceptance ball of
+    :func:`_polish` keeps a pulsing orbit from ending the run at a fixed
+    point it passes by.  The stop rule is ``_dop853.dop853_loop``'s.
+    When t_max is exhausted first, as it is near an unstable fixed point,
+    the result carries ``converged = False`` and the last state instead
+    of raising.  Raises as :func:`integrate` does.
     """
     state, t, status, fnorm, counts, _ = _run(p, initial, config, True, False)
     steps, rejected, attempts, evaluations = counts

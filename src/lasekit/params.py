@@ -241,8 +241,9 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be > 0, got {v!r}")
         if not self.max_step > 0.0:
             raise ValueError(f"max_step must be > 0, got {self.max_step!r}")
-        if self.t_max is not None and not self.t_max > 0.0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max!r}")
+        # a run that does not stop at steady ends only at t_max
+        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
 
 
 @dataclass(frozen=True)
@@ -460,11 +461,19 @@ def reduce_two(p: PhysicalTwoLevel) -> tuple[DimensionlessTwoLevel, float]:
     return d, p.pump_Gamma / g
 
 
-def _gauge_coupling(denominator: float) -> float:
-    """g = sqrt(1/denominator) of a gauge expansion; inf where the
-    denominator underflows to 0, which happens only for N < 1, so that
-    the record names n_atoms, the field it checks first."""
-    return math.sqrt(1.0 / denominator) if denominator > 0.0 else math.inf
+def _gauge_coupling(denominator: float, n_atoms: float, saturation: float) -> float:
+    """g = sqrt(1/denominator) of a gauge expansion.  Where g**2 is not
+    finite: inf for N < 1, so that the record names n_atoms, the field it
+    checks first (the denominator underflows to 0 only there); otherwise a
+    ValueError naming saturation, which the caller gave, where the record
+    would name coupling_g, which it did not."""
+    g = math.sqrt(1.0 / denominator) if denominator > 0.0 else math.inf
+    if not g * g < math.inf and n_atoms >= 1.0:
+        raise ValueError(
+            f"saturation={saturation!r} is too small: the gauge coupling_g = "
+            f"sqrt(1/{denominator!r}) overflows"
+        )
+    return g
 
 
 def expand_two(d: DimensionlessTwoLevel, pump: float) -> PhysicalTwoLevel:
@@ -478,7 +487,7 @@ def expand_two(d: DimensionlessTwoLevel, pump: float) -> PhysicalTwoLevel:
     if d.saturation <= 0.0:
         raise ValueError("expand_two requires saturation > 0")
     n_atoms = 4.0 * d.photon_scale
-    g = _gauge_coupling(2.0 * n_atoms * d.saturation)
+    g = _gauge_coupling(2.0 * n_atoms * d.saturation, n_atoms, d.saturation)
     return PhysicalTwoLevel(
         n_atoms=n_atoms,
         coupling_g=g,
@@ -519,7 +528,7 @@ def _expand_three(
     if d.saturation <= 0.0:
         raise ValueError("gauge expansion requires saturation > 0")
     n_atoms = 2.0 * d.photon_scale
-    g = _gauge_coupling(4.0 * d.photon_scale * d.saturation)
+    g = _gauge_coupling(4.0 * d.photon_scale * d.saturation, n_atoms, d.saturation)
     _, pump_name, ref_name = _SCHEMES[scheme]
     return PhysicalThreeLevel(
         n_atoms=n_atoms,

@@ -101,6 +101,9 @@ CFG_2L_PHYS_NO_PUMP = {**CFG_2L_PHYS, "params": {
      "integrator: must be an object"),
     (json.dumps({**CFG_3B_PHYS, "integrator": {"rel_tol": -1}}), ["steady", "--pump", "1"],
      None, "integrator: rel_tol must be > 0, got -1.0"),
+    # JSON reads 1e400 as inf
+    (json.dumps(CFG_3B_PHYS)[:-1] + ', "integrator": {"t_max": 1e400}}',
+     ["steady", "--pump", "1"], None, "integrator: t_max must be finite and > 0, got inf"),
     (json.dumps({**CFG_2L_PHYS, "initial": {"rho22": 0.1}}), ["dynamics", "--t-max", "1"],
      None, "initial.rho22: not a two-level state component"),
     (json.dumps({**CFG_2L_PHYS, "initial": {"rho11": 2}}), ["dynamics", "--t-max", "1"],
@@ -110,8 +113,8 @@ CFG_2L_PHYS_NO_PUMP = {**CFG_2L_PHYS, "params": {
     (json.dumps(CFG_3B_PHYS), ["steady", "--pump", "1"], "x",
      "LASEKIT_PRECISION: invalid literal for int() with base 10: 'x'"),
 ], ids=["unreadable", "not-json", "not-object", "top-level-key", "params-not-object",
-        "integrator-not-object", "rel-tol", "foreign-initial", "initial-out-of-range",
-        "pump-required", "precision"])
+        "integrator-not-object", "rel-tol", "t-max-overflow", "foreign-initial",
+        "initial-out-of-range", "pump-required", "precision"])
 def test_config_intake_errors_exit_2(tmp_path, capsys, monkeypatch, text, argv, env, message):
     path = str(tmp_path / "cfg.json")
     if text is not None:

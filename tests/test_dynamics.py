@@ -1,5 +1,6 @@
 
 import dataclasses
+import json
 import math
 import re
 import warnings
@@ -30,6 +31,8 @@ from lasekit import (
     derivs_two,
     expand_two,
     fixed_point_state,
+    gamma_parallel_and_inversion,
+    gamma_perp_three,
     initial_state,
     integrate,
     jacobian_three,
@@ -442,18 +445,39 @@ def test_settle_from_stable_fixed_point_takes_no_steps():
     assert (res.steps, res.rejected_steps, res.polish_attempts) == (0, 0, 0)
 
 
-def test_settle_weakly_damped_fast_mode_converges():
-    # slowest mode -0.733 +- 621i: the stepper's noise floor keeps ||f||
-    # near 1e-4, far above the cutoff, until t_max; the polish ends it
-    p = PhysicalThreeLevel(
+# weakly damped slowest modes, where the stepper's noise floor keeps ||f||
+# far above the cutoff and the polish ends the run
+WEAKLY_DAMPED = [
+    # -0.733 +- 621i: ||f|| stays near 1e-4 until t_max
+    PhysicalThreeLevel(
         n_atoms=8800.18, coupling_g=8.9665, cavity_kappa=40.519,
         gamma_21=27.498, gamma_02=39.364, gamma_10=1.5616, gamma_ph=0.0,
         scheme=PumpScheme.B,
-    )
+    ),
+    # two bad-cavity draws (kappa >= gamma_perp + gamma_par), -7.0e-4 +-
+    # 16.6i and -2.9e-4 +- 3.74i: with the polish tried only near the
+    # cutoff they ran to t = 4510 and 18542 without converging
+    PhysicalTwoLevel(
+        n_atoms=50.987526039056014, coupling_g=3.251312922802012,
+        cavity_kappa=5.864582818388378, gamma_decay=0.2217144409576987,
+        pump_Gamma=3.0025764341154626, gamma_ph=0.0,
+    ),
+    PhysicalThreeLevel(
+        n_atoms=235.78148035112497, coupling_g=1.0216801115319736,
+        cavity_kappa=12.183120572566027, gamma_21=1.3207922625309985,
+        gamma_02=0.6194212483595422, gamma_10=0.053932671569718496,
+        gamma_ph=3.1393374534116885, scheme=PumpScheme.B,
+    ),
+]
+
+
+@pytest.mark.parametrize("p", WEAKLY_DAMPED,
+                         ids=["fast-mode", "bad-cavity-two-level", "bad-cavity-scheme-b"])
+def test_settle_weakly_damped_fast_mode_converges(p):
     res = settle(p, initial=perturbed_fixed_state(p))
     assert res.converged
     assert res.photon_number == pytest.approx(
-        n_three_physical(p).photon_number, rel=1e-9
+        fixed_point_state(p).photon_number, rel=1e-9
     )
 
 
@@ -524,7 +548,8 @@ GOOD_CAVITY_PULSING = [
 @pytest.mark.parametrize("p", GOOD_CAVITY_PULSING)
 def test_settle_good_cavity_coexisting_attractor(p):
     # the good-cavity side does not rule out a pulsing attractor
-    assert dynamics._good_cavity(p)
+    gpar, _ = gamma_parallel_and_inversion(p)
+    assert p.cavity_kappa < gamma_perp_three(p) + gpar
     fixed = fixed_point_state(p)
     assert dynamics._hurwitz(dynamics._pack(p)[1], *dynamics._state_tuple(BlochState3, fixed))
     cfg = IntegratorConfig(t_max=50.0)
@@ -540,11 +565,10 @@ def test_settle_good_cavity_coexisting_attractor(p):
     assert res.photon_number == pytest.approx(fixed.photon_number, rel=1e-12)
 
 
-def test_acceptance_ball_alone_guards_bad_cavity(monkeypatch):
-    # with the Newton schedule forced on beyond the good-cavity side, the
-    # attempts along the pulsing orbit all fail: the ball, not the cavity
-    # test, keeps settle from reporting the fixed point it passes by
-    monkeypatch.setattr(dynamics, "_good_cavity", lambda p: True)
+def test_acceptance_ball_alone_guards_bad_cavity():
+    # the scheduled Newton attempts along the pulsing orbit all fail: the
+    # ball, not the cavity, keeps settle from reporting the fixed point it
+    # passes by
     res = settle(LORENZ_HAKEN, initial=initial_state(LORENZ_HAKEN),
                  config=IntegratorConfig(t_max=200.0))
     assert not res.converged
@@ -552,8 +576,8 @@ def test_acceptance_ball_alone_guards_bad_cavity(monkeypatch):
 
 
 def test_settle_without_population_flow_runs():
-    # gamma_21 = gamma_02 = 0 leaves gamma_par undefined; the good-cavity
-    # test must treat that as no schedule rather than raise
+    # gamma_21 = gamma_02 = 0 freezes rho22 and makes the Jacobian
+    # singular: the scheduled Newton attempts must fail rather than raise
     p = dataclasses.replace(EXAMPLE_3L, gamma_21=0.0, gamma_02=0.0)
     start = BlochState3(rho11=0.2, rho22=0.3, y=0.0, x=1e-3)
     res = settle(p, initial=start, config=IntegratorConfig(t_max=10.0))
@@ -575,35 +599,23 @@ def _record_polish(monkeypatch):
     return calls
 
 
-def test_polish_schedule_starts_on_first_step_on_good_cavity(monkeypatch):
+@pytest.mark.parametrize("p", [EXAMPLE_3L, LORENZ_HAKEN], ids=["good-cavity", "bad-cavity"])
+def test_polish_schedule_starts_on_first_step(monkeypatch, p):
     calls = _record_polish(monkeypatch)
     # a horizon the first step reaches: the polish is tried once, at the
-    # state of that accepted step, not at the start
-    first = settle(EXAMPLE_3L, config=IntegratorConfig(t_max=0.01))
+    # state of that accepted step, not at the start, whatever the cavity
+    first = settle(p, config=IntegratorConfig(t_max=0.01))
     assert (first.steps, first.polish_attempts) == (1, 1)
-    assert calls == [dynamics._state_tuple(BlochState3, first.state)]
-    calls.clear()
+    assert calls == [dynamics._state_tuple(type(first.state), first.state)]
+
+
+def test_polish_schedule_shortens_settle(monkeypatch):
+    calls = _record_polish(monkeypatch)
     res = settle(EXAMPLE_3L)
     assert res.converged
     assert res.polish_attempts == len(calls)
     # 24.80 with the polish near the cutoff alone
     assert res.time < 0.75 * 24.80
-
-
-def test_polish_schedule_off_on_bad_cavity(monkeypatch):
-    # only the once-per-approach attempt near the cutoff runs there
-    calls = _record_polish(monkeypatch)
-    runs = [
-        settle(LORENZ_HAKEN, initial=initial_state(LORENZ_HAKEN),
-               config=IntegratorConfig(t_max=200.0)),
-        settle(LORENZ_HAKEN, initial=perturbed_fixed_state(LORENZ_HAKEN)),
-    ]
-    assert calls
-    assert sum(r.polish_attempts for r in runs) == len(calls)
-    steady_tol = IntegratorConfig().steady_tol
-    for u in calls:
-        f = derivs_two(BlochState2(u[0], u[2], u[3]), LORENZ_HAKEN)
-        assert np.linalg.norm(f) < 1e4 * steady_tol * (np.linalg.norm(u) + 1.0)
 
 
 def test_settle_converges_on_flow_cutoff_when_polish_fails(monkeypatch):
@@ -762,6 +774,11 @@ def test_integrator_config_validation():
         IntegratorConfig(max_step=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_max=0.0)
+    # a run that does not stop at steady ends only at t_max; a JSON config
+    # reads 1e400 as inf
+    for t_max in (math.inf, json.loads("1e400")):
+        with pytest.raises(ValueError, match=r"^t_max must be finite and > 0, got inf$"):
+            IntegratorConfig(t_max=t_max)
     with pytest.raises(ValueError):
         IntegratorConfig(steady_tol=0.0)
 

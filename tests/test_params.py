@@ -207,6 +207,20 @@ def test_expand_underflowing_gauge_names_n_atoms(expand, d, n_atoms):
         expand(d, 1.46e299)
 
 
+@pytest.mark.parametrize("expand, d", [
+    (expand_two, DimensionlessTwoLevel(photon_scale=1.0, saturation=5e-324)),
+    (expand_scheme_a, DimensionlessSchemeA(photon_scale=1.0, saturation=5e-324,
+                                           decay_ratio=0.1)),
+    (expand_scheme_b, DimensionlessSchemeB(photon_scale=1.0, saturation=5e-324,
+                                           decay_ratio=0.1)),
+], ids=["expand_two", "expand_scheme_a", "expand_scheme_b"])
+def test_expand_subnormal_saturation_names_saturation(expand, d):
+    # N >= 1, but the gauge coupling sqrt(1/(c*saturation)) overflows: the
+    # error names the saturation the caller gave, not coupling_g
+    with pytest.raises(ValueError, match=r"^saturation=5e-324 is too small"):
+        expand(d, 1.0)
+
+
 def test_reduce_three_both_schemes():
     d, pump = reduce_three(three_level(1.0, 2.0, 0.1, scheme=PumpScheme.B))
     assert isinstance(d, DimensionlessSchemeB)
