@@ -398,7 +398,8 @@ def _write_csv(
     rows hold the ``floats`` columns, then the ``text`` columns as they
     are.  Each float column comes as chunks of the same rows (see
     :func:`_chunks`), so a long series never exists as Python floats all
-    at once.  :func:`_read_csv` reads the document back."""
+    at once; each chunk of rows is written with one call.
+    :func:`_read_csv` reads the document back."""
     fmt = _float_format()
     write = fh.write
     for key, value in metadata.items():
@@ -407,9 +408,9 @@ def _write_csv(
     i = 0
     for chunk in zip(*floats):
         j = i + len(chunk[0])
-        cells = [map(fmt, c) for c in chunk]
-        for row in zip(*cells, *(t[i:j] for t in text)):
-            write(",".join(row) + "\n")
+        if j > i:
+            cells = [map(fmt, c) for c in chunk]
+            write("\n".join(map(",".join, zip(*cells, *(t[i:j] for t in text)))) + "\n")
         i = j
     if footer is not None:
         write("# settle: " + " ".join(f"{k}={_meta_text(v, fmt)}" for k, v in footer.items()) + "\n")

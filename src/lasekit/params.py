@@ -68,7 +68,9 @@ class _Record:
     _positive: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():  # the fields, in declaration order
+        # by name, in declaration order: vars(self) would drop inline attribute storage
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
             if name == "scheme":
                 if not isinstance(value, PumpScheme):
                     raise ValueError(f"scheme must be a PumpScheme, got {value!r}")
@@ -321,7 +323,8 @@ class SteadyResult:
     field at about twice the cost.  It takes the same parameters with the
     same annotations, and the class keeps every other dataclass
     behaviour: ``fields``, ``replace``, ``asdict``, equality, hashing,
-    ``repr``, pickling and the frozen ``__setattr__``.
+    ``repr``, copying, pickling, weak references and the frozen
+    ``__setattr__``.
     """
 
     photon_number: float

@@ -173,6 +173,13 @@ def _classify(raw: float, pump: float, divide: float) -> Regime:
     return _BELOW_THRESHOLD
 
 
+def _nan_bracket(d: object, pump: float) -> ValueError:
+    """The error of a pump whose bracket is NaN: an inf or NaN pump, or terms
+    that overflow into inf - inf or 0 * inf.  The per-point callers test for
+    it only off the lasing branch, which a NaN never takes."""
+    return ValueError(f"the bracket is NaN at pump={pump!r} for {d!r}")
+
+
 def _threshold(coeffs: tuple[float, float, float]) -> float | None:
     """Smaller root of the quadratic bracket numerator ``coeffs``; None
     when both roots are complex or at negative pump."""
@@ -240,9 +247,11 @@ def n_two_level(d: DimensionlessTwoLevel, pump: float) -> SteadyResult:
         rho11 = 0.5 * (1.0 + d_pin)
         regime = _LASING
     else:
+        if raw != raw:
+            raise _nan_bracket(d, pump)
         rho11 = pump / (pump + 1.0)
         regime = _classify(raw, pump, _vertex_two(d))
-    # the clamp is max(0.0, raw) without the call, 0.0 for NaN and -0.0 alike
+    # the clamp is max(0.0, raw) without the call, 0.0 for -0.0 as well
     return SteadyResult(
         d.photon_scale * (raw if raw > 0.0 else 0.0), regime, (1.0 - rho11, rho11), gperp, raw
     )
@@ -333,6 +342,8 @@ def n_scheme_a(d: DimensionlessSchemeA, pump: float) -> SteadyResult:
     raw = raw_bracket_scheme_a(d, pump)
     gperp = 0.5 * (1.0 + d.decay_ratio + d.dephasing)  # units of gamma_02
     lasing = raw > 0.0
+    if not lasing and raw != raw:
+        raise _nan_bracket(d, pump)
     return SteadyResult(
         d.photon_scale * (raw if lasing else 0.0),
         _LASING if lasing else _BELOW_THRESHOLD,
@@ -459,6 +470,8 @@ def n_scheme_b(d: DimensionlessSchemeB, pump: float) -> SteadyResult:
     raw = raw_bracket_scheme_b(d, pump)
     gperp = 0.5 * (pump + d.decay_ratio + d.dephasing)  # units of gamma_21
     lasing = raw > 0.0
+    if not lasing and raw != raw:
+        raise _nan_bracket(d, pump)
     return SteadyResult(
         d.photon_scale * (raw if lasing else 0.0),
         _LASING if lasing else _classify(raw, pump, _vertex_scheme_b(d)),

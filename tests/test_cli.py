@@ -623,6 +623,26 @@ def test_dynamics_leaving_state_space_exits_2(tmp_path, capsys):
     assert "tighten rel_tol/abs_tol" in captured.err
 
 
+@pytest.mark.parametrize("model, params, argv", [
+    ("two-level", {"photon_scale": 1.18e-38, "saturation": 0.0, "dephasing": 1e308},
+     ["steady", "--pump", "1e308"]),
+    ("three-a", {"photon_scale": 1.18e-38, "saturation": 0.0, "decay_ratio": 8.1e299},
+     ["sweep", "--pump-min", "1e159", "--pump-max", "1e160", "--points", "3"]),
+    ("three-b", {"photon_scale": 1.18e-38, "saturation": 0.0, "decay_ratio": 8.1e299},
+     ["sweep", "--pump-min", "1e159", "--pump-max", "1e160", "--points", "3"]),
+], ids=["two-level-steady", "three-a-sweep", "three-b-sweep"])
+def test_nan_bracket_exits_2(tmp_path, capsys, model, params, argv):
+    # 0 * inf in the bracket: a config error naming the pump and the
+    # record, not a report of a nan bracket or a below-threshold sweep
+    path = write_cfg(tmp_path, {"model": model, "parameterization": "dimensionless",
+                                "params": params})
+    assert main([argv[0], "--config", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the bracket is NaN at pump=1e+")
+    assert "saturation=0.0" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("cfg, rate", [(CFG_3A_PHYS, "gamma_02"), (CFG_3B_PHYS, "gamma_21")],
                          ids=["three-a", "three-b"])
 def test_steady_overflowing_rate_products_exit_2(tmp_path, capsys, cfg, rate):

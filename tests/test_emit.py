@@ -9,11 +9,12 @@ integer values.  The JSON writer streams its columns and must write what
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
 from array import array
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -209,3 +210,46 @@ def test_long_sweep_json_matches_json_dumps(tmp_path):
     expected = json.dumps(doc, indent=2) + "\n"
     text = long_sweep(tmp_path, "json")
     assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+# the README scheme-B rates pumped at gamma_02 = 0.5: the fixed point is
+# Hopf-unstable, so the run records every accepted step up to t_max,
+# more than two chunks of rows
+HOPF = dataclasses.replace(THREE, gamma_02=0.5)
+
+
+@cache
+def hopf_series() -> TimeSeries:
+    series = integrate(HOPF, config=IntegratorConfig(t_max=200.0))
+    assert len(series.times) > 2 * _CHUNK_ROWS and not series.steady
+    return series
+
+
+def settle_line(series: TimeSeries, cell) -> str:
+    return (f"# settle: converged=false t={cell(series.times[-1])} "
+            f"photon_number={cell(series.photon_numbers[-1])} "
+            f"derivative_norm={cell(series.derivative_norm)}")
+
+
+def test_long_timeseries_csv_rows_match_per_cell_reference(precision):
+    series = hopf_series()
+    buf = io.StringIO()
+    emit_timeseries_csv(series, buf)
+    text = buf.getvalue()
+    cell = reference_cell(precision)
+    assert body(text) == reference_timeseries_rows(series, cell)
+    assert text.splitlines()[-1] == settle_line(series, cell)
+
+
+def test_long_dynamics_csv_rows_match_per_cell_reference(tmp_path, precision):
+    cfg = tmp_path / "cfg.json"
+    params = {k: v for k, v in dataclasses.asdict(THREE).items() if k != "scheme"}
+    cfg.write_text(json.dumps({"model": "three-b", "parameterization": "physical",
+                               "params": params}), encoding="utf-8")
+    out = tmp_path / "run.csv"
+    assert main(["dynamics", "--config", str(cfg), "--pump", "0.5", "--t-max", "200",
+                 "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    series, cell = hopf_series(), reference_cell(precision)
+    assert body(text) == reference_timeseries_rows(series, cell)
+    assert text.splitlines()[-1] == settle_line(series, cell)

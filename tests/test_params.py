@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import inspect
 import math
 import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -432,8 +434,14 @@ def test_steady_result_keeps_every_dataclass_behaviour():
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(res, name)
 
-    copy = pickle.loads(pickle.dumps(res))
-    assert type(copy) is SteadyResult and copy == res and copy is not res
+    # what a slotted layout would change: weak references, copies and
+    # pickles at every protocol
+    assert weakref.ref(res)() is res
+    for clone in (copy.copy(res), copy.deepcopy(res), *(
+            pickle.loads(pickle.dumps(res, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert type(clone) is SteadyResult and clone == res and clone is not res
+        assert vars(clone) == vars(res) and hash(clone) == hash(res)
 
     for args, kwargs in [(values[:4], {}), ((), dict(zip(names[1:], values[1:]))),
                          (values, {"extra": 1.0}), ((*values, 1.0), {})]:

@@ -393,6 +393,27 @@ def test_overflowing_bracket_coefficients_give_no_threshold():
     assert window_scheme_b(b).exact is None
 
 
+@pytest.mark.parametrize("evaluate, d, pump", [
+    # eps * pump overflows and s = 0 multiplies it: 0 * inf in the numerator
+    (n_scheme_a, DimensionlessSchemeA(photon_scale=1.18e-38, saturation=0.0,
+                                      decay_ratio=8.1e299), 1e160),
+    (n_scheme_b, DimensionlessSchemeB(photon_scale=1.18e-38, saturation=0.0,
+                                      decay_ratio=8.1e299), 1e160),
+    (n_two_level, DimensionlessTwoLevel(photon_scale=1.18e-38, saturation=0.0,
+                                        dephasing=1e308), 1e308),
+], ids=["scheme-a", "scheme-b", "two-level"])
+def test_nan_bracket_raises_naming_pump_and_record(evaluate, d, pump):
+    raw = {n_scheme_a: raw_bracket_scheme_a, n_scheme_b: raw_bracket_scheme_b,
+           n_two_level: raw_bracket_two}[evaluate](d, pump)
+    assert math.isnan(raw)
+    with pytest.raises(ValueError) as exc:
+        evaluate(d, pump)
+    message = str(exc.value)
+    assert f"pump={pump!r}" in message
+    for name, value in vars(d).items():
+        assert f"{name}={value!r}" in message
+
+
 def test_n_min_atoms_examples():
     p = PhysicalThreeLevel(
         n_atoms=1.0, coupling_g=1.0, cavity_kappa=1.0,
