@@ -10,7 +10,8 @@ presets as CSV or JSON.
 The names below are loaded on first access (PEP 562), so ``import
 lasekit`` and the closed forms of ``params`` and ``steady`` do not load
 numpy, nor does any ``lasekit`` command.  The names of ``numerics`` and
-``dynamics`` that return arrays load it when called.
+``dynamics`` that return arrays load it when called, from the ``arrays``
+extra: ``pip install 'lasekit[arrays]'``.
 """
 
 import importlib

@@ -20,8 +20,8 @@ overrides the number of significant digits.  Exit codes: 0 success
 4 integrator failure.
 
 ``numerics`` and ``dynamics`` are imported by the commands that use them,
-and numpy only by the emitters and parsers of array-backed series.
-Every command runs without loading numpy:
+and numpy (the ``arrays`` extra) only by the emitters and parsers of
+array-backed series.  Every command, exit 4 included, runs without numpy:
 ``dynamics`` writes its rows straight from the packed step buffer of the
 recorded run, ``sweep`` and ``figure`` from the float rows of
 ``numerics``, whose pump grid is the same on every CPU.
@@ -51,6 +51,7 @@ from .params import (
     _SCHEMES,
     _check_rate,
     _gamma_parallel_inversion_rates,
+    _numpy,
     gamma_parallel_and_inversion,
     gamma_perp_two,
     reduce_three,
@@ -346,10 +347,15 @@ def _physical(cfg: RunConfig, pump: float | None):
         raise ConfigError(f"params: {e}") from e
 
 
+def _check_pump(pump: float | None) -> float | None:
+    """The ``--pump`` argument of any command, None when not given."""
+    if pump is not None and not 0.0 <= pump < math.inf:
+        raise ConfigError(f"--pump: must be finite and >= 0, got {pump}")
+    return pump
+
+
 def _resolve_pump(cfg: RunConfig, arg_pump: float | None) -> float:
-    if arg_pump is not None:
-        if arg_pump < 0:
-            raise ConfigError(f"--pump: must be >= 0, got {arg_pump}")
+    if _check_pump(arg_pump) is not None:
         return arg_pump
     # the relative pump implied by the configured rates, if any
     spec = _MODELS[cfg.model]
@@ -463,17 +469,15 @@ def _write_sweep(
 
 
 def emit_sweep_csv(series: SweepSeries, fh: TextIO) -> None:
-    import numpy as np
-
+    np = _numpy("emit_sweep_csv")
     _write_sweep(fh, "csv", series.metadata, np.asarray(series.pump_values, dtype=float),
                  np.asarray(series.photon_numbers, dtype=float), series.regimes)
 
 
 def parse_sweep_csv(fh: TextIO) -> SweepSeries:
-    import numpy as np
-
     from .numerics import SweepSeries
 
+    np = _numpy("parse_sweep_csv")
     metadata, _, header, rows = _read_csv(fh)
     if header != ",".join(_SWEEP_HEADER):
         raise ValueError(f"unexpected sweep CSV header: {header!r}")
@@ -505,8 +509,7 @@ def _settle_footer(
 def emit_timeseries_csv(
     series: TimeSeries, fh: TextIO, metadata: dict[str, object] | None = None
 ) -> None:
-    import numpy as np
-
+    np = _numpy("emit_timeseries_csv")
     states = np.asarray(series.states, dtype=float)
     floats = (series.times, *states.T, series.photon_numbers)
     footer = _settle_footer(series.steady, series.times[-1], series.photon_numbers[-1],
@@ -516,10 +519,9 @@ def emit_timeseries_csv(
 
 
 def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
-    import numpy as np
-
     from .dynamics import TimeSeries
 
+    np = _numpy("parse_timeseries_csv")
     metadata, footer, header, rows = _read_csv(fh)
     cols = header.split(",")
     if cols[0] != "t" or cols[-1] != "n":
@@ -717,7 +719,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     from .dynamics import StiffnessError, _recorded, initial_state
 
     cfg = load_config(args.config)
-    p = _physical(cfg, args.pump)
+    p = _physical(cfg, _check_pump(args.pump))
 
     integ = cfg.integrator
     if args.t_max is not None:

@@ -40,9 +40,10 @@ dense output), packed as doubles, to one flat ``bytearray``;
 :func:`integrate` builds its arrays from that buffer once.  The ``lasekit
 dynamics`` command reads the same buffer through memoryviews and writes
 it without loading numpy, which this module imports only where it builds
-an array: in :func:`integrate`, :class:`TimeSeries`, the one helper
-behind the public ``derivs_*`` and ``jacobian_*`` and the state of a
-:class:`StiffnessError`.  :func:`settle` runs without it.
+an array: in :func:`integrate`, :class:`TimeSeries` and the one helper
+behind the public ``derivs_*`` and ``jacobian_*``, through
+``params._numpy``.  :func:`settle` and a :class:`StiffnessError` run
+without it.
 
 Newton's method on the analytic Jacobian finishes a run that stops at
 steady.  Each Newton step is solved on floats: the rows of the Jacobian
@@ -64,6 +65,7 @@ from .params import (
     PhysicalThreeLevel,
     PhysicalTwoLevel,
     _POP_SLACK,
+    _numpy,
     _populations_from_ground,
     equilibrium_populations_two,
     gamma_perp_three,
@@ -115,8 +117,7 @@ class TimeSeries:
     derivative_norm: float
 
     def __post_init__(self) -> None:
-        import numpy as np
-
+        np = _numpy("TimeSeries")
         if len(self.times) != len(self.states) or len(self.times) != len(
             self.photon_numbers
         ):
@@ -163,9 +164,10 @@ class SettleResult:
 
 class StiffnessError(RuntimeError):
     """The adaptive step size underflowed; the problem is too stiff for an
-    explicit method at the requested tolerances."""
+    explicit method at the requested tolerances.  ``state`` is the tuple of
+    the state's components where it stopped, in its field order."""
 
-    def __init__(self, t: float, state: np.ndarray):
+    def __init__(self, t: float, state: tuple[float, ...]):
         self.t = t
         self.state = state
         super().__init__(
@@ -466,8 +468,8 @@ def _evaluate(cls, jacobian: bool, state, p) -> np.ndarray:
     """The right-hand side at ``state``, or with ``jacobian`` its
     Jacobian, as an array over the fields of ``cls``; TypeError when ``p``
     or ``state`` belongs to the other model."""
-    import numpy as np
-
+    np = _numpy(("jacobian_" if jacobian else "derivs_")
+                + ("two" if cls is BlochState2 else "three"))
     packed, par = _pack(p)
     if packed is not cls:
         raise TypeError(f"{type(p).__name__} does not evolve a {cls.__name__}")
@@ -583,9 +585,7 @@ def _run(
     # not at stiffness
     state = _physical_state(cls, t, y)
     if status == _UNDERFLOW:
-        import numpy as np
-
-        raise StiffnessError(t, np.array(_live(cls, y)))
+        raise StiffnessError(t, tuple(_live(cls, y)))
     return state, t, status, fnorm, counts, steps
 
 
@@ -631,8 +631,7 @@ def integrate(
     the physical state space (seen on a schedule of accepted steps and
     at the end), and otherwise :class:`StiffnessError` on step underflow.
     """
-    import numpy as np
-
+    np = _numpy("integrate")
     labels, steady, fnorm, columns = _recorded(p, initial, config, stop_at_steady)
     states = np.stack(columns[1:], axis=1)
     return TimeSeries(

@@ -8,10 +8,10 @@ and the time-domain integrator.
 The pump grid and the sweep rows are built on Python floats, with
 numpy's own ``linspace``/``geomspace`` arithmetic but libm's ``log10``
 and ``pow`` in place of numpy's SIMD loops, so a grid is the same on
-every CPU.  This module loads numpy only where it returns arrays:
-``pump_grid``, ``sweep`` and ``SweepSeries``.  The ``sweep`` and
-``figure`` commands write the float rows, and the oracles solve on
-floats; none of them loads numpy.
+every CPU.  This module loads numpy, through ``params._numpy``, only
+where it returns arrays: ``pump_grid``, ``sweep`` and ``SweepSeries``.
+The ``sweep`` and ``figure`` commands write the float rows, and the
+oracles solve on floats; none of them loads numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .params import (
     PhysicalTwoLevel,
     Regime,
     SteadyResult,
+    _numpy,
     gamma_perp_three,
     gamma_perp_two,
 )
@@ -95,8 +96,7 @@ class SweepSeries:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        import numpy as np
-
+        np = _numpy("SweepSeries")
         if len(self.pump_values) != len(self.photon_numbers) or len(
             self.pump_values
         ) != len(self.regimes):
@@ -158,9 +158,7 @@ def pump_grid(lo: float, hi: float, count: int, scale: str = "linear") -> np.nda
 
     The same floats on every CPU: see :func:`_pump_grid`.
     """
-    import numpy as np
-
-    return np.array(_pump_grid(lo, hi, count, scale))
+    return _numpy("pump_grid").array(_pump_grid(lo, hi, count, scale))
 
 
 def sweep(
@@ -175,8 +173,7 @@ def sweep(
     Points are independent, so evaluation order cannot change the result;
     they are computed in grid order.
     """
-    import numpy as np
-
+    np = _numpy("sweep")
     pumps, photons, regimes = _sweep_rows(evaluate, pump_range, count, scale)
     return SweepSeries(
         pump_values=np.array(pumps),

@@ -59,6 +59,16 @@ def _check_rate(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
+def _numpy(call: str):
+    """numpy, which only the array API needs; ImportError naming ``call``
+    and the extra that installs it where numpy is missing."""
+    try:
+        import numpy
+    except ImportError as e:
+        raise ImportError(f"{call} needs numpy: pip install 'lasekit[arrays]'") from e
+    return numpy
+
+
 class _Record:
     """The one validation rule of the parameter records, field by field in
     declaration order: n_atoms >= 1; coupling_g and its square finite and

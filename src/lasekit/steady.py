@@ -457,10 +457,12 @@ def raw_bracket_scheme_b(d: DimensionlessSchemeB, pump: float) -> float:
 
 
 def _vertex_scheme_b(d: DimensionlessSchemeB) -> float:
-    a, b, _ = _coeffs_scheme_b(d)
+    # a and b of _coeffs_scheme_b, without building c
+    s, eps = d.saturation, d.decay_ratio
+    a = -s * (1.0 + eps)
     if a == 0.0:
         return math.inf
-    return -b / (2.0 * a)
+    return -(1.0 - s * (eps + (eps + d.dephasing) * (1.0 + eps))) / (2.0 * a)
 
 
 def n_scheme_b(d: DimensionlessSchemeB, pump: float) -> SteadyResult:

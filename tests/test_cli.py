@@ -254,6 +254,21 @@ def test_negative_configured_pump_rate_rejected(tmp_path, capsys, cfg, argv):
     assert "must be >= 0, got -1.0" in captured.err
 
 
+@pytest.mark.parametrize("pump", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("cfg, command", [
+    (CFG_3B_PHYS, "steady"),
+    (CFG_2L_DIMLESS, "steady"),
+    (CFG_3B_PHYS, "dynamics"),
+], ids=["steady-physical", "steady-dimensionless", "dynamics-physical"])
+def test_pump_argument_checked_alike(tmp_path, capsys, cfg, command, pump):
+    # one check for every command that takes --pump, before any rate is built
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, "--config", path, f"--pump={pump}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --pump: must be finite and >= 0, got {float(pump)}\n"
+
+
 @pytest.mark.parametrize("cfg", [CFG_2L_PHYS, CFG_3A_PHYS, CFG_3B_PHYS],
                          ids=["two-level", "three-a", "three-b"])
 @pytest.mark.parametrize("g", [1e-300, 1e300])
@@ -596,10 +611,10 @@ def test_dynamics_stiffness_failure_exits_4(tmp_path, capsys):
                                        "t_max": 10.0}},
     )
     assert main(["dynamics", "--config", path]) == 4
-    # the whole line, with the state in its numpy array repr
+    # the whole line, with the state as a tuple of floats in full precision
     assert capsys.readouterr().err == (
-        "error: step size underflow at t = 0.0 (state array([0.86956522, "
-        "0.08695652, 0.        , 0.001     ])); relax tolerances or reduce "
+        "error: step size underflow at t = 0.0 (state (0.8695652173913042, "
+        "0.08695652173913043, 0.0, 0.001)); relax tolerances or reduce "
         "the rate disparity\n"
     )
 

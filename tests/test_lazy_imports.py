@@ -1,8 +1,9 @@
 """The package exports load on first access, the closed-form commands run
 without numpy, ``lasekit.dynamics`` or ``lasekit.numerics``, and the
 ``dynamics``, ``sweep`` and ``figure`` commands and the algebraic oracle
-without numpy."""
+without numpy.  numpy is an optional extra, imported through one gate."""
 
+import ast
 import json
 import os
 import subprocess
@@ -208,3 +209,120 @@ def test_stiffness_error_from_recorded_run_exits_4(tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: step size underflow at t = 1.0 ")
+
+
+# A child that sees no numpy, as if it were not installed: the finder first
+# on sys.meta_path refuses it.
+WITHOUT_NUMPY = """\
+class _NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == 'numpy' or name.startswith('numpy.'):
+            raise ModuleNotFoundError(f'No module named {name!r}', name=name)
+sys.meta_path.insert(0, _NoNumpy())
+assert 'numpy' not in sys.modules
+
+import contextlib, io, lasekit
+from lasekit.cli import main
+cfg, stiff, out = sys.argv[1:]
+for argv in (['steady'], ['region'],
+             ['sweep', '--pump-min', '0.01', '--pump-max', '120', '--points', '50'],
+             ['dynamics', '--t-max', '0.1'],
+             ['dynamics', '--t-max', '0.1', '--format', 'json']):
+    with contextlib.redirect_stdout(io.StringIO()) as fh:
+        assert main([argv[0], '--config', cfg, *argv[1:]]) == 0, argv
+    assert fh.getvalue(), argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(['figure', 'fig4b', '--out', out]) == 0
+with contextlib.redirect_stderr(io.StringIO()) as fh:
+    assert main(['dynamics', '--config', stiff]) == 4
+assert fh.getvalue() == (
+    'error: step size underflow at t = 0.0 (state (0.8695652173913042, '
+    '0.08695652173913043, 0.0, 0.001)); relax tolerances or reduce the rate '
+    'disparity\\n'), fh.getvalue()
+
+two = lasekit.PhysicalTwoLevel(n_atoms=1e3, coupling_g=1, cavity_kappa=1,
+                               gamma_decay=1, pump_Gamma=4, gamma_ph=0)
+three = lasekit.PhysicalThreeLevel(n_atoms=100, coupling_g=1, cavity_kappa=1, gamma_21=1,
+                                   gamma_02=2, gamma_10=0.1, gamma_ph=0,
+                                   scheme=lasekit.PumpScheme.B)
+a = lasekit.DimensionlessSchemeA(photon_scale=1e6, saturation=0.2, decay_ratio=0.01,
+                                 dephasing=0)
+assert lasekit.n_scheme_a(a, 2.0).photon_number > 0
+assert lasekit.n_scheme_b(lasekit.reduce_three(three)[0], 2.0).photon_number > 0
+n = lasekit.n_two_level(*lasekit.reduce_two(two)).photon_number
+assert abs(lasekit.settle(two).photon_number - n) <= 1e-9 * n
+assert abs(lasekit.algebraic_oracle_two(two) - n) <= 1e-9 * n
+n = lasekit.n_three_physical(three).photon_number
+assert abs(lasekit.settle(three).photon_number - n) <= 1e-9 * n
+assert abs(lasekit.algebraic_oracle_three(three) - n) <= 1e-9 * n
+
+try:
+    lasekit.integrate(three)
+except ImportError as e:
+    assert 'integrate' in str(e) and 'lasekit[arrays]' in str(e), e
+else:
+    raise AssertionError('integrate ran without numpy')
+assert 'numpy' not in sys.modules
+"""
+
+
+def test_product_paths_run_without_numpy_installed(tmp_path):
+    # every command, exit 4 included, the closed forms, settle and both
+    # oracles run; only the array API asks for the extra
+    cfg, stiff = tmp_path / "cfg.json", tmp_path / "stiff.json"
+    cfg.write_text(json.dumps(CFG), encoding="utf-8")
+    stiff.write_text(json.dumps({**CFG, "integrator": {
+        "rel_tol": 1e-300, "abs_tol": 1e-300, "t_max": 10}}), encoding="utf-8")
+    proc = _child(WITHOUT_NUMPY, str(cfg), str(stiff), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert _loaded(proc) == ["lasekit.dynamics", "lasekit.numerics"]
+
+
+def _numpy_imports(node: ast.AST, allowed: bool = False):
+    """Line numbers of the numpy imports under ``node`` outside a function
+    named ``_numpy`` and outside ``if TYPE_CHECKING:`` blocks."""
+    if isinstance(node, ast.FunctionDef) and node.name == "_numpy":
+        allowed = True
+    if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+        allowed = True
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        names = []
+    if not allowed and any(n == "numpy" or n.startswith("numpy.") for n in names):
+        yield node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _numpy_imports(child, allowed)
+
+
+def test_numpy_is_imported_only_through_its_gate():
+    stray, gates = {}, []
+    for path in sorted((SRC / "lasekit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = list(_numpy_imports(tree))
+        if lines:
+            stray[path.name] = lines
+        gates += [path.name for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_numpy"]
+    assert stray == {}
+    assert gates == ["params.py"]
+
+
+def test_gate_names_the_call_and_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # ``import numpy`` now raises
+    with pytest.raises(ImportError, match=r"^pump_grid needs numpy: "
+                       r"pip install 'lasekit\[arrays\]'$"):
+        lasekit.pump_grid(1.0, 2.0, 3)
+
+
+def test_numpy_is_an_optional_extra():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+    for extra in ("arrays", "test"):
+        requirements = project["optional-dependencies"][extra]
+        assert any(r.startswith("numpy") for r in requirements), extra
