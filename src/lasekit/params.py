@@ -325,7 +325,8 @@ class SteadyResult:
     cavity.  ``gamma_perp`` is in physical rate units when the input was
     physical, otherwise in units of the reduction's reference rate.
     ``populations`` is (rho00, rho11) or (rho00, rho11, rho22) at the
-    fixed point (the no-field equilibrium when not lasing).
+    fixed point (the no-field equilibrium when not lasing).  On overflow
+    photon_number and gamma_perp are inf and raw_bracket is -inf.
 
     Every sweep point builds one, so ``__init__`` is written out: it
     stores the fields straight into the instance dict, where the
@@ -461,8 +462,8 @@ def _check_saturation(s: float, p, rate: str) -> None:
 def reduce_two(p: PhysicalTwoLevel) -> tuple[DimensionlessTwoLevel, float]:
     """Collapse a physical two-level rate set to (reduced params, pump P).
 
-    P = Gamma/gamma.  The reduction discards one gauge degree of freedom;
-    :func:`expand_two` fixes it back canonically.
+    P = Gamma/gamma, inf where the ratio overflows.  The reduction discards
+    one gauge degree of freedom; :func:`expand_two` fixes it back canonically.
     """
     g = p.gamma_decay
     lam = p.n_atoms * g / (4.0 * p.cavity_kappa)
@@ -517,7 +518,8 @@ def reduce_three(
     """Collapse a physical three-level rate set to (reduced params, pump P).
 
     The relative pump is the scheme's pump rate over its reference rate
-    (the table in the module docstring), which must be nonzero.
+    (the table in the module docstring), which must be nonzero; P is inf
+    where the ratio overflows.
     """
     cls, pump_name, ref_name = _SCHEMES[p.scheme]
     ref = getattr(p, ref_name)
@@ -581,35 +583,43 @@ def equilibrium_populations_three(
     rejected; rates whose products overflow raise the ValueError naming
     them that :func:`gamma_parallel_and_inversion` raises.
     """
-    pops = _equilibrium_three(p)
-    if pops is None:
+    pops = _populations_from_ground(p)
+    if pops is _GROUND or pops is _RESERVOIR:
         raise ValueError(
             "population flow is degenerate (no unique no-field equilibrium)"
         )
     return pops
 
 
-def _equilibrium_three(p: PhysicalThreeLevel) -> tuple[float, float, float] | None:
-    """The populations of :func:`equilibrium_populations_three`, or None
-    for a degenerate flow."""
-    z00 = p.gamma_21 * p.gamma_10
-    z11 = p.gamma_02 * p.gamma_21
-    z22 = p.gamma_02 * p.gamma_10
+# the states a degenerate no-field flow reaches from the ground state
+_GROUND = (1.0, 0.0, 0.0)
+_RESERVOIR = (0.0, 0.0, 1.0)
+
+
+def _no_field(
+    gamma_21: float, gamma_02: float, gamma_10: float
+) -> tuple[float, float, float] | None:
+    """No-field populations (rho00, rho11, rho22) of the 0 -> 2 -> 1 -> 0 loop
+    from its weights (g21*g10, g02*g21, g02*g10), added left to right: the
+    builtin ``sum`` is compensated from Python 3.12 on and would print other
+    digits there.  A degenerate flow (all weights zero) gives the state it
+    reaches from the ground state, ``_GROUND`` itself when gamma_02 = 0 and
+    else ``_RESERVOIR``; None where the weights' sum overflows."""
+    z00 = gamma_21 * gamma_10
+    z11 = gamma_02 * gamma_21
+    z22 = gamma_02 * gamma_10
     z = z00 + z11 + z22
     if z == math.inf:  # inf/inf would give nan populations
-        raise _rate_overflow(p.gamma_21, p.gamma_02, p.gamma_10)
-    if z <= 0.0:
         return None
+    if z <= 0.0:
+        return _GROUND if gamma_02 == 0.0 else _RESERVOIR
     return z00 / z, z11 / z, z22 / z
 
 
 def _populations_from_ground(p: PhysicalThreeLevel) -> tuple[float, float, float]:
-    """The no-field populations (rho00, rho11, rho22) the flow reaches from
-    the ground state: the unique equilibrium, or for a degenerate flow the
-    ground state itself (gamma_02 = 0) or the reservoir level 2.  Rates
-    whose products overflow raise as :func:`equilibrium_populations_three`
-    does."""
-    pops = _equilibrium_three(p)
+    """:func:`_no_field` of the record's rates; rates whose products overflow
+    raise as :func:`equilibrium_populations_three` does."""
+    pops = _no_field(p.gamma_21, p.gamma_02, p.gamma_10)
     if pops is None:
-        return (1.0, 0.0, 0.0) if p.gamma_02 == 0.0 else (0.0, 0.0, 1.0)
+        raise _rate_overflow(p.gamma_21, p.gamma_02, p.gamma_10)
     return pops

@@ -31,6 +31,7 @@ from .params import (
     SteadyResult,
     _SCHEMES,
     _flow_sums,
+    _no_field,
     _populations_from_ground,
     _rate_overflow,
     gamma_perp_three,
@@ -117,6 +118,9 @@ class ExtremumReport:
     coincide (discrepancy 0); for scheme B the estimate drops the (P + 2)
     denominator and can be off by a large factor.  ``photon_max_estimate``
     (two-level only) is the coarse peak value photon_scale/(4*saturation).
+    Where they overflow, pump_estimate, discrepancy and photon_max_estimate
+    are inf and photon_at_exact is inf, or -inf where the bracket's own
+    terms overflow at pump_exact.
     """
 
     pump_estimate: float
@@ -173,11 +177,12 @@ def _classify(raw: float, pump: float, divide: float) -> Regime:
     return _BELOW_THRESHOLD
 
 
-def _nan_bracket(d: object, pump: float) -> ValueError:
-    """The error of a pump whose bracket is NaN: an inf or NaN pump, or terms
-    that overflow into inf - inf or 0 * inf.  The per-point callers test for
-    it only off the lasing branch, which a NaN never takes."""
-    return ValueError(f"the bracket is NaN at pump={pump!r} for {d!r}")
+def _nan_bracket(d: object, pump: float, what: str = "the bracket is NaN") -> ValueError:
+    """The error of a pump whose bracket is NaN (an inf or NaN pump, or terms
+    that overflow into inf - inf or 0 * inf), or with another ``what`` whose
+    no-field weights overflow.  The per-point callers raise it only off the
+    lasing branch, which a NaN never takes."""
+    return ValueError(f"{what} at pump={pump!r} for {d!r}")
 
 
 def _threshold(coeffs: tuple[float, float, float]) -> float | None:
@@ -240,21 +245,16 @@ def n_two_level(d: DimensionlessTwoLevel, pump: float) -> SteadyResult:
     if pump < 0.0:
         raise ValueError(f"pump must be >= 0, got {pump!r}")
     raw = raw_bracket_two(d, pump)
-    gperp = 0.5 * (pump + 1.0 + d.dephasing)  # units of gamma_decay
+    width = pump + 1.0 + d.dephasing  # 2*gamma_perp in units of gamma_decay
+    gperp = 0.5 * width
     if raw > 0.0:
-        # inversion pinned by the gain condition
-        d_pin = d.saturation * (pump + 1.0 + d.dephasing)
-        rho11 = 0.5 * (1.0 + d_pin)
-        regime = _LASING
-    else:
-        if raw != raw:
-            raise _nan_bracket(d, pump)
-        rho11 = pump / (pump + 1.0)
-        regime = _classify(raw, pump, _vertex_two(d))
-    # the clamp is max(0.0, raw) without the call, 0.0 for -0.0 as well
-    return SteadyResult(
-        d.photon_scale * (raw if raw > 0.0 else 0.0), regime, (1.0 - rho11, rho11), gperp, raw
-    )
+        rho11 = 0.5 * (1.0 + d.saturation * width)  # inversion pinned by the gain
+        return SteadyResult(d.photon_scale * raw, _LASING, (1.0 - rho11, rho11), gperp, raw)
+    if raw != raw:
+        raise _nan_bracket(d, pump)
+    rho11 = pump / (pump + 1.0)
+    regime = _classify(raw, pump, _vertex_two(d))
+    return SteadyResult(0.0, regime, (1.0 - rho11, rho11), gperp, raw)
 
 
 def threshold_two(d: DimensionlessTwoLevel) -> float | None:
@@ -319,6 +319,8 @@ def optimum_two(d: DimensionlessTwoLevel) -> ExtremumReport | None:
 def _coeffs_scheme_a(d: DimensionlessSchemeA) -> tuple[float, float, float]:
     """The bracket numerator, linear in P: a quadratic with a = 0."""
     s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
+    if s == 0.0:  # the lossless limit, where 0 * inf would be NaN
+        return 0.0, 1.0 - eps, -eps * s
     b = 1.0 - eps - s * (1.0 + eps + delta) * (1.0 + eps)
     return 0.0, b, -eps * s * (1.0 + eps + delta)
 
@@ -340,35 +342,20 @@ def n_scheme_a(d: DimensionlessSchemeA, pump: float) -> SteadyResult:
     if pump < 0.0:
         raise ValueError(f"pump must be >= 0, got {pump!r}")
     raw = raw_bracket_scheme_a(d, pump)
-    gperp = 0.5 * (1.0 + d.decay_ratio + d.dephasing)  # units of gamma_02
-    lasing = raw > 0.0
-    if not lasing and raw != raw:
-        raise _nan_bracket(d, pump)
-    return SteadyResult(
-        d.photon_scale * (raw if lasing else 0.0),
-        _LASING if lasing else _BELOW_THRESHOLD,
-        _populations_scheme_a(d, pump, lasing),
-        gperp,
-        raw,
-    )
-
-
-def _populations_scheme_a(
-    d: DimensionlessSchemeA, pump: float, lasing: bool
-) -> tuple[float, float, float]:
     eps = d.decay_ratio
-    if lasing:
-        d_pin = d.saturation * (1.0 + eps + d.dephasing)
+    width = 1.0 + eps + d.dephasing  # 2*gamma_perp in units of gamma_02
+    gperp = 0.5 * width
+    if raw > 0.0:
+        d_pin = d.saturation * width
         rho00 = pump * (1.0 - d_pin) / (1.0 + 2.0 * pump)
-        rho11 = rho00 + d_pin
-        rho22 = rho00 / pump  # lasing requires pump > 0
-        return rho00, rho11, rho22
-    z = (pump * eps, pump, eps)  # (rho00, rho11, rho22) weights
-    total = sum(z)
-    if total == 0.0:
-        # pump = eps = 0: flow only feeds the reservoir level
-        return 0.0, 0.0, 1.0
-    return z[0] / total, z[1] / total, z[2] / total
+        pops = (rho00, rho00 + d_pin, rho00 / pump)  # lasing requires pump > 0
+        return SteadyResult(d.photon_scale * raw, _LASING, pops, gperp, raw)
+    if raw != raw:
+        raise _nan_bracket(d, pump)
+    pops = _no_field(pump, 1.0, eps)
+    if pops is None:
+        raise _nan_bracket(d, pump, "the no-field weights overflow")
+    return SteadyResult(0.0, _BELOW_THRESHOLD, pops, gperp, raw)
 
 
 def threshold_scheme_a(d: DimensionlessSchemeA) -> float | None:
@@ -386,7 +373,7 @@ def saturation_limit_scheme_a(d: DimensionlessSchemeA) -> float:
 
     photon_scale * [(1-eps) - s*(1+eps+delta)*(1+eps)] / 2; positive
     exactly when a threshold exists, and an upper bound for every finite
-    pump (bottleneck saturation).
+    pump (bottleneck saturation); -inf where the loss term overflows.
     """
     return d.photon_scale * _coeffs_scheme_a(d)[1] / 2.0
 
@@ -397,7 +384,8 @@ def n_min_atoms(p: PhysicalThreeLevel) -> float | None:
     N_min = (kappa*gamma_02 / (2*g**2)) * (1+eps+delta)*(1+eps) / (1-eps)
     with eps = gamma_10/gamma_02 and delta = gamma_ph/gamma_02; it does
     not depend on the pump rate gamma_21.  None when eps >= 1 (no atom
-    number helps without initial inversion).
+    number helps without initial inversion); inf where the terms overflow;
+    ValueError naming the record where they are 0 * inf.
     """
     if p.gamma_02 <= 0.0:
         raise ValueError("n_min_atoms requires gamma_02 > 0")
@@ -405,12 +393,16 @@ def n_min_atoms(p: PhysicalThreeLevel) -> float | None:
     delta = p.gamma_ph / p.gamma_02
     if eps >= 1.0:
         return None
-    return (
+    n_min = (
         (p.cavity_kappa * p.gamma_02 / (2.0 * p.coupling_g**2))
         * (1.0 + eps + delta)
         * (1.0 + eps)
         / (1.0 - eps)
     )
+    if n_min != n_min:
+        raise ValueError(f"N_min is 0 * inf for {p!r}: cavity_kappa*gamma_02/(2*coupling_g**2) "
+                         f"underflows where 1 + gamma_10/gamma_02 + gamma_ph/gamma_02 overflows")
+    return n_min
 
 
 def depletion_ratio_window(p: PhysicalThreeLevel) -> WindowReport:
@@ -438,6 +430,8 @@ def depletion_ratio_window(p: PhysicalThreeLevel) -> WindowReport:
 def _coeffs_scheme_b(d: DimensionlessSchemeB) -> tuple[float, float, float]:
     s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
     a = -s * (1.0 + eps)
+    if s == 0.0:  # the lossless limit, where 0 * inf would be NaN
+        return a, 1.0, -eps
     b = 1.0 - s * (eps + (eps + delta) * (1.0 + eps))
     c = -eps * (1.0 + s * (eps + delta))
     return a, b, c
@@ -470,35 +464,20 @@ def n_scheme_b(d: DimensionlessSchemeB, pump: float) -> SteadyResult:
     if pump < 0.0:
         raise ValueError(f"pump must be >= 0, got {pump!r}")
     raw = raw_bracket_scheme_b(d, pump)
-    gperp = 0.5 * (pump + d.decay_ratio + d.dephasing)  # units of gamma_21
-    lasing = raw > 0.0
-    if not lasing and raw != raw:
-        raise _nan_bracket(d, pump)
-    return SteadyResult(
-        d.photon_scale * (raw if lasing else 0.0),
-        _LASING if lasing else _classify(raw, pump, _vertex_scheme_b(d)),
-        _populations_scheme_b(d, pump, lasing),
-        gperp,
-        raw,
-    )
-
-
-def _populations_scheme_b(
-    d: DimensionlessSchemeB, pump: float, lasing: bool
-) -> tuple[float, float, float]:
     eps = d.decay_ratio
-    if lasing:
-        d_pin = d.saturation * (pump + eps + d.dephasing)
+    width = pump + eps + d.dephasing  # 2*gamma_perp in units of gamma_21
+    gperp = 0.5 * width
+    if raw > 0.0:
+        d_pin = d.saturation * width
         rho00 = (1.0 - d_pin) / (pump + 2.0)
-        rho11 = rho00 + d_pin
-        rho22 = pump * rho00
-        return rho00, rho11, rho22
-    z = (eps, pump, pump * eps)  # (rho00, rho11, rho22) weights
-    total = sum(z)
-    if total == 0.0:
-        # pump = eps = 0: the ground state keeps everything
-        return 1.0, 0.0, 0.0
-    return z[0] / total, z[1] / total, z[2] / total
+        pops = (rho00, rho00 + d_pin, pump * rho00)
+        return SteadyResult(d.photon_scale * raw, _LASING, pops, gperp, raw)
+    if raw != raw:
+        raise _nan_bracket(d, pump)
+    pops = _no_field(1.0, pump, eps)
+    if pops is None:
+        raise _nan_bracket(d, pump, "the no-field weights overflow")
+    return SteadyResult(0.0, _classify(raw, pump, _vertex_scheme_b(d)), pops, gperp, raw)
 
 
 def threshold_scheme_b(d: DimensionlessSchemeB) -> float | None:
@@ -535,7 +514,10 @@ def optimum_scheme_b(d: DimensionlessSchemeB) -> ExtremumReport | None:
     pump_est = 0.5 / s - 0.5 * delta - eps
     a, b, c = _coeffs_scheme_b(d)
     x = -(2.0 * b - c) / a
-    pump = x / (2.0 + math.sqrt(4.0 + x))
+    if x < math.inf:
+        pump = x / (2.0 + math.sqrt(4.0 + x))
+    else:  # P* = sqrt(x) to within 2/sqrt(x), without forming x
+        pump = math.sqrt(2.0 * b - c) / math.sqrt(-a)
     return ExtremumReport(
         pump_estimate=pump_est,
         pump_exact=pump,
@@ -589,15 +571,6 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
         )
     raw = gain - loss
 
-    if raw > 0.0:
-        d_pin = p.cavity_kappa * gperp / (p.n_atoms * p.coupling_g**2)
-        rho00 = p.gamma_21 * (1.0 - d_pin) / denom
-        rho11 = rho00 + d_pin
-        rho22 = 1.0 - rho00 - rho11
-        pops = (rho00, rho11, rho22)
-    else:
-        pops = _populations_from_ground(p)
-
     # the regime comes from the scheme's reduction; a zero reference rate has none
     ref = getattr(p, _SCHEMES[p.scheme][2])
     regime = _LASING if raw > 0.0 else _BELOW_THRESHOLD
@@ -605,6 +578,18 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
         d, pump = reduce_three(p)
         if p.scheme is PumpScheme.B:
             regime = _classify(raw, pump, _vertex_scheme_b(d))
+
+    if raw > 0.0:
+        d_pin = p.cavity_kappa * gperp / (p.n_atoms * p.coupling_g**2)
+        if not d_pin < math.inf:  # inf or nan from the coupling, not a lasing state
+            raise ValueError(f"coupling_g={p.coupling_g!r} gives a pinned inversion "
+                             f"cavity_kappa*gamma_perp/(n_atoms*coupling_g**2) of {d_pin!r} "
+                             f"for {p!r}")
+        rho00 = p.gamma_21 * (1.0 - d_pin) / denom
+        rho11 = rho00 + d_pin
+        pops = (rho00, rho11, 1.0 - rho00 - rho11)
+    else:
+        pops = _populations_from_ground(p)
 
     return SteadyResult(
         photon_number=max(0.0, raw),

@@ -12,7 +12,9 @@ from lasekit import (
     PhysicalThreeLevel,
     PumpScheme,
     Regime,
+    LasingWindow,
     depletion_ratio_window,
+    expand_scheme_b,
     gamma_perp_three,
     n_min_atoms,
     n_scheme_a,
@@ -686,3 +688,81 @@ def test_steady_result_contract():
         if not any(math.isnan(v) for v in res.populations):
             assert sum(res.populations) == pytest.approx(1.0, abs=1e-9)
             assert all(v >= -1e-12 for v in res.populations)
+
+
+@pytest.mark.parametrize("evaluate, d, pump", [
+    # eps + pump + pump*eps overflows: inf/inf would give a nan population
+    (n_scheme_b, DimensionlessSchemeB(photon_scale=1, saturation=0.9, decay_ratio=1e160), 1e160),
+    # the weight sum overflows while each weight is finite: all populations 0
+    (n_scheme_b, DimensionlessSchemeB(photon_scale=1, saturation=0.9, decay_ratio=1.7e308), 1),
+    (n_scheme_a, DimensionlessSchemeA(photon_scale=1, saturation=0.9, decay_ratio=1e160), 1e160),
+], ids=["scheme-b-nan", "scheme-b-zero", "scheme-a-nan"])
+def test_overflowing_no_field_weights_raise_naming_pump_and_record(evaluate, d, pump):
+    raw = {n_scheme_a: raw_bracket_scheme_a, n_scheme_b: raw_bracket_scheme_b}[evaluate](d, pump)
+    assert raw <= 0.0  # off the lasing branch, with a bracket that is not nan
+    with pytest.raises(ValueError, match="no-field weights overflow") as exc:
+        evaluate(d, pump)
+    assert f"pump={pump!r} for {d!r}" in str(exc.value)
+
+
+def test_routes_give_the_same_no_field_populations_on_every_python():
+    # the builtin sum is compensated from Python 3.12 on, where it printed
+    # rho00 0.9727443159359463 for this point; plain addition gives ...465
+    d = DimensionlessSchemeB(photon_scale=1000, saturation=0.9,
+                             decay_ratio=0.47867316457526454)
+    pump = 0.009070375658164338
+    reduced = n_scheme_b(d, pump)
+    physical = n_three_physical(expand_scheme_b(d, pump))
+    assert reduced.regime is physical.regime is Regime.BELOW_THRESHOLD
+    assert reduced.populations == physical.populations
+    assert reduced.populations[0].hex() == (0.9727443159359465).hex()
+
+
+def test_lossless_scheme_a_limit_is_finite_where_its_terms_overflow():
+    # 1 + eps + delta overflows, and s = 0 times it was nan
+    d = DimensionlessSchemeA(photon_scale=0.5, saturation=0.0, decay_ratio=1e308,
+                             dephasing=1e308)
+    assert saturation_limit_scheme_a(d) == 0.5 * (1.0 - 1e308) / 2.0
+    assert threshold_scheme_a(d) is None
+
+
+def test_lossless_scheme_b_coefficients_are_finite_where_their_terms_overflow():
+    d = DimensionlessSchemeB(photon_scale=1.0, saturation=0.0, decay_ratio=1e160,
+                             dephasing=1e160)
+    assert _coeffs_scheme_b(d) == (-0.0, 1.0, -1e160)
+    assert threshold_scheme_b(d) == 1e160
+    assert window_scheme_b(d).exact == LasingWindow(1e160, math.inf, exact=True)
+
+
+def test_n_min_atoms_raises_on_an_underflowing_prefactor_against_an_infinite_ratio():
+    # kappa*gamma_02/(2*g**2) underflows to 0 and gamma_ph/gamma_02 overflows
+    p = PhysicalThreeLevel(2, 1e-8, 5e-324, 1, 0.5, 0, 1.7e308, PumpScheme.A)
+    with pytest.raises(ValueError, match="N_min is 0 \\* inf") as exc:
+        n_min_atoms(p)
+    assert repr(p) in str(exc.value)
+
+
+@pytest.mark.parametrize("p", [
+    # the loss rounds to 0 against an infinite coupling factor: the bracket
+    # reads lasing and the pinned inversion kappa*gamma_perp/(N*g**2) is inf
+    PhysicalThreeLevel(1e8, 1e-160, 1, 5e-324, 1e-8, 0, 2, PumpScheme.A),
+    # kappa*gamma_perp and N*g**2 both overflow: the pinned inversion is nan
+    PhysicalThreeLevel(1.7e308, 5.689041330458559e+55, 1.731937616202559e+284, 0.5,
+                       2.162705216615388e-58, 5e-324, 1.5772137075926396e+29, PumpScheme.A),
+], ids=["inf", "nan"])
+def test_non_finite_pinned_inversion_names_coupling_g(p):
+    with pytest.raises(ValueError, match="pinned inversion") as exc:
+        n_three_physical(p)
+    assert f"coupling_g={p.coupling_g!r}" in str(exc.value)
+
+
+def test_optimum_scheme_b_is_finite_where_its_stationary_point_term_overflows():
+    # x = -(2b - c)/a overflows; P* = sqrt(x) there, inside the window
+    d = DimensionlessSchemeB(photon_scale=1.7e308, saturation=1.473264e-318,
+                             decay_ratio=1.7041384994819939e+145)
+    win = window_scheme_b(d).exact
+    opt = optimum_scheme_b(d)
+    a, b, c = _coeffs_scheme_b(d)
+    assert opt.pump_exact == pytest.approx(math.sqrt((2.0 * b - c) * 1e-10 / -a) * 1e5)
+    assert win.lower < opt.pump_exact < win.upper
+    assert 0.0 < opt.photon_at_exact < math.inf

@@ -6,7 +6,8 @@ lasing branch) and clamps the bracket without calling max; both must give
 exactly what the eager definitions give.  Draws cover 0, magnitudes from
 1e-300 to 1e300, the exact roots of the bracket numerator (where the
 bracket's sign is decided by rounding) and pumps whose bracket is nan,
-which must raise a ValueError that names the pump and the record.
+which must raise a ValueError that names the pump and the record.  So must
+a three-level point off the lasing branch whose no-field weights overflow.
 """
 
 import math
@@ -47,6 +48,12 @@ MODELS = {
                  _vertex_scheme_b),
 }
 
+# the sum of each three-level scheme's no-field weights (rho00, rho11, rho22)
+WEIGHT_SUMS = {
+    "scheme-A": lambda d, pump: pump * d.decay_ratio + pump + d.decay_ratio,
+    "scheme-B": lambda d, pump: d.decay_ratio + pump + pump * d.decay_ratio,
+}
+
 magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 positive = st.one_of(magnitudes, st.sampled_from([1e-300, 0.5, 1.0, 2.0, 1e300]))
 non_negative = st.one_of(st.just(0.0), positive)
@@ -81,7 +88,8 @@ def test_point_matches_its_eager_definition(model):
     def check(point):
         d, pump = point
         raw = raw_bracket(d, pump)
-        if math.isnan(raw):
+        weights = WEIGHT_SUMS.get(model)
+        if math.isnan(raw) or (not raw > 0.0 and weights and weights(d, pump) == math.inf):
             with pytest.raises(ValueError, match=re.escape(f"pump={pump!r} for {d!r}")):
                 evaluate(d, pump)
             return
