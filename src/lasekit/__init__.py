@@ -7,110 +7,45 @@ closed form.  The ``lasekit`` CLI prints steady-state and region reports
 as text or JSON, and writes sweeps, dynamics runs and the bundled figure
 presets as CSV or JSON.
 
-The names below are loaded on first access (PEP 562), so ``import
-lasekit`` and the closed forms of ``params`` and ``steady`` do not load
-numpy, nor does any ``lasekit`` command.  The names of ``numerics`` and
-``dynamics`` that return arrays load it when called, from the ``arrays``
-extra: ``pip install 'lasekit[arrays]'``.
+A public name is declared once, in the ``__all__`` of the module that
+defines it.  ``lasekit.<name>`` is loaded on first access (PEP 562) from
+the first of ``params``, ``steady``, ``numerics`` and ``dynamics`` whose
+``__all__`` lists it, importing only the modules up to that one; so
+``IntegratorConfig``, which ``dynamics`` re-exports, comes from
+``params``.  ``lasekit.__all__``, ``dir(lasekit)`` and ``from lasekit
+import *`` load all four.  ``import lasekit`` loads none of them; neither
+it nor any ``lasekit`` command loads numpy.  The names of ``numerics``
+and ``dynamics`` that return arrays load it when called, from the
+``arrays`` extra: ``pip install 'lasekit[arrays]'``.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# exported name -> the submodule that defines it
-_EXPORTS = {
-    **dict.fromkeys(
-        (
-            "BlochState2",
-            "BlochState3",
-            "DimensionlessSchemeA",
-            "DimensionlessSchemeB",
-            "DimensionlessTwoLevel",
-            "IntegratorConfig",
-            "PhysicalThreeLevel",
-            "PhysicalTwoLevel",
-            "PumpScheme",
-            "Regime",
-            "SteadyResult",
-            "equilibrium_populations_three",
-            "equilibrium_populations_two",
-            "expand_scheme_a",
-            "expand_scheme_b",
-            "expand_two",
-            "gamma_parallel_and_inversion",
-            "gamma_perp_three",
-            "gamma_perp_two",
-            "reduce_three",
-            "reduce_two",
-        ),
-        "params",
-    ),
-    **dict.fromkeys(
-        (
-            "ExtremumReport",
-            "LasingWindow",
-            "WindowReport",
-            "depletion_ratio_window",
-            "n_min_atoms",
-            "n_scheme_a",
-            "n_scheme_b",
-            "n_three_physical",
-            "n_two_level",
-            "optimum_scheme_b",
-            "optimum_two",
-            "raw_bracket_scheme_a",
-            "raw_bracket_scheme_b",
-            "raw_bracket_two",
-            "saturation_limit_scheme_a",
-            "threshold_scheme_a",
-            "threshold_scheme_b",
-            "threshold_two",
-            "window_scheme_b",
-            "window_two",
-        ),
-        "steady",
-    ),
-    **dict.fromkeys(
-        (
-            "SweepSeries",
-            "algebraic_oracle_three",
-            "algebraic_oracle_two",
-            "pump_grid",
-            "sweep",
-        ),
-        "numerics",
-    ),
-    **dict.fromkeys(
-        (
-            "SettleResult",
-            "StiffnessError",
-            "TimeSeries",
-            "default_t_max",
-            "derivs_three",
-            "derivs_two",
-            "fixed_point_state",
-            "initial_state",
-            "integrate",
-            "jacobian_three",
-            "jacobian_two",
-            "settle",
-        ),
-        "dynamics",
-    ),
-}
+# the modules whose __all__ the package exports, in lookup order
+_MODULES = ("params", "steady", "numerics", "dynamics")
 
-__all__ = sorted(_EXPORTS)
+
+def _module(name: str):
+    return importlib.import_module(f".{name}", __name__)
 
 
 def __getattr__(name: str) -> object:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    if name == "__all__":
+        value = sorted({n for m in _MODULES for n in _module(m).__all__})
+    else:
+        # ``from . import steady`` probes the package for a submodule name
+        # before loading it; searching for it here would import the others
+        private = name.startswith("_") or name in (*_MODULES, "cli")
+        home = None if private else next(
+            (m for m in map(_module, _MODULES) if name in m.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

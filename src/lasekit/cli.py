@@ -333,7 +333,11 @@ def _physical(cfg: RunConfig, pump: float | None):
     spec = _MODELS[cfg.model]
     rates: dict[str, object] = dict(cfg.params)
     if pump is not None:
-        rates[spec.pump_rate] = pump * cfg.params[spec.reference_rate]
+        ref = cfg.params[spec.reference_rate]
+        rates[spec.pump_rate] = rate = pump * ref
+        if rate == math.inf:
+            raise ConfigError(f"--pump {pump!r} times params.{spec.reference_rate}={ref!r} "
+                              f"overflows {spec.pump_rate}")
     elif spec.pump_rate not in rates:
         raise ConfigError(
             f"params.{spec.pump_rate}: required (or pass --pump) for this command"
@@ -361,7 +365,14 @@ def _resolve_pump(cfg: RunConfig, arg_pump: float | None) -> float:
     spec = _MODELS[cfg.model]
     p = cfg.params
     if cfg.parameterization == "physical" and spec.pump_rate in p and p[spec.reference_rate] > 0:
-        return p[spec.pump_rate] / p[spec.reference_rate]
+        pump = p[spec.pump_rate] / p[spec.reference_rate]
+        if pump == math.inf:
+            raise ConfigError(
+                f"params: {spec.pump_rate}={p[spec.pump_rate]!r} over "
+                f"{spec.reference_rate}={p[spec.reference_rate]!r} overflows the "
+                "relative pump; pass --pump"
+            )
+        return pump
     raise ConfigError("--pump: required (the config does not fix a pump rate)")
 
 

@@ -447,16 +447,22 @@ def gamma_parallel_and_inversion(p: PhysicalThreeLevel) -> tuple[float, float]:
     return _gamma_parallel_inversion_rates(p.gamma_21, p.gamma_02, p.gamma_10)
 
 
-def _check_saturation(s: float, p, rate: str) -> None:
-    """Reject a reduced saturation that is not finite (a tiny coupling_g
-    against the rates), naming the config values it is built from rather
-    than the derived parameter."""
-    if not math.isfinite(s):
-        raise ValueError(
-            f"coupling_g={p.coupling_g!r} with cavity_kappa={p.cavity_kappa!r}, "
-            f"{rate}={getattr(p, rate)!r} and n_atoms={p.n_atoms!r} gives a "
-            f"saturation cavity_kappa*{rate}/(2*n_atoms*coupling_g**2) of {s!r}"
-        )
+def _reduced(p, name: str, value: float, formula: str, *rates: str) -> float:
+    """A reduced parameter ``name`` = ``formula`` of the fields ``rates`` of
+    ``p``.  Where it is not finite (a tiny coupling_g or a rate ratio that
+    overflows) the ValueError names the config values it is built from,
+    not the derived parameter."""
+    if not math.isfinite(value):
+        first, *rest, last = (f"{rate}={getattr(p, rate)!r}" for rate in rates)
+        others = ", ".join(rest) + " and " if rest else ""
+        raise ValueError(f"{first} with {others}{last} gives a {name} {formula} of {value!r}")
+    return value
+
+
+def _reduced_saturation(p, rate: str) -> float:
+    s = p.cavity_kappa * getattr(p, rate) / (2.0 * p.n_atoms * p.coupling_g**2)
+    return _reduced(p, "saturation", s, f"cavity_kappa*{rate}/(2*n_atoms*coupling_g**2)",
+                    "coupling_g", "cavity_kappa", rate, "n_atoms")
 
 
 def reduce_two(p: PhysicalTwoLevel) -> tuple[DimensionlessTwoLevel, float]:
@@ -466,11 +472,14 @@ def reduce_two(p: PhysicalTwoLevel) -> tuple[DimensionlessTwoLevel, float]:
     one gauge degree of freedom; :func:`expand_two` fixes it back canonically.
     """
     g = p.gamma_decay
-    lam = p.n_atoms * g / (4.0 * p.cavity_kappa)
-    s = p.cavity_kappa * g / (2.0 * p.n_atoms * p.coupling_g**2)
-    _check_saturation(s, p, "gamma_decay")
+    s = _reduced_saturation(p, "gamma_decay")
     d = DimensionlessTwoLevel(
-        photon_scale=lam, saturation=s, dephasing=p.gamma_ph / g
+        photon_scale=_reduced(p, "photon_scale", p.n_atoms * g / (4.0 * p.cavity_kappa),
+                              "n_atoms*gamma_decay/(4*cavity_kappa)",
+                              "n_atoms", "gamma_decay", "cavity_kappa"),
+        saturation=s,
+        dephasing=_reduced(p, "dephasing", p.gamma_ph / g, "gamma_ph/gamma_decay",
+                           "gamma_ph", "gamma_decay"),
     )
     return d, p.pump_Gamma / g
 
@@ -525,14 +534,16 @@ def reduce_three(
     ref = getattr(p, ref_name)
     if ref <= 0.0:
         raise ValueError(f"scheme {p.scheme.value} reduction requires {ref_name} > 0")
-    n, g, kappa = p.n_atoms, p.coupling_g, p.cavity_kappa
-    s = kappa * ref / (2.0 * n * g**2)
-    _check_saturation(s, p, ref_name)
+    s = _reduced_saturation(p, ref_name)
     d = cls(
-        photon_scale=n * ref / (2.0 * kappa),
+        photon_scale=_reduced(p, "photon_scale", p.n_atoms * ref / (2.0 * p.cavity_kappa),
+                              f"n_atoms*{ref_name}/(2*cavity_kappa)",
+                              "n_atoms", ref_name, "cavity_kappa"),
         saturation=s,
-        decay_ratio=p.gamma_10 / ref,
-        dephasing=p.gamma_ph / ref,
+        decay_ratio=_reduced(p, "decay_ratio", p.gamma_10 / ref, f"gamma_10/{ref_name}",
+                             "gamma_10", ref_name),
+        dephasing=_reduced(p, "dephasing", p.gamma_ph / ref, f"gamma_ph/{ref_name}",
+                           "gamma_ph", ref_name),
     )
     return d, getattr(p, pump_name) / ref
 

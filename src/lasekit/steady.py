@@ -34,6 +34,8 @@ from .params import (
     _no_field,
     _populations_from_ground,
     _rate_overflow,
+    _reduced,
+    _reduced_saturation,
     gamma_perp_three,
     reduce_three,
 )
@@ -118,9 +120,8 @@ class ExtremumReport:
     coincide (discrepancy 0); for scheme B the estimate drops the (P + 2)
     denominator and can be off by a large factor.  ``photon_max_estimate``
     (two-level only) is the coarse peak value photon_scale/(4*saturation).
-    Where they overflow, pump_estimate, discrepancy and photon_max_estimate
-    are inf and photon_at_exact is inf, or -inf where the bracket's own
-    terms overflow at pump_exact.
+    Where they overflow, pump_estimate, discrepancy, photon_max_estimate
+    and photon_at_exact are inf.
     """
 
     pump_estimate: float
@@ -298,7 +299,11 @@ def optimum_two(d: DimensionlessTwoLevel) -> ExtremumReport | None:
     if win is None or not math.isfinite(win.upper) or d.saturation == 0.0:
         return None
     pump = _vertex_two(d)
-    n_exact = d.photon_scale * raw_bracket_two(d, pump)
+    raw = raw_bracket_two(d, pump)
+    if not math.isfinite(raw):  # (P + 1 + dephasing) overflowed; P* > 0
+        s, delta = d.saturation, d.dephasing
+        raw = pump * ((1.0 - 1.0 / pump) - s * (pump + 1.0) * (1.0 + (1.0 + delta) / pump))
+    n_exact = d.photon_scale * raw
     n_est = d.photon_scale / (4.0 * d.saturation)
     return ExtremumReport(
         pump_estimate=pump,
@@ -384,8 +389,10 @@ def n_min_atoms(p: PhysicalThreeLevel) -> float | None:
     N_min = (kappa*gamma_02 / (2*g**2)) * (1+eps+delta)*(1+eps) / (1-eps)
     with eps = gamma_10/gamma_02 and delta = gamma_ph/gamma_02; it does
     not depend on the pump rate gamma_21.  None when eps >= 1 (no atom
-    number helps without initial inversion); inf where the terms overflow;
-    ValueError naming the record where they are 0 * inf.
+    number helps without initial inversion); inf where N_min itself
+    overflows, or where kappa/(2*g**2) or the rate sum gamma_02 + gamma_10
+    + gamma_ph alone does; ValueError naming the record where the terms
+    are 0 * inf.
     """
     if p.gamma_02 <= 0.0:
         raise ValueError("n_min_atoms requires gamma_02 > 0")
@@ -399,6 +406,13 @@ def n_min_atoms(p: PhysicalThreeLevel) -> float | None:
         * (1.0 + eps)
         / (1.0 - eps)
     )
+    if n_min == math.inf:  # delta or kappa*gamma_02 alone may overflow
+        n_min = (
+            (p.cavity_kappa / (2.0 * p.coupling_g**2))
+            * (p.gamma_02 + p.gamma_10 + p.gamma_ph)
+            * (1.0 + eps)
+            / (1.0 - eps)
+        )
     if n_min != n_min:
         raise ValueError(f"N_min is 0 * inf for {p!r}: cavity_kappa*gamma_02/(2*coupling_g**2) "
                          f"underflows where 1 + gamma_10/gamma_02 + gamma_ph/gamma_02 overflows")
@@ -417,8 +431,9 @@ def depletion_ratio_window(p: PhysicalThreeLevel) -> WindowReport:
     """
     if p.gamma_10 <= 0.0:
         raise ValueError("depletion_ratio_window requires gamma_10 > 0")
-    sigma = p.cavity_kappa * p.gamma_10 / (2.0 * p.n_atoms * p.coupling_g**2)
-    phi = p.gamma_ph / p.gamma_10
+    sigma = _reduced_saturation(p, "gamma_10")
+    phi = _reduced(p, "dephasing", p.gamma_ph / p.gamma_10, "gamma_ph/gamma_10",
+                   "gamma_ph", "gamma_10")
     proxy = DimensionlessTwoLevel(photon_scale=1.0, saturation=sigma, dephasing=phi)
     return window_two(proxy)
 
@@ -518,10 +533,15 @@ def optimum_scheme_b(d: DimensionlessSchemeB) -> ExtremumReport | None:
         pump = x / (2.0 + math.sqrt(4.0 + x))
     else:  # P* = sqrt(x) to within 2/sqrt(x), without forming x
         pump = math.sqrt(2.0 * b - c) / math.sqrt(-a)
+    raw = raw_bracket_scheme_b(d, pump)
+    if not math.isfinite(raw):  # pump*eps overflowed; P* > 0, so divide it out
+        e = eps / pump
+        raw = ((1.0 - e) - s * pump * (1.0 + e + delta / pump) * (1.0 + e + eps)) / (
+            1.0 + 2.0 / pump)
     return ExtremumReport(
         pump_estimate=pump_est,
         pump_exact=pump,
-        photon_at_exact=d.photon_scale * raw_bracket_scheme_b(d, pump),
+        photon_at_exact=d.photon_scale * raw,
         discrepancy=abs(pump_est - pump) / pump,
     )
 

@@ -231,6 +231,42 @@ def test_steady_zero_reference_rate_needs_explicit_pump(tmp_path, capsys):
     assert "error: params: gamma_decay must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({**CFG_2L_PHYS, "params": {**CFG_2L_PHYS["params"],
+                                "gamma_decay": 1e-10, "pump_Gamma": 1e300}},
+     "pump_Gamma=1e+300 over gamma_decay=1e-10"),
+    ({**CFG_3B_PHYS, "params": {**CFG_3B_PHYS["params"],
+                                "gamma_21": 1e-10, "gamma_02": 1e300}},
+     "gamma_02=1e+300 over gamma_21=1e-10"),
+], ids=["two-level", "three-b"])
+def test_steady_overflowing_configured_pump_names_both_rates(tmp_path, capsys, cfg, message):
+    # the configured rates fix no finite relative pump: the error names
+    # them, not a pump=inf the config never gave
+    path = write_cfg(tmp_path, cfg)
+    assert main(["steady", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: params: {message} overflows the relative pump; "
+                            "pass --pump\n")
+    assert main(["steady", "--config", path, "--pump", "2"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady", "--pump", "1e300"],
+    ["dynamics", "--pump", "1e300", "--t-max", "1"],
+], ids=["steady", "dynamics"])
+def test_overflowing_pump_argument_names_the_reference_rate(tmp_path, capsys, argv):
+    # --pump times gamma_21 overflows gamma_02: not "gamma_02 must be
+    # finite, got inf" about a rate the config gave as 2
+    cfg = {**CFG_3B_PHYS, "params": {**CFG_3B_PHYS["params"], "gamma_21": 1e10}}
+    path = write_cfg(tmp_path, cfg)
+    assert main([argv[0], "--config", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --pump 1e+300 times params.gamma_21=10000000000.0 "
+                            "overflows gamma_02\n")
+
+
 
 @pytest.mark.parametrize("cfg", [
     {"model": "two-level", "parameterization": "physical",

@@ -4,14 +4,20 @@ Every call either returns a result without NaN or raises a ValueError, and
 it raises no warning.  A result may be infinite only where the docstrings
 say so; ``ALLOWED_INF`` lists those places.  Draws cover 0, -0.0,
 subnormals and magnitudes up to 1.7e308 in every field and the pump.
+The same draws, written as config files, go through ``lasekit steady``
+and ``lasekit region``.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
+import re
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lasekit import (
@@ -41,6 +47,7 @@ from lasekit import (
     window_scheme_b,
     window_two,
 )
+from lasekit.cli import _MODELS, main
 
 # (dataclass or function, field or tuple index) -> the infinities allowed there
 ALLOWED_INF = {
@@ -49,7 +56,7 @@ ALLOWED_INF = {
     ("SteadyResult", "raw_bracket"): {-math.inf},
     ("LasingWindow", "upper"): {math.inf},
     ("ExtremumReport", "pump_estimate"): {math.inf},
-    ("ExtremumReport", "photon_at_exact"): {math.inf, -math.inf},
+    ("ExtremumReport", "photon_at_exact"): {math.inf},
     ("ExtremumReport", "discrepancy"): {math.inf},
     ("ExtremumReport", "photon_max_estimate"): {math.inf},
     ("saturation_limit_scheme_a", None): {-math.inf},
@@ -141,5 +148,44 @@ def test_physical_calls_give_no_nan(model):
             return
         for fn in calls:
             scan(fn, p)
+
+    check()
+
+
+@pytest.mark.parametrize("command", ["steady", "region"])
+def test_cli_reports_drawn_configs_cleanly(tmp_path, command):
+    # exit 0 with a report free of NaN, or exit 2 with one error line that
+    # quotes no inf or nan as a value: a config of finite numbers gives
+    # none, so such an error would blame a value the config never gave
+    path = tmp_path / "cfg.json"
+
+    @SCAN
+    @given(st.sampled_from(sorted(_MODELS)), st.sampled_from(["physical", "dimensionless"]),
+           st.lists(values, min_size=7, max_size=7), st.none() | values)
+    # the configured pump rate over its reference rate overflows
+    @example("two-level", "physical", [4000.0, 0.1, 1.0, 1e-10, 1e300, 0.0, 0.0], None)
+    @example("three-b", "physical", [100.0, 1.0, 1.0, 1e-10, 1e300, 0.1, 0.0], None)
+    def check(model, parameterization, numbers, pump):
+        spec = _MODELS[model]
+        cls = spec.physical if parameterization == "physical" else spec.dimensionless
+        names = [f.name for f in dataclasses.fields(cls) if f.name != "scheme"]
+        path.write_text(json.dumps({"model": model, "parameterization": parameterization,
+                                    "params": dict(zip(names, numbers))}), encoding="utf-8")
+        argv = [command, "--config", str(path)]
+        if pump is not None and command == "steady":
+            argv += ["--pump", repr(pump)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert out and not err
+            assert not re.search(r"\bnan\b", out, re.IGNORECASE), (argv, out)
+        else:
+            assert code == 2 and not out, (argv, code, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not re.search(r"(got |=)-?(inf|nan)\b", err), (argv, err)
 
     check()

@@ -197,6 +197,26 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(lasekit, "maximize")
 
 
+@pytest.mark.parametrize("code, modules", [
+    ("import lasekit", []),
+    ("import lasekit; lasekit.n_two_level", ["params", "steady"]),
+    ("import lasekit; lasekit.IntegratorConfig", ["params"]),
+    ("import lasekit.cli", ["cli", "params", "steady"]),
+    ("import lasekit; lasekit.sweep", ["numerics", "params", "steady"]),
+    ("import lasekit; lasekit.settle", ["dynamics", "numerics", "params", "steady"]),
+    ("import lasekit; dir(lasekit)", ["dynamics", "numerics", "params", "steady"]),
+], ids=["bare", "closed-form", "params-first", "cli", "sweep", "settle", "dir"])
+def test_first_access_loads_modules_up_to_the_home(code, modules):
+    # a name is searched for in params, steady, numerics, dynamics order;
+    # nothing past its home is imported, and numpy never is
+    probe = (code + "\nimport sys\nprint(','.join(sorted("
+             "m for m in sys.modules if m == 'numpy' or m.startswith('lasekit.'))))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ",".join(f"lasekit.{m}" for m in modules)
+
+
 def test_stiffness_error_from_recorded_run_exits_4(tmp_path, capsys, monkeypatch):
     def stiff(*args, **kwargs):
         raise lasekit.StiffnessError(1.0, [0.5, 0.25, 0.0, 1e-3])

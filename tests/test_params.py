@@ -171,6 +171,23 @@ def test_reduce_rejects_unrepresentable_saturation(p, rate):
     assert "saturation" in msg
 
 
+
+@pytest.mark.parametrize("p, message", [
+    (two_level(Gamma=1.0, gamma=5e-324, gph=1e154),
+     "gamma_ph=1e+154 with gamma_decay=5e-324 gives a dephasing gamma_ph/gamma_decay of inf"),
+    (three_level(1.0, 1e-10, 1.7e308, scheme=PumpScheme.A),
+     "gamma_10=1.7e+308 with gamma_02=1e-10 gives a decay_ratio gamma_10/gamma_02 of inf"),
+    (three_level(1e10, 2.0, 0.1, N=1e300, scheme=PumpScheme.B),
+     "n_atoms=1e+300 with gamma_21=10000000000.0 and cavity_kappa=1.0 gives a photon_scale "
+     "n_atoms*gamma_21/(2*cavity_kappa) of inf"),
+], ids=["two-level-dephasing", "scheme-a-decay-ratio", "scheme-b-photon-scale"])
+def test_reduce_names_the_rates_of_an_overflowing_ratio(p, message):
+    # the error names the config values, not the derived parameter
+    reduce = reduce_two if isinstance(p, PhysicalTwoLevel) else reduce_three
+    with pytest.raises(ValueError) as err:
+        reduce(p)
+    assert str(err.value) == message
+
 def test_reduce_expand_two_round_trip():
     rng = np.random.default_rng(13)
     for _ in range(100):

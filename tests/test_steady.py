@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -741,6 +742,40 @@ def test_n_min_atoms_raises_on_an_underflowing_prefactor_against_an_infinite_rat
         n_min_atoms(p)
     assert repr(p) in str(exc.value)
 
+
+
+def test_n_min_atoms_is_finite_where_only_the_dephasing_ratio_overflows():
+    # gamma_ph/gamma_02 overflows, but N_min = kappa*(gamma_02 + gamma_10
+    # + gamma_ph)/(2*g**2) * (1 + eps)/(1 - eps) is about 8.5e7
+    p = PhysicalThreeLevel(1, 1, 1e-300, 1, 1e-10, 0, 1.7e308, PumpScheme.A)
+    kappa, g, g02, g10, gph = map(Fraction, (1e-300, 1, 1e-10, 0, 1.7e308))
+    exact = kappa * (g02 + g10 + gph) / (2 * g * g) * (g02 + g10) / (g02 - g10)
+    assert abs(Fraction(n_min_atoms(p)) - exact) <= Fraction(1, 10**12) * exact
+
+
+@pytest.mark.parametrize("d, optimum", [
+    # pump*eps overflows in the scheme-B bracket at pump_exact = 1.0e155
+    (DimensionlessSchemeB(photon_scale=1.5959435601950936e+221, saturation=1e-310,
+                          decay_ratio=5.3415689167391646e+153,
+                          dephasing=7.249715693536991e-95), optimum_scheme_b),
+    # pump + 1 + dephasing overflows in the two-level bracket
+    (DimensionlessTwoLevel(photon_scale=1e-300, saturation=4.436559802296104e-309,
+                           dephasing=1.7e308), optimum_two),
+], ids=["scheme-B", "two-level"])
+def test_peak_is_positive_where_the_bracket_terms_overflow(d, optimum):
+    opt = optimum(d)
+    win = (window_two if optimum is optimum_two else window_scheme_b)(d).exact
+    assert win.lower < opt.pump_exact < win.upper
+    s, pump = Fraction(d.saturation), Fraction(opt.pump_exact)
+    if optimum is optimum_two:
+        raw = (pump - 1) - s * (pump + 1) * (pump + 1 + Fraction(d.dephasing))
+    else:
+        eps = Fraction(d.decay_ratio)
+        raw = ((pump - eps) - s * (pump + eps + Fraction(d.dephasing))
+               * (pump + eps + pump * eps)) / (pump + 2)
+    exact = Fraction(d.photon_scale) * raw
+    assert exact > 0
+    assert abs(Fraction(opt.photon_at_exact) - exact) <= Fraction(1, 10**12) * exact
 
 @pytest.mark.parametrize("p", [
     # the loss rounds to 0 against an infinite coupling factor: the bracket
