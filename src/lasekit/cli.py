@@ -1,9 +1,9 @@
 """Command-line frontend.
 
 Subcommands: ``steady`` (one steady-state evaluation), ``region``
-(threshold / lasing-window / optimum report), ``sweep`` (pump sweep to
-CSV), ``dynamics`` (time-domain run to CSV) and ``figure`` (the bundled
-sweep presets).  Model parameters come from a JSON config document:
+(threshold / lasing-window / optimum report), ``sweep`` (pump sweep),
+``dynamics`` (time-domain run) and ``figure`` (the bundled sweep
+presets).  Model parameters come from a JSON config document:
 
     {
       "model": "two-level" | "three-a" | "three-b",
@@ -19,12 +19,15 @@ overrides the number of significant digits.  Exit codes: 0 success
 (including no-lasing outcomes), 2 config error, 3 output I/O error,
 4 integrator failure.
 
-``numerics`` and ``dynamics`` are imported by the commands that use them,
-and numpy (the ``arrays`` extra) only by the emitters and parsers of
-array-backed series.  Every command, exit 4 included, runs without numpy:
-``dynamics`` writes its rows straight from the packed step buffer of the
-recorded run, ``sweep`` and ``figure`` from the float rows of
-``numerics``, whose pump grid is the same on every CPU.
+A series document (``sweep``, ``dynamics``, ``figure``) is assembled
+once, as a mapping of column names to chunks of their values, and
+written by ``_write_csv`` or ``_emit_json``, which take the same
+arguments.  ``numerics`` and ``dynamics`` are imported by the commands
+that use them, and numpy (the ``arrays`` extra) only by the emitters and
+parsers of array-backed series.  Every command, exit 4 included, runs
+without numpy: ``dynamics`` writes its rows straight from the packed step
+buffer of the recorded run, ``sweep`` and ``figure`` from the float rows
+of ``numerics``, whose pump grid is the same on every CPU.
 """
 
 from __future__ import annotations
@@ -388,9 +391,9 @@ _CHUNK_ROWS = 1024
 _SWEEP_HEADER = ("pump", "photon_number", "regime")
 
 
-def _chunks(column) -> Iterator[list[float]]:
-    """A float column, a list of floats, a numpy array or a 1-D memoryview
-    of doubles, as lists of Python floats, a chunk of rows at a time."""
+def _chunks(column) -> Iterator[list]:
+    """A column, a list, a numpy array or a 1-D memoryview of doubles, as
+    lists of Python values, a chunk of rows at a time."""
     for i in range(0, len(column), _CHUNK_ROWS):
         chunk = column[i:i + _CHUNK_ROWS]
         yield chunk if isinstance(chunk, list) else chunk.tolist()
@@ -399,38 +402,33 @@ def _chunks(column) -> Iterator[list[float]]:
 def _write_csv(
     fh: TextIO,
     metadata: Mapping[str, object],
-    header: Sequence[str],
-    floats: Sequence[Iterable[list[float]]],
-    *text: Sequence[str],
-    footer: Mapping[str, object] | None = None,
+    columns: Mapping[str, Iterable[list]],
+    settle: Mapping[str, object] | None = None,
 ) -> None:
     """Write one CSV document, the format of every series lasekit emits::
 
         # key=value                     one line per metadata item
-        name,name,...                   the header
+        name,name,...                   the header: the column names
         cell,cell,...                   one line per row
-        # settle: key=value key=value   the footer, if any
+        # settle: key=value key=value   the ``settle`` footer, if any
 
-    Floats are ``_float_format`` text, booleans ``true``/``false``.  The
-    rows hold the ``floats`` columns, then the ``text`` columns as they
-    are.  Each float column comes as chunks of the same rows (see
-    :func:`_chunks`), so a long series never exists as Python floats all
-    at once; each chunk of rows is written with one call.
+    Each column comes as chunks of the same rows (see :func:`_chunks`), so
+    a long series never exists as Python values all at once; each chunk of
+    rows is written with one call.  A chunk of str (the sweep's regimes) is
+    written as it is, any other as ``_float_format`` text; booleans are
+    ``true``/``false``.  :func:`_emit_json` takes the same arguments, and
     :func:`_read_csv` reads the document back."""
     fmt = _float_format()
     write = fh.write
     for key, value in metadata.items():
         write(f"# {key}={_meta_text(value, fmt)}\n")
-    write(",".join(header) + "\n")
-    i = 0
-    for chunk in zip(*floats):
-        j = i + len(chunk[0])
-        if j > i:
-            cells = [map(fmt, c) for c in chunk]
-            write("\n".join(map(",".join, zip(*cells, *(t[i:j] for t in text)))) + "\n")
-        i = j
-    if footer is not None:
-        write("# settle: " + " ".join(f"{k}={_meta_text(v, fmt)}" for k, v in footer.items()) + "\n")
+    write(",".join(columns) + "\n")
+    for chunk in zip(*columns.values()):
+        if chunk[0]:
+            cells = [c if isinstance(c[0], str) else map(fmt, c) for c in chunk]
+            write("\n".join(map(",".join, zip(*cells))) + "\n")
+    if settle is not None:
+        write("# settle: " + " ".join(f"{k}={_meta_text(v, fmt)}" for k, v in settle.items()) + "\n")
 
 
 def _read_csv(fh: TextIO) -> tuple[dict, dict, str, Iterator[list[str]]]:
@@ -462,27 +460,18 @@ def _read_csv(fh: TextIO) -> tuple[dict, dict, str, Iterator[list[str]]]:
     return metadata, footer, header, (line.split(",") for line in body)
 
 
-def _write_sweep(
-    fh: TextIO,
-    fmt: str,
-    metadata: Mapping[str, object],
-    pumps,
-    photons,
-    regimes: Iterable[Regime],
-) -> None:
-    """A sweep as CSV or JSON; the float columns as :func:`_chunks` takes them."""
+def _sweep_columns(pumps, photons, regimes: Iterable[Regime]) -> dict[str, Iterator[list]]:
+    """The columns of a sweep document, named by ``_SWEEP_HEADER``; the
+    pumps and photon numbers as :func:`_chunks` takes them."""
     regimes = [r._value_ for r in regimes]  # the plain attribute: .value is a property
-    if fmt == "json":
-        _emit_json(fh, metadata, {"pump": _chunks(pumps), "photon_number": _chunks(photons),
-                                  "regime": [regimes]})
-    else:
-        _write_csv(fh, metadata, _SWEEP_HEADER, [_chunks(pumps), _chunks(photons)], regimes)
+    return dict(zip(_SWEEP_HEADER, map(_chunks, (pumps, photons, regimes))))
 
 
 def emit_sweep_csv(series: SweepSeries, fh: TextIO) -> None:
     np = _numpy("emit_sweep_csv")
-    _write_sweep(fh, "csv", series.metadata, np.asarray(series.pump_values, dtype=float),
-                 np.asarray(series.photon_numbers, dtype=float), series.regimes)
+    _write_csv(fh, series.metadata, _sweep_columns(
+        np.asarray(series.pump_values, dtype=float),
+        np.asarray(series.photon_numbers, dtype=float), series.regimes))
 
 
 def parse_sweep_csv(fh: TextIO) -> SweepSeries:
@@ -505,16 +494,21 @@ def parse_sweep_csv(fh: TextIO) -> SweepSeries:
     )
 
 
-def _settle_footer(
-    converged: bool, t: float, photon_number: float, derivative_norm: float
-) -> dict[str, object]:
-    """How the run ended: the ``# settle:`` CSV footer, the JSON ``settle`` object."""
-    return {
-        "converged": converged,
-        "t": float(t),
-        "photon_number": float(photon_number),
-        "derivative_norm": float(derivative_norm),
-    }
+def _timeseries_columns(
+    labels: Sequence[str], columns: Sequence, steady: bool, fnorm: float, photons=None
+) -> tuple[dict[str, Iterator[list]], dict[str, object]]:
+    """The columns t, the state components named by ``labels`` and n of a
+    time series, and its ``settle`` footer: how the run ended.  ``columns``
+    holds t and the components as :func:`_chunks` takes them; n is
+    ``photons``, or else x * x of the last, numpy's x ** 2 bit for bit."""
+    named = dict(zip(("t", *labels), map(_chunks, columns)))
+    if photons is None:
+        x = columns[-1]
+        named["n"], last = ([v * v for v in chunk] for chunk in _chunks(x)), x[-1] * x[-1]
+    else:
+        named["n"], last = _chunks(photons), photons[-1]
+    return named, {"converged": steady, "t": float(columns[0][-1]),
+                   "photon_number": float(last), "derivative_norm": float(fnorm)}
 
 
 def emit_timeseries_csv(
@@ -522,11 +516,10 @@ def emit_timeseries_csv(
 ) -> None:
     np = _numpy("emit_timeseries_csv")
     states = np.asarray(series.states, dtype=float)
-    floats = (series.times, *states.T, series.photon_numbers)
-    footer = _settle_footer(series.steady, series.times[-1], series.photon_numbers[-1],
-                            series.derivative_norm)
-    _write_csv(fh, metadata or {}, ("t", *series.state_labels, "n"),
-               [_chunks(np.asarray(c, dtype=float)) for c in floats], footer=footer)
+    _write_csv(fh, metadata or {}, *_timeseries_columns(
+        series.state_labels, [np.asarray(series.times, dtype=float), *states.T],
+        series.steady, series.derivative_norm,
+        np.asarray(series.photon_numbers, dtype=float)))
 
 
 def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
@@ -558,13 +551,13 @@ def _emit_json(
     fh: TextIO,
     metadata: Mapping[str, object],
     columns: Mapping[str, Iterable[list]],
-    **extra: object,
+    settle: Mapping[str, object] | None = None,
 ) -> None:
-    """One JSON document, byte for byte as ``json.dump(doc, fh, indent=2)``
-    writes it: the metadata, one array per column, then ``extra``.  Each
-    column comes as chunks of its values (see :func:`_chunks`) and is
-    written a chunk at a time, so a long run never exists as Python values
-    all at once."""
+    """The JSON form of a :func:`_write_csv` document, from the same
+    arguments and byte for byte as ``json.dump(doc, fh, indent=2)`` writes
+    it: the ``metadata`` object, one array per column, then the ``settle``
+    object, if any.  Each column is written a chunk at a time, so a long
+    run never exists as Python values all at once."""
     # the items of an array one level down, as indent=2 separates them
     items = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
@@ -581,15 +574,20 @@ def _emit_json(
                 write(("\n    " if empty else ",\n    ") + items(chunk)[1:-1])
                 empty = False
         write("]" if empty else "\n  ]")
-    for key, value in _jsonable(extra).items():
-        write(",\n  " + member(key, value))
+    if settle is not None:
+        write(",\n  " + member("settle", _jsonable(dict(settle))))
     write("\n}\n")
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+_SERIES_WRITERS = {"csv": _write_csv, "json": _emit_json}
+
+
+def _write_series(args: argparse.Namespace, *document) -> None:
+    """A series document (:func:`_write_csv`'s arguments) in --format to --out or stdout."""
+    out = contextlib.nullcontext(sys.stdout) if args.out is None else open(
+        args.out, "w", encoding="utf-8", newline="")
+    with out as fh:
+        _SERIES_WRITERS[args.format](fh, *document)
 
 
 # --------------------------------------------------------------------------
@@ -610,16 +608,19 @@ def _extremum_dict(e: st.ExtremumReport | None) -> dict | None:
     return out
 
 
-def _steady_report(cfg: RunConfig, pump: float) -> dict:
+def _steady_report(cfg: RunConfig, arg_pump: float | None) -> dict:
+    """The ``steady`` report at ``--pump``, or else at the configured rates
+    themselves, not at a rate rebuilt from their ratio, which is ``pump``."""
     spec = _MODELS[cfg.model]
     physical = cfg.parameterization == "physical"
+    pump = _resolve_pump(cfg, arg_pump)
     report: dict[str, object] = {
         "model": cfg.model,
         "parameterization": cfg.parameterization,
         "pump": pump,
     }
     if physical and spec.three_level:
-        p = _physical(cfg, pump)
+        p = _physical(cfg, arg_pump)
         try:
             res = st.n_three_physical(p)
         except ValueError as e:
@@ -630,7 +631,7 @@ def _steady_report(cfg: RunConfig, pump: float) -> dict:
         res = spec.evaluate(d, pump)
         if physical:
             # report the coherence decay in physical units
-            res = replace(res, gamma_perp=gamma_perp_two(_physical(cfg, pump)))
+            res = replace(res, gamma_perp=gamma_perp_two(_physical(cfg, arg_pump)))
         elif spec.three_level:
             # rates in units of the reference rate
             gpar, inv = _gamma_parallel_inversion_rates(
@@ -684,9 +685,7 @@ def _region_report(cfg: RunConfig) -> dict:
 # --------------------------------------------------------------------------
 
 def _cmd_steady(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    pump = _resolve_pump(cfg, args.pump)
-    _print_report(_steady_report(cfg, pump), args.format, sys.stdout)
+    _print_report(_steady_report(load_config(args.config), args.pump), args.format, sys.stdout)
     return 0
 
 
@@ -721,8 +720,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(str(e)) from e
     meta = _metadata(cfg, pump_min=args.pump_min, pump_max=args.pump_max,
                      points=args.points, scale=args.scale)
-    with _open_out(args.out) as fh:
-        _write_sweep(fh, args.format, meta, *rows)
+    _write_series(args, meta, _sweep_columns(*rows))
     return 0
 
 
@@ -763,17 +761,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     if args.pump is not None:
         meta["pump"] = args.pump
     meta["seed_field"] = args.seed_field
-
-    # n = x * x, which is numpy's x ** 2 of integrate bit for bit
-    x = columns[-1]
-    footer = _settle_footer(steady, columns[0][-1], x[-1] * x[-1], fnorm)
-    floats = [_chunks(c) for c in columns]
-    floats.append([v * v for v in chunk] for chunk in _chunks(x))
-    with _open_out(args.out) as fh:
-        if args.format == "json":
-            _emit_json(fh, meta, dict(zip(("t", *labels, "n"), floats)), settle=footer)
-        else:
-            _write_csv(fh, meta, ("t", *labels, "n"), floats, footer=footer)
+    _write_series(args, meta, *_timeseries_columns(labels, columns, steady, fnorm))
     return 0
 
 
@@ -839,7 +827,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         rows = _sweep_rows(evaluate, pumps, _FIGURE_POINTS, "log")
         path = os.path.join(outdir, f"{args.preset}_curve{index + 1}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            _write_sweep(fh, "csv", meta, *rows)
+            _write_csv(fh, meta, _sweep_columns(*rows))
         print(path)
     return 0
 

@@ -67,6 +67,7 @@ from .params import (
     _POP_SLACK,
     _numpy,
     _populations_from_ground,
+    _state_error,
     equilibrium_populations_two,
     gamma_perp_three,
     gamma_perp_two,
@@ -355,15 +356,9 @@ def _polish(par, rhs, u, f, steady_tol):
 
 def _physical(rho11, rho22, yq, xq):
     """True for a state inside the physical state space, on floats: the
-    rule of :class:`BlochState2` and :class:`BlochState3`.  Every
-    component is finite, rho11 and rho22 are at least -_POP_SLACK, and
-    rho11 + rho22 is at most 1 + _POP_SLACK; with rho22 = 0 this is the
-    two-level rule.  A NaN fails every comparison."""
-    return (
-        rho11 >= -_POP_SLACK and rho22 >= -_POP_SLACK
-        and rho11 + rho22 <= 1.0 + _POP_SLACK
-        and -math.inf < yq < math.inf and -math.inf < xq < math.inf
-    )
+    rule of :class:`BlochState2` and :class:`BlochState3`, whose slack is
+    ``_POP_SLACK`` (see ``params._state_error``)."""
+    return _state_error(rho11, rho22, yq, xq) is None
 
 
 def _norm(s0, s1, s2, s3):

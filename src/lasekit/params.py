@@ -50,6 +50,22 @@ __all__ = [
 _POP_SLACK = 1e-6
 
 
+def _state_error(rho11: float, rho22: float, y: float, x: float) -> str | None:
+    """Why (rho11, rho22, y, x) is not a physical state, or None: the rule
+    of :class:`BlochState2` (with rho22 = 0) and :class:`BlochState3`.
+    Every component is finite, rho11 and rho22 are at least -_POP_SLACK,
+    and rho11 + rho22 is at most 1 + _POP_SLACK."""
+    if not (math.isfinite(rho11) and math.isfinite(rho22) and math.isfinite(y)
+            and math.isfinite(x)):
+        return "state components must be finite"
+    if rho11 >= -_POP_SLACK and rho22 >= -_POP_SLACK and rho11 + rho22 <= 1.0 + _POP_SLACK:
+        return None
+    if rho22 == 0.0:
+        return f"rho11 must lie in [0, 1], got {rho11!r}"
+    return (f"populations must be >= 0 with rho11 + rho22 <= 1, "
+            f"got rho11={rho11!r}, rho22={rho22!r}")
+
+
 def _check_rate(name: str, value: float, positive: bool = False) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -272,10 +288,9 @@ class BlochState2:
     x: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.rho11, self.y, self.x)):
-            raise ValueError("state components must be finite")
-        if not -_POP_SLACK <= self.rho11 <= 1.0 + _POP_SLACK:
-            raise ValueError(f"rho11 must lie in [0, 1], got {self.rho11!r}")
+        error = _state_error(self.rho11, 0.0, self.y, self.x)
+        if error:
+            raise ValueError(error)
 
     @property
     def rho00(self) -> float:
@@ -296,13 +311,9 @@ class BlochState3:
     x: float
 
     def __post_init__(self) -> None:
-        vals = (self.rho11, self.rho22, self.y, self.x)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("state components must be finite")
-        if self.rho11 < -_POP_SLACK or self.rho22 < -_POP_SLACK:
-            raise ValueError("populations must be >= 0")
-        if self.rho11 + self.rho22 > 1.0 + _POP_SLACK:
-            raise ValueError("rho11 + rho22 must be <= 1")
+        error = _state_error(self.rho11, self.rho22, self.y, self.x)
+        if error:
+            raise ValueError(error)
 
     @property
     def rho00(self) -> float:

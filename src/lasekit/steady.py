@@ -391,8 +391,8 @@ def n_min_atoms(p: PhysicalThreeLevel) -> float | None:
     not depend on the pump rate gamma_21.  None when eps >= 1 (no atom
     number helps without initial inversion); inf where N_min itself
     overflows, or where kappa/(2*g**2) or the rate sum gamma_02 + gamma_10
-    + gamma_ph alone does; ValueError naming the record where the terms
-    are 0 * inf.
+    + gamma_ph alone does, and 0 only where it underflows (2*g**2 alone
+    may overflow); ValueError naming the record where the terms are 0 * inf.
     """
     if p.gamma_02 <= 0.0:
         raise ValueError("n_min_atoms requires gamma_02 > 0")
@@ -413,6 +413,10 @@ def n_min_atoms(p: PhysicalThreeLevel) -> float | None:
             * (1.0 + eps)
             / (1.0 - eps)
         )
+    elif n_min == 0.0:  # 2*g**2 alone may overflow
+        g = p.coupling_g
+        n_min = (p.cavity_kappa / g / g / 2.0 * (p.gamma_02 + p.gamma_10 + p.gamma_ph)
+                 * (1.0 + eps) / (1.0 - eps))
     if n_min != n_min:
         raise ValueError(f"N_min is 0 * inf for {p!r}: cavity_kappa*gamma_02/(2*coupling_g**2) "
                          f"underflows where 1 + gamma_10/gamma_02 + gamma_ph/gamma_02 overflows")

@@ -18,7 +18,14 @@ from lasekit.cli import (
     parse_sweep_csv,
     parse_timeseries_csv,
 )
-from lasekit.params import Regime
+from lasekit.params import (
+    PhysicalThreeLevel,
+    PhysicalTwoLevel,
+    PumpScheme,
+    Regime,
+    gamma_perp_two,
+)
+from lasekit.steady import n_three_physical
 
 CFG_3B_PHYS = {
     "model": "three-b",
@@ -215,6 +222,33 @@ def test_steady_two_level_physical_pump_resolution(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["pump"] == 3.0
     assert doc["gamma_perp"] == 2.0
+
+
+@pytest.mark.parametrize("cfg, key, library, pump", [
+    ({**CFG_3B_PHYS, "params": {**CFG_3B_PHYS["params"], "gamma_21": 0.2955407065214988,
+                                "gamma_02": 0.09923735884090083,
+                                "gamma_10": 0.007279987462406157}},
+     "photon_number",
+     lambda r: n_three_physical(PhysicalThreeLevel(**r, scheme=PumpScheme.B)).photon_number,
+     ("gamma_02", "gamma_21")),
+    ({**CFG_2L_PHYS, "params": {"n_atoms": 100, "coupling_g": 1, "cavity_kappa": 1,
+                                "pump_Gamma": 2.6356951935267032,
+                                "gamma_decay": 2.5691318711953723,
+                                "gamma_ph": 0.12241598898450845}},
+     "gamma_perp", lambda r: gamma_perp_two(PhysicalTwoLevel(**r)),
+     ("pump_Gamma", "gamma_decay")),
+], ids=["three-b", "two-level"])
+def test_steady_without_pump_evaluates_the_configured_rates(tmp_path, capsys, cfg, key,
+                                                            library, pump):
+    # the configured pump rate over its reference, times the reference,
+    # is not the configured rate (gamma_02 would come back as ...082): the
+    # report is the library's on the configured record, at the ratio
+    path = write_cfg(tmp_path, cfg)
+    assert main(["steady", "--config", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rates = cfg["params"]
+    assert doc[key] == library(rates)
+    assert doc["pump"] == rates[pump[0]] / rates[pump[1]]
 
 
 def test_steady_zero_reference_rate_needs_explicit_pump(tmp_path, capsys):

@@ -336,6 +336,22 @@ def test_coupling_with_unrepresentable_square_rejected(g):
     assert three_level(1.0, 2.0, 0.1, g=1e154).coupling_g == 1e154
 
 
+@pytest.mark.parametrize("cls, components, message", [
+    (BlochState2, (0.5, math.nan, 0.0), "state components must be finite"),
+    (BlochState3, (0.2, 0.3, 0.0, math.inf), "state components must be finite"),
+    (BlochState2, (1.5, 0.0, 0.0), "rho11 must lie in [0, 1], got 1.5"),
+    (BlochState3, (-0.5, 0.0, 0.0, 0.0), "rho11 must lie in [0, 1], got -0.5"),
+    (BlochState3, (0.7, 0.7, 0.0, 0.0),
+     "populations must be >= 0 with rho11 + rho22 <= 1, got rho11=0.7, rho22=0.7"),
+    (BlochState3, (0.2, -0.1, 0.0, 0.0),
+     "populations must be >= 0 with rho11 + rho22 <= 1, got rho11=0.2, rho22=-0.1"),
+])
+def test_bloch_states_name_the_broken_rule(cls, components, message):
+    # one rule for both classes, the one the integrator checks on floats
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(*components)
+
+
 def test_bloch_state_accessors():
     s2 = BlochState2(rho11=0.25, y=0.1, x=3.0)
     assert s2.rho00 == 0.75

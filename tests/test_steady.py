@@ -35,6 +35,7 @@ from lasekit import (
     window_scheme_b,
     window_two,
 )
+from lasekit.cli import _FIGURE_PRESETS
 from lasekit.steady import _coeffs_scheme_b, _quadratic_roots
 
 FIG2 = DimensionlessTwoLevel(photon_scale=1e3, saturation=1e-6, dephasing=1e5)
@@ -679,6 +680,45 @@ def test_threshold_sign_changes():
         assert raw(edge - h) * raw(edge + h) < 0.0
 
 
+# the bracket numerator's derivative N'(P) and the denominator D(P) of each
+# model, n = photon_scale * N(P)/D(P), differentiated by hand
+ONSET = {
+    "fig2": (DimensionlessTwoLevel, n_two_level, threshold_two,
+             lambda d, p: 1.0 - d.saturation * (2.0 * p + 2.0 + d.dephasing),
+             lambda d, p: 1.0),
+    "fig4a": (DimensionlessSchemeA, n_scheme_a, threshold_scheme_a,
+              lambda d, p: (1.0 - d.decay_ratio) - d.saturation
+              * (1.0 + d.decay_ratio + d.dephasing) * (1.0 + d.decay_ratio),
+              lambda d, p: 1.0 + 2.0 * p),
+    "fig4b": (DimensionlessSchemeB, n_scheme_b, threshold_scheme_b,
+              lambda d, p: 1.0 - d.saturation * ((p + d.decay_ratio + p * d.decay_ratio)
+                                                 + (p + d.decay_ratio + d.dephasing)
+                                                 * (1.0 + d.decay_ratio)),
+              lambda d, p: p + 2.0),
+}
+
+
+@pytest.mark.parametrize("preset", list(ONSET))
+def test_photon_number_is_linear_in_the_pump_just_above_threshold(preset):
+    # n(P_th + dP) = photon_scale * N'(P_th)/D(P_th) * dP + O(dP**2), since
+    # N(P_th) = 0; dP = P_th*h, or h where the threshold is 0 (scheme B
+    # without a leak, scheme A without saturation).  The second-order
+    # terms of these records are at most 2h relative.
+    cls, evaluate, threshold, slope, denominator = ONSET[preset]
+    h = 1e-6
+    spec = _FIGURE_PRESETS[preset]
+    for saturation in spec["saturations"]:
+        d = cls(**spec["params"], saturation=saturation)
+        p_th = threshold(d)
+        step = h * (p_th or 1.0)
+        n1 = evaluate(d, p_th + step).photon_number
+        n2 = evaluate(d, p_th + 2.0 * step).photon_number
+        expected = d.photon_scale * slope(d, p_th) / denominator(d, p_th)
+        assert expected > 0.0
+        assert n1 / step == pytest.approx(expected, rel=4.0 * h), d
+        assert n2 / n1 == pytest.approx(2.0, rel=4.0 * h), d
+
+
 def test_steady_result_contract():
     rng = np.random.default_rng(29)
     for _ in range(100):
@@ -742,6 +782,16 @@ def test_n_min_atoms_raises_on_an_underflowing_prefactor_against_an_infinite_rat
         n_min_atoms(p)
     assert repr(p) in str(exc.value)
 
+
+def test_n_min_atoms_is_not_zero_where_only_twice_g_squared_overflows():
+    # 2*g**2 = 2e308 overflows, so kappa*gamma_02/(2*g**2) reads 0, but
+    # (kappa/g)/g is 5.6e-97 and N_min is 6.74e182
+    rates = (7.677760046003408e+161, 1e+154, 5.596085835872074e+211, 1.1360959880878106e+251,
+             1.7546273553649598e+61, 1.282798234714692e-81, 2.408892649911643e+279)
+    p = PhysicalThreeLevel(*rates, PumpScheme.A)
+    _, g, kappa, _, g02, g10, gph = map(Fraction, rates)
+    exact = kappa * (g02 + g10 + gph) / (2 * g * g) * (g02 + g10) / (g02 - g10)
+    assert abs(Fraction(n_min_atoms(p)) - exact) <= Fraction(1, 10**12) * exact
 
 
 def test_n_min_atoms_is_finite_where_only_the_dephasing_ratio_overflows():
