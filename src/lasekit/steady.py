@@ -391,8 +391,8 @@ def n_min_atoms(p: PhysicalThreeLevel) -> float | None:
     not depend on the pump rate gamma_21.  None when eps >= 1 (no atom
     number helps without initial inversion); inf where N_min itself
     overflows, or where kappa/(2*g**2) or the rate sum gamma_02 + gamma_10
-    + gamma_ph alone does, and 0 only where it underflows (2*g**2 alone
-    may overflow); ValueError naming the record where the terms are 0 * inf.
+    + gamma_ph alone does; 0 only where N_min underflows, not where 2*g**2
+    alone overflows; ValueError naming the record where the terms are 0 * inf.
     """
     if p.gamma_02 <= 0.0:
         raise ValueError("n_min_atoms requires gamma_02 > 0")
