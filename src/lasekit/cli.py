@@ -17,17 +17,20 @@ Floats are printed in shortest round-trip form so emitted CSV is
 bit-stable and parses back to identical values; LASEKIT_PRECISION
 overrides the number of significant digits.  Exit codes: 0 success
 (including no-lasing outcomes), 2 config error, 3 output I/O error,
-4 integrator failure.
+4 integrator failure.  ``--pump`` is relative: it scales the reference
+rate, which must be nonzero, into the pump rate.
 
 A series document (``sweep``, ``dynamics``, ``figure``) is assembled
 once, as a mapping of column names to chunks of their values, and
 written by ``_write_csv`` or ``_emit_json``, which take the same
-arguments.  ``numerics`` and ``dynamics`` are imported by the commands
-that use them, and numpy (the ``arrays`` extra) only by the emitters and
-parsers of array-backed series.  Every command, exit 4 included, runs
-without numpy: ``dynamics`` writes its rows straight from the packed step
-buffer of the recorded run, ``sweep`` and ``figure`` from the float rows
-of ``numerics``, whose pump grid is the same on every CPU.
+arguments.  A time series' ``n`` is x**2 of its row in both; the parser
+does not read it, as ``TimeSeries.photon_numbers`` is derived from x.
+``numerics`` and ``dynamics`` are imported by the commands that use
+them, and numpy (the ``arrays`` extra) only by the emitters and parsers
+of array-backed series.  Every command, exit 4 included, runs without
+numpy: ``dynamics`` writes its rows straight from the packed step buffer
+of the recorded run, ``sweep`` and ``figure`` from the float rows of
+``numerics``, whose pump grid is the same on every CPU.
 """
 
 from __future__ import annotations
@@ -327,12 +330,11 @@ def _dimensionless(cfg: RunConfig):
 
 def _physical(cfg: RunConfig, pump: float | None):
     """Physical rate set; ``pump`` (relative) overrides the configured
-    pump rate when given."""
+    pump rate when given, which needs a reference rate > 0 (checked after
+    the record's own rules)."""
     if cfg.parameterization != "physical":
-        raise ConfigError(
-            "this operation needs the physical parameterization "
-            "(dimensionless parameters do not fix every rate)"
-        )
+        raise ConfigError("this operation needs the physical parameterization "
+                          "(dimensionless parameters do not fix every rate)")
     spec = _MODELS[cfg.model]
     rates: dict[str, object] = dict(cfg.params)
     if pump is not None:
@@ -342,16 +344,18 @@ def _physical(cfg: RunConfig, pump: float | None):
             raise ConfigError(f"--pump {pump!r} times params.{spec.reference_rate}={ref!r} "
                               f"overflows {spec.pump_rate}")
     elif spec.pump_rate not in rates:
-        raise ConfigError(
-            f"params.{spec.pump_rate}: required (or pass --pump) for this command"
-        )
+        raise ConfigError(f"params.{spec.pump_rate}: required (or pass --pump) for this command")
     rates.setdefault(spec.optional, 0.0)
     if spec.three_level:
         rates["scheme"] = spec.scheme
     try:
-        return spec.physical(**rates)
+        p = spec.physical(**rates)
     except ValueError as e:
         raise ConfigError(f"params: {e}") from e
+    if pump is not None and ref == 0.0:
+        raise ConfigError(f"--pump: the reference rate params.{spec.reference_rate}={ref!r} "
+                          f"must be > 0 to scale it into {spec.pump_rate}")
+    return p
 
 
 def _check_pump(pump: float | None) -> float | None:
@@ -367,14 +371,15 @@ def _resolve_pump(cfg: RunConfig, arg_pump: float | None) -> float:
     # the relative pump implied by the configured rates, if any
     spec = _MODELS[cfg.model]
     p = cfg.params
-    if cfg.parameterization == "physical" and spec.pump_rate in p and p[spec.reference_rate] > 0:
-        pump = p[spec.pump_rate] / p[spec.reference_rate]
+    if cfg.parameterization == "physical" and spec.pump_rate in p and p[spec.reference_rate] >= 0:
+        rate, ref = p[spec.pump_rate], p[spec.reference_rate]
+        if ref == 0.0:
+            raise ConfigError(f"--pump: required (the reference rate params.{spec.reference_rate}="
+                              f"{ref!r} must be > 0 to turn {spec.pump_rate} into a relative pump)")
+        pump = rate / ref
         if pump == math.inf:
-            raise ConfigError(
-                f"params: {spec.pump_rate}={p[spec.pump_rate]!r} over "
-                f"{spec.reference_rate}={p[spec.reference_rate]!r} overflows the "
-                "relative pump; pass --pump"
-            )
+            raise ConfigError(f"params: {spec.pump_rate}={rate!r} over {spec.reference_rate}="
+                              f"{ref!r} overflows the relative pump; pass --pump")
         return pump
     raise ConfigError("--pump: required (the config does not fix a pump rate)")
 
@@ -495,20 +500,17 @@ def parse_sweep_csv(fh: TextIO) -> SweepSeries:
 
 
 def _timeseries_columns(
-    labels: Sequence[str], columns: Sequence, steady: bool, fnorm: float, photons=None
+    labels: Sequence[str], columns: Sequence, steady: bool, fnorm: float
 ) -> tuple[dict[str, Iterator[list]], dict[str, object]]:
     """The columns t, the state components named by ``labels`` and n of a
     time series, and its ``settle`` footer: how the run ended.  ``columns``
-    holds t and the components as :func:`_chunks` takes them; n is
-    ``photons``, or else x * x of the last, numpy's x ** 2 bit for bit."""
+    holds t and the components as :func:`_chunks` takes them; n is x * x
+    of the component named x, numpy's x ** 2 bit for bit."""
     named = dict(zip(("t", *labels), map(_chunks, columns)))
-    if photons is None:
-        x = columns[-1]
-        named["n"], last = ([v * v for v in chunk] for chunk in _chunks(x)), x[-1] * x[-1]
-    else:
-        named["n"], last = _chunks(photons), photons[-1]
+    x = columns[1 + labels.index("x")]
+    named["n"], last = ([v * v for v in chunk] for chunk in _chunks(x)), float(x[-1])
     return named, {"converged": steady, "t": float(columns[0][-1]),
-                   "photon_number": float(last), "derivative_norm": float(fnorm)}
+                   "photon_number": last * last, "derivative_norm": float(fnorm)}
 
 
 def emit_timeseries_csv(
@@ -518,11 +520,11 @@ def emit_timeseries_csv(
     states = np.asarray(series.states, dtype=float)
     _write_csv(fh, metadata or {}, *_timeseries_columns(
         series.state_labels, [np.asarray(series.times, dtype=float), *states.T],
-        series.steady, series.derivative_norm,
-        np.asarray(series.photon_numbers, dtype=float)))
+        series.steady, series.derivative_norm))
 
 
 def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
+    """The series and metadata of a time-series document; ValueError where it has none."""
     from .dynamics import TimeSeries
 
     np = _numpy("parse_timeseries_csv")
@@ -530,17 +532,14 @@ def parse_timeseries_csv(fh: TextIO) -> tuple[TimeSeries, dict[str, object]]:
     cols = header.split(",")
     if cols[0] != "t" or cols[-1] != "n":
         raise ValueError(f"unexpected time-series header: {header!r}")
-    labels = tuple(cols[1:-1])
     times, state_rows = [], []
     for cells in ([float(c) for c in row] for row in rows):
         times.append(cells[0])
         state_rows.append(cells[1:-1])
-    states = np.array(state_rows)
     series = TimeSeries(
         times=np.array(times),
-        states=states,
-        photon_numbers=states[:, labels.index("x")] ** 2,
-        state_labels=labels,
+        states=np.array(state_rows),
+        state_labels=tuple(cols[1:-1]),
         steady=bool(footer.get("converged", False)),
         derivative_norm=float(footer.get("derivative_norm", math.nan)),
     )

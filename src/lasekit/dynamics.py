@@ -104,27 +104,35 @@ _UNDERFLOW = 2
 class TimeSeries:
     """Accepted-step samples of one trajectory.
 
-    ``states`` rows match ``times``; columns follow ``state_labels``.
-    ``steady`` records whether the run ended on the fixed-point criterion
-    at a linearly stable fixed point (as opposed to exhausting t_max), and
-    ``derivative_norm`` is ||f|| at the final state.
+    ``states`` rows match ``times``; columns follow ``state_labels``, one
+    of which is ``x``.  ``steady`` records whether the run ended on the
+    fixed-point criterion at a linearly stable fixed point (as opposed to
+    exhausting t_max), and ``derivative_norm`` is ||f|| at the final
+    state.  ``photon_numbers`` is derived, n = x**2 of each row.
     """
 
     times: np.ndarray
     states: np.ndarray
-    photon_numbers: np.ndarray
     state_labels: tuple[str, ...]
     steady: bool
     derivative_norm: float
 
     def __post_init__(self) -> None:
         np = _numpy("TimeSeries")
-        if len(self.times) != len(self.states) or len(self.times) != len(
-            self.photon_numbers
-        ):
-            raise ValueError("times, states and photon_numbers must match")
+        rows, labels, shape = len(self.times), self.state_labels, np.shape(self.states)
+        if not rows or shape != (rows, len(labels)) or "x" not in labels:
+            raise ValueError(f"a time series needs >= 1 time, states of shape (times, labels) "
+                             f"and an x label; got {rows} times, shape {shape}, labels {labels!r}")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
+
+    @property
+    def photon_numbers(self) -> np.ndarray:
+        """n = x * x of each row, inf where it overflows."""
+        np = _numpy("TimeSeries.photon_numbers")
+        x = np.asarray(self.states, dtype=float)[:, self.state_labels.index("x")]
+        with np.errstate(over="ignore"):
+            return x * x
 
 
 @dataclass(frozen=True)
@@ -158,9 +166,7 @@ class SettleResult:
     @property
     def populations(self) -> tuple[float, ...]:
         s = self.state
-        if isinstance(s, BlochState3):
-            return (s.rho00, s.rho11, s.rho22)
-        return (s.rho00, s.rho11)
+        return (s.rho00, s.rho11, s.rho22) if isinstance(s, BlochState3) else (s.rho00, s.rho11)
 
 
 class StiffnessError(RuntimeError):
@@ -438,7 +444,7 @@ def _state_tuple(cls, state: BlochState2 | BlochState3) -> tuple[float, ...]:
     if not isinstance(state, cls):
         raise TypeError(f"these parameters need a {cls.__name__} state, "
                         f"got {type(state).__name__}")
-    return tuple(float(getattr(state, k, 0.0)) for k in _SLOTS)
+    return tuple(float(getattr(state, k)) for k in _SLOTS)
 
 
 def _live(cls, y: tuple[float, ...]) -> list[float]:
@@ -628,11 +634,9 @@ def integrate(
     """
     np = _numpy("integrate")
     labels, steady, fnorm, columns = _recorded(p, initial, config, stop_at_steady)
-    states = np.stack(columns[1:], axis=1)
     return TimeSeries(
         times=np.array(columns[0]),
-        states=states,
-        photon_numbers=states[:, -1] ** 2,  # x is the last component
+        states=np.stack(columns[1:], axis=1),
         state_labels=labels,
         steady=steady,
         derivative_norm=fnorm,

@@ -274,41 +274,8 @@ class IntegratorConfig:
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
 
 
-@dataclass(frozen=True)
-class BlochState2:
-    """Phase-reduced two-level state.
-
-    The global field phase is fixed so the field quadrature ``x`` is real
-    and the coherence purely imaginary, rho10 = i*y.  The photon number is
-    n = x**2 and rho00 = 1 - rho11 (closed system).
-    """
-
-    rho11: float
-    y: float
-    x: float
-
-    def __post_init__(self) -> None:
-        error = _state_error(self.rho11, 0.0, self.y, self.x)
-        if error:
-            raise ValueError(error)
-
-    @property
-    def rho00(self) -> float:
-        return 1.0 - self.rho11
-
-    @property
-    def photon_number(self) -> float:
-        return self.x * self.x
-
-
-@dataclass(frozen=True)
-class BlochState3:
-    """Phase-reduced three-level state; rho00 = 1 - rho11 - rho22."""
-
-    rho11: float
-    rho22: float
-    y: float
-    x: float
+class _BlochState:
+    """The rule, rho00 = 1 - rho11 - rho22 and n = x**2 of both phase-reduced states."""
 
     def __post_init__(self) -> None:
         error = _state_error(self.rho11, self.rho22, self.y, self.x)
@@ -322,6 +289,31 @@ class BlochState3:
     @property
     def photon_number(self) -> float:
         return self.x * self.x
+
+
+@dataclass(frozen=True)
+class BlochState2(_BlochState):
+    """Phase-reduced two-level state.
+
+    The global field phase is fixed so the field quadrature ``x`` is real
+    and the coherence purely imaginary, rho10 = i*y.  Level 2 is empty:
+    ``rho22`` is the class constant 0.0, not a field.
+    """
+
+    rho11: float
+    y: float
+    x: float
+    rho22 = 0.0
+
+
+@dataclass(frozen=True)
+class BlochState3(_BlochState):
+    """Phase-reduced three-level state; rho00 = 1 - rho11 - rho22."""
+
+    rho11: float
+    rho22: float
+    y: float
+    x: float
 
 
 @dataclass(frozen=True, init=False)

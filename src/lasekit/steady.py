@@ -333,6 +333,9 @@ def _coeffs_scheme_a(d: DimensionlessSchemeA) -> tuple[float, float, float]:
 def raw_bracket_scheme_a(d: DimensionlessSchemeA, pump: float) -> float:
     """[P*(1-eps) - s*(1+eps+delta)*(P*(1+eps)+eps)] / (1+2P)."""
     s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
+    if 2.0 * pump == math.inf and pump < math.inf:  # 1 + 2P overflows: divide through by P
+        numer = (1.0 - eps) - s * (1.0 + eps + delta) * (1.0 + eps + eps / pump)
+        return numer / (2.0 + 1.0 / pump)
     numer = pump * (1.0 - eps) - s * (1.0 + eps + delta) * (pump * (1.0 + eps) + eps)
     return numer / (1.0 + 2.0 * pump)
 
@@ -352,7 +355,8 @@ def n_scheme_a(d: DimensionlessSchemeA, pump: float) -> SteadyResult:
     gperp = 0.5 * width
     if raw > 0.0:
         d_pin = d.saturation * width
-        rho00 = pump * (1.0 - d_pin) / (1.0 + 2.0 * pump)
+        rho00 = ((1.0 - d_pin) / (2.0 + 1.0 / pump) if 2.0 * pump == math.inf
+                 else pump * (1.0 - d_pin) / (1.0 + 2.0 * pump))
         pops = (rho00, rho00 + d_pin, rho00 / pump)  # lasing requires pump > 0
         return SteadyResult(d.photon_scale * raw, _LASING, pops, gperp, raw)
     if raw != raw:

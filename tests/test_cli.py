@@ -265,6 +265,26 @@ def test_steady_zero_reference_rate_needs_explicit_pump(tmp_path, capsys):
     assert "error: params: gamma_decay must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg, reference", [
+    ({**CFG_3A_PHYS, "params": {**CFG_3A_PHYS["params"], "gamma_02": 0, "gamma_21": 3}},
+     "params.gamma_02=0.0"),
+    ({**CFG_3B_PHYS, "params": {**CFG_3B_PHYS["params"], "gamma_21": 0}}, "params.gamma_21=0.0"),
+], ids=["three-a", "three-b"])
+@pytest.mark.parametrize("argv", [["dynamics", "--pump", "5"], ["steady", "--pump", "5"],
+                                  ["steady"]], ids=["dynamics-pump", "steady-pump", "steady"])
+def test_zero_reference_rate_fixes_no_relative_pump(tmp_path, capsys, cfg, reference, argv):
+    # --pump times a zero reference rate would integrate a zero pump rate
+    # under a # pump=5.0 line, and the configured rates give no ratio
+    path = write_cfg(tmp_path, {**cfg, "integrator": {"t_max": 5.0}})
+    assert main([argv[0], "--config", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --pump: ") and captured.err.count("\n") == 1
+    assert f"the reference rate {reference} must be > 0" in captured.err
+    # without --pump the run needs no relative pump
+    assert main(["dynamics", "--config", path]) == 0
+
+
 @pytest.mark.parametrize("cfg, message", [
     ({**CFG_2L_PHYS, "params": {**CFG_2L_PHYS["params"],
                                 "gamma_decay": 1e-10, "pump_Gamma": 1e300}},
@@ -518,6 +538,15 @@ def test_sweep_count_two_endpoints(tmp_path, capsys):
                  "--points", "2"]) == 0
     series = parse_sweep_csv(io.StringIO(capsys.readouterr().out))
     assert list(series.pump_values) == [1.0, 10.0]
+
+
+def test_scheme_a_sweep_lases_where_one_plus_twice_the_pump_overflows(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"model": "three-a", "parameterization": "dimensionless",
+                                "params": {"photon_scale": 1e3, "saturation": 1e-3,
+                                           "decay_ratio": 0.01}})
+    assert main(["sweep", "--config", path, "--pump-min", "1", "--pump-max", "1.7e308",
+                 "--points", "3", "--scale", "log"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1.7e+308,494.48995,lasing"
 
 
 SWEEP_HEAD = "# model=two-level\npump,photon_number,regime\n"

@@ -4,7 +4,9 @@ Every float cell must be ``repr(float(x))``, or ``format(float(x),
 ".Ng")`` with ``LASEKIT_PRECISION=N``, for the series ``integrate``
 returns and for hand-built series whose columns are lists or hold
 integer values.  The JSON writer streams its columns and must write what
-``json.dumps(doc, indent=2)`` writes for the whole document.
+``json.dumps(doc, indent=2)`` writes for the whole document.  A drawn
+time series survives its CSV bit for bit, and both formats write n as
+x * x of the row.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from functools import cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lasekit import (
     DimensionlessSchemeB,
@@ -37,9 +41,11 @@ from lasekit.cli import (
     _CHUNK_ROWS,
     _chunks,
     _emit_json,
+    _timeseries_columns,
     emit_sweep_csv,
     emit_timeseries_csv,
     main,
+    parse_timeseries_csv,
 )
 
 THREE = PhysicalThreeLevel(
@@ -112,7 +118,6 @@ def test_timeseries_hand_built_lists(precision):
     series = TimeSeries(
         times=[0, 0.5, 2],
         states=[[1, 0.0, 0.25], [0.5, -1e-300, 3], [0.125, 2.5e-7, 1e300]],
-        photon_numbers=np.array([0.0625, 9.0, np.inf]),
         state_labels=("rho11", "y", "x"),
         steady=False,
         derivative_norm=1.5,
@@ -253,3 +258,63 @@ def test_long_dynamics_csv_rows_match_per_cell_reference(tmp_path, precision):
     series, cell = hopf_series(), reference_cell(precision)
     assert body(text) == reference_timeseries_rows(series, cell)
     assert text.splitlines()[-1] == settle_line(series, cell)
+
+
+# finite doubles, with the signed zeros, subnormals and 1e300 (whose n is inf) drawn often
+CELLS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def drawn_series(draw) -> TimeSeries:
+    labels = draw(st.sampled_from([("rho11", "y", "x"), ("rho11", "rho22", "y", "x")]))
+    times = sorted(draw(st.lists(CELLS, min_size=1, max_size=50, unique=True)))
+    rows = [draw(st.lists(CELLS, min_size=len(labels), max_size=len(labels))) for _ in times]
+    return TimeSeries(times=np.array(times), states=np.array(rows).reshape(len(times), -1),
+                      state_labels=labels, steady=draw(st.booleans()),
+                      derivative_norm=draw(st.floats(min_value=0.0, allow_nan=False)))
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_drawn_timeseries_round_trip_their_csv_and_write_n_as_x_squared(monkeypatch):
+    monkeypatch.delenv("LASEKIT_PRECISION", raising=False)
+    metadata = {"model": "three-b", "pump": 2.5}
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(drawn_series())
+    def check(series):
+        buf = io.StringIO()
+        emit_timeseries_csv(series, buf, metadata)
+        back, meta = parse_timeseries_csv(io.StringIO(buf.getvalue()))
+        assert meta == metadata
+        for f in dataclasses.fields(TimeSeries):
+            a, b = getattr(series, f.name), getattr(back, f.name)
+            assert (bits(a) == bits(b)) if f.name in ("times", "states") else a == b, f.name
+        assert bits(back.photon_numbers) == bits(series.photon_numbers)
+        x = series.states[:, series.state_labels.index("x")]
+        with np.errstate(over="ignore"):
+            assert bits(series.photon_numbers) == bits(x ** 2)
+
+        buf = io.StringIO()
+        _emit_json(buf, metadata, *_timeseries_columns(
+            series.state_labels, [series.times, *series.states.T], series.steady,
+            series.derivative_norm))
+        doc = json.loads(buf.getvalue())
+        assert doc["n"] == [v * v for v in doc["x"]]
+        # the settle object writes an infinite n as "inf", the arrays as Infinity
+        assert float(doc["settle"]["photon_number"]) == doc["n"][-1]
+
+    check()
+
+
+@pytest.mark.parametrize("text", [
+    "t,rho11,y,x,n\n# settle: converged=true\n",
+    "t,rho11,y,n\n0.0,0.5,0.1,0.0\n",
+    "t,rho11,y,x,n\n0.0,0.5,0.1,0.2,0.04\n1.0,0.5,0.1,0.04\n",
+], ids=["header-only", "no-x", "ragged-row"])
+def test_parse_timeseries_csv_rejects_documents_without_a_series(text):
+    with pytest.raises(ValueError):
+        parse_timeseries_csv(io.StringIO(text))

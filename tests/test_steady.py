@@ -851,3 +851,36 @@ def test_optimum_scheme_b_is_finite_where_its_stationary_point_term_overflows():
     assert opt.pump_exact == pytest.approx(math.sqrt((2.0 * b - c) * 1e-10 / -a) * 1e5)
     assert win.lower < opt.pump_exact < win.upper
     assert 0.0 < opt.photon_at_exact < math.inf
+
+
+@pytest.mark.parametrize("d", [
+    DimensionlessSchemeA(photon_scale=1e3, saturation=1e-3, decay_ratio=0.01),
+    FIG4A,
+    DimensionlessSchemeA(photon_scale=1.0, saturation=0.05, decay_ratio=0.3, dephasing=2.0),
+    DimensionlessSchemeA(photon_scale=1.0, saturation=0.0, decay_ratio=0.5),
+    # the loss term alone is far past the gain: no lasing, however hard the pump
+    DimensionlessSchemeA(photon_scale=1.27494745791485e-123, saturation=1.738559042472392e+23,
+                         decay_ratio=5.170304674396111e-199, dephasing=2.763536985458695e+68),
+], ids=["lasing", "fig4a", "dephasing", "lossless", "dark"])
+@pytest.mark.parametrize("pump", [9e307, 1e308, 1.7e308, 1.7976931348623157e308])
+def test_scheme_a_bracket_is_exact_where_one_plus_twice_the_pump_overflows(d, pump):
+    assert 1.0 + 2.0 * pump == math.inf
+    s, eps, delta, p = map(Fraction, (d.saturation, d.decay_ratio, d.dephasing, pump))
+    exact = (p * (1 - eps) - s * (1 + eps + delta) * (p * (1 + eps) + eps)) / (1 + 2 * p)
+    raw = raw_bracket_scheme_a(d, pump)
+    assert abs(Fraction(raw) - exact) <= Fraction(1, 2**51) * abs(exact)
+    res = n_scheme_a(d, pump)
+    assert res.raw_bracket == raw
+    if exact <= 0:
+        assert res.photon_number == 0.0 and res.regime is Regime.BELOW_THRESHOLD
+        return
+    assert res.regime is Regime.LASING
+    assert res.photon_number == d.photon_scale * raw
+    rho00 = p * (1 - s * (1 + eps + delta)) / (1 + 2 * p)
+    assert abs(Fraction(res.populations[0]) - rho00) <= Fraction(1, 2**50) * rho00
+
+
+@pytest.mark.parametrize("pump", [math.inf, math.nan])
+def test_scheme_a_bracket_still_raises_at_a_non_finite_pump(pump):
+    with pytest.raises(ValueError, match="the bracket is NaN"):
+        n_scheme_a(FIG4A, pump)
