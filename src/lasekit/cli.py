@@ -25,6 +25,8 @@ once, as a mapping of column names to chunks of their values, and
 written by ``_write_csv`` or ``_emit_json``, which take the same
 arguments.  A time series' ``n`` is x**2 of its row in both; the parser
 does not read it, as ``TimeSeries.photon_numbers`` is derived from x.
+Every JSON document writes a non-finite value as the string "inf",
+"-inf" or "nan", never as the Infinity or NaN that JSON lacks.
 ``numerics`` and ``dynamics`` are imported by the commands that use
 them, and numpy (the ``arrays`` extra) only by the emitters and parsers
 of array-backed series.  Every command, exit 4 included, runs without
@@ -47,21 +49,17 @@ from typing import TYPE_CHECKING, Callable, Mapping, TextIO
 
 from .params import (
     BlochState3,
-    DimensionlessTwoLevel,
     IntegratorConfig,
-    PhysicalThreeLevel,
-    PhysicalTwoLevel,
     PumpScheme,
     Regime,
     SteadyResult,
-    _SCHEMES,
+    _MODEL_RATES,
     _check_rate,
-    _gamma_parallel_inversion_rates,
     _numpy,
+    _reduce,
+    _reduced_flow,
     gamma_parallel_and_inversion,
     gamma_perp_two,
-    reduce_three,
-    reduce_two,
 )
 from . import steady as st
 
@@ -79,11 +77,11 @@ __all__ = ["main", "ConfigError", "emit_sweep_csv", "parse_sweep_csv",
 class _Model:
     """What the CLI needs of one model.
 
-    The relative pump is the physical rate ``pump_rate`` over the rate
-    ``reference_rate`` (a pump scheme's are in ``params._SCHEMES``).
-    ``optional`` names a physical rate without a class default that a
-    config may leave out: the two-level pump rate (then ``--pump`` sets
-    it), the three-level dephasing rate (then 0).
+    The records and rates are the model's row of ``params._MODEL_RATES``:
+    the relative pump is the physical rate ``pump_rate`` over the rate
+    ``reference_rate``.  ``optional`` names a physical rate without a
+    class default that a config may leave out: the two-level pump rate
+    (then ``--pump`` sets it), the three-level dephasing rate (then 0).
     ``window`` and ``optimum`` are None where the photon number saturates
     in the pump instead of closing a window; ``scheme`` is None for the
     two-level model.
@@ -93,32 +91,29 @@ class _Model:
     dimensionless: type
     pump_rate: str
     reference_rate: str
-    reduce: Callable
     evaluate: Callable[..., SteadyResult]
     threshold: Callable
     window: Callable | None
     optimum: Callable | None
     optional: str
-    scheme: PumpScheme | None = None
+    scheme: PumpScheme | None
 
     @property
     def three_level(self) -> bool:
         return self.scheme is not None
 
 
-def _three_level(scheme: PumpScheme, *closed_forms: Callable | None) -> _Model:
-    return _Model(PhysicalThreeLevel, *_SCHEMES[scheme], reduce_three, *closed_forms,
-                  optional="gamma_ph", scheme=scheme)
+def _model(scheme: PumpScheme | None, *closed_forms: Callable | None) -> _Model:
+    physical, dimensionless, pump_rate, reference_rate, _ = _MODEL_RATES[scheme]
+    return _Model(physical, dimensionless, pump_rate, reference_rate, *closed_forms,
+                  pump_rate if scheme is None else "gamma_ph", scheme)
 
 
 _MODELS = {
-    "two-level": _Model(
-        PhysicalTwoLevel, DimensionlessTwoLevel, "pump_Gamma", "gamma_decay", reduce_two,
-        st.n_two_level, st.threshold_two, st.window_two, st.optimum_two, optional="pump_Gamma",
-    ),
-    "three-a": _three_level(PumpScheme.A, st.n_scheme_a, st.threshold_scheme_a, None, None),
-    "three-b": _three_level(PumpScheme.B, st.n_scheme_b, st.threshold_scheme_b,
-                            st.window_scheme_b, st.optimum_scheme_b),
+    "two-level": _model(None, st.n_two_level, st.threshold_two, st.window_two, st.optimum_two),
+    "three-a": _model(PumpScheme.A, st.n_scheme_a, st.threshold_scheme_a, None, None),
+    "three-b": _model(PumpScheme.B, st.n_scheme_b, st.threshold_scheme_b, st.window_scheme_b,
+                      st.optimum_scheme_b),
 }
 _PARAMETERIZATIONS = ("physical", "dimensionless")
 
@@ -221,9 +216,11 @@ def load_config(path: str) -> RunConfig:
     return parse_config(doc)
 
 
-def _number_section(doc: dict, name: str, cls: type, errors: list[str]) -> dict[str, float] | None:
-    """The numbers of an optional config section whose keys are fields of ``cls``."""
-    keys = [f.name for f in fields(cls)]
+def _number_section(doc: dict, name: str, cls: type, errors: list[str],
+                    unknown: str = "unknown key") -> dict[str, float] | None:
+    """The numbers of an optional config section whose keys are fields of
+    ``cls`` but a pump scheme; ``unknown`` is the error for any other key."""
+    keys = [f.name for f in fields(cls) if f.name != "scheme"]
     raw = doc.get(name)
     if raw is None:
         return None
@@ -233,7 +230,7 @@ def _number_section(doc: dict, name: str, cls: type, errors: list[str]) -> dict[
     section: dict[str, float] = {}
     for key, value in raw.items():
         if key not in keys:
-            errors.append(f"{name}.{key}: unknown key")
+            errors.append(f"{name}.{key}: {unknown}")
             continue
         v = _check_number(errors, f"{name}.{key}", value)
         if v is not None:
@@ -267,27 +264,12 @@ def parse_config(doc: object) -> RunConfig:
 
     spec = _MODELS[model]
     cls = spec.physical if parameterization == "physical" else spec.dimensionless
-    # every field but the pump scheme, which comes from the model table
-    keys = [f for f in fields(cls) if f.name != "scheme"]
-    names = [f.name for f in keys]
-    required = [f.name for f in keys if f.default is MISSING and f.name != spec.optional]
-    params: dict[str, float] = {}
-    for key in required:
-        if key not in raw_params:
-            errors.append(f"params.{key}: missing required key")
-            continue
-        v = _check_number(errors, f"params.{key}", raw_params[key])
-        if v is not None:
-            params[key] = v
-    for key in raw_params:
-        if key in required:
-            continue
-        if key not in names:
-            errors.append(f"params.{key}: unknown key for {parameterization} {model}")
-            continue
-        v = _check_number(errors, f"params.{key}", raw_params[key])
-        if v is not None:
-            params[key] = v
+    # the pump scheme comes from the model table, not from params
+    given = {"scheme", spec.optional, *raw_params}
+    errors += [f"params.{f.name}: missing required key" for f in fields(cls)
+               if f.default is MISSING and f.name not in given]
+    params = _number_section(doc, "params", cls, errors,
+                             f"unknown key for {parameterization} {model}")
     if parameterization == "physical" and spec.pump_rate in params:
         # --pump replaces this rate and the two-level reduction ignores it,
         # so no later step would see a bad configured value
@@ -323,7 +305,7 @@ def _dimensionless(cfg: RunConfig):
             return spec.dimensionless(**cfg.params)
         # a pump rate the config may leave out does not enter the reduction
         pump = 0.0 if spec.optional == spec.pump_rate else None
-        return spec.reduce(_physical(cfg, pump))[0]
+        return _reduce(_physical(cfg, pump), spec.scheme)[0]
     except ValueError as e:
         raise ConfigError(f"params: {e}") from e
 
@@ -439,13 +421,14 @@ def _write_csv(
 def _read_csv(fh: TextIO) -> tuple[dict, dict, str, Iterator[list[str]]]:
     """The metadata, footer, header line and rows (lists of cell text) of a
     :func:`_write_csv` document.  Rows are read as they are iterated, so the
-    metadata and footer are complete once they are exhausted.  Blank lines
-    and comment lines without ``=`` are skipped."""
+    metadata and footer are complete once they are exhausted; a row with
+    another number of cells than the header raises a ValueError naming its
+    line.  Blank lines and comment lines without ``=`` are skipped."""
     metadata: dict[str, object] = {}
     footer: dict[str, object] = {}
 
-    def lines() -> Iterator[str]:
-        for line in fh:
+    def lines() -> Iterator[tuple[int, str]]:
+        for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line.startswith("# settle:"):
                 for item in line[len("# settle:"):].split():
@@ -456,13 +439,23 @@ def _read_csv(fh: TextIO) -> tuple[dict, dict, str, Iterator[list[str]]]:
                 if eq:
                     metadata[key.strip()] = _meta_parse(value.strip())
             elif line:
-                yield line
+                yield number, line
 
     body = lines()
-    header = next(body, None)
+    _, header = next(body, (0, None))
     if header is None:
         raise ValueError("no header line found")
-    return metadata, footer, header, (line.split(",") for line in body)
+    width = header.count(",") + 1
+
+    def rows() -> Iterator[list[str]]:
+        for number, line in body:
+            cells = line.split(",")
+            if len(cells) != width:
+                raise ValueError(f"line {number}: {len(cells)} cells where the header "
+                                 f"{header!r} has {width}")
+            yield cells
+
+    return metadata, footer, header, rows()
 
 
 def _sweep_columns(pumps, photons, regimes: Iterable[Regime]) -> dict[str, Iterator[list]]:
@@ -487,7 +480,7 @@ def parse_sweep_csv(fh: TextIO) -> SweepSeries:
     if header != ",".join(_SWEEP_HEADER):
         raise ValueError(f"unexpected sweep CSV header: {header!r}")
     pumps, photons, regimes = [], [], []
-    for pump, n, regime in rows:  # a row of any other length raises
+    for pump, n, regime in rows:
         pumps.append(float(pump))
         photons.append(float(n))
         regimes.append(Regime(regime))
@@ -555,10 +548,18 @@ def _emit_json(
     """The JSON form of a :func:`_write_csv` document, from the same
     arguments and byte for byte as ``json.dump(doc, fh, indent=2)`` writes
     it: the ``metadata`` object, one array per column, then the ``settle``
-    object, if any.  Each column is written a chunk at a time, so a long
-    run never exists as Python values all at once."""
+    object, if any.  Every non-finite value in it, in the arrays as in the
+    objects, is the string :func:`_jsonable` makes of it, not the Infinity
+    or NaN that JSON lacks.  Each column is written a chunk at a time, so a
+    long run never exists as Python values all at once."""
     # the items of an array one level down, as indent=2 separates them
-    items = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+    encode = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False).encode
+
+    def items(chunk: list) -> str:
+        try:
+            return encode(chunk)
+        except ValueError:  # a non-finite float: only such a chunk is encoded twice
+            return encode(list(map(_jsonable, chunk)))
 
     def member(key: str, value: object) -> str:
         return json.dumps(key) + ": " + json.dumps(value, indent=2).replace("\n", "\n  ")
@@ -633,9 +634,11 @@ def _steady_report(cfg: RunConfig, arg_pump: float | None) -> dict:
             res = replace(res, gamma_perp=gamma_perp_two(_physical(cfg, arg_pump)))
         elif spec.three_level:
             # rates in units of the reference rate
-            gpar, inv = _gamma_parallel_inversion_rates(
-                **{spec.pump_rate: pump, spec.reference_rate: 1.0}, gamma_10=d.decay_ratio
-            )
+            flow = _reduced_flow(spec.scheme, pump, d.decay_ratio)
+            if flow is None:
+                raise ConfigError(f"--pump {pump!r} with params.decay_ratio={d.decay_ratio!r} "
+                                  f"overflows gamma_parallel in units of {spec.reference_rate}")
+            gpar, inv = flow
     report["photon_number"] = res.photon_number
     report["regime"] = res.regime
     report["raw_bracket"] = res.raw_bracket

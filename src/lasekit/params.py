@@ -5,11 +5,13 @@ pump, and a closed three-level atom in which the third level either feeds
 the upper lasing state (pump scheme A) or is fed from the lower one (pump
 scheme B).  Both three-level schemes obey the same equations of motion; the
 scheme tag only selects which rate plays the role of the pump.  One private
-table states that choice for every module:
+table, ``_MODEL_RATES``, states for every module which rate is the pump,
+which sets the scale, and how many atoms a unit of photon_scale holds:
 
-    scheme   reduced record         pump rate   reference rate
-    A        DimensionlessSchemeA   gamma_21    gamma_02
-    B        DimensionlessSchemeB   gamma_02    gamma_21
+    model      reduced record          pump rate    reference rate   N/photon_scale
+    two-level  DimensionlessTwoLevel   pump_Gamma   gamma_decay      4
+    scheme A   DimensionlessSchemeA    gamma_21     gamma_02         2
+    scheme B   DimensionlessSchemeB    gamma_02     gamma_21         2
 
 Rates carry one arbitrary common unit.  Only ratios of rates matter, which
 is what the dimensionless reductions below exploit.
@@ -237,10 +239,12 @@ class DimensionlessSchemeB(_DimensionlessThree):
     """
 
 
-# each pump scheme's reduced record, pump rate and reference rate
-_SCHEMES = {
-    PumpScheme.A: (DimensionlessSchemeA, "gamma_21", "gamma_02"),
-    PumpScheme.B: (DimensionlessSchemeB, "gamma_02", "gamma_21"),
+# each model's physical and reduced record, pump rate, reference rate and
+# atoms per unit photon_scale, keyed by its pump scheme (None: two-level)
+_MODEL_RATES = {
+    None: (PhysicalTwoLevel, DimensionlessTwoLevel, "pump_Gamma", "gamma_decay", 4),
+    PumpScheme.A: (PhysicalThreeLevel, DimensionlessSchemeA, "gamma_21", "gamma_02", 2),
+    PumpScheme.B: (PhysicalThreeLevel, DimensionlessSchemeB, "gamma_02", "gamma_21", 2),
 }
 
 
@@ -432,6 +436,25 @@ def _gamma_parallel_inversion_rates(
     return gamma_par, inversion
 
 
+def _reduced_flow(scheme: PumpScheme, pump: float, eps: float) -> tuple[float, float] | None:
+    """gamma_par and the inversion of a reduced three-level point in units
+    of its reference rate, gamma_10 = ``eps``; None where gamma_par
+    overflows.  Where the rate sums overflow, both are divided by the pump
+    P first, as ``raw_bracket_scheme_a`` does: with r the rates over P,
+    they are (1 + eps) + eps/P and r02 + 2*r21, and the inversion's
+    numerator is 1 - eps*r21."""
+    _, _, pump_name, ref_name, _ = _MODEL_RATES[scheme]
+    try:
+        return _gamma_parallel_inversion_rates(**{pump_name: pump, ref_name: 1.0}, gamma_10=eps)
+    except ValueError:  # at a reference rate of 1 only an overflow raises
+        if not pump > 1.0:
+            return None
+    r = {pump_name: 1.0, ref_name: 1.0 / pump}
+    cross = (1.0 + eps) + eps / pump
+    gamma_par = 2.0 * cross / (r["gamma_02"] + 2.0 * r["gamma_21"])
+    return None if gamma_par == math.inf else (gamma_par, (1.0 - eps * r["gamma_21"]) / cross)
+
+
 def gamma_parallel_and_inversion(p: PhysicalThreeLevel) -> tuple[float, float]:
     """Effective longitudinal relaxation rate and equilibrium inversion.
 
@@ -468,23 +491,23 @@ def _reduced_saturation(p, rate: str) -> float:
                     "coupling_g", "cavity_kappa", rate, "n_atoms")
 
 
-def reduce_two(p: PhysicalTwoLevel) -> tuple[DimensionlessTwoLevel, float]:
-    """Collapse a physical two-level rate set to (reduced params, pump P).
-
-    P = Gamma/gamma, inf where the ratio overflows.  The reduction discards
-    one gauge degree of freedom; :func:`expand_two` fixes it back canonically.
-    """
-    g = p.gamma_decay
-    s = _reduced_saturation(p, "gamma_decay")
-    d = DimensionlessTwoLevel(
-        photon_scale=_reduced(p, "photon_scale", p.n_atoms * g / (4.0 * p.cavity_kappa),
-                              "n_atoms*gamma_decay/(4*cavity_kappa)",
-                              "n_atoms", "gamma_decay", "cavity_kappa"),
-        saturation=s,
-        dephasing=_reduced(p, "dephasing", p.gamma_ph / g, "gamma_ph/gamma_decay",
-                           "gamma_ph", "gamma_decay"),
-    )
-    return d, p.pump_Gamma / g
+def _reduce(p, scheme: PumpScheme | None):
+    """(reduced params, pump P) of ``p`` by its row of ``_MODEL_RATES``.
+    The first parameter that is not finite, in the order saturation,
+    photon_scale, decay_ratio (three-level only), dephasing, raises."""
+    _, cls, pump_name, ref_name, atoms = _MODEL_RATES[scheme]
+    ref = getattr(p, ref_name)
+    if ref <= 0.0:  # the two-level record already requires gamma_decay > 0
+        raise ValueError(f"scheme {scheme.value} reduction requires {ref_name} > 0")
+    s = _reduced_saturation(p, ref_name)
+    photon_scale = _reduced(p, "photon_scale", p.n_atoms * ref / (atoms * p.cavity_kappa),
+                            f"n_atoms*{ref_name}/({atoms}*cavity_kappa)",
+                            "n_atoms", ref_name, "cavity_kappa")
+    decay = () if scheme is None else (_reduced(
+        p, "decay_ratio", p.gamma_10 / ref, f"gamma_10/{ref_name}", "gamma_10", ref_name),)
+    dephasing = _reduced(p, "dephasing", p.gamma_ph / ref, f"gamma_ph/{ref_name}",
+                         "gamma_ph", ref_name)
+    return cls(photon_scale, s, *decay, dephasing), getattr(p, pump_name) / ref
 
 
 def _gauge_coupling(denominator: float, n_atoms: float, saturation: float) -> float:
@@ -502,6 +525,30 @@ def _gauge_coupling(denominator: float, n_atoms: float, saturation: float) -> fl
     return g
 
 
+def _expand(d, pump: float, scheme: PumpScheme | None, caller: str = "gauge expansion"):
+    """The canonical physical record of ``d`` by its row of ``_MODEL_RATES``:
+    cavity_kappa = 1, reference rate = 1 and g = sqrt(1/(2*N*saturation));
+    ``caller`` names what requires saturation > 0."""
+    physical, _, pump_name, ref_name, atoms = _MODEL_RATES[scheme]
+    if d.saturation <= 0.0:
+        raise ValueError(f"{caller} requires saturation > 0")
+    n_atoms = atoms * d.photon_scale
+    g = _gauge_coupling(2.0 * n_atoms * d.saturation, n_atoms, d.saturation)
+    rates = {pump_name: pump, ref_name: 1.0, "gamma_ph": d.dephasing}
+    if scheme is not None:
+        rates.update(gamma_10=d.decay_ratio, scheme=scheme)
+    return physical(n_atoms=n_atoms, coupling_g=g, cavity_kappa=1.0, **rates)
+
+
+def reduce_two(p: PhysicalTwoLevel) -> tuple[DimensionlessTwoLevel, float]:
+    """Collapse a physical two-level rate set to (reduced params, pump P).
+
+    P = Gamma/gamma, inf where the ratio overflows.  The reduction discards
+    one gauge degree of freedom; :func:`expand_two` fixes it back canonically.
+    """
+    return _reduce(p, None)
+
+
 def expand_two(d: DimensionlessTwoLevel, pump: float) -> PhysicalTwoLevel:
     """Canonical physical realization of a dimensionless two-level point.
 
@@ -510,18 +557,7 @@ def expand_two(d: DimensionlessTwoLevel, pump: float) -> PhysicalTwoLevel:
     saturation > 0 (no finite atom number realizes the lossless limit)
     and photon_scale >= 1/4 (so that N >= 1).
     """
-    if d.saturation <= 0.0:
-        raise ValueError("expand_two requires saturation > 0")
-    n_atoms = 4.0 * d.photon_scale
-    g = _gauge_coupling(2.0 * n_atoms * d.saturation, n_atoms, d.saturation)
-    return PhysicalTwoLevel(
-        n_atoms=n_atoms,
-        coupling_g=g,
-        cavity_kappa=1.0,
-        gamma_decay=1.0,
-        pump_Gamma=pump,
-        gamma_ph=d.dephasing,
-    )
+    return _expand(d, pump, None, "expand_two")
 
 
 def reduce_three(
@@ -533,51 +569,17 @@ def reduce_three(
     (the table in the module docstring), which must be nonzero; P is inf
     where the ratio overflows.
     """
-    cls, pump_name, ref_name = _SCHEMES[p.scheme]
-    ref = getattr(p, ref_name)
-    if ref <= 0.0:
-        raise ValueError(f"scheme {p.scheme.value} reduction requires {ref_name} > 0")
-    s = _reduced_saturation(p, ref_name)
-    d = cls(
-        photon_scale=_reduced(p, "photon_scale", p.n_atoms * ref / (2.0 * p.cavity_kappa),
-                              f"n_atoms*{ref_name}/(2*cavity_kappa)",
-                              "n_atoms", ref_name, "cavity_kappa"),
-        saturation=s,
-        decay_ratio=_reduced(p, "decay_ratio", p.gamma_10 / ref, f"gamma_10/{ref_name}",
-                             "gamma_10", ref_name),
-        dephasing=_reduced(p, "dephasing", p.gamma_ph / ref, f"gamma_ph/{ref_name}",
-                           "gamma_ph", ref_name),
-    )
-    return d, getattr(p, pump_name) / ref
-
-
-def _expand_three(
-    d: _DimensionlessThree, pump: float, scheme: PumpScheme
-) -> PhysicalThreeLevel:
-    if d.saturation <= 0.0:
-        raise ValueError("gauge expansion requires saturation > 0")
-    n_atoms = 2.0 * d.photon_scale
-    g = _gauge_coupling(4.0 * d.photon_scale * d.saturation, n_atoms, d.saturation)
-    _, pump_name, ref_name = _SCHEMES[scheme]
-    return PhysicalThreeLevel(
-        n_atoms=n_atoms,
-        coupling_g=g,
-        cavity_kappa=1.0,
-        **{pump_name: pump, ref_name: 1.0},
-        gamma_10=d.decay_ratio,
-        gamma_ph=d.dephasing,
-        scheme=scheme,
-    )
+    return _reduce(p, p.scheme)
 
 
 def expand_scheme_a(d: DimensionlessSchemeA, pump: float) -> PhysicalThreeLevel:
     """Canonical realization: cavity_kappa = 1, gamma_02 = 1, N = 2*photon_scale."""
-    return _expand_three(d, pump, PumpScheme.A)
+    return _expand(d, pump, PumpScheme.A)
 
 
 def expand_scheme_b(d: DimensionlessSchemeB, pump: float) -> PhysicalThreeLevel:
     """Canonical realization: cavity_kappa = 1, gamma_21 = 1, N = 2*photon_scale."""
-    return _expand_three(d, pump, PumpScheme.B)
+    return _expand(d, pump, PumpScheme.B)
 
 
 def equilibrium_populations_two(p: PhysicalTwoLevel) -> tuple[float, float]:

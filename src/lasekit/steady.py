@@ -29,7 +29,7 @@ from .params import (
     PumpScheme,
     Regime,
     SteadyResult,
-    _SCHEMES,
+    _MODEL_RATES,
     _flow_sums,
     _no_field,
     _populations_from_ground,
@@ -600,7 +600,7 @@ def n_three_physical(p: PhysicalThreeLevel) -> SteadyResult:
     raw = gain - loss
 
     # the regime comes from the scheme's reduction; a zero reference rate has none
-    ref = getattr(p, _SCHEMES[p.scheme][2])
+    ref = getattr(p, _MODEL_RATES[p.scheme][3])
     regime = _LASING if raw > 0.0 else _BELOW_THRESHOLD
     if ref > 0.0:
         d, pump = reduce_three(p)

@@ -36,6 +36,12 @@ def log_uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
     return 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), size=size)
 
 
+def no_constant(name: str):
+    """A ``json.loads`` parse_constant that fails on Infinity, -Infinity
+    and NaN, which RFC 8259 JSON lacks."""
+    raise AssertionError(f"JSON holds the non-standard constant {name}")
+
+
 def assert_identity(a: float, b: float, scale: float, tol: float = 1e-12) -> None:
     """|a - b| within tol relative; falls back to the natural term scale
     when the compared value itself is cancellation-dominated (the identity

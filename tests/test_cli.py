@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import no_constant
 from lasekit.cli import (
     ConfigError,
     emit_sweep_csv,
@@ -104,6 +106,12 @@ CFG_2L_PHYS_NO_PUMP = {**CFG_2L_PHYS, "params": {
      "bogus: unknown top-level key"),
     (json.dumps({**CFG_3B_PHYS, "params": [1]}), ["steady", "--pump", "1"], None,
      "params: must be an object"),
+    # every fault of the section: missing keys first, then its keys in document order
+    (json.dumps({**CFG_3B_PHYS, "params": {"n_atoms": 100, "scheme": "B", "coupling_g": "1",
+                                           "cavity_kappa": 1, "gamma_21": 1, "gamma_02": 2}}),
+     ["steady", "--pump", "1"], None,
+     "params.gamma_10: missing required key; params.scheme: unknown key for physical three-b; "
+     "params.coupling_g: must be a number, got '1'"),
     (json.dumps({**CFG_3B_PHYS, "integrator": [1]}), ["steady", "--pump", "1"], None,
      "integrator: must be an object"),
     (json.dumps({**CFG_3B_PHYS, "integrator": {"rel_tol": -1}}), ["steady", "--pump", "1"],
@@ -120,7 +128,7 @@ CFG_2L_PHYS_NO_PUMP = {**CFG_2L_PHYS, "params": {
     (json.dumps(CFG_3B_PHYS), ["steady", "--pump", "1"], "x",
      "LASEKIT_PRECISION: invalid literal for int() with base 10: 'x'"),
 ], ids=["unreadable", "not-json", "not-object", "top-level-key", "params-not-object",
-        "integrator-not-object", "rel-tol", "t-max-overflow", "foreign-initial",
+        "params-faults", "integrator-not-object", "rel-tol", "t-max-overflow", "foreign-initial",
         "initial-out-of-range", "pump-required", "precision"])
 def test_config_intake_errors_exit_2(tmp_path, capsys, monkeypatch, text, argv, env, message):
     path = str(tmp_path / "cfg.json")
@@ -549,6 +557,62 @@ def test_scheme_a_sweep_lases_where_one_plus_twice_the_pump_overflows(tmp_path, 
     assert capsys.readouterr().out.splitlines()[-1] == "1.7e+308,494.48995,lasing"
 
 
+def exact_flow(scheme: str, pump: float, eps: float) -> tuple[Fraction, Fraction]:
+    """gamma_par and the inversion of the reference-unit rates, in Fraction."""
+    p, e = Fraction(pump), Fraction(eps)
+    g21, g02 = (p, Fraction(1)) if scheme == "three-a" else (Fraction(1), p)
+    cross = g21 * g02 + g02 * e + g21 * e
+    return 2 * cross / (g02 + 2 * g21), g21 * (g02 - e) / cross
+
+
+@pytest.mark.parametrize("pump", [1e308, 1.7e308])
+@pytest.mark.parametrize("model", ["three-a", "three-b"])
+def test_dimensionless_steady_reports_the_flow_where_the_rate_sums_overflow(
+        tmp_path, capsys, model, pump):
+    # the rates in units of the reference rate overflow their sums, the
+    # report divides them through by the pump instead of blaming rates
+    # the config never gave
+    path = write_cfg(tmp_path, {"model": model, "parameterization": "dimensionless",
+                                "params": {"photon_scale": 1e3, "saturation": 1e-3,
+                                           "decay_ratio": 0.01}})
+    assert main(["steady", "--config", path, "--pump", repr(pump), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for key, exact in zip(("gamma_parallel", "equilibrium_inversion"),
+                          exact_flow(model, pump, 0.01)):
+        assert abs(Fraction(doc[key]) - exact) <= 2 * 2.0**-53 * exact, key
+
+
+@pytest.mark.parametrize("model, pump, eps, reference", [
+    ("three-a", 0.0, 1e308, "gamma_02"),
+    ("three-b", 0.0, 1e308, "gamma_21"),
+    ("three-b", 1.2, 8e307, "gamma_21"),
+])
+def test_dimensionless_steady_names_the_inputs_of_an_overflowing_flow(
+        tmp_path, capsys, model, pump, eps, reference):
+    path = write_cfg(tmp_path, {"model": model, "parameterization": "dimensionless",
+                                "params": {"photon_scale": 1e3, "saturation": 1e-3,
+                                           "decay_ratio": eps}})
+    assert main(["steady", "--config", path, "--pump", repr(pump)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --pump {pump!r} with params.decay_ratio={eps!r} overflows gamma_parallel "
+        f"in units of {reference}\n")
+
+
+def test_series_json_writes_non_finite_values_as_strings(tmp_path, capsys):
+    # photon_scale 1.7e308 overflows every lasing photon number
+    path = write_cfg(tmp_path, {**CFG_2L_DIMLESS, "params": {
+        "photon_scale": 1.7e308, "saturation": 1e-6, "dephasing": 1e5}})
+    assert main(["sweep", "--config", path, "--pump-min", "100", "--pump-max", "1000",
+                 "--points", "2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    assert doc["photon_number"] == ["inf", "inf"]
+    assert doc["metadata"]["photon_scale"] == 1.7e308
+    path = write_cfg(tmp_path, CFG_3B_PHYS)
+    assert main(["dynamics", "--config", path, "--t-max", "5", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    assert doc["n"][-1] == doc["settle"]["photon_number"]
+
+
 SWEEP_HEAD = "# model=two-level\npump,photon_number,regime\n"
 
 
@@ -559,8 +623,12 @@ def test_parse_sweep_csv_rejects_wrong_header():
 
 @pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,lasing,3.0"], ids=["2-cells", "4-cells"])
 def test_parse_sweep_csv_rejects_wrong_cell_count(row):
-    with pytest.raises(ValueError):
-        parse_sweep_csv(io.StringIO(SWEEP_HEAD + row + "\n"))
+    # the row is line 4: a good row and a comment line precede it
+    cells = row.count(",") + 1
+    with pytest.raises(ValueError) as err:
+        parse_sweep_csv(io.StringIO(SWEEP_HEAD + "0.5,0.0,below_threshold\n" + row + "\n"))
+    assert str(err.value) == (f"line 4: {cells} cells where the header "
+                              f"'pump,photon_number,regime' has 3")
 
 
 def test_parse_sweep_csv_rejects_unknown_regime():

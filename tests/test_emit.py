@@ -4,7 +4,8 @@ Every float cell must be ``repr(float(x))``, or ``format(float(x),
 ".Ng")`` with ``LASEKIT_PRECISION=N``, for the series ``integrate``
 returns and for hand-built series whose columns are lists or hold
 integer values.  The JSON writer streams its columns and must write what
-``json.dumps(doc, indent=2)`` writes for the whole document.  A drawn
+``json.dumps(doc, indent=2)`` writes for the whole document, with every
+non-finite value written as the string "inf", "-inf" or "nan".  A drawn
 time series survives its CSV bit for bit, and both formats write n as
 x * x of the row.
 """
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import no_constant
 from lasekit import (
     DimensionlessSchemeB,
     IntegratorConfig,
@@ -149,6 +151,13 @@ def test_sweep_rows_match_per_cell_reference(pumps, precision):
 SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e300, 3.0]
 
 
+def strict(v: float) -> float | str:
+    """A float as RFC 8259 JSON can hold it: non-finite values as strings."""
+    if math.isfinite(v):
+        return v
+    return "nan" if v != v else ("inf" if v > 0 else "-inf")
+
+
 @pytest.mark.parametrize("metadata", [{}, {"model": "three-b", "n_atoms": 100.0, "steady": True}],
                          ids=["empty-metadata", "metadata"])
 @pytest.mark.parametrize("rows", [1, len(SPECIAL), 2 * _CHUNK_ROWS + 3])
@@ -163,10 +172,10 @@ def test_emit_json_matches_json_dumps(metadata, rows):
         "regime": [["lasing"] * rows],
         "none": [],
     }, settle=settle)
-    doc = {"metadata": metadata, "t": values, "x": cubes, "regime": ["lasing"] * rows,
-           "none": [], "settle": settle}
+    doc = {"metadata": metadata, "t": list(map(strict, values)), "x": list(map(strict, cubes)),
+           "regime": ["lasing"] * rows, "none": [], "settle": settle}
     # compared line by line, which keeps pytest's report of a mismatch short
-    expected = json.dumps(doc, indent=2) + "\n"
+    expected = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     assert buf.getvalue().splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
@@ -302,19 +311,21 @@ def test_drawn_timeseries_round_trip_their_csv_and_write_n_as_x_squared(monkeypa
         _emit_json(buf, metadata, *_timeseries_columns(
             series.state_labels, [series.times, *series.states.T], series.steady,
             series.derivative_norm))
-        doc = json.loads(buf.getvalue())
-        assert doc["n"] == [v * v for v in doc["x"]]
-        # the settle object writes an infinite n as "inf", the arrays as Infinity
-        assert float(doc["settle"]["photon_number"]) == doc["n"][-1]
+        doc = json.loads(buf.getvalue(), parse_constant=no_constant)
+        assert doc["n"] == [strict(v * v) for v in doc["x"]]
+        # the settle object and the arrays both write an infinite n as "inf"
+        assert doc["settle"]["photon_number"] == doc["n"][-1]
 
     check()
 
 
-@pytest.mark.parametrize("text", [
-    "t,rho11,y,x,n\n# settle: converged=true\n",
-    "t,rho11,y,n\n0.0,0.5,0.1,0.0\n",
-    "t,rho11,y,x,n\n0.0,0.5,0.1,0.2,0.04\n1.0,0.5,0.1,0.04\n",
+@pytest.mark.parametrize("text, message", [
+    ("t,rho11,y,x,n\n# settle: converged=true\n", "a time series needs >= 1 time"),
+    ("t,rho11,y,n\n0.0,0.5,0.1,0.0\n", "a time series needs >= 1 time"),
+    ("t,rho11,y,x,n\n0.0,0.5,0.1,0.2,0.04\n1.0,0.5,0.1,0.04\n",
+     "line 3: 4 cells where the header 't,rho11,y,x,n' has 5"),
 ], ids=["header-only", "no-x", "ragged-row"])
-def test_parse_timeseries_csv_rejects_documents_without_a_series(text):
-    with pytest.raises(ValueError):
+def test_parse_timeseries_csv_rejects_documents_without_a_series(text, message):
+    with pytest.raises(ValueError) as err:
         parse_timeseries_csv(io.StringIO(text))
+    assert str(err.value).startswith(message)

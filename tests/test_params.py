@@ -180,7 +180,19 @@ def test_reduce_rejects_unrepresentable_saturation(p, rate):
     (three_level(1e10, 2.0, 0.1, N=1e300, scheme=PumpScheme.B),
      "n_atoms=1e+300 with gamma_21=10000000000.0 and cavity_kappa=1.0 gives a photon_scale "
      "n_atoms*gamma_21/(2*cavity_kappa) of inf"),
-], ids=["two-level-dephasing", "scheme-a-decay-ratio", "scheme-b-photon-scale"])
+    (two_level(Gamma=1.0, gamma=1e10, N=1e300),
+     "n_atoms=1e+300 with gamma_decay=10000000000.0 and cavity_kappa=1.0 gives a photon_scale "
+     "n_atoms*gamma_decay/(4*cavity_kappa) of inf"),
+    (three_level(1.0, 1e10, 0.1, N=1e300, scheme=PumpScheme.A),
+     "n_atoms=1e+300 with gamma_02=10000000000.0 and cavity_kappa=1.0 gives a photon_scale "
+     "n_atoms*gamma_02/(2*cavity_kappa) of inf"),
+    (three_level(1e-10, 2.0, 1.7e308, scheme=PumpScheme.B),
+     "gamma_10=1.7e+308 with gamma_21=1e-10 gives a decay_ratio gamma_10/gamma_21 of inf"),
+    (three_level(1e-10, 2.0, 0.1, gph=1.7e308, scheme=PumpScheme.B),
+     "gamma_ph=1.7e+308 with gamma_21=1e-10 gives a dephasing gamma_ph/gamma_21 of inf"),
+], ids=["two-level-dephasing", "scheme-a-decay-ratio", "scheme-b-photon-scale",
+        "two-level-photon-scale", "scheme-a-photon-scale", "scheme-b-decay-ratio",
+        "scheme-b-dephasing"])
 def test_reduce_names_the_rates_of_an_overflowing_ratio(p, message):
     # the error names the config values, not the derived parameter
     reduce = reduce_two if isinstance(p, PhysicalTwoLevel) else reduce_three
@@ -204,6 +216,28 @@ def test_reduce_expand_two_round_trip():
         assert d2.dephasing == d.dephasing
         assert pump2 == pump
         assert d2.saturation == pytest.approx(d.saturation, rel=1e-14)
+
+
+@pytest.mark.parametrize("expand, cls", [
+    (expand_two, DimensionlessTwoLevel),
+    (expand_scheme_a, DimensionlessSchemeA),
+    (expand_scheme_b, DimensionlessSchemeB),
+], ids=["expand_two", "expand_scheme_a", "expand_scheme_b"])
+def test_expand_gauge_coupling_is_the_closed_form_bit_for_bit(expand, cls):
+    # one gauge rule g = sqrt(1/(2*N*s)) for every model; for a three-level
+    # scheme N = 2*photon_scale, so 2*N*s is 4*photon_scale*s exactly
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        photon_scale = float(log_uniform(rng, 0.5, 1e150))
+        saturation = float(log_uniform(rng, 1e-150, 1e3))
+        extra = {} if cls is DimensionlessTwoLevel else {"decay_ratio": 0.1}
+        d = cls(photon_scale=photon_scale, saturation=saturation, **extra)
+        if cls is DimensionlessTwoLevel:
+            n_atoms = 4.0 * photon_scale
+            expected = math.sqrt(1.0 / (2.0 * n_atoms * saturation))
+        else:
+            expected = math.sqrt(1.0 / (4.0 * photon_scale * saturation))
+        assert expand(d, 1.0).coupling_g == expected, d
 
 
 def test_expand_two_requires_positive_saturation():
