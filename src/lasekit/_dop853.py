@@ -14,7 +14,9 @@ relaxation oscillation, not by stiffness, and the 8th-order pair covers one
 period in few right-hand side evaluations.  ``dynamics._run`` is its one
 caller; :func:`dop853_loop` states the rule that ends a run, which only
 recording changes: a run that records nothing tries the Newton polish on
-a schedule of accepted steps, whatever the cavity.
+a schedule of accepted steps, whatever the cavity, and again on the first
+step whose state comes within the polish's ball of the root that a
+failed attempt was heading for.
 
 The step size follows Hairer's PI (Gustafsson) controller with beta = 0.04
 (Hairer & Wanner, Solving ODEs II, sec. IV.2): after an accepted step h
@@ -84,18 +86,34 @@ def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, record):
       run does not, since there an early root would show as a jump of up
       to the polish's ball.  The ball, not the cavity, keeps a pulsing
       orbit that passes near a fixed point from ending the run.
+    - The schedule's gaps grow by a quarter, so it may try the polish up
+      to a quarter of a run's steps after the state entered the ball.  A
+      run that records nothing therefore also aims.  An attempt that fails
+      because a Newton iterate left the ball hands back that iterate,
+      Newton's estimate of the root (``dynamics._polish``).  The polish is
+      tried again on the first accepted step whose state lies within
+      1e-3*(||y|| + 1) of it, a test of a dozen float operations.  Each
+      attempt replaces the aim with its own, or drops it.  A run whose
+      rel_tol or abs_tol exceeds 1e-3 does not aim: its steps may err by
+      more than the ball, so a state inside it says little about the
+      flow.  Every attempt, scheduled, aimed or at the approach, takes a
+      root only on the same terms.
 
     With ``record``, ``steps`` holds (t, u0, u1, u2, u3) of the initial
     state and of every accepted step, packed as ``dynamics._STEP`` records
     in one ``bytearray``; otherwise it is None.  Recording changes nothing
-    but the scheduled attempts: where none succeeds, a recorded run and an
-    unrecorded one end at the same t, state and step count.
+    but the scheduled and aimed attempts: where none succeeds, a recorded
+    run and an unrecorded one end at the same t, state and step count.
     """
     rhs = dynamics._rhs_of(par)
     # the rates and folded constants of rhs, for the stages written out below
     n_at, g, kappa, g21, g02, g10, gperp, pump = par
     g2, ng, nkappa, ngperp = 2.0 * g, n_at * g, -kappa, -gperp
     polish_armed = check_armed = True
+    # whether (a0, a1, a2, a3) holds a root to aim at, and whether the run
+    # aims at all (see above)
+    aiming = False
+    aims = not record and rtol <= 1e-3 and atol <= 1e-3
     accepted = rejected = attempts = 0
     next_try = 1
     t = 0.0
@@ -401,7 +419,8 @@ def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, record):
             accepted += 1
             # dynamics._norm of the derivative and of the state
             fnorm = sqrt(k1_0 * k1_0 + k1_1 * k1_1 + k1_2 * k1_2 + k1_3 * k1_3)
-            target = steady_tol * (sqrt(u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3) + 1.0)
+            scale = sqrt(u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3) + 1.0
+            target = steady_tol * scale
             if fnorm > 1e5 * target:
                 polish_armed = check_armed = True
             if record:
@@ -415,16 +434,28 @@ def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, record):
             if polish_armed and fnorm < 1e4 * target:
                 polish_armed = False
                 attempt = True
+            if aiming and not attempt:
+                # the first state within the polish's ball of the aim
+                e0 = u0 - a0
+                e1 = u1 - a1
+                e2 = u2 - a2
+                e3 = u3 - a3
+                radius = 1e-3 * scale
+                attempt = e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3 <= radius * radius
             if attempt:
                 attempts += 1
-                root = dynamics._polish(par, rhs, (u0, u1, u2, u3),
-                                        (k1_0, k1_1, k1_2, k1_3), steady_tol)
-                if root is not None:
-                    (u0, u1, u2, u3), fnorm = root
+                found = dynamics._polish(par, rhs, (u0, u1, u2, u3),
+                                         (k1_0, k1_1, k1_2, k1_3), steady_tol)
+                if found is not None and found[0] is not None:
+                    (u0, u1, u2, u3), fnorm = found
                     if record:  # the root takes the last step's row, at its t
                         steps[-dynamics._STEP.size:] = pack_step(t, u0, u1, u2, u3)
                     status = dynamics._STEADY
                     break
+                # a miss may name the root Newton was heading for: the aim
+                aiming = found is not None and aims
+                if aiming:
+                    a0, a1, a2, a3 = found[1]
             if fnorm < target:
                 if check_armed and dynamics._hurwitz(par, u0, u1, u2, u3):
                     status = dynamics._STEADY

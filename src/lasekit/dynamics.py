@@ -320,8 +320,8 @@ def _polish(par, rhs, u, f, steady_tol):
     """Newton's method on f(y) = 0, started at the trajectory state ``u``
     with ``f`` = rhs(u), the stepper's right-hand side and derivative.
 
-    Returns (root, ||f(root)||) with the root as a 4-tuple, or None unless
-    the root meets the steady cutoff within 8 iterations, lies within
+    Returns (root, ||f(root)||) with the root as a 4-tuple when the root
+    meets the steady cutoff within 8 iterations, lies within
     1e-3*(||u|| + 1) of ``u``, is a physical state (:func:`_physical`) and
     is linearly stable.  Every iterate must stay inside that ball, so an
     attempt from a state still far from a root fails after one or two
@@ -329,6 +329,13 @@ def _polish(par, rhs, u, f, steady_tol):
     as the cutoff times the Jacobian's conditioning; one more Newton step
     takes it to rounding, and is kept where it stays in the ball and does
     not raise ||f||.
+
+    An attempt whose iterate leaves the ball returns (None, aim), with
+    that iterate as the 4-tuple aim: Newton's estimate of the root it is
+    heading for, which costs nothing beyond the failed attempt.  Close to
+    a root its error goes as the square of the distance to the root.
+    ``_dop853.dop853_loop`` tries again once a state lies within the ball
+    of it.  Any other failure returns None.
     """
     u0, u1, u2, u3 = u
     radius = 1e-3 * (_norm(u0, u1, u2, u3) + 1.0)
@@ -339,9 +346,10 @@ def _polish(par, rhs, u, f, steady_tol):
             return None
         d0, d1, d2, d3 = step
         v0, v1, v2, v3 = v0 - d0, v1 - d1, v2 - d2, v3 - d3
-        # the negated test also rejects a NaN iterate
-        if not _norm(v0 - u0, v1 - u1, v2 - u2, v3 - u3) <= radius:
-            return None
+        # the negated test also rejects a NaN iterate, which is no aim
+        distance = _norm(v0 - u0, v1 - u1, v2 - u2, v3 - u3)
+        if not distance <= radius:
+            return (None, (v0, v1, v2, v3)) if distance > radius else None
         f = rhs(v0, v1, v2, v3)
         fnorm = _norm(*f)
         if fnorm < steady_tol * (_norm(v0, v1, v2, v3) + 1.0):
