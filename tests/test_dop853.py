@@ -320,39 +320,42 @@ def _pinned_draws():
 
 # settle of each pinned draw from its nudged fixed point: (live state
 # components, time, steps, rejected_steps, polish_attempts,
-# rhs_evaluations), bit for bit
+# rhs_evaluations), bit for bit, and the steps the run took when the
+# polish was tried on its schedule alone, which bound its steps
 SETTLE_PINS = [
-    ((0.0007075510664585162, 0.9987479860599894, 0.00028318025806069955, 5.259797119738818), 21.77402126998465, 362, 1, 22, 4358),
-    ((0.4147067337105991, 0.17059858759262458, 0.0022141180479845033, 17.544440600499), 2.171808648749253, 887, 102, 26, 11870),
-    ((0.3808788788141918, 0.2465230569258482, 0.053591338258611634, 11.813261778979848), 0.5901584030998548, 11, 0, 7, 134),
-    ((0.004566150932907052, 0.9943836944847039, 0.001890426511842562, 4.523024671518309), 1.7625050927613828, 37, 1, 12, 458),
-    ((0.0026316813909458892, 0.9950184610203808, 0.0003480013215570021, 7.132385975319224), 5.355214920987445, 59, 3, 14, 746),
-    ((0.22590252165404226, 0.5520101034031012, 0.0019156225222446612, 9.141381121049559), 7.835520485836525, 59, 7, 14, 794),
-    ((0.4439423540271035, 0.1389271041001225, 0.0619418143685873, 84.5856400545235), 2.4718629725073207, 47, 4, 13, 614),
-    ((0.006657112835647528, 0.9866932044503679, 0.00021874966966432385, 19.097143722574618), 12.272371984840643, 1387, 186, 28, 18878),
-    ((0.002906953587634983, 0.9943344688036723, 0.0006287487281404535, 17.25159846804771), 5.030180944836641, 184, 10, 19, 2330),
-    ((0.41135270597369666, 0.2392336507350313, 0.1015997512269614, 492.2309403360838), 27.56213789877969, 709, 2, 25, 8534),
-    ((0.10285049722051597, 0.8782238621110042, 0.03799286880200773, 6.602634534638908), 6.764379814782878, 47, 7, 13, 650),
-    ((0.01632302857468676, 0.9684034025145535, 0.00303446776348121, 43.50059030628428), 74.65225622157439, 567, 27, 24, 7130),
-    ((0.6996180263372553, 0.3462874328677113, 1180.0064289622906), 8.244069366163407, 1109, 4, 27, 13358),
-    ((0.6476128457226061, 0.2408161056102807, 776.0984194942492), 12.53774268880169, 567, 2, 24, 6830),
-    ((0.5077833992763873, 0.040082692478279426, 134.87945106405584), 4.5381761862286645, 184, 32, 19, 2594),
-    ((0.5000150292786587, 0.0035466864168132908, 24.169020466480813), 2.7290648215423117, 567, 65, 24, 7586),
-    ((0.5046799374404269, 0.06424358120981037, 13.755275527154899), 1.9553053454865152, 93, 9, 16, 1226),
-    ((0.6528959292075787, 0.32545380602078433, 923.0757631497133), 9.898543371474918, 453, 3, 23, 5474),
-    ((0.5198763057064153, 0.13798215242195466, 12.393677866915603), 0.12285180600911384, 18, 2, 9, 242),
-    ((0.5980218910601239, 0.23683587453904129, 13.169359664388791), 0.6604987201049689, 47, 3, 13, 602),
+    ((0.000707551066458516, 0.9987479860599894, 0.00028318025806069955, 5.259797119738817), 19.740131738590517, 332, 1, 22, 3998, 362),
+    ((0.4147067337105991, 0.17059858759262456, 0.0022141180479845033, 17.544440600498998), 1.6623962948717, 686, 79, 27, 9182, 887),
+    ((0.38087887881419175, 0.24652305692584814, 0.05359133825861162, 11.813261778979847), 0.47299403483796654, 9, 0, 7, 110, 11),
+    ((0.004566150932906923, 0.994383694484704, 0.001890426511842554, 4.52302467151829), 1.3324374687549725, 33, 1, 12, 410, 37),
+    ((0.0026316813909458892, 0.9950184610203808, 0.00034800132155700207, 7.132385975319222), 4.199974169864938, 50, 1, 14, 614, 59),
+    ((0.22590252165404223, 0.5520101034031011, 0.0019156225222446614, 9.141381121049559), 6.978678113657553, 56, 7, 14, 758, 59),
+    ((0.4439423540271034, 0.1389271041001225, 0.06194181436858726, 84.58564005452347), 1.4988960035645176, 39, 3, 13, 506, 47),
+    ((0.0066571128356475275, 0.9866932044503679, 0.00021874966966432374, 19.097143722574607), 8.254180785051835, 1222, 163, 29, 16622, 1387),
+    ((0.002906953587634983, 0.9943344688036722, 0.0006287487281404535, 17.251598468047707), 4.681982259656937, 178, 10, 19, 2258, 184),
+    ((0.4113527059736966, 0.23923365073503133, 0.1015997512269614, 492.23094033608385), 25.38609025705055, 655, 2, 25, 7886, 709),
+    ((0.10285049722051597, 0.8782238621110042, 0.03799286880200773, 6.602634534638908), 6.568052587870839, 46, 7, 13, 638, 47),
+    ((0.016323028574686763, 0.9684034025145535, 0.00303446776348121, 43.50059030628429), 63.75359362472225, 491, 21, 24, 6146, 567),
+    ((0.6996180263372552, 0.3462874328677113, 1180.0064289622906), 7.475911155056618, 1007, 4, 27, 12134, 1109),
+    ((0.6476128457226061, 0.24081610561028072, 776.0984194942494), 10.660395600573644, 484, 2, 24, 5834, 567),
+    ((0.5077833992763873, 0.04008269247827942, 134.87945106405584), 4.136306676661181, 174, 30, 19, 2450, 184),
+    ((0.5000150292786587, 0.0035466864168132903, 24.169020466480813), 2.718816219844723, 565, 65, 24, 7562, 567),
+    ((0.5046799374404269, 0.06424358120981039, 13.755275527154899), 1.4342984387741629, 78, 6, 16, 1010, 93),
+    ((0.6528959292075788, 0.3254538060207843, 923.0757631497133), 8.221440058711355, 379, 3, 23, 4586, 453),
+    ((0.5198763057064153, 0.1379821524219547, 12.393677866915603), 0.09908418858734439, 15, 2, 9, 206, 18),
+    ((0.5980218910601239, 0.23683587453904129, 13.169359664388793), 0.4378096666868244, 38, 2, 13, 482, 47),
+
 ]
 
 
 def test_settle_runs_are_pinned_bit_for_bit():
     # the record mode of the loop must leave every settle run as it was
-    for p, pin in zip(_pinned_draws(), SETTLE_PINS, strict=True):
+    for p, (*pin, schedule_steps) in zip(_pinned_draws(), SETTLE_PINS, strict=True):
         res = settle(p, initial=perturbed_fixed_state(p))
         assert res.converged
         got = (dataclasses.astuple(res.state), res.time, res.steps, res.rejected_steps, res.polish_attempts,
                res.rhs_evaluations)
-        assert got == pin, p
+        assert got == tuple(pin), p
+        assert res.steps <= schedule_steps, p
 
 
 def test_run_that_does_not_stop_never_polishes(monkeypatch):
