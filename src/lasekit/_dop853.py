@@ -113,7 +113,7 @@ def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, record):
     # whether (a0, a1, a2, a3) holds a root to aim at, and whether the run
     # aims at all (see above)
     aiming = False
-    aims = not record and rtol <= 1e-3 and atol <= 1e-3
+    can_aim = not record and rtol <= 1e-3 and atol <= 1e-3
     accepted = rejected = attempts = 0
     next_try = 1
     t = 0.0
@@ -453,7 +453,7 @@ def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, record):
                     status = dynamics._STEADY
                     break
                 # a miss may name the root Newton was heading for: the aim
-                aiming = found is not None and aims
+                aiming = found is not None and can_aim
                 if aiming:
                     a0, a1, a2, a3 = found[1]
             if fnorm < target:

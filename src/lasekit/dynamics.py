@@ -574,8 +574,8 @@ def _run(
 
     A run that does not stop at steady gets a cutoff of 0; a run that
     records nothing also tries Newton's method on a schedule of accepted
-    steps.  Returns (state, t, status, ||f||, counts, steps):
-    the end state as a :class:`BlochState2` or :class:`BlochState3`, and
+    steps and where it aims.  Returns (state, t, status, ||f||, counts,
+    steps): the end state as a :class:`BlochState2` or :class:`BlochState3`, and
     the rest as ``dop853_loop`` returns them.  Raises ValueError naming
     the tolerances when the run ended outside the physical state space,
     and otherwise :class:`StiffnessError` when the step size underflowed.
@@ -631,9 +631,9 @@ def integrate(
     Runs to ``config.t_max`` (resolved per :func:`default_t_max` when
     None), or, if ``stop_at_steady`` is set, until the run reaches a
     stable fixed point, as :func:`settle` does but without its scheduled
-    Newton attempts, trying Newton's method only once per approach to the
-    cutoff (the stop rule is ``_dop853.dop853_loop``'s).  A
-    Newton root that ends the run replaces the last recorded state at
+    and aimed Newton attempts, trying Newton's method only once per
+    approach to the cutoff (the stop rule is ``_dop853.dop853_loop``'s).
+    A Newton root that ends the run replaces the last recorded state at
     the same t.  The full decay tail is the run with ``stop_at_steady``
     off and an explicit ``t_max``, which keeps the tolerances it was
     given.  Raises ValueError naming the tolerances when the run leaves
@@ -664,7 +664,11 @@ def settle(
     Newton's method is also tried on a schedule of accepted steps, on
     either side of the Lorenz-Haken condition: the acceptance ball of
     :func:`_polish` keeps a pulsing orbit from ending the run at a fixed
-    point it passes by.  The stop rule is ``_dop853.dop853_loop``'s.
+    point it passes by.  An attempt that fails because an iterate left
+    that ball leaves an aim, Newton's estimate of the root, and the
+    polish is tried again on the first accepted step whose state lies
+    within the ball's radius of it.  The stop rule is
+    ``_dop853.dop853_loop``'s.
     When t_max is exhausted first, as it is near an unstable fixed point,
     the result carries ``converged = False`` and the last state instead
     of raising.  Raises as :func:`integrate` does.

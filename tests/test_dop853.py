@@ -415,6 +415,28 @@ def test_recorded_run_and_settle_share_one_exit(monkeypatch):
         assert series.derivative_norm == res.derivative_norm
 
 
+def test_recorded_run_never_aims(monkeypatch):
+    # every Newton attempt misses and aims at the state it was tried from:
+    # settle tries again on the steps that follow, near the end of a
+    # decay, while a recorded run tries only at its approach to the cutoff
+    calls = []
+
+    def miss(par, rhs, u, f, steady_tol):
+        calls.append(u)
+        return None, u
+
+    start = perturbed_fixed_state(README_3L)
+    monkeypatch.setattr(dynamics, "_polish", miss)
+    series = integrate(README_3L, initial=start, stop_at_steady=True)
+    assert series.steady and len(calls) == 1
+    aimed = settle(README_3L, initial=start)
+    monkeypatch.setattr(dynamics, "_polish", lambda *args: None)
+    unaimed = settle(README_3L, initial=start)
+    assert aimed.converged and unaimed.converged
+    assert aimed.steps == unaimed.steps == len(series.times) - 1
+    assert aimed.polish_attempts > unaimed.polish_attempts
+
+
 def test_run_that_does_not_stop_keeps_its_tolerances():
     # a cutoff that never ends the run must not tighten the tolerances
     # either: from next to the fixed point, where the derivative norm

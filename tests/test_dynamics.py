@@ -635,6 +635,64 @@ def test_settle_converges_on_flow_cutoff_when_polish_fails(monkeypatch):
     assert res.photon_number == pytest.approx(n_three_physical(p).photon_number, rel=1e-6)
 
 
+def _aiming_at(monkeypatch, aim):
+    """Make each Newton polish that misses hand the stepper ``aim(u)`` as
+    the root to aim at, in the place of its own; None turns aiming off.
+    Where the polish lands it is left as it is."""
+    polish = dynamics._polish
+
+    def aimed(par, rhs, u, f, steady_tol):
+        found = polish(par, rhs, u, f, steady_tol)
+        if found is not None and found[0] is not None:
+            return found
+        target = aim(u)
+        return None if target is None else (None, target)
+
+    monkeypatch.setattr(dynamics, "_polish", aimed)
+
+
+def test_aimed_polish_never_costs_steps(monkeypatch):
+    # 28 criterion-01 and 16 criterion-02 draws from their nudged fixed
+    # points: aiming adds attempts to the schedule, so a run lands no later
+    # than the schedule alone, on the same root to rounding
+    rng3 = np.random.default_rng(34)
+    rng2 = np.random.default_rng(35)
+    draws = [random_lasing_three_level(rng3) for _ in range(28)]
+    draws += [random_lasing_two_level(rng2)[0] for _ in range(16)]
+    aimed = [settle(p, initial=perturbed_fixed_state(p)) for p in draws]
+    _aiming_at(monkeypatch, lambda u: None)
+    fewer = 0
+    for p, res in zip(draws, aimed):
+        ref = settle(p, initial=perturbed_fixed_state(p))
+        assert res.converged == ref.converged, p
+        assert res.steps <= ref.steps, p
+        assert res.photon_number == pytest.approx(ref.photon_number, rel=1e-12, abs=0.0)
+        fewer += res.steps < ref.steps
+    assert fewer > len(draws) // 2
+
+
+@pytest.mark.parametrize("p, t_max", [(GOOD_CAVITY_PULSING[0], 50.0), (LORENZ_HAKEN, 200.0)],
+                         ids=["good-cavity", "bad-cavity"])
+def test_aim_at_fixed_point_beside_pulsing_orbit(monkeypatch, p, t_max):
+    # a seed field grows onto the pulsing orbit: settle does not converge,
+    # and aiming every miss at the stable fixed point the orbit pulses
+    # around changes nothing, since the orbit never enters the polish's
+    # ball about that point (it passes 22 and 6.8 radii away)
+    cfg = IntegratorConfig(t_max=t_max)
+    res = settle(p, initial=initial_state(p), config=cfg)
+    assert not res.converged
+    fixed = dynamics._state_tuple(type(res.state), fixed_point_state(p))
+    runs = []
+    for aim in (lambda u: fixed, lambda u: None):
+        with monkeypatch.context() as m:
+            _aiming_at(m, aim)
+            runs.append(settle(p, initial=initial_state(p), config=cfg))
+    aimed, unaimed = runs
+    assert not aimed.converged and not unaimed.converged
+    assert aimed.time == unaimed.time == pytest.approx(t_max)
+    assert (aimed.steps, aimed.polish_attempts) == (unaimed.steps, unaimed.polish_attempts)
+
+
 def _numpy_newton_step(par, v, f):
     """The Newton step of ``dynamics._newton_step`` by LAPACK, over the
     full 4x4 Jacobian for either atom."""
