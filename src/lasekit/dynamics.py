@@ -575,10 +575,11 @@ def _run(
     A run that does not stop at steady gets a cutoff of 0; a run that
     records nothing also tries Newton's method on a schedule of accepted
     steps and where it aims.  Returns (state, t, status, ||f||, counts,
-    steps): the end state as a :class:`BlochState2` or :class:`BlochState3`, and
-    the rest as ``dop853_loop`` returns them.  Raises ValueError naming
-    the tolerances when the run ended outside the physical state space,
-    and otherwise :class:`StiffnessError` when the step size underflowed.
+    steps): the end state as a :class:`BlochState2` or
+    :class:`BlochState3`, and the rest as ``dop853_loop`` returns them.
+    Raises ValueError naming the tolerances when the run ended outside
+    the physical state space, and otherwise :class:`StiffnessError` when
+    the step size underflowed.
     """
     from ._dop853 import dop853_loop
 
