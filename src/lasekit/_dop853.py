@@ -12,7 +12,7 @@ s - sum bhh_j k_j, over the three nonzero weights of the 3rd-order
 solution.  Near a lasing fixed point the step is set by the weakly damped
 relaxation oscillation, not by stiffness, and the 8th-order pair covers one
 period in few right-hand side evaluations.  ``dynamics._run`` is its one
-caller; :func:`dop853_loop` states the rule that ends a run, which only
+caller; :func:`kernel` states the rule that ends a run, which only
 recording changes: a run that records nothing tries the Newton polish on
 a schedule of accepted steps, whatever the cavity, and again on the first
 step whose state comes within the polish's ball of the root that a
@@ -27,37 +27,249 @@ shrinks h by max(0.333, 0.9 * err**-(1/8 - 0.2*beta)).  The memory of the
 last error damps the accept -> grow -> reject cycle of the plain
 0.9 * err**(-1/8) controller.
 
-The stages are unrolled over four scalar float locals.  The coefficients
-are float literals, and the zero entries of the tableau are left out of
-every sum.  The right-hand side of ``dynamics._rhs_of``, the one set of
-equations of both atoms, is written into each of the 12 evaluations of a
-step, FSAL's included, with the same operations in the same order, so a
-stage gives bit for bit what a call of the closure gives; a call per
-stage would cost about 10 % of a step.  The closure itself serves the
+The tableau is held once, as data: its nonzero entries as float
+literals.  From it each atom gets its own kernel, the loop of
+:data:`_LOOP` with its stages unrolled over scalar float locals, one per
+live slot of the atom's four-float state (rho11, rho22, y, x), emitted
+and compiled once per process on the atom's first run.  The two-level
+kernel steps rho11, y and x: its level 2 is empty, and every term that
+reads it is an exact zero.  The three-level kernel steps all four slots
+and leaves out Gamma*rho00, as Gamma = 0 there.  Every other term is
+written as the right-hand side of ``dynamics._rhs_of``, the one set of
+equations of both atoms, with the same operations in the same order
+into each of the 12 evaluations of a step, FSAL's included, so a stage
+gives bit for bit what a call of the closure gives; a call per stage
+would cost about 10 % of a step.  The closure itself serves the
 derivative at the start, the first-step heuristic and the Newton
 polish.  The error norm makes no function call but ``abs`` and
 ``sqrt``: it squares by multiplication, which overflows to inf without
 raising.  The first-step heuristic, the state check, the stability
 test, the Newton polish and the step record layout are looked up on
-:mod:`lasekit.dynamics`.
+:mod:`lasekit.dynamics` at run time.  The emitted source is registered
+with :mod:`linecache`, so tracebacks and ``inspect.getsource`` show it.
 """
 
+import linecache
 import math
 
 from . import dynamics
 
+# Prince & Dormand's 8th-order pair, its nonzero entries only: the row
+# {j: a_ij} of each stage i, and {j: weight} of the 8th-order solution
+# (B), of the 5th-order error estimate (E5) and of the 3rd-order solution
+# (BHH)
+_A = {
+    2: {1: 0.05260015195876773},
+    3: {1: 0.0197250569845379, 2: 0.0591751709536137},
+    4: {1: 0.02958758547680685, 3: 0.08876275643042054},
+    5: {1: 0.2413651341592667, 3: -0.8845494793282861, 4: 0.924834003261792},
+    6: {1: 0.037037037037037035, 4: 0.17082860872947386, 5: 0.12546768756682242},
+    7: {1: 0.037109375, 4: 0.17025221101954405, 5: 0.06021653898045596,
+        6: -0.017578125},
+    8: {1: 0.03709200011850479, 4: 0.17038392571223998, 5: 0.10726203044637328,
+        6: -0.015319437748624402, 7: 0.008273789163814023},
+    9: {1: 0.6241109587160757, 4: -3.3608926294469414, 5: -0.868219346841726,
+        6: 27.59209969944671, 7: 20.154067550477894, 8: -43.48988418106996},
+    10: {1: 0.47766253643826434, 4: -2.4881146199716677, 5: -0.590290826836843,
+         6: 21.230051448181193, 7: 15.279233632882423, 8: -33.28821096898486,
+         9: -0.020331201708508627},
+    11: {1: -0.9371424300859873, 4: 5.186372428844064, 5: 1.0914373489967295,
+         6: -8.149787010746927, 7: -18.52006565999696, 8: 22.739487099350505,
+         9: 2.4936055526796523, 10: -3.0467644718982196},
+    12: {1: 2.273310147516538, 4: -10.53449546673725, 5: -2.0008720582248625,
+         6: -17.9589318631188, 7: 27.94888452941996, 8: -2.8589982771350235,
+         9: -8.87285693353063, 10: 12.360567175794303, 11: 0.6433927460157636},
+}
+_B = {1: 0.054293734116568765, 6: 4.450312892752409, 7: 1.8915178993145003,
+      8: -5.801203960010585, 9: 0.3111643669578199, 10: -0.1521609496625161,
+      11: 0.20136540080403034, 12: 0.04471061572777259}
+_E5 = {1: 0.01312004499419488, 6: -1.2251564463762044, 7: -0.4957589496572502,
+       8: 1.6643771824549864, 9: -0.35032884874997366, 10: 0.3341791187130175,
+       11: 0.08192320648511571, 12: -0.022355307863886294}
+_BHH = {1: 0.2440944881889764, 9: 0.7338466882816118, 12: 0.022058823529411766}
 
+# the right-hand side of ``dynamics._rhs_of`` at the point p: rho00 = r and
+# the derivative of each slot, as their terms in the closure's order
+_RHS = (
+    ("1.0", " - {p}0", " - {p}1"),
+    ("pump * r", " + g21 * {p}1", " - g10 * {p}0", " - g2 * {p}3 * {p}2"),
+    ("g02 * r", " - g21 * {p}1"),
+    ("ngperp * {p}2", " + g * {p}3 * ({p}0 - r)"),
+    ("nkappa * {p}3", " + ng * {p}2"),
+)
+
+# the live slots of each atom's state, and whether its Gamma*rho00 term
+# is live (module docstring)
+_ATOMS = {dynamics.BlochState2: ((0, 2, 3), True),
+          dynamics.BlochState3: ((0, 1, 2, 3), False)}
+
+# The loop of every kernel.  Each field names what the emitter writes
+# over the live slots: a tuple of the four-float state (a dead slot is
+# 0.0, or _ as a target), a sum of squares, or a block of lines.
+_LOOP = '''\
 def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, record):
-    """Adaptive DOP853 from t = 0 until a stable fixed point or t_max.
+    rhs = dynamics._rhs_of(par)
+    # the rates and folded constants of rhs, for the stages written out below
+    n_at, g, kappa, g21, g02, g10, gperp, {pump} = par
+    g2, ng, nkappa, ngperp = 2.0 * g, n_at * g, -kappa, -gperp
+    polish_armed = check_armed = True
+    # whether the a<slot> hold a root to aim at, and whether the run aims
+    aiming = False
+    can_aim = not record and rtol <= 1e-3 and atol <= 1e-3
+    accepted = rejected = attempts = 0
+    next_try = 1
+    t = 0.0
+    {u_} = y0
+    {k1_} = rhs({u})
+    fnorm = dynamics._norm({k1})
+    pack_step = dynamics._STEP.pack
+    steps = bytearray(pack_step(t, {u})) if record else None
+
+    if fnorm < steady_tol * (dynamics._norm({u}) + 1.0):
+        if dynamics._hurwitz(par, {u}):
+            return dynamics._STEADY, t, ({u}), fnorm, (0, 0, 0, 1), steps
+        check_armed = False
+
+    h = dynamics._first_step(rhs, ({u}), ({k1}), n, t_max, rtol, atol, max_step)
+
+    # tightening; the floor keeps the error scale of a zero component
+    # positive should atol*tighten underflow
+    tighten = 1.0
+    tighten_min = min(1.0, 5e-14 / rtol)
+    atol_eff = max(atol, 5e-324)
+    rtol_eff = rtol
+    sqrt = math.sqrt
+    sqrt_n = sqrt(n)
+    facold = 1e-4  # Hairer's start value of the last accepted error
+
+    status = dynamics._TMAX
+    while t < t_max:
+        floor = 1e-14 * t if t > 1.0 else 1e-14  # t >= 0
+        remaining = t_max - t
+        if remaining <= floor:
+            break  # arrived within rounding of the horizon
+        if h > max_step:
+            h = max_step
+        if h > remaining:
+            h = remaining
+        if h < floor:
+            # the error controller, not the horizon, drove h to zero
+            status = dynamics._UNDERFLOW
+            break
+
+        # stages 2-12 (FSAL: k1 already holds f(t, y)), the 8th-order
+        # solution v, f(t + h, v) as the next step's k1, and the 5th- and
+        # 3rd-order estimates; the 3rd-order solution shares the weights
+        # of the 8th-order one
+{stages}
+
+        # Hairer's blend of the 5th- and 3rd-order estimates: h*e5 scaled
+        # by |e5|/sqrt(|e5|**2 + 0.01*|e3|**2), which behaves as h**8.  The
+        # conditional is builtin max, NaN included; a product that
+        # overflows gives inf without raising
+{scales}
+{q5}
+        err5 = {err}
+{q3}
+        err3 = {err}
+        deno = err5 + 0.01 * err3
+        if deno == 0.0:
+            errnorm = 0.0
+        elif deno < math.inf:
+            errnorm = h * err5 / (sqrt(deno) * sqrt_n)
+        else:  # an overflowed (or NaN) estimate rejects the step
+            errnorm = math.inf
+
+        if errnorm <= 1.0:
+            t += h
+            {accept}
+            {fsal}  # FSAL
+            accepted += 1
+            # dynamics._norm of the derivative and of the state
+            fnorm = sqrt({fsq})
+            scale = sqrt({usq}) + 1.0
+            target = steady_tol * scale
+            if fnorm > 1e5 * target:
+                polish_armed = check_armed = True
+            if record:
+                steps += pack_step(t, {u})
+            attempt = False
+            if accepted == next_try:
+                next_try += 1 + next_try // 4
+                if not dynamics._physical({u}):
+                    break  # the caller raises on the unphysical end state
+                attempt = not record
+            if polish_armed and fnorm < 1e4 * target:
+                polish_armed = False
+                attempt = True
+            if aiming and not attempt:
+                # the first state within the polish's ball of the aim
+{distance}
+                radius = 1e-3 * scale
+                attempt = {esq} <= radius * radius
+            if attempt:
+                attempts += 1
+                found = dynamics._polish(par, rhs, ({u}), ({k1}), steady_tol)
+                if found is not None and found[0] is not None:
+                    ({u_}), fnorm = found
+                    if record:  # the root takes the last step's row, at its t
+                        steps[-dynamics._STEP.size:] = pack_step(t, {u})
+                    status = dynamics._STEADY
+                    break
+                # a miss may name the root Newton was heading for: the aim
+                aiming = found is not None and can_aim
+                if aiming:
+                    {a_} = found[1]
+            if fnorm < target:
+                if check_armed and dynamics._hurwitz(par, {u}):
+                    status = dynamics._STEADY
+                    break
+                check_armed = False
+            if fnorm < 1e4 * target and tighten > tighten_min:
+                tighten = max(0.25 * tighten, tighten_min)
+                atol_eff = max(atol * tighten, 5e-324)
+                rtol_eff = rtol * tighten
+            elif fnorm > 1e5 * target and tighten < 1.0:
+                tighten = min(4.0 * tighten, 1.0)
+                atol_eff = max(atol * tighten, 5e-324)
+                rtol_eff = rtol * tighten
+            # PI control (Gustafsson; Hairer's beta = 0.04): the exponent
+            # 1/8 - 0.2*beta on this error, beta on the last accepted one;
+            # the compiler folds the constant expression
+            if errnorm == 0.0:
+                h *= 6.0
+            else:
+                fac = 0.9 * errnorm ** -(0.125 - 0.2 * 0.04) * facold ** 0.04
+                h *= 6.0 if fac > 6.0 else (0.333 if fac < 0.333 else fac)
+            facold = errnorm if errnorm > 1e-4 else 1e-4
+        else:
+            rejected += 1
+            h *= max(0.333, 0.9 * errnorm ** -(0.125 - 0.2 * 0.04))
+
+    # the start, the first-step probe and 12 per attempted step
+    rhs_evaluations = 2 + 12 * (accepted + rejected)
+    counts = (accepted, rejected, attempts, rhs_evaluations)
+    return status, t, ({u}), fnorm, counts, steps
+'''
+
+_KERNELS = {}
+
+
+def kernel(cls):
+    """The stepper for the atom whose state class is ``cls``, emitted and
+    compiled on its first call: a function of (par, y0, n, t_max, rtol,
+    atol, max_step, steady_tol, record) that integrates by adaptive DOP853
+    from t = 0 until a stable fixed point or t_max.
 
     ``par`` and ``y0`` are float tuples (see ``dynamics._rhs_of``), the
     state as four floats (rho11, rho22, y, x) for either atom; ``n`` is
-    the number of fields of its state class, over which the error norm
-    takes its mean.  Returns (status, t, y, f_norm, counts, steps): status
-    ``dynamics._STEADY``, ``_TMAX`` or ``_UNDERFLOW`` (step-size
-    underflow), the end state ``y`` as four floats, and ``counts`` =
-    (accepted steps, rejected steps, polish attempts, right-hand side
-    evaluations of the stepper, the polish's left out).
+    the number of fields of ``cls``, over which the error norm takes its
+    mean.  Returns (status, t,
+    y, f_norm, counts, steps): status ``dynamics._STEADY``, ``_TMAX`` or
+    ``_UNDERFLOW`` (step-size underflow), the end state ``y`` as four
+    floats, and ``counts`` = (accepted steps, rejected steps, polish
+    attempts, right-hand side evaluations of the stepper, the polish's
+    left out).
 
     The rule that ends a run:
 
@@ -101,388 +313,74 @@ def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, record):
 
     With ``record``, ``steps`` holds (t, u0, u1, u2, u3) of the initial
     state and of every accepted step, packed as ``dynamics._STEP`` records
-    in one ``bytearray``; otherwise it is None.  Recording changes nothing
-    but the scheduled and aimed attempts: where none succeeds, a recorded
-    run and an unrecorded one end at the same t, state and step count.
+    in one ``bytearray``, rho22 = 0.0 for the two-level atom; otherwise it
+    is None.  Recording changes nothing but the scheduled and aimed
+    attempts: where none succeeds, a recorded run and an unrecorded one
+    end at the same t, state and step count.
     """
-    rhs = dynamics._rhs_of(par)
-    # the rates and folded constants of rhs, for the stages written out below
-    n_at, g, kappa, g21, g02, g10, gperp, pump = par
-    g2, ng, nkappa, ngperp = 2.0 * g, n_at * g, -kappa, -gperp
-    polish_armed = check_armed = True
-    # whether (a0, a1, a2, a3) holds a root to aim at, and whether the run
-    # aims at all (see above)
-    aiming = False
-    can_aim = not record and rtol <= 1e-3 and atol <= 1e-3
-    accepted = rejected = attempts = 0
-    next_try = 1
-    t = 0.0
-    u0, u1, u2, u3 = y0
-    k1_0, k1_1, k1_2, k1_3 = rhs(u0, u1, u2, u3)
-    fnorm = dynamics._norm(k1_0, k1_1, k1_2, k1_3)
-    pack_step = dynamics._STEP.pack
-    steps = bytearray(pack_step(t, u0, u1, u2, u3)) if record else None
+    loop = _KERNELS.get(cls)
+    if loop is None:
+        loop = _KERNELS[cls] = _emit(*_ATOMS[cls], cls.__name__)
+    return loop
 
-    if fnorm < steady_tol * (dynamics._norm(u0, u1, u2, u3) + 1.0):
-        if dynamics._hurwitz(par, u0, u1, u2, u3):
-            return dynamics._STEADY, t, (u0, u1, u2, u3), fnorm, (0, 0, 0, 1), steps
-        check_armed = False
 
-    h = dynamics._first_step(rhs, (u0, u1, u2, u3), (k1_0, k1_1, k1_2, k1_3), n,
-                             t_max, rtol, atol, max_step)
+def _emit(live, pumped, name):
+    """Compile :data:`_LOOP` over the slots ``live``, with the
+    Gamma*rho00 term where ``pumped``, as the function of :func:`kernel`;
+    its source is registered with :mod:`linecache` under ``name``."""
 
-    # tightening (see above); the floor keeps the error scale of a zero
-    # component (the empty level 2 of the two-level atom) positive should
-    # atol*tighten underflow
-    tighten = 1.0
-    tighten_min = min(1.0, 5e-14 / rtol)
-    atol_eff = max(atol, 5e-324)
-    rtol_eff = rtol
-    sqrt = math.sqrt
-    sqrt_n = sqrt(n)
-    facold = 1e-4  # Hairer's start value of the last accepted error
+    def row(x, dead=None):
+        # x<c> over the live slots, or over all four with ``dead`` in a dead one
+        slots = range(4) if dead else live
+        return ", ".join(f"{x}{c}" if c in live else dead for c in slots)
 
-    status = dynamics._TMAX
-    while t < t_max:
-        floor = 1e-14 * t if t > 1.0 else 1e-14  # t >= 0
-        remaining = t_max - t
-        if remaining <= floor:
-            break  # arrived within rounding of the horizon
-        if h > max_step:
-            h = max_step
-        if h > remaining:
-            h = remaining
-        if h < floor:
-            # the error controller, not the horizon, drove h to zero
-            status = dynamics._UNDERFLOW
-            break
+    def squares(x):
+        return " + ".join(f"{x}{c} * {x}{c}" for c in live)
 
-        # stages 2-12 (FSAL: k1 already holds f(t, y)), the 8th-order
-        # solution v and f(t + h, v) as the next step's k1
-        w0 = u0 + h * (0.05260015195876773 * k1_0)
-        w1 = u1 + h * (0.05260015195876773 * k1_1)
-        w2 = u2 + h * (0.05260015195876773 * k1_2)
-        w3 = u3 + h * (0.05260015195876773 * k1_3)
-        r = 1.0 - w0 - w1
-        k2_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k2_1 = g02 * r - g21 * w1
-        k2_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k2_3 = nkappa * w3 + ng * w2
-        w0 = u0 + h * (0.0197250569845379 * k1_0 + 0.0591751709536137 * k2_0)
-        w1 = u1 + h * (0.0197250569845379 * k1_1 + 0.0591751709536137 * k2_1)
-        w2 = u2 + h * (0.0197250569845379 * k1_2 + 0.0591751709536137 * k2_2)
-        w3 = u3 + h * (0.0197250569845379 * k1_3 + 0.0591751709536137 * k2_3)
-        r = 1.0 - w0 - w1
-        k3_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k3_1 = g02 * r - g21 * w1
-        k3_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k3_3 = nkappa * w3 + ng * w2
-        w0 = u0 + h * (0.02958758547680685 * k1_0 + 0.08876275643042054 * k3_0)
-        w1 = u1 + h * (0.02958758547680685 * k1_1 + 0.08876275643042054 * k3_1)
-        w2 = u2 + h * (0.02958758547680685 * k1_2 + 0.08876275643042054 * k3_2)
-        w3 = u3 + h * (0.02958758547680685 * k1_3 + 0.08876275643042054 * k3_3)
-        r = 1.0 - w0 - w1
-        k4_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k4_1 = g02 * r - g21 * w1
-        k4_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k4_3 = nkappa * w3 + ng * w2
-        w0 = u0 + h * (0.2413651341592667 * k1_0 - 0.8845494793282861 * k3_0
-                       + 0.924834003261792 * k4_0)
-        w1 = u1 + h * (0.2413651341592667 * k1_1 - 0.8845494793282861 * k3_1
-                       + 0.924834003261792 * k4_1)
-        w2 = u2 + h * (0.2413651341592667 * k1_2 - 0.8845494793282861 * k3_2
-                       + 0.924834003261792 * k4_2)
-        w3 = u3 + h * (0.2413651341592667 * k1_3 - 0.8845494793282861 * k3_3
-                       + 0.924834003261792 * k4_3)
-        r = 1.0 - w0 - w1
-        k5_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k5_1 = g02 * r - g21 * w1
-        k5_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k5_3 = nkappa * w3 + ng * w2
-        w0 = u0 + h * (0.037037037037037035 * k1_0 + 0.17082860872947386 * k4_0
-                       + 0.12546768756682242 * k5_0)
-        w1 = u1 + h * (0.037037037037037035 * k1_1 + 0.17082860872947386 * k4_1
-                       + 0.12546768756682242 * k5_1)
-        w2 = u2 + h * (0.037037037037037035 * k1_2 + 0.17082860872947386 * k4_2
-                       + 0.12546768756682242 * k5_2)
-        w3 = u3 + h * (0.037037037037037035 * k1_3 + 0.17082860872947386 * k4_3
-                       + 0.12546768756682242 * k5_3)
-        r = 1.0 - w0 - w1
-        k6_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k6_1 = g02 * r - g21 * w1
-        k6_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k6_3 = nkappa * w3 + ng * w2
-        w0 = u0 + h * (0.037109375 * k1_0 + 0.17025221101954405 * k4_0
-                       + 0.06021653898045596 * k5_0 - 0.017578125 * k6_0)
-        w1 = u1 + h * (0.037109375 * k1_1 + 0.17025221101954405 * k4_1
-                       + 0.06021653898045596 * k5_1 - 0.017578125 * k6_1)
-        w2 = u2 + h * (0.037109375 * k1_2 + 0.17025221101954405 * k4_2
-                       + 0.06021653898045596 * k5_2 - 0.017578125 * k6_2)
-        w3 = u3 + h * (0.037109375 * k1_3 + 0.17025221101954405 * k4_3
-                       + 0.06021653898045596 * k5_3 - 0.017578125 * k6_3)
-        r = 1.0 - w0 - w1
-        k7_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k7_1 = g02 * r - g21 * w1
-        k7_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k7_3 = nkappa * w3 + ng * w2
-        w0 = u0 + h * (0.03709200011850479 * k1_0 + 0.17038392571223998 * k4_0
-                       + 0.10726203044637328 * k5_0 - 0.015319437748624402 * k6_0
-                       + 0.008273789163814023 * k7_0)
-        w1 = u1 + h * (0.03709200011850479 * k1_1 + 0.17038392571223998 * k4_1
-                       + 0.10726203044637328 * k5_1 - 0.015319437748624402 * k6_1
-                       + 0.008273789163814023 * k7_1)
-        w2 = u2 + h * (0.03709200011850479 * k1_2 + 0.17038392571223998 * k4_2
-                       + 0.10726203044637328 * k5_2 - 0.015319437748624402 * k6_2
-                       + 0.008273789163814023 * k7_2)
-        w3 = u3 + h * (0.03709200011850479 * k1_3 + 0.17038392571223998 * k4_3
-                       + 0.10726203044637328 * k5_3 - 0.015319437748624402 * k6_3
-                       + 0.008273789163814023 * k7_3)
-        r = 1.0 - w0 - w1
-        k8_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k8_1 = g02 * r - g21 * w1
-        k8_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k8_3 = nkappa * w3 + ng * w2
-        w0 = u0 + h * (0.6241109587160757 * k1_0 - 3.3608926294469414 * k4_0
-                       - 0.868219346841726 * k5_0 + 27.59209969944671 * k6_0
-                       + 20.154067550477894 * k7_0 - 43.48988418106996 * k8_0)
-        w1 = u1 + h * (0.6241109587160757 * k1_1 - 3.3608926294469414 * k4_1
-                       - 0.868219346841726 * k5_1 + 27.59209969944671 * k6_1
-                       + 20.154067550477894 * k7_1 - 43.48988418106996 * k8_1)
-        w2 = u2 + h * (0.6241109587160757 * k1_2 - 3.3608926294469414 * k4_2
-                       - 0.868219346841726 * k5_2 + 27.59209969944671 * k6_2
-                       + 20.154067550477894 * k7_2 - 43.48988418106996 * k8_2)
-        w3 = u3 + h * (0.6241109587160757 * k1_3 - 3.3608926294469414 * k4_3
-                       - 0.868219346841726 * k5_3 + 27.59209969944671 * k6_3
-                       + 20.154067550477894 * k7_3 - 43.48988418106996 * k8_3)
-        r = 1.0 - w0 - w1
-        k9_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k9_1 = g02 * r - g21 * w1
-        k9_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k9_3 = nkappa * w3 + ng * w2
-        w0 = u0 + h * (0.47766253643826434 * k1_0 - 2.4881146199716677 * k4_0
-                       - 0.590290826836843 * k5_0 + 21.230051448181193 * k6_0
-                       + 15.279233632882423 * k7_0 - 33.28821096898486 * k8_0
-                       - 0.020331201708508627 * k9_0)
-        w1 = u1 + h * (0.47766253643826434 * k1_1 - 2.4881146199716677 * k4_1
-                       - 0.590290826836843 * k5_1 + 21.230051448181193 * k6_1
-                       + 15.279233632882423 * k7_1 - 33.28821096898486 * k8_1
-                       - 0.020331201708508627 * k9_1)
-        w2 = u2 + h * (0.47766253643826434 * k1_2 - 2.4881146199716677 * k4_2
-                       - 0.590290826836843 * k5_2 + 21.230051448181193 * k6_2
-                       + 15.279233632882423 * k7_2 - 33.28821096898486 * k8_2
-                       - 0.020331201708508627 * k9_2)
-        w3 = u3 + h * (0.47766253643826434 * k1_3 - 2.4881146199716677 * k4_3
-                       - 0.590290826836843 * k5_3 + 21.230051448181193 * k6_3
-                       + 15.279233632882423 * k7_3 - 33.28821096898486 * k8_3
-                       - 0.020331201708508627 * k9_3)
-        r = 1.0 - w0 - w1
-        k10_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k10_1 = g02 * r - g21 * w1
-        k10_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k10_3 = nkappa * w3 + ng * w2
-        w0 = u0 + h * (-0.9371424300859873 * k1_0 + 5.186372428844064 * k4_0
-                       + 1.0914373489967295 * k5_0 - 8.149787010746927 * k6_0
-                       - 18.52006565999696 * k7_0 + 22.739487099350505 * k8_0
-                       + 2.4936055526796523 * k9_0 - 3.0467644718982196 * k10_0)
-        w1 = u1 + h * (-0.9371424300859873 * k1_1 + 5.186372428844064 * k4_1
-                       + 1.0914373489967295 * k5_1 - 8.149787010746927 * k6_1
-                       - 18.52006565999696 * k7_1 + 22.739487099350505 * k8_1
-                       + 2.4936055526796523 * k9_1 - 3.0467644718982196 * k10_1)
-        w2 = u2 + h * (-0.9371424300859873 * k1_2 + 5.186372428844064 * k4_2
-                       + 1.0914373489967295 * k5_2 - 8.149787010746927 * k6_2
-                       - 18.52006565999696 * k7_2 + 22.739487099350505 * k8_2
-                       + 2.4936055526796523 * k9_2 - 3.0467644718982196 * k10_2)
-        w3 = u3 + h * (-0.9371424300859873 * k1_3 + 5.186372428844064 * k4_3
-                       + 1.0914373489967295 * k5_3 - 8.149787010746927 * k6_3
-                       - 18.52006565999696 * k7_3 + 22.739487099350505 * k8_3
-                       + 2.4936055526796523 * k9_3 - 3.0467644718982196 * k10_3)
-        r = 1.0 - w0 - w1
-        k11_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k11_1 = g02 * r - g21 * w1
-        k11_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k11_3 = nkappa * w3 + ng * w2
-        w0 = u0 + h * (2.273310147516538 * k1_0 - 10.53449546673725 * k4_0
-                       - 2.0008720582248625 * k5_0 - 17.9589318631188 * k6_0
-                       + 27.94888452941996 * k7_0 - 2.8589982771350235 * k8_0
-                       - 8.87285693353063 * k9_0 + 12.360567175794303 * k10_0
-                       + 0.6433927460157636 * k11_0)
-        w1 = u1 + h * (2.273310147516538 * k1_1 - 10.53449546673725 * k4_1
-                       - 2.0008720582248625 * k5_1 - 17.9589318631188 * k6_1
-                       + 27.94888452941996 * k7_1 - 2.8589982771350235 * k8_1
-                       - 8.87285693353063 * k9_1 + 12.360567175794303 * k10_1
-                       + 0.6433927460157636 * k11_1)
-        w2 = u2 + h * (2.273310147516538 * k1_2 - 10.53449546673725 * k4_2
-                       - 2.0008720582248625 * k5_2 - 17.9589318631188 * k6_2
-                       + 27.94888452941996 * k7_2 - 2.8589982771350235 * k8_2
-                       - 8.87285693353063 * k9_2 + 12.360567175794303 * k10_2
-                       + 0.6433927460157636 * k11_2)
-        w3 = u3 + h * (2.273310147516538 * k1_3 - 10.53449546673725 * k4_3
-                       - 2.0008720582248625 * k5_3 - 17.9589318631188 * k6_3
-                       + 27.94888452941996 * k7_3 - 2.8589982771350235 * k8_3
-                       - 8.87285693353063 * k9_3 + 12.360567175794303 * k10_3
-                       + 0.6433927460157636 * k11_3)
-        r = 1.0 - w0 - w1
-        k12_0 = pump * r + g21 * w1 - g10 * w0 - g2 * w3 * w2
-        k12_1 = g02 * r - g21 * w1
-        k12_2 = ngperp * w2 + g * w3 * (w0 - r)
-        k12_3 = nkappa * w3 + ng * w2
-        s0 = (0.054293734116568765 * k1_0 + 4.450312892752409 * k6_0
-              + 1.8915178993145003 * k7_0 - 5.801203960010585 * k8_0
-              + 0.3111643669578199 * k9_0 - 0.1521609496625161 * k10_0
-              + 0.20136540080403034 * k11_0 + 0.04471061572777259 * k12_0)
-        s1 = (0.054293734116568765 * k1_1 + 4.450312892752409 * k6_1
-              + 1.8915178993145003 * k7_1 - 5.801203960010585 * k8_1
-              + 0.3111643669578199 * k9_1 - 0.1521609496625161 * k10_1
-              + 0.20136540080403034 * k11_1 + 0.04471061572777259 * k12_1)
-        s2 = (0.054293734116568765 * k1_2 + 4.450312892752409 * k6_2
-              + 1.8915178993145003 * k7_2 - 5.801203960010585 * k8_2
-              + 0.3111643669578199 * k9_2 - 0.1521609496625161 * k10_2
-              + 0.20136540080403034 * k11_2 + 0.04471061572777259 * k12_2)
-        s3 = (0.054293734116568765 * k1_3 + 4.450312892752409 * k6_3
-              + 1.8915178993145003 * k7_3 - 5.801203960010585 * k8_3
-              + 0.3111643669578199 * k9_3 - 0.1521609496625161 * k10_3
-              + 0.20136540080403034 * k11_3 + 0.04471061572777259 * k12_3)
-        v0 = u0 + h * s0
-        v1 = u1 + h * s1
-        v2 = u2 + h * s2
-        v3 = u3 + h * s3
-        r = 1.0 - v0 - v1
-        k13_0 = pump * r + g21 * v1 - g10 * v0 - g2 * v3 * v2
-        k13_1 = g02 * r - g21 * v1
-        k13_2 = ngperp * v2 + g * v3 * (v0 - r)
-        k13_3 = nkappa * v3 + ng * v2
+    def lines(indent, *templates):
+        return "\n".join(indent + t.format(c=c) for c in live for t in templates)
 
-        e5_0 = (0.01312004499419488 * k1_0 - 1.2251564463762044 * k6_0
-                - 0.4957589496572502 * k7_0 + 1.6643771824549864 * k8_0
-                - 0.35032884874997366 * k9_0 + 0.3341791187130175 * k10_0
-                + 0.08192320648511571 * k11_0 - 0.022355307863886294 * k12_0)
-        e5_1 = (0.01312004499419488 * k1_1 - 1.2251564463762044 * k6_1
-                - 0.4957589496572502 * k7_1 + 1.6643771824549864 * k8_1
-                - 0.35032884874997366 * k9_1 + 0.3341791187130175 * k10_1
-                + 0.08192320648511571 * k11_1 - 0.022355307863886294 * k12_1)
-        e5_2 = (0.01312004499419488 * k1_2 - 1.2251564463762044 * k6_2
-                - 0.4957589496572502 * k7_2 + 1.6643771824549864 * k8_2
-                - 0.35032884874997366 * k9_2 + 0.3341791187130175 * k10_2
-                + 0.08192320648511571 * k11_2 - 0.022355307863886294 * k12_2)
-        e5_3 = (0.01312004499419488 * k1_3 - 1.2251564463762044 * k6_3
-                - 0.4957589496572502 * k7_3 + 1.6643771824549864 * k8_3
-                - 0.35032884874997366 * k9_3 + 0.3341791187130175 * k10_3
-                + 0.08192320648511571 * k11_3 - 0.022355307863886294 * k12_3)
-        # the 3rd-order solution shares the weights of the 8th-order one
-        e3_0 = s0 - (0.2440944881889764 * k1_0 + 0.7338466882816118 * k9_0
-                   + 0.022058823529411766 * k12_0)
-        e3_1 = s1 - (0.2440944881889764 * k1_1 + 0.7338466882816118 * k9_1
-                   + 0.022058823529411766 * k12_1)
-        e3_2 = s2 - (0.2440944881889764 * k1_2 + 0.7338466882816118 * k9_2
-                   + 0.022058823529411766 * k12_2)
-        e3_3 = s3 - (0.2440944881889764 * k1_3 + 0.7338466882816118 * k9_3
-                   + 0.022058823529411766 * k12_3)
+    def combination(weights, c):
+        # the first weight with its sign, then + or - each magnitude
+        text = " ".join(f"{'+' if w > 0.0 else '-'} {abs(w)!r} * k{j}_{c}"
+                        for j, w in weights.items())
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
-        # Hairer's blend of the 5th- and 3rd-order estimates: h*e5 scaled
-        # by |e5|/sqrt(|e5|**2 + 0.01*|e3|**2), which behaves as h**8.  The
-        # conditional is builtin max, NaN included; a product that
-        # overflows gives inf without raising
-        a = abs(u0)
-        b = abs(v0)
-        sc0 = atol_eff + rtol_eff * (b if b > a else a)
-        a = abs(u1)
-        b = abs(v1)
-        sc1 = atol_eff + rtol_eff * (b if b > a else a)
-        a = abs(u2)
-        b = abs(v2)
-        sc2 = atol_eff + rtol_eff * (b if b > a else a)
-        a = abs(u3)
-        b = abs(v3)
-        sc3 = atol_eff + rtol_eff * (b if b > a else a)
-        q0 = e5_0 / sc0
-        q1 = e5_1 / sc1
-        q2 = e5_2 / sc2
-        q3 = e5_3 / sc3
-        err5 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
-        q0 = e3_0 / sc0
-        q1 = e3_1 / sc1
-        q2 = e3_2 / sc2
-        q3 = e3_3 / sc3
-        err3 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
-        deno = err5 + 0.01 * err3
-        if deno == 0.0:
-            errnorm = 0.0
-        elif deno < math.inf:
-            errnorm = h * err5 / (sqrt(deno) * sqrt_n)
-        else:  # an overflowed (or NaN) estimate rejects the step
-            errnorm = math.inf
+    def evaluate(i, p):
+        # rho00 = r and the derivative k<i>_<c> of each live slot at the
+        # point p, without the terms that are exact zeros: those that read
+        # a dead slot, and Gamma*rho00 where Gamma = 0
+        dead = [f"{{p}}{c}" for c in range(4) if c not in live]
 
-        if errnorm <= 1.0:
-            t += h
-            u0, u1, u2, u3 = v0, v1, v2, v3
-            k1_0, k1_1, k1_2, k1_3 = k13_0, k13_1, k13_2, k13_3  # FSAL
-            accepted += 1
-            # dynamics._norm of the derivative and of the state
-            fnorm = sqrt(k1_0 * k1_0 + k1_1 * k1_1 + k1_2 * k1_2 + k1_3 * k1_3)
-            scale = sqrt(u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3) + 1.0
-            target = steady_tol * scale
-            if fnorm > 1e5 * target:
-                polish_armed = check_armed = True
-            if record:
-                steps += pack_step(t, u0, u1, u2, u3)
-            attempt = False
-            if accepted == next_try:
-                next_try += 1 + next_try // 4
-                if not dynamics._physical(u0, u1, u2, u3):
-                    break  # the caller raises on the unphysical end state
-                attempt = not record
-            if polish_armed and fnorm < 1e4 * target:
-                polish_armed = False
-                attempt = True
-            if aiming and not attempt:
-                # the first state within the polish's ball of the aim
-                e0 = u0 - a0
-                e1 = u1 - a1
-                e2 = u2 - a2
-                e3 = u3 - a3
-                radius = 1e-3 * scale
-                attempt = e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3 <= radius * radius
-            if attempt:
-                attempts += 1
-                found = dynamics._polish(par, rhs, (u0, u1, u2, u3),
-                                         (k1_0, k1_1, k1_2, k1_3), steady_tol)
-                if found is not None and found[0] is not None:
-                    (u0, u1, u2, u3), fnorm = found
-                    if record:  # the root takes the last step's row, at its t
-                        steps[-dynamics._STEP.size:] = pack_step(t, u0, u1, u2, u3)
-                    status = dynamics._STEADY
-                    break
-                # a miss may name the root Newton was heading for: the aim
-                aiming = found is not None and can_aim
-                if aiming:
-                    a0, a1, a2, a3 = found[1]
-            if fnorm < target:
-                if check_armed and dynamics._hurwitz(par, u0, u1, u2, u3):
-                    status = dynamics._STEADY
-                    break
-                check_armed = False
-            if fnorm < 1e4 * target and tighten > tighten_min:
-                tighten = max(0.25 * tighten, tighten_min)
-                atol_eff = max(atol * tighten, 5e-324)
-                rtol_eff = rtol * tighten
-            elif fnorm > 1e5 * target and tighten < 1.0:
-                tighten = min(4.0 * tighten, 1.0)
-                atol_eff = max(atol * tighten, 5e-324)
-                rtol_eff = rtol * tighten
-            # PI control (Gustafsson; Hairer's beta = 0.04): the exponent
-            # 1/8 - 0.2*beta on this error, beta on the last accepted one;
-            # the compiler folds the constant expression
-            if errnorm == 0.0:
-                h *= 6.0
-            else:
-                fac = 0.9 * errnorm ** -(0.125 - 0.2 * 0.04) * facold ** 0.04
-                h *= 6.0 if fac > 6.0 else (0.333 if fac < 0.333 else fac)
-            facold = errnorm if errnorm > 1e-4 else 1e-4
-        else:
-            rejected += 1
-            h *= max(0.333, 0.9 * errnorm ** -(0.125 - 0.2 * 0.04))
+        def written(terms):
+            kept = [t for t in terms if not any(d in t for d in dead)
+                    and (pumped or "pump" not in t)]
+            return "".join(kept).removeprefix(" + ").format(p=p)
 
-    # the start, the first-step probe and 12 per attempted step
-    rhs_evaluations = 2 + 12 * (accepted + rejected)
-    counts = (accepted, rejected, attempts, rhs_evaluations)
-    return status, t, (u0, u1, u2, u3), fnorm, counts, steps
+        return [f"r = {written(_RHS[0])}"] + [f"k{i}_{c} = {written(_RHS[1 + c])}" for c in live]
+
+    body = []
+    for i, a in _A.items():
+        body += [f"w{c} = u{c} + h * ({combination(a, c)})" for c in live]
+        body += evaluate(i, "w")
+    body += [f"s{c} = {combination(_B, c)}" for c in live]
+    body += [f"v{c} = u{c} + h * s{c}" for c in live]
+    body += evaluate(13, "v")
+    body += [f"e5_{c} = {combination(_E5, c)}" for c in live]
+    body += [f"e3_{c} = s{c} - ({combination(_BHH, c)})" for c in live]
+    source = _LOOP.format(
+        pump="pump" if pumped else "_",
+        u=row("u", "0.0"), u_=row("u", "_"), k1=row("k1_", "0.0"), k1_=row("k1_", "_"),
+        a_=row("a", "_"), stages="\n".join(" " * 8 + line for line in body),
+        scales=lines(" " * 8, "a = abs(u{c})", "b = abs(v{c})",
+                     "sc{c} = atol_eff + rtol_eff * (b if b > a else a)"),
+        q5=lines(" " * 8, "q{c} = e5_{c} / sc{c}"), q3=lines(" " * 8, "q{c} = e3_{c} / sc{c}"),
+        err=squares("q"), accept=f"{row('u')} = {row('v')}", fsal=f"{row('k1_')} = {row('k13_')}",
+        fsq=squares("k1_"), usq=squares("u"),
+        distance=lines(" " * 16, "e{c} = u{c} - a{c}"), esq=squares("e"),
+    )
+    filename = f"<lasekit._dop853 {name}>"
+    namespace = {"__name__": __name__, "dynamics": dynamics, "math": math}
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace["dop853_loop"]

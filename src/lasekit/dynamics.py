@@ -27,14 +27,18 @@ stability test serve both atoms.
 One explicit adaptive Runge-Kutta pair with first-same-as-last reuse, the
 Dormand-Prince 8(5,3) pair (DOP853) of ``lasekit._dop853``, integrates the
 system for :func:`settle`, :func:`integrate` and the ``lasekit dynamics``
-command, all through :func:`_run`, the one caller of its ``dop853_loop``.
-That loop's docstring states the rule that ends a run: the
-derivative-norm cutoff, the stability test, the Newton polish and the
-state check.  The derivative of every accepted state, which the cutoff
-runs on, comes for free.  The loop runs on scalar float locals with its
-stages unrolled over the components and the right-hand side written into
-each stage, which keeps plain Python free of per-element numpy indexing
-and of a call per stage.  A recorded run appends the
+command, all through :func:`_run`, the one caller of its kernels.
+``_dop853.kernel`` states the rule that ends a run: the derivative-norm
+cutoff, the stability test, the Newton polish and the state check.  The
+derivative of every accepted state, which the cutoff runs on, comes for
+free.  Each atom has its own kernel, emitted from one tableau on the
+atom's first run: it runs on scalar float locals with its stages
+unrolled over the live components of the state and the right-hand side
+written into each stage, which keeps plain Python free of per-element
+numpy indexing and of a call per stage.  The two-level kernel does not
+step the empty level 2, and the three-level one leaves out Gamma*rho00:
+both terms are exact zeros, so either kernel gives bit for bit what the
+four components with every term give.  A recorded run appends the
 time and state of each accepted step, and of no other point (there is no
 dense output), packed as doubles, to one flat ``bytearray``;
 :func:`integrate` builds its arrays from that buffer once.  The ``lasekit
@@ -195,8 +199,9 @@ def _rhs_of(par):
     two-level atom is the three-level one with level 2 empty, so its state
     carries rho22 = 0 and its rates are (gamma_21, gamma_02, gamma_10) =
     (gamma, 0, gamma), whose gamma_21*rho22 terms add exact zeros; a
-    three-level atom has Gamma = 0.  ``_dop853`` writes
-    the same expressions into each stage of a step, in the same order.
+    three-level atom has Gamma = 0.  ``_dop853`` writes the same
+    expressions into each stage of a step, in the same order, but for the
+    terms that are exact zeros for the atom.
 
     The constant factors are folded once per run.  Python groups ``*``
     from the left and binds unary minus tighter, so ``2.0 * g * x * y``
@@ -334,8 +339,8 @@ def _polish(par, rhs, u, f, steady_tol):
     that iterate as the 4-tuple aim: Newton's estimate of the root it is
     heading for, which costs nothing beyond the failed attempt.  Close to
     a root its error goes as the square of the distance to the root.
-    ``_dop853.dop853_loop`` tries again once a state lies within the ball
-    of it.  Any other failure returns None.
+    The stepper (``_dop853.kernel``) tries again once a state lies within
+    the ball of it.  Any other failure returns None.
     """
     u0, u1, u2, u3 = u
     radius = 1e-3 * (_norm(u0, u1, u2, u3) + 1.0)
@@ -569,24 +574,24 @@ def _run(
     stop_at_steady: bool,
     record: bool,
 ):
-    """One run of the stepper, the only call of ``_dop853.dop853_loop``,
-    whose docstring states the rule that ends it.
+    """One run of the stepper kernel of the atom, the only call of a
+    kernel; ``_dop853.kernel`` states the rule that ends it.
 
     A run that does not stop at steady gets a cutoff of 0; a run that
     records nothing also tries Newton's method on a schedule of accepted
     steps and where it aims.  Returns (state, t, status, ||f||, counts,
     steps): the end state as a :class:`BlochState2` or
-    :class:`BlochState3`, and the rest as ``dop853_loop`` returns them.
+    :class:`BlochState3`, and the rest as the kernel returns them.
     Raises ValueError naming the tolerances when the run ended outside
     the physical state space, and otherwise :class:`StiffnessError` when
     the step size underflowed.
     """
-    from ._dop853 import dop853_loop
+    from ._dop853 import kernel
 
     cls, par = _pack(p)
     y0 = _state_tuple(cls, initial if initial is not None else initial_state(p))
     t_max = config.t_max if config.t_max is not None else default_t_max(p)
-    status, t, y, fnorm, counts, steps = dop853_loop(
+    status, t, y, fnorm, counts, steps = kernel(cls)(
         par, y0, len(fields(cls)), float(t_max),
         config.rel_tol, config.abs_tol, config.max_step,
         config.steady_tol if stop_at_steady else 0.0, record,
@@ -633,7 +638,7 @@ def integrate(
     None), or, if ``stop_at_steady`` is set, until the run reaches a
     stable fixed point, as :func:`settle` does but without its scheduled
     and aimed Newton attempts, trying Newton's method only once per
-    approach to the cutoff (the stop rule is ``_dop853.dop853_loop``'s).
+    approach to the cutoff (the stop rule is ``_dop853.kernel``'s).
     A Newton root that ends the run replaces the last recorded state at
     the same t.  The full decay tail is the run with ``stop_at_steady``
     off and an explicit ``t_max``, which keeps the tolerances it was
@@ -669,7 +674,7 @@ def settle(
     that ball leaves an aim, Newton's estimate of the root, and the
     polish is tried again on the first accepted step whose state lies
     within the ball's radius of it.  The stop rule is
-    ``_dop853.dop853_loop``'s.
+    ``_dop853.kernel``'s.
     When t_max is exhausted first, as it is near an unstable fixed point,
     the result carries ``converged = False`` and the last state instead
     of raising.  Raises as :func:`integrate` does.

@@ -1,10 +1,11 @@
 """The Dormand-Prince 8(5,3) stepper behind ``settle`` and ``integrate``.
 
-The tableau is read back from the unrolled loop itself, so the order
-conditions and the comparison with scipy check the coefficients that run,
-at the stages they multiply.  The loop forms the weighted sum s = sum b_j k_j
-once, takes v = u + h*s and the 3rd-order estimate e3 = s - sum bhh_j k_j,
-as Hairer's DOP853 does; E3 is rebuilt here as B - BHH.
+The tableau is read back from the source of each atom's emitted kernel,
+so the order conditions and the comparison with scipy check the
+coefficients that run, at the stages they multiply.  A kernel forms the
+weighted sum s = sum b_j k_j once, takes v = u + h*s and the 3rd-order
+estimate e3 = s - sum bhh_j k_j, as Hairer's DOP853 does; E3 is rebuilt
+here as B - BHH.
 """
 
 import ast
@@ -13,6 +14,7 @@ import dataclasses
 import inspect
 import math
 import re
+import traceback
 
 import numpy as np
 import pytest
@@ -25,13 +27,19 @@ from conftest import (
 import lasekit._dop853 as dop853
 import lasekit.dynamics as dynamics
 from lasekit import (
+    BlochState2,
     BlochState3,
     IntegratorConfig,
     PhysicalThreeLevel,
+    PhysicalTwoLevel,
     PumpScheme,
+    Regime,
+    StiffnessError,
     fixed_point_state,
     integrate,
     n_three_physical,
+    n_two_level,
+    reduce_two,
     settle,
 )
 
@@ -70,10 +78,10 @@ def _terms(node, sign=1.0):
 
 
 def _row(sums):
-    """One tableau row from the four unrolled component sums, which must
-    agree term by term."""
+    """One tableau row from the unrolled sums {component: sum} of the live
+    components, which must agree term by term."""
     rows = []
-    for component, node in enumerate(sums):
+    for component, node in sums.items():
         terms = list(_terms(node))
         assert {c for _, c, _ in terms} == {component}
         rows.append({stage: coef for stage, _, coef in terms})
@@ -110,24 +118,54 @@ def _renamed(node, names):
     return ast.dump(node)
 
 
-def _closure_equations():
-    """The rho00 expression and the four derivatives of the closure that
-    ``dynamics._rhs_of`` returns, as ast dumps."""
+def _without(node, name):
+    """``node`` with each term of its sum that reads ``name`` left out, the
+    other terms kept in their order and with their signs."""
+    terms = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        terms.append((node.op, node.right))
+        node = node.left
+    terms.append((ast.Add(), node))
+    kept = [(op, term) for op, term in reversed(terms)
+            if name not in {sub.id for sub in ast.walk(term) if isinstance(sub, ast.Name)}]
+    (op, out), rest = kept[0], kept[1:]
+    assert isinstance(op, ast.Add)  # the term that leads keeps its sign
+    for op, term in rest:
+        out = ast.BinOp(out, op, term)
+    return out
+
+
+def _closure_equations(live, dropped):
+    """The rho00 expression and the derivative of each live slot of the
+    closure that ``dynamics._rhs_of`` returns, as ast dumps, with each term
+    that reads ``dropped`` left out."""
     fn = ast.parse(inspect.getsource(dynamics._rhs_of)).body[0]
     rhs = next(node for node in fn.body if isinstance(node, ast.FunctionDef))
     (rho00, ret) = rhs.body
     assert rho00.targets[0].id == "rho00"
-    return _renamed(rho00.value, {}), [_renamed(e, {}) for e in ret.value.elts]
+    equations = {c: _renamed(_without(e, dropped), {}) for c, e in enumerate(ret.value.elts)
+                 if c in live}
+    return _renamed(_without(rho00.value, dropped), {}), equations
 
 
-def _tableau():
-    """(A, B, E5, BHH, evaluations) as read from the loop: A maps stage i
-    to its row {j: a_ij}, the others map stage j to its weight, and
-    ``evaluations`` lists the stages whose derivative is the closure of
-    ``dynamics._rhs_of`` written out, term for term."""
-    tree = ast.parse(inspect.getsource(dop853.dop853_loop))
+# each atom's kernel, its live slots and the name its terms left out read:
+# the empty level 2 of the two-level atom, the Gamma = 0 of the
+# three-level one
+KERNELS = {
+    "two-level": (dop853.kernel(BlochState2), (0, 2, 3), "rho22"),
+    "three-level": (dop853.kernel(BlochState3), (0, 1, 2, 3), "pump"),
+}
+
+
+def _tableau(kernel, live, dropped):
+    """(A, B, E5, BHH, evaluations) as read from the source of ``kernel``:
+    A maps stage i to its row {j: a_ij}, the others map stage j to its
+    weight, and ``evaluations`` lists the stages whose derivative is the
+    closure of ``dynamics._rhs_of`` written out over the ``live`` slots,
+    term for term but for those that read ``dropped``."""
+    tree = ast.parse(inspect.getsource(kernel))
     loop = next(node for node in ast.walk(tree) if isinstance(node, ast.While))
-    closure_rho00, closure = _closure_equations()
+    closure_rho00, closure = _closure_equations(live, dropped)
     a, named, stage_sums, evaluations = {}, {}, {}, []
     for node in loop.body:
         if not (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)):
@@ -152,8 +190,8 @@ def _tableau():
             if component == 3:
                 evaluations.append(i)
                 if stage_sums:
-                    assert len(stage_sums) == 4 and None not in stage_sums.values()
-                    a[i] = _row([stage_sums[c] for c in range(4)])
+                    assert sorted(stage_sums) == list(live) and None not in stage_sums.values()
+                    a[i] = _row(stage_sums)
                     stage_sums = {}
             continue
         # the weighted sum s<c> = (S), the solution v<c> = u<c> + h * s<c>
@@ -169,43 +207,51 @@ def _tableau():
             continue
         node_sum = node.value if name != "e3_" else _difference(node.value, component)
         assert node_sum is not None, target
-        named.setdefault(name, [None] * 4)[component] = node_sum
-    assert named["v"] == {0, 1, 2, 3}
+        named.setdefault(name, {})[component] = node_sum
+    assert named["v"] == set(live)
+    assert all(sorted(named[name]) == list(live) for name in ("s", "e5_", "e3_"))
     return a, _row(named["s"]), _row(named["e5_"]), _row(named["e3_"]), evaluations
 
 
-A, B, E5, BHH, EVALUATIONS = _tableau()
-E3 = {j: B.get(j, 0.0) - BHH.get(j, 0.0) for j in sorted(B.keys() | BHH.keys())}
+TABLEAUX = {atom: _tableau(*spec) for atom, spec in KERNELS.items()}
+
+
+def _e3(b, bhh):
+    return {j: b.get(j, 0.0) - bhh.get(j, 0.0) for j in sorted(b.keys() | bhh.keys())}
 
 
 def test_tableau_shape():
-    # 12 stages; zero entries are skipped in every sum
-    assert sorted(A) == list(range(2, 13))
-    # each stage and the FSAL point evaluate the closure's equations,
-    # written out in the same order
-    assert EVALUATIONS == list(range(2, 14))
-    assert all(max(row) < i for i, row in A.items())
-    assert sum(len(row) for row in A.values()) == 50
-    assert sorted(B) == sorted(E5) == sorted(E3) == [1, 6, 7, 8, 9, 10, 11, 12]
-    assert sorted(BHH) == [1, 9, 12]
+    for A, B, E5, BHH, EVALUATIONS in TABLEAUX.values():
+        # 12 stages; zero entries are skipped in every sum
+        assert sorted(A) == list(range(2, 13))
+        # each stage and the FSAL point evaluate the closure's equations,
+        # written out in the same order
+        assert EVALUATIONS == list(range(2, 14))
+        assert all(max(row) < i for i, row in A.items())
+        assert sum(len(row) for row in A.values()) == 50
+        assert sorted(B) == sorted(E5) == sorted(_e3(B, BHH)) == [1, 6, 7, 8, 9, 10, 11, 12]
+        assert sorted(BHH) == [1, 9, 12]
+        # the kernels run the tableau the module holds as data
+        assert (A, B, E5, BHH) == (dop853._A, dop853._B, dop853._E5, dop853._BHH)
 
 
 def test_tableau_order_conditions():
-    c = {1: 0.0}
-    for i, row in A.items():
-        c[i] = math.fsum(row.values())
-        assert c[i] == pytest.approx(NODES[i], abs=1e-14), i
-    # the quadrature conditions of an 8th-order method: sum b_i c_i**(q-1) = 1/q
-    for q in range(1, 9):
-        assert math.fsum(b * c[j] ** (q - 1) for j, b in B.items()) == pytest.approx(
-            1.0 / q, abs=1e-14
-        ), q
-    # each estimate is the difference of two solutions of order >= 5 (>= 3)
-    for e, order in ((E5, 5), (E3, 3)):
-        for q in range(1, order + 1):
-            assert math.fsum(w * c[j] ** (q - 1) for j, w in e.items()) == pytest.approx(
-                0.0, abs=1e-14
-            ), (order, q)
+    for A, B, E5, BHH, _ in TABLEAUX.values():
+        c = {1: 0.0}
+        for i, row in A.items():
+            c[i] = math.fsum(row.values())
+            assert c[i] == pytest.approx(NODES[i], abs=1e-14), i
+        # the quadrature conditions of an 8th-order method: sum b_i c_i**(q-1) = 1/q
+        for q in range(1, 9):
+            assert math.fsum(b * c[j] ** (q - 1) for j, b in B.items()) == pytest.approx(
+                1.0 / q, abs=1e-14
+            ), q
+        # each estimate is the difference of two solutions of order >= 5 (>= 3)
+        for e, order in ((E5, 5), (_e3(B, BHH), 3)):
+            for q in range(1, order + 1):
+                assert math.fsum(w * c[j] ** (q - 1) for j, w in e.items()) == pytest.approx(
+                    0.0, abs=1e-14
+                ), (order, q)
 
 
 def test_literals_match_scipy():
@@ -219,13 +265,48 @@ def test_literals_match_scipy():
             else:
                 assert abs(ours[j] - value) <= math.ulp(value), (what, j)
 
-    for i, row in A.items():
-        check(row, coeffs.A[i - 1, :i - 1], f"A{i}")
-    check(B, coeffs.A[12, :12], "B")
-    check(E5, coeffs.E5[:12], "E5")
-    # scipy keeps E3 = B - BHH; its BHH is B - E3
-    check(BHH, coeffs.A[12, :12] - coeffs.E3[:12], "BHH")
-    check(E3, coeffs.E3[:12], "E3")
+    for A, B, E5, BHH, _ in TABLEAUX.values():
+        for i, row in A.items():
+            check(row, coeffs.A[i - 1, :i - 1], f"A{i}")
+        check(B, coeffs.A[12, :12], "B")
+        check(E5, coeffs.E5[:12], "E5")
+        # scipy keeps E3 = B - BHH; its BHH is B - E3
+        check(BHH, coeffs.A[12, :12] - coeffs.E3[:12], "BHH")
+        check(_e3(B, BHH), coeffs.E3[:12], "E3")
+
+
+def _names(kernel, ctx=ast.Load):
+    return {node.id for node in ast.walk(ast.parse(inspect.getsource(kernel)))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ctx)}
+
+
+def test_kernels_leave_out_only_exact_zeros():
+    # the two-level kernel has no rho22 slot and reads no rate of level 2:
+    # it hands 0.0 to the closure, the polish and the step record instead
+    slot1 = re.compile(r"(?:[uvwsaeq]|sc|k\d+_|e5_|e3_)1")
+    two, three = (_names(KERNELS[atom][0]) for atom in ("two-level", "three-level"))
+    assert [name for name in two if slot1.fullmatch(name)] == []
+    assert {"g21", "g02"}.isdisjoint(two) and "pump" in two
+    # the three-level kernel steps all four slots and has no Gamma term
+    assert {"u1", "v1", "w1", "k13_1", "s1", "e5_1", "e3_1", "sc1", "a1"} <= three
+    assert "pump" not in three | _names(KERNELS["three-level"][0], ast.Store)
+    assert {"g21", "g02"} <= three
+
+
+def test_kernel_tracebacks_show_its_lines(monkeypatch):
+    # the emitted source is in linecache: a traceback through a kernel
+    # shows the line that called out of it
+    def polish(*args):
+        raise RuntimeError("polish")
+
+    monkeypatch.setattr(dynamics, "_polish", polish)
+    for p in (README_3L, _pinned_draws()[12]):
+        with pytest.raises(RuntimeError) as err:
+            settle(p)
+        frame = traceback.extract_tb(err.value.__traceback__)[-2]
+        assert frame.filename.startswith("<lasekit._dop853 BlochState")
+        assert frame.name == "dop853_loop"
+        assert frame.line.startswith("found = dynamics._polish(par, rhs, (u0, ")
 
 
 def _fixed_step_end(h, t_max):
@@ -469,3 +550,87 @@ def test_recorded_run_outside_state_space_raises_as_settle_does(stop_at_steady):
     with pytest.raises(ValueError) as err:
         integrate(README_3L, config=config, stop_at_steady=stop_at_steady)
     assert str(err.value) == str(expected.value)
+
+
+# the kernel of the arithmetic both atoms ran before they had one each: all
+# four slots and the Gamma*rho00 term, from the same emitter
+REFERENCE = dop853._emit((0, 1, 2, 3), True, "reference")
+# the two-level physical config of the CLI goldens
+TWO_LEVEL = PhysicalTwoLevel(n_atoms=4000.0, coupling_g=0.1, cavity_kappa=1.0,
+                             gamma_decay=1.0, pump_Gamma=2.0, gamma_ph=0.25)
+# a pump below threshold, one that lases and one beyond the upper edge
+REGIMES = {Regime.BELOW_THRESHOLD: (1.0, 0.1), Regime.LASING: (2.0, 2.0),
+           Regime.ABOVE_UPPER_BOUND: (150.0, 200.0)}
+# the extreme tolerances of the edge tests of tests/test_dynamics.py
+EDGE_TOLERANCES = [
+    {"rel_tol": 1e-300, "abs_tol": 1e-300, "t_max": 10.0}, {"rel_tol": 1e300},
+    {"abs_tol": 1e300}, {"rel_tol": 0.5}, {"abs_tol": 2.0}, {"abs_tol": 5.0},
+    {"rel_tol": 0.9}, {"abs_tol": 0.3}, {"abs_tol": 0.5}, {"abs_tol": 0.9}, {"rel_tol": 0.3},
+    {"rel_tol": 1e-10, "abs_tol": 1e-300, "t_max": 20.0}, {"rel_tol": 1e-9, "abs_tol": 5e-324},
+]
+
+
+def _settle_cases():
+    """settle of the pinned draws of both atoms from their nudged fixed
+    points."""
+    return [(p, perturbed_fixed_state(p), IntegratorConfig(), True, False)
+            for p in _pinned_draws()]
+
+
+def _recorded_cases():
+    """Recorded runs from the seed field of each atom in each regime, to
+    the steady cutoff and to t = 20 without one."""
+    cases = []
+    for regime, (pump_two, pump_three) in REGIMES.items():
+        two = dataclasses.replace(TWO_LEVEL, pump_Gamma=pump_two)
+        three = dataclasses.replace(README_3L, gamma_02=pump_three)
+        assert n_two_level(*reduce_two(two)).regime is regime
+        assert n_three_physical(three).regime is regime
+        for p in (two, three):
+            cases += [(p, None, IntegratorConfig(t_max=200.0), True, True),
+                      (p, None, IntegratorConfig(t_max=20.0), False, True)]
+    return cases
+
+
+def _edge_cases():
+    """Both atoms at the edge tests' extreme tolerances from the seed
+    field, and from a field of 1e20, which overflows the state."""
+    cases = []
+    for p in (TWO_LEVEL, README_3L):
+        cases += [(p, None, IntegratorConfig(**tol), True, False) for tol in EDGE_TOLERANCES]
+        big = dataclasses.replace(dynamics.initial_state(p), x=1e20)
+        cases += [(p, big, IntegratorConfig(**tol), stop, True)
+                  for tol in ({"rel_tol": 1e300}, {"abs_tol": 1e300}) for stop in (True, False)]
+    return cases
+
+
+def _outcome(p, start, config, stop_at_steady, record):
+    """The outcome of ``dynamics._run`` that a caller can see: status, t,
+    state, ||f||, the four counters and the packed steps, floats as hex,
+    or the type and text of the error raised."""
+    try:
+        state, t, status, fnorm, counts, steps = dynamics._run(
+            p, start, config, stop_at_steady, record)
+    except (ValueError, StiffnessError) as e:
+        return type(e), str(e)
+    return (status, t.hex(), [v.hex() for v in dataclasses.astuple(state)], fnorm.hex(),
+            counts, None if steps is None else bytes(steps))
+
+
+@pytest.mark.parametrize("cases", [_settle_cases, _recorded_cases, _edge_cases],
+                         ids=["settle", "recorded", "edge"])
+def test_kernels_match_the_four_slot_reference_bit_for_bit(monkeypatch, cases):
+    # each atom's kernel leaves out only exact zeros, so it ends every run
+    # as the four-slot kernel with the Gamma term does, to the last bit
+    ends = set()
+    for case in cases():
+        p = case[0]
+        cls = BlochState2 if isinstance(p, PhysicalTwoLevel) else BlochState3
+        got = _outcome(*case)
+        with monkeypatch.context() as m:
+            m.setitem(dop853._KERNELS, cls, REFERENCE)
+            assert _outcome(*case) == got, case
+        ends.add(got[0] if isinstance(got[0], type) else "ran")
+    # the edge cases end in each error and without one, the others never
+    # in an error
+    assert ends == ({"ran", ValueError, StiffnessError} if cases is _edge_cases else {"ran"})

@@ -171,6 +171,30 @@ def test_stepper_runs_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_kernels_are_emitted_on_an_atoms_first_run():
+    # no import emits a stepper kernel; a three-level settle emits the
+    # three-level one alone, once per process, and numpy stays unloaded
+    code = (
+        "import linecache, lasekit, lasekit.cli\n"
+        "def emitted():\n"
+        "    return [f for f in linecache.cache if f.startswith('<lasekit._dop853')]\n"
+        "assert 'lasekit._dop853' not in sys.modules and emitted() == []\n"
+        "assert 'numpy' not in sys.modules\n"
+        "p = lasekit.PhysicalThreeLevel(n_atoms=100, coupling_g=1, cavity_kappa=1,"
+        " gamma_21=1, gamma_02=2, gamma_10=0.1, gamma_ph=0, scheme=lasekit.PumpScheme.B)\n"
+        "assert lasekit.settle(p).converged\n"
+        "kernels = dict(sys.modules['lasekit._dop853']._KERNELS)\n"
+        "assert list(kernels) == [lasekit.BlochState3], kernels\n"
+        "assert emitted() == ['<lasekit._dop853 BlochState3>'], emitted()\n"
+        "assert lasekit.settle(p).converged\n"
+        "assert sys.modules['lasekit._dop853']._KERNELS == kernels\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = _child(code)
+    assert proc.returncode == 0, proc.stderr
+    assert _loaded(proc) == ["lasekit.dynamics", "lasekit.numerics"]
+
+
 def test_every_export_is_its_home_object():
     wrong = [name for module, names in HOME.items() for name in names
              if getattr(lasekit, name) is not getattr(module, name)]
