@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from lasekit import (
     window_scheme_b,
     window_two,
 )
-from lasekit.cli import _FIGURE_PRESETS
+from lasekit.cli import _FIGURE_PRESETS, main
 from lasekit.steady import _coeffs_scheme_b, _quadratic_roots
 
 FIG2 = DimensionlessTwoLevel(photon_scale=1e3, saturation=1e-6, dephasing=1e5)
@@ -878,6 +879,24 @@ def test_scheme_a_bracket_is_exact_where_one_plus_twice_the_pump_overflows(d, pu
     assert res.photon_number == d.photon_scale * raw
     rho00 = p * (1 - s * (1 + eps + delta)) / (1 + 2 * p)
     assert abs(Fraction(res.populations[0]) - rho00) <= Fraction(1, 2**50) * rho00
+
+
+@pytest.mark.parametrize("pump", [8e307, 1e308, 1.7e308, 1.7976931348623157e308])
+def test_dark_scheme_b_record_is_below_threshold_at_the_largest_pumps(tmp_path, capsys, pump):
+    # the dark record of the scheme-A case above, as scheme B: its bracket
+    # numerator goes to -inf, not to inf - inf, so the point is classified
+    # and the steady command exits 0
+    fields = {"photon_scale": 1.27494745791485e-123, "saturation": 1.738559042472392e+23,
+              "decay_ratio": 5.170304674396111e-199, "dephasing": 2.763536985458695e+68}
+    res = n_scheme_b(DimensionlessSchemeB(**fields), pump)
+    assert res.regime is Regime.BELOW_THRESHOLD and res.photon_number == 0.0
+    assert res.raw_bracket == -math.inf
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "three-b", "parameterization": "dimensionless",
+                                "params": fields}), encoding="utf-8")
+    assert main(["steady", "--config", str(path), "--pump", repr(pump), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["regime"], report["raw_bracket"]) == ("below_threshold", "-inf")
 
 
 @pytest.mark.parametrize("pump", [math.inf, math.nan])
