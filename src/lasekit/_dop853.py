@@ -264,12 +264,11 @@ def kernel(cls):
     ``par`` and ``y0`` are float tuples (see ``dynamics._rhs_of``), the
     state as four floats (rho11, rho22, y, x) for either atom; ``n`` is
     the number of fields of ``cls``, over which the error norm takes its
-    mean.  Returns (status, t,
-    y, f_norm, counts, steps): status ``dynamics._STEADY``, ``_TMAX`` or
-    ``_UNDERFLOW`` (step-size underflow), the end state ``y`` as four
-    floats, and ``counts`` = (accepted steps, rejected steps, polish
-    attempts, right-hand side evaluations of the stepper, the polish's
-    left out).
+    mean.  Returns (status, t, y, f_norm, counts, steps): status
+    ``dynamics._STEADY``, ``_TMAX`` or ``_UNDERFLOW`` (step-size
+    underflow), the end state ``y`` as four floats, and ``counts`` =
+    (accepted steps, rejected steps, polish attempts, right-hand side
+    evaluations of the stepper, the polish's left out).
 
     The rule that ends a run:
 
@@ -291,13 +290,13 @@ def kernel(cls):
     - When the count of accepted steps reaches k = 1, 2, 3, 4, 6, 8, 11,
       14, 18, ..., each term k + 1 + k // 4 after the last, a state
       outside the physical state space (``dynamics._physical``, on the
-      floats) ends the run there with the
-      status of a run out of time, for the caller to raise on.  A run
-      that records nothing also tries the polish at those counts, which
-      saves work on either side of the Lorenz-Haken condition; a recorded
-      run does not, since there an early root would show as a jump of up
-      to the polish's ball.  The ball, not the cavity, keeps a pulsing
-      orbit that passes near a fixed point from ending the run.
+      floats) ends the run there with the status of a run out of time,
+      for the caller to raise on.  A run that records nothing also tries
+      the polish at those counts, which saves work on either side of the
+      Lorenz-Haken condition; a recorded run does not, since there an
+      early root would show as a jump of up to the polish's ball.  The
+      ball, not the cavity, keeps a pulsing orbit that passes near a
+      fixed point from ending the run.
     - The schedule's gaps grow by a quarter, so it may try the polish up
       to a quarter of a run's steps after the state entered the ball.  A
       run that records nothing therefore also aims.  An attempt that fails
