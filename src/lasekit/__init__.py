@@ -13,13 +13,14 @@ the first of ``params``, ``steady``, ``numerics`` and ``dynamics`` whose
 ``__all__`` lists it, importing only the modules up to that one; so
 ``IntegratorConfig``, which ``dynamics`` re-exports, comes from
 ``params``.  ``lasekit.__all__``, ``dir(lasekit)`` and ``from lasekit
-import *`` load all four.  ``import lasekit`` loads none of them; neither
+import *`` load all four; ``dir(lasekit)`` lists no public name but
+those of ``__all__``.  ``import lasekit`` loads none of them; neither
 it nor any ``lasekit`` command loads numpy.  The names of ``numerics``
 and ``dynamics`` that return arrays load it when called, from the
 ``arrays`` extra: ``pip install 'lasekit[arrays]'``.
 """
 
-import importlib
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
@@ -28,7 +29,7 @@ _MODULES = ("params", "steady", "numerics", "dynamics")
 
 
 def _module(name: str):
-    return importlib.import_module(f".{name}", __name__)
+    return _importlib.import_module(f".{name}", __name__)
 
 
 def __getattr__(name: str) -> object:
@@ -48,4 +49,5 @@ def __getattr__(name: str) -> object:
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__getattr__("__all__")))
+    # the exports and the private names: no submodule a first access loaded
+    return sorted({n for n in globals() if n.startswith("_")} | set(__getattr__("__all__")))

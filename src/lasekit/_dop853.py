@@ -34,22 +34,22 @@ live slot of the atom's four-float state (rho11, rho22, y, x), emitted
 and compiled once per process on the atom's first run.  The two-level
 kernel steps rho11, y and x: its level 2 is empty, and every term that
 reads it is an exact zero.  The three-level kernel steps all four slots
-and leaves out Gamma*rho00, as Gamma = 0 there.  Every other term is
-written as the right-hand side of ``dynamics._rhs_of``, the one set of
-equations of both atoms, with the same operations in the same order
-into each of the 12 evaluations of a step, FSAL's included, so a stage
-gives bit for bit what a call of the closure gives; a call per stage
-would cost about 10 % of a step.  The closure itself serves the
-derivative at the start, the first-step heuristic and the Newton
-polish.  The error norm makes no function call but ``abs`` and
-``sqrt``: it squares by multiplication, which overflows to inf without
-raising.  The first-step heuristic, the state check, the stability
+and leaves out Gamma*rho00, as Gamma = 0 there.  The right-hand side is
+one table, ``dynamics._RHS``, the one set of equations of both atoms,
+from which ``dynamics._rhs_of`` is emitted too: every other term is
+written into each of the 12 evaluations of a step, FSAL's included,
+with the same operations in the same order, so a stage gives bit for
+bit what a call of the closure gives; a call per stage would cost about
+10 % of a step.  The closure serves the derivative at the start, the
+first-step heuristic and the Newton polish.  The error norm makes no
+function call but ``abs`` and ``sqrt``: it squares by multiplication,
+which overflows to inf without raising.  The first-step heuristic, the state check, the stability
 test, the Newton polish and the step record layout are looked up on
 :mod:`lasekit.dynamics` at run time.  The emitted source is registered
-with :mod:`linecache`, so tracebacks and ``inspect.getsource`` show it.
+with :mod:`linecache` (``dynamics._compiled``), so tracebacks and
+``inspect.getsource`` show it.
 """
 
-import linecache
 import math
 
 from . import dynamics
@@ -88,16 +88,6 @@ _E5 = {1: 0.01312004499419488, 6: -1.2251564463762044, 7: -0.4957589496572502,
        11: 0.08192320648511571, 12: -0.022355307863886294}
 _BHH = {1: 0.2440944881889764, 9: 0.7338466882816118, 12: 0.022058823529411766}
 
-# the right-hand side of ``dynamics._rhs_of`` at the point p: rho00 = r and
-# the derivative of each slot, as their terms in the closure's order
-_RHS = (
-    ("1.0", " - {p}0", " - {p}1"),
-    ("pump * r", " + g21 * {p}1", " - g10 * {p}0", " - g2 * {p}3 * {p}2"),
-    ("g02 * r", " - g21 * {p}1"),
-    ("ngperp * {p}2", " + g * {p}3 * ({p}0 - r)"),
-    ("nkappa * {p}3", " + ng * {p}2"),
-)
-
 # the live slots of each atom's state, and whether its Gamma*rho00 term
 # is live (module docstring)
 _ATOMS = {dynamics.BlochState2: ((0, 2, 3), True),
@@ -110,8 +100,7 @@ _LOOP = '''\
 def dop853_loop(par, y0, n, t_max, rtol, atol, max_step, steady_tol, record):
     rhs = dynamics._rhs_of(par)
     # the rates and folded constants of rhs, for the stages written out below
-    n_at, g, kappa, g21, g02, g10, gperp, {pump} = par
-    g2, ng, nkappa, ngperp = 2.0 * g, n_at * g, -kappa, -gperp
+{rates}
     polish_armed = check_armed = True
     # whether the a<slot> hold a root to aim at, and whether the run aims
     aiming = False
@@ -345,18 +334,14 @@ def _emit(live, pumped, name):
                         for j, w in weights.items())
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
+    # the terms that are exact zeros: those that read a dead slot, and
+    # Gamma*rho00 where Gamma = 0
+    zeros = [f"{{p}}{c}" for c in range(4) if c not in live] + ([] if pumped else ["pump"])
+
     def evaluate(i, p):
-        # rho00 = r and the derivative k<i>_<c> of each live slot at the
-        # point p, without the terms that are exact zeros: those that read
-        # a dead slot, and Gamma*rho00 where Gamma = 0
-        dead = [f"{{p}}{c}" for c in range(4) if c not in live]
-
-        def written(terms):
-            kept = [t for t in terms if not any(d in t for d in dead)
-                    and (pumped or "pump" not in t)]
-            return "".join(kept).removeprefix(" + ").format(p=p)
-
-        return [f"r = {written(_RHS[0])}"] + [f"k{i}_{c} = {written(_RHS[1 + c])}" for c in live]
+        # rho00 = r and the derivative k<i>_<c> of each live slot at the point p
+        r, *k = dynamics._written(p, zeros)
+        return [f"r = {r}"] + [f"k{i}_{c} = {k[c]}" for c in live]
 
     body = []
     for i, a in _A.items():
@@ -368,7 +353,7 @@ def _emit(live, pumped, name):
     body += [f"e5_{c} = {combination(_E5, c)}" for c in live]
     body += [f"e3_{c} = s{c} - ({combination(_BHH, c)})" for c in live]
     source = _LOOP.format(
-        pump="pump" if pumped else "_",
+        rates=dynamics._RATES.format(pump="pump" if pumped else "_"),
         u=row("u", "0.0"), u_=row("u", "_"), k1=row("k1_", "0.0"), k1_=row("k1_", "_"),
         a_=row("a", "_"), stages="\n".join(" " * 8 + line for line in body),
         scales=lines(" " * 8, "a = abs(u{c})", "b = abs(v{c})",
@@ -378,8 +363,5 @@ def _emit(live, pumped, name):
         fsq=squares("k1_"), usq=squares("u"),
         distance=lines(" " * 16, "e{c} = u{c} - a{c}"), esq=squares("e"),
     )
-    filename = f"<lasekit._dop853 {name}>"
     namespace = {"__name__": __name__, "dynamics": dynamics, "math": math}
-    exec(compile(source, filename, "exec"), namespace)
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    return namespace["dop853_loop"]
+    return dynamics._compiled(source, f"<lasekit._dop853 {name}>", namespace)["dop853_loop"]

@@ -31,11 +31,13 @@ command, all through :func:`_run`, the one caller of its kernels.
 ``_dop853.kernel`` states the rule that ends a run: the derivative-norm
 cutoff, the stability test, the Newton polish and the state check.  The
 derivative of every accepted state, which the cutoff runs on, comes for
-free.  Each atom has its own kernel, emitted from one tableau on the
-atom's first run: it runs on scalar float locals with its stages
-unrolled over the live components of the state and the right-hand side
-written into each stage, which keeps plain Python free of per-element
-numpy indexing and of a call per stage.  The two-level kernel does not
+free.  The right-hand side is written once, as the table ``_RHS`` of
+its terms below.  From it the closure :func:`_rhs_of` is emitted on
+import, and each atom's kernel, with the tableau, on the atom's first
+run: the kernel runs on scalar float locals with its stages unrolled
+over the live components of the state and the right-hand side written
+into each stage, which keeps plain Python free of per-element numpy
+indexing and of a call per stage.  The two-level kernel does not
 step the empty level 2, and the three-level one leaves out Gamma*rho00:
 both terms are exact zeros, so either kernel gives bit for bit what the
 four components with every term give.  A recorded run appends the
@@ -57,6 +59,7 @@ solves the 2x2 system left (:func:`_newton_step`).
 
 from __future__ import annotations
 
+import linecache
 import math
 import struct
 from dataclasses import dataclass, fields
@@ -97,6 +100,57 @@ __all__ = [
     "integrate",
     "settle",
 ]
+
+# The right-hand side of the equations above at the point p, the one place
+# it is written as code: rho00 = r, then the derivative of each slot of the
+# state (rho11, rho22, y, x), as its terms in the order they are summed.
+# _rhs_of and each stage of the ``_dop853`` kernels are emitted from it.
+# Python groups ``*`` from the left and binds unary minus tighter, so the
+# folded ``g2 * x * y`` and ``nkappa * x`` (_RATES) are bit for bit the
+# ``2*g*x*y`` and ``-kappa*x`` of the equations as written.
+_RHS = (
+    ("1.0", " - {p}0", " - {p}1"),
+    ("pump * r", " + g21 * {p}1", " - g10 * {p}0", " - g2 * {p}3 * {p}2"),
+    ("g02 * r", " - g21 * {p}1"),
+    ("ngperp * {p}2", " + g * {p}3 * ({p}0 - r)"),
+    ("nkappa * {p}3", " + ng * {p}2"),
+)
+
+# the rates of par (_pack) and the constants folded from them, the first
+# lines of _rhs_of and of each kernel; {pump} is Gamma's name
+_RATES = """\
+    n_at, g, kappa, g21, g02, g10, gperp, {pump} = par
+    g2, ng, nkappa, ngperp = 2.0 * g, n_at * g, -kappa, -gperp"""
+
+_RHS_OF = '''\
+def _rhs_of(par):
+    """The right-hand side of both atoms over (rho11, rho22, y, x): _RHS."""
+{rates}
+
+    def rhs(u0, u1, u2, u3):
+        r = {0}
+        return {1}, {2}, {3}, {4}
+
+    return rhs
+'''
+
+
+def _written(p, dropped=()):
+    """The sums of :data:`_RHS` at ``p``, less the terms that contain any of ``dropped``."""
+    return ["".join(t for t in terms if not any(d in t for d in dropped))
+            .removeprefix(" + ").format(p=p) for terms in _RHS]
+
+
+def _compiled(source, filename, namespace):
+    """``namespace`` after running the emitted ``source`` in it, with the
+    source in :mod:`linecache` for tracebacks and ``inspect.getsource``."""
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace
+
+
+_rhs_of = _compiled(_RHS_OF.format(*_written("u"), rates=_RATES.format(pump="pump")),
+                    "<lasekit.dynamics _rhs_of>", {"__name__": __name__})["_rhs_of"]
 
 # loop exit codes
 _STEADY = 0
@@ -189,39 +243,6 @@ class StiffnessError(RuntimeError):
 
 # one recorded step, (t, u0, u1, u2, u3) as native doubles
 _STEP = struct.Struct("5d")
-
-
-def _rhs_of(par):
-    """The right-hand side as a function of the four scalar components
-    (rho11, rho22, y, x) that returns a 4-tuple; bound once per run.
-
-    The equations are those of the module docstring for both atoms: the
-    two-level atom is the three-level one with level 2 empty, so its state
-    carries rho22 = 0 and its rates are (gamma_21, gamma_02, gamma_10) =
-    (gamma, 0, gamma), whose gamma_21*rho22 terms add exact zeros; a
-    three-level atom has Gamma = 0.  ``_dop853`` writes the same
-    expressions into each stage of a step, in the same order, but for the
-    terms that are exact zeros for the atom.
-
-    The constant factors are folded once per run.  Python groups ``*``
-    from the left and binds unary minus tighter, so ``2.0 * g * x * y``
-    and ``-kappa * x`` already multiply ``2.0 * g`` and ``-kappa`` first:
-    every result is bit for bit that of the equations as written in the
-    module docstring.
-    """
-    n_at, g, kappa, g21, g02, g10, gperp, pump = par
-    g2, ng, nkappa, ngperp = 2.0 * g, n_at * g, -kappa, -gperp
-
-    def rhs(rho11, rho22, yq, xq):
-        rho00 = 1.0 - rho11 - rho22
-        return (
-            pump * rho00 + g21 * rho22 - g10 * rho11 - g2 * xq * yq,
-            g02 * rho00 - g21 * rho22,
-            ngperp * yq + g * xq * (rho11 - rho00),
-            nkappa * xq + ng * yq,
-        )
-
-    return rhs
 
 
 def _jacobian(par, s0, s1, s2, s3):
@@ -390,38 +411,19 @@ def _first_step(rhs, u, f, n, t_max, rtol, atol, max_step):
     (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).  Each scaled
     quotient is squared by multiplication, which overflows to inf without
     raising, as in the stepper's error norm."""
-    u0, u1, u2, u3 = u
-    k1_0, k1_1, k1_2, k1_3 = f
-    sc0 = atol + rtol * abs(u0)
-    sc1 = atol + rtol * abs(u1)
-    sc2 = atol + rtol * abs(u2)
-    sc3 = atol + rtol * abs(u3)
-    q0, q1, q2, q3 = u0 / sc0, u1 / sc1, u2 / sc2, u3 / sc3
-    d0 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
-    q0, q1, q2, q3 = k1_0 / sc0, k1_1 / sc1, k1_2 / sc2, k1_3 / sc3
-    d1 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
-    d0 = math.sqrt(d0 / n)
-    d1 = math.sqrt(d1 / n)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, t_max, max_step)
-    k2_0, k2_1, k2_2, k2_3 = rhs(
-        u0 + h0 * k1_0, u1 + h0 * k1_1, u2 + h0 * k1_2, u3 + h0 * k1_3
-    )
-    q0 = (k2_0 - k1_0) / sc0
-    q1 = (k2_1 - k1_1) / sc1
-    q2 = (k2_2 - k1_2) / sc2
-    q3 = (k2_3 - k1_3) / sc3
-    d2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
+    sc = [atol + rtol * abs(v) for v in u]
+
+    def norm(v):  # the RMS of v scaled by sc
+        q0, q1, q2, q3 = (a / b for a, b in zip(v, sc))
+        return math.sqrt((q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / n)
+
+    d0, d1 = norm(u), norm(f)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_max, max_step)
+    f2 = rhs(*(a + h0 * k for a, k in zip(u, f)))
     # h0 is 0 only when d1 overflowed; the fallback below then applies
-    d2 = math.sqrt(d2 / n) / h0 if h0 > 0.0 else math.inf
+    d2 = norm([b - a for a, b in zip(f, f2)]) / h0 if h0 > 0.0 else math.inf
     dm = max(d1, d2)
-    if dm <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / dm) ** 0.125
+    h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.125
     h = min(100.0 * h0, h1, t_max, max_step)
     if not (h > 0.0 and math.isfinite(h)):
         # overflow-proof fallback for extreme tolerance settings

@@ -334,10 +334,14 @@ def raw_bracket_scheme_a(d: DimensionlessSchemeA, pump: float) -> float:
     """[P*(1-eps) - s*(1+eps+delta)*(P*(1+eps)+eps)] / (1+2P)."""
     s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
     if 2.0 * pump == math.inf and pump < math.inf:  # 1 + 2P overflows: divide through by P
-        numer = (1.0 - eps) - s * (1.0 + eps + delta) * (1.0 + eps + eps / pump)
-        return numer / (2.0 + 1.0 / pump)
-    numer = pump * (1.0 - eps) - s * (1.0 + eps + delta) * (pump * (1.0 + eps) + eps)
-    return numer / (1.0 + 2.0 * pump)
+        gain, denom = 1.0 - eps, 2.0 + 1.0 / pump
+        numer = gain - s * (1.0 + eps + delta) * (1.0 + eps + eps / pump)
+    else:
+        gain, denom = pump * (1.0 - eps), 1.0 + 2.0 * pump
+        numer = gain - s * (1.0 + eps + delta) * (pump * (1.0 + eps) + eps)
+    if numer != numer and s == 0.0:  # the saturation term is 0 * inf: leave it out
+        numer = gain
+    return numer / denom
 
 
 def n_scheme_a(d: DimensionlessSchemeA, pump: float) -> SteadyResult:
@@ -470,6 +474,8 @@ def raw_bracket_scheme_b(d: DimensionlessSchemeB, pump: float) -> float:
     """
     s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
     numer = (pump - eps) - s * (pump + eps + delta) * (pump + eps + pump * eps)
+    if numer != numer and s == 0.0:  # the saturation term is 0 * inf: leave it out
+        numer = pump - eps
     return numer / (pump + 2.0)
 
 
@@ -491,7 +497,7 @@ def n_scheme_b(d: DimensionlessSchemeB, pump: float) -> SteadyResult:
     width = pump + eps + d.dephasing  # 2*gamma_perp in units of gamma_21
     gperp = 0.5 * width
     if raw > 0.0:
-        d_pin = d.saturation * width
+        d_pin = d.saturation * width if d.saturation else 0.0  # not 0 * inf
         rho00 = (1.0 - d_pin) / (pump + 2.0)
         pops = (rho00, rho00 + d_pin, pump * rho00)
         return SteadyResult(d.photon_scale * raw, _LASING, pops, gperp, raw)

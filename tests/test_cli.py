@@ -805,15 +805,19 @@ def test_dynamics_leaving_state_space_exits_2(tmp_path, capsys):
     assert "tighten rel_tol/abs_tol" in captured.err
 
 
-@pytest.mark.parametrize("model, params, argv", [
+# a three-level record whose saturation term is inf * 0 at pump 0: s*delta
+# overflows where eps = 0
+INF_LOSS = {"photon_scale": 1.18e-38, "saturation": 1e300, "decay_ratio": 0.0, "dephasing": 1e300}
+SWEEP_FROM_0 = ["sweep", "--pump-min", "0", "--pump-max", "1", "--points", "3", "--scale", "linear"]
+
+
+@pytest.mark.parametrize("model, params, argv, pump", [
     ("two-level", {"photon_scale": 1.18e-38, "saturation": 0.0, "dephasing": 1e308},
-     ["steady", "--pump", "1e308"]),
-    ("three-a", {"photon_scale": 1.18e-38, "saturation": 0.0, "decay_ratio": 8.1e299},
-     ["sweep", "--pump-min", "1e159", "--pump-max", "1e160", "--points", "3"]),
-    ("three-b", {"photon_scale": 1.18e-38, "saturation": 0.0, "decay_ratio": 8.1e299},
-     ["sweep", "--pump-min", "1e159", "--pump-max", "1e160", "--points", "3"]),
+     ["steady", "--pump", "1e308"], "1e+308"),
+    ("three-a", INF_LOSS, SWEEP_FROM_0, "0.0"),
+    ("three-b", INF_LOSS, SWEEP_FROM_0, "0.0"),
 ], ids=["two-level-steady", "three-a-sweep", "three-b-sweep"])
-def test_nan_bracket_exits_2(tmp_path, capsys, model, params, argv):
+def test_nan_bracket_exits_2(tmp_path, capsys, model, params, argv, pump):
     # 0 * inf in the bracket: a config error naming the pump and the
     # record, not a report of a nan bracket or a below-threshold sweep
     path = write_cfg(tmp_path, {"model": model, "parameterization": "dimensionless",
@@ -821,8 +825,9 @@ def test_nan_bracket_exits_2(tmp_path, capsys, model, params, argv):
     assert main([argv[0], "--config", path, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: the bracket is NaN at pump=1e+")
-    assert "saturation=0.0" in captured.err and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: the bracket is NaN at pump={pump} for ")
+    assert f"saturation={params['saturation']!r}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("cfg, rate", [(CFG_3A_PHYS, "gamma_02"), (CFG_3B_PHYS, "gamma_21")],

@@ -5,11 +5,11 @@ so the order conditions and the comparison with scipy check the
 coefficients that run, at the stages they multiply.  A kernel forms the
 weighted sum s = sum b_j k_j once, takes v = u + h*s and the 3rd-order
 estimate e3 = s - sum bhh_j k_j, as Hairer's DOP853 does; E3 is rebuilt
-here as B - BHH.
+here as B - BHH.  The right-hand side is one table, ``dynamics._RHS``,
+from which ``dynamics._rhs_of`` and each kernel's stages are emitted.
 """
 
 import ast
-import copy
 import dataclasses
 import inspect
 import math
@@ -109,84 +109,34 @@ def _difference(node, component):
     return node.right
 
 
-def _renamed(node, names):
-    """The ast dump of ``node`` with each name in ``names`` renamed."""
-    node = copy.deepcopy(node)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            sub.id = names.get(sub.id, sub.id)
-    return ast.dump(node)
-
-
-def _without(node, name):
-    """``node`` with each term of its sum that reads ``name`` left out, the
-    other terms kept in their order and with their signs."""
-    terms = []
-    while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        terms.append((node.op, node.right))
-        node = node.left
-    terms.append((ast.Add(), node))
-    kept = [(op, term) for op, term in reversed(terms)
-            if name not in {sub.id for sub in ast.walk(term) if isinstance(sub, ast.Name)}]
-    (op, out), rest = kept[0], kept[1:]
-    assert isinstance(op, ast.Add)  # the term that leads keeps its sign
-    for op, term in rest:
-        out = ast.BinOp(out, op, term)
-    return out
-
-
-def _closure_equations(live, dropped):
-    """The rho00 expression and the derivative of each live slot of the
-    closure that ``dynamics._rhs_of`` returns, as ast dumps, with each term
-    that reads ``dropped`` left out."""
-    fn = ast.parse(inspect.getsource(dynamics._rhs_of)).body[0]
-    rhs = next(node for node in fn.body if isinstance(node, ast.FunctionDef))
-    (rho00, ret) = rhs.body
-    assert rho00.targets[0].id == "rho00"
-    equations = {c: _renamed(_without(e, dropped), {}) for c, e in enumerate(ret.value.elts)
-                 if c in live}
-    return _renamed(_without(rho00.value, dropped), {}), equations
-
-
-# each atom's kernel, its live slots and the name its terms left out read:
-# the empty level 2 of the two-level atom, the Gamma = 0 of the
-# three-level one
+# each atom's kernel and its live slots
 KERNELS = {
-    "two-level": (dop853.kernel(BlochState2), (0, 2, 3), "rho22"),
-    "three-level": (dop853.kernel(BlochState3), (0, 1, 2, 3), "pump"),
+    "two-level": (dop853.kernel(BlochState2), (0, 2, 3)),
+    "three-level": (dop853.kernel(BlochState3), (0, 1, 2, 3)),
 }
 
 
-def _tableau(kernel, live, dropped):
+def _tableau(kernel, live):
     """(A, B, E5, BHH, evaluations) as read from the source of ``kernel``:
     A maps stage i to its row {j: a_ij}, the others map stage j to its
-    weight, and ``evaluations`` lists the stages whose derivative is the
-    closure of ``dynamics._rhs_of`` written out over the ``live`` slots,
-    term for term but for those that read ``dropped``."""
+    weight, and ``evaluations`` lists the stages whose derivative the
+    kernel writes out over the ``live`` slots."""
     tree = ast.parse(inspect.getsource(kernel))
     loop = next(node for node in ast.walk(tree) if isinstance(node, ast.While))
-    closure_rho00, closure = _closure_equations(live, dropped)
     a, named, stage_sums, evaluations = {}, {}, {}, []
     for node in loop.body:
         if not (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)):
             continue
         target = node.targets[0].id
         # a stage state w<c> = u<c> + h * (S), the derivative there
-        # k<i>_<c> over rho00 = r; the last stage runs at v
+        # k<i>_<c>; the last stage runs at v
         if re.match(r"w\d$", target):
             component = int(target[1])
             stage_sums[component] = _increment(node.value, component)
             continue
         stage = STAGE.match(target)
-        if target == "r" or stage:
-            point = "w" if stage_sums else "v"
-            names = {f"{point}{c}": name for c, name in enumerate(("rho11", "rho22", "yq", "xq"))}
-            names["r"] = "rho00"
-            if target == "r":
-                assert _renamed(node.value, names) == closure_rho00
-                continue
+        if stage:
             i, component = int(stage.group(1)), int(stage.group(2))
-            assert _renamed(node.value, names) == closure[component], target
             if component == 3:
                 evaluations.append(i)
                 if stage_sums:
@@ -224,8 +174,7 @@ def test_tableau_shape():
     for A, B, E5, BHH, EVALUATIONS in TABLEAUX.values():
         # 12 stages; zero entries are skipped in every sum
         assert sorted(A) == list(range(2, 13))
-        # each stage and the FSAL point evaluate the closure's equations,
-        # written out in the same order
+        # each stage and the FSAL point write out the right-hand side
         assert EVALUATIONS == list(range(2, 14))
         assert all(max(row) < i for i, row in A.items())
         assert sum(len(row) for row in A.values()) == 50

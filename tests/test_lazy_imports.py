@@ -200,7 +200,9 @@ def test_every_export_is_its_home_object():
              if getattr(lasekit, name) is not getattr(module, name)]
     assert wrong == []
     assert sorted(lasekit.__all__) == NAMES
-    assert set(NAMES) <= set(dir(lasekit))
+    # no import of the package and no submodule is listed as a public name
+    assert [name for name in dir(lasekit) if not name.startswith("_")] == NAMES
+    assert not hasattr(lasekit, "importlib")
 
 
 def test_integrator_config_lives_in_params():
@@ -265,9 +267,9 @@ class _NoNumpy:
 sys.meta_path.insert(0, _NoNumpy())
 assert 'numpy' not in sys.modules
 
-import contextlib, io, lasekit
+import contextlib, io, json, os, lasekit
 from lasekit.cli import main
-cfg, stiff, out = sys.argv[1:]
+cfg, stiff, out, tests = sys.argv[1:]
 for argv in (['steady'], ['region'],
              ['sweep', '--pump-min', '0.01', '--pump-max', '120', '--points', '50'],
              ['dynamics', '--t-max', '0.1'],
@@ -306,18 +308,28 @@ except ImportError as e:
     assert 'integrate' in str(e) and 'lasekit[arrays]' in str(e), e
 else:
     raise AssertionError('integrate ran without numpy')
+
+# the dynamics cases of the series goldens, run as tests/test_cli_series.py runs them
+sys.path.insert(0, tests)
+os.environ.pop('LASEKIT_PRECISION', None)
+from test_cli_series import CASES, GOLDEN, run_case
+golden = json.loads(GOLDEN.read_text(encoding='utf-8'))
+os.mkdir(series := os.path.join(out, 'series'))
+for case in [case for case in CASES if '/dynamics/' in case]:
+    assert run_case(case, series) == golden[case], case
 assert 'numpy' not in sys.modules
 """
 
 
 def test_product_paths_run_without_numpy_installed(tmp_path):
     # every command, exit 4 included, the closed forms, settle and both
-    # oracles run; only the array API asks for the extra
+    # oracles run, and dynamics prints its series goldens; only the array
+    # API asks for the extra
     cfg, stiff = tmp_path / "cfg.json", tmp_path / "stiff.json"
     cfg.write_text(json.dumps(CFG), encoding="utf-8")
     stiff.write_text(json.dumps({**CFG, "integrator": {
         "rel_tol": 1e-300, "abs_tol": 1e-300, "t_max": 10}}), encoding="utf-8")
-    proc = _child(WITHOUT_NUMPY, str(cfg), str(stiff), str(tmp_path))
+    proc = _child(WITHOUT_NUMPY, str(cfg), str(stiff), str(tmp_path), str(Path(__file__).parent))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert _loaded(proc) == ["lasekit.dynamics", "lasekit.numerics"]

@@ -399,11 +399,12 @@ def test_overflowing_bracket_coefficients_give_no_threshold():
 
 
 @pytest.mark.parametrize("evaluate, d, pump", [
+    # s * delta overflows and pump 0 multiplies it: inf * 0, as s > 0
+    (n_scheme_a, DimensionlessSchemeA(photon_scale=1.18e-38, saturation=1e300,
+                                      decay_ratio=0.0, dephasing=1e300), 0.0),
+    (n_scheme_b, DimensionlessSchemeB(photon_scale=1.18e-38, saturation=1e300,
+                                      decay_ratio=0.0, dephasing=1e300), 0.0),
     # eps * pump overflows and s = 0 multiplies it: 0 * inf in the numerator
-    (n_scheme_a, DimensionlessSchemeA(photon_scale=1.18e-38, saturation=0.0,
-                                      decay_ratio=8.1e299), 1e160),
-    (n_scheme_b, DimensionlessSchemeB(photon_scale=1.18e-38, saturation=0.0,
-                                      decay_ratio=8.1e299), 1e160),
     (n_two_level, DimensionlessTwoLevel(photon_scale=1.18e-38, saturation=0.0,
                                         dephasing=1e308), 1e308),
 ], ids=["scheme-a", "scheme-b", "two-level"])
@@ -897,6 +898,24 @@ def test_dark_scheme_b_record_is_below_threshold_at_the_largest_pumps(tmp_path, 
     assert main(["steady", "--config", str(path), "--pump", repr(pump), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["regime"], report["raw_bracket"]) == ("below_threshold", "-inf")
+
+
+def test_saturation_zero_brackets_leave_out_the_saturation_term():
+    # at s = 0 a factor of the saturation term overflows here and the term
+    # was 0 * inf: the brackets are (P - eps)/(P + 2) and P*(1 - eps)/(1 + 2P);
+    # with delta = 1e308 the pinned d = s * (P + eps + delta) is 0 * inf too
+    b = DimensionlessSchemeB(photon_scale=1, saturation=0, decay_ratio=2)
+    wide = DimensionlessSchemeB(photon_scale=1, saturation=0, decay_ratio=2, dephasing=1e308)
+    for d, pump in [(b, 1e307), (b, 1e308), (b, 1.7976931348623157e308), (wide, 1e308)]:
+        res = n_scheme_b(d, pump)
+        assert raw_bracket_scheme_b(d, pump) == res.raw_bracket == res.photon_number == 1.0
+        assert res.regime is Regime.LASING and all(map(math.isfinite, res.populations))
+    a = DimensionlessSchemeA(photon_scale=1, saturation=0, decay_ratio=3)
+    for pump in (5e307, 8e307):
+        assert raw_bracket_scheme_a(a, pump) == -1.0
+        # the point is classified; its no-field populations overflow, as at 1e308
+        with pytest.raises(ValueError, match="the no-field weights overflow"):
+            n_scheme_a(a, pump)
 
 
 @pytest.mark.parametrize("pump", [math.inf, math.nan])
