@@ -334,14 +334,14 @@ def raw_bracket_scheme_a(d: DimensionlessSchemeA, pump: float) -> float:
     """[P*(1-eps) - s*(1+eps+delta)*(P*(1+eps)+eps)] / (1+2P)."""
     s, eps, delta = d.saturation, d.decay_ratio, d.dephasing
     if 2.0 * pump == math.inf and pump < math.inf:  # 1 + 2P overflows: divide through by P
-        gain, denom = 1.0 - eps, 2.0 + 1.0 / pump
-        numer = gain - s * (1.0 + eps + delta) * (1.0 + eps + eps / pump)
-    else:
-        gain, denom = pump * (1.0 - eps), 1.0 + 2.0 * pump
-        numer = gain - s * (1.0 + eps + delta) * (pump * (1.0 + eps) + eps)
-    if numer != numer and s == 0.0:  # the saturation term is 0 * inf: leave it out
-        numer = gain
-    return numer / denom
+        numer = (1.0 - eps) - s * (1.0 + eps + delta) * (1.0 + eps + eps / pump)
+        if numer != numer and s == 0.0:  # the saturation term is 0 * inf: leave it out
+            numer = 1.0 - eps
+        return numer / (2.0 + 1.0 / pump)
+    numer = pump * (1.0 - eps) - s * (1.0 + eps + delta) * (pump * (1.0 + eps) + eps)
+    if numer != numer and s == 0.0:  # as above
+        numer = pump * (1.0 - eps)
+    return numer / (1.0 + 2.0 * pump)
 
 
 def n_scheme_a(d: DimensionlessSchemeA, pump: float) -> SteadyResult:

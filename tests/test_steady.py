@@ -911,11 +911,12 @@ def test_saturation_zero_brackets_leave_out_the_saturation_term():
         assert raw_bracket_scheme_b(d, pump) == res.raw_bracket == res.photon_number == 1.0
         assert res.regime is Regime.LASING and all(map(math.isfinite, res.populations))
     a = DimensionlessSchemeA(photon_scale=1, saturation=0, decay_ratio=3)
-    for pump in (5e307, 8e307):
-        assert raw_bracket_scheme_a(a, pump) == -1.0
+    huge = DimensionlessSchemeA(photon_scale=1, saturation=0, decay_ratio=1e308, dephasing=1e308)
+    for d, pump, raw in [(a, 5e307, -1.0), (a, 8e307, -1.0), (huge, 1e308, -5e307)]:
+        assert raw_bracket_scheme_a(d, pump) == raw  # 1 + 2P overflows at 1e308
         # the point is classified; its no-field populations overflow, as at 1e308
         with pytest.raises(ValueError, match="the no-field weights overflow"):
-            n_scheme_a(a, pump)
+            n_scheme_a(d, pump)
 
 
 @pytest.mark.parametrize("pump", [math.inf, math.nan])
