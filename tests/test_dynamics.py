@@ -258,8 +258,8 @@ def test_written_out_stages_match_rhs_of(p):
                          ids=["three-level", "two-level"])
 def test_mirrored_seed_gives_the_mirrored_run(draw):
     # the equations are odd in (x, y): from the seed field -1e-3 settle and
-    # a recorded run take the steps of +1e-3, with x and y negated; both
-    # starts have y = 0.0, so a row may differ in the sign of a zero
+    # a recorded run take the steps of +1e-3, with x and y negated, bit for
+    # bit but for the start's y = 0.0, which negates to -0.0
     rng = np.random.default_rng(3)
     for p in [draw(rng) for _ in range(15)]:
         config = IntegratorConfig(t_max=min(default_t_max(p), 200.0))
@@ -271,7 +271,8 @@ def test_mirrored_seed_gives_the_mirrored_run(draw):
             plus.state, y=-plus.state.y, x=-plus.state.x)) == minus, p
         flip = np.array([-1.0 if label in ("x", "y") else 1.0 for label in series.state_labels])
         assert np.array_equal(series.times, mirror.times), p
-        assert np.array_equal(series.states * flip, mirror.states), p
+        assert np.array_equal(series.states[:1] * flip, mirror.states[:1]), p
+        assert (series.states[1:] * flip).tobytes() == mirror.states[1:].tobytes(), p
         assert (series.steady, series.derivative_norm) == (mirror.steady, mirror.derivative_norm)
 
 
